@@ -6,8 +6,8 @@ permutation maps the Fourier column used as the initial state onto itself
 up to a phase, and every negative one maps it onto a single other column,
 so one oracle call ends in a deterministic basis-state measurement:
 
-- standard variant: start in |2>, positive -> |2>, negative -> |d>;
-- qutrit spin variant (d = 3, levels labeled m = +1, 0, -1 mapped to
+- "general" convention: start in |2>, positive -> |2>, negative -> |d>;
+- "qutrit" spin convention (d = 3, levels labeled m = +1, 0, -1 mapped to
   indices 1, 2, 3): start in |1>, even -> |1>, odd -> |3>, index 2 never.
 
 A classical procedure needs two oracle values, and no single classical
@@ -18,42 +18,45 @@ claims rather than assumed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
 from .linalg import basis_state, check_dim, vector_to_json
 from .permutations import (
     Chirality,
-    CyclicClass,
     Permutation,
     classify_cyclic,
     enumerate_cyclic,
     oracle_unitary,
+    relabel,
 )
+
+# Fourier conventions by name: labels 1..d, or the d = 3 spin labels m = +1, 0, -1.
+FOURIER_VARIANTS = ("general", "qutrit")
 
 
 class NotCyclicError(ValueError):
     """Raised when the quantum runner is handed a non-cyclic permutation."""
 
 
-class FourierVariant(Enum):
-    STANDARD = "general"  # exponent (k-1)(k'-1), labels 1..d
-    QUTRIT_SPIN = "qutrit"  # d=3, exponent m'*m over spin labels m = +1, 0, -1
-
-
 @dataclass(frozen=True)
 class FourierKind:
-    variant: FourierVariant = FourierVariant.STANDARD
+    """Fourier convention ("general" or "qutrit") and an optional relabeling."""
+
+    variant: str = "general"
     relabeling: Permutation | None = None
+
+    def __post_init__(self):
+        if self.variant not in FOURIER_VARIANTS:
+            raise ValueError(f"Fourier variant must be one of {FOURIER_VARIANTS}, got {self.variant!r}")
 
     @staticmethod
     def standard(relabeling: Permutation | None = None) -> "FourierKind":
-        return FourierKind(FourierVariant.STANDARD, relabeling)
+        return FourierKind("general", relabeling)
 
     @staticmethod
     def qutrit_spin(relabeling: Permutation | None = None) -> "FourierKind":
-        return FourierKind(FourierVariant.QUTRIT_SPIN, relabeling)
+        return FourierKind("qutrit", relabeling)
 
 
 def qft(dim: int, kind: FourierKind | None = None) -> np.ndarray:
@@ -71,28 +74,26 @@ def qft(dim: int, kind: FourierKind | None = None) -> np.ndarray:
     d = check_dim(dim)
     if d < 2:
         raise ValueError(f"Fourier transform needs dim >= 2, got {d}")
-    kind = kind or FourierKind.standard()
-    if kind.variant is FourierVariant.QUTRIT_SPIN:
+    kind = kind or FourierKind()
+    if kind.variant == "qutrit":
         if d != 3:
             raise ValueError("the qutrit spin variant is only defined for dim 3")
-        m = np.array([1, 0, -1])
-        f = np.exp(2j * np.pi * np.outer(m, m) / 3) / np.sqrt(3)
+        labels = np.array([1, 0, -1])
     else:
-        k = np.arange(d)
-        f = np.exp(2j * np.pi * np.outer(k, k) / d) / np.sqrt(d)
-    if kind.relabeling is not None:
-        if kind.relabeling.dim != d:
-            raise ValueError(
-                f"relabeling acts on {kind.relabeling.dim} labels, expected {d}"
-            )
-        f = oracle_unitary(kind.relabeling) @ f
+        labels = np.arange(d)
+    f = np.exp(2j * np.pi * np.outer(labels, labels) / d) / np.sqrt(d)
+    sigma = kind.relabeling
+    if sigma is not None:
+        if sigma.dim != d:
+            raise ValueError(f"size mismatch: {sigma.dim} vs {d}")
+        f = oracle_unitary(sigma) @ f
     return f
 
 
 def initial_index(kind: FourierKind | None = None) -> int:
     """Basis label the protocol starts from for a given Fourier convention."""
-    kind = kind or FourierKind.standard()
-    return 1 if kind.variant is FourierVariant.QUTRIT_SPIN else 2
+    kind = kind or FourierKind()
+    return 1 if kind.variant == "qutrit" else 2
 
 
 @dataclass(eq=False)
@@ -128,25 +129,21 @@ class RunReport:
         }
 
 
-def _kind_class(p: Permutation, kind: FourierKind) -> CyclicClass:
-    """Cyclic class of p in the label convention the kind encodes."""
-    if kind.relabeling is None:
-        return classify_cyclic(p)
-    sigma = kind.relabeling
-    return classify_cyclic(sigma.inverse().compose(p).compose(sigma))
-
-
 def run_quantum(p: Permutation, kind: FourierKind | None = None) -> RunReport:
     """Classify a cyclic permutation with a single oracle application.
 
-    Raises NotCyclicError for permutations outside the promise (in the
-    kind's labeling); the circuit is only meaningful on cyclic inputs.
+    Raises ValueError below dim 3, where rotations and reflections coincide,
+    or when the kind does not fit the size, and NotCyclicError for
+    permutations outside the promise (in the kind's labeling); the circuit
+    is only meaningful on cyclic inputs.
     """
-    kind = kind or FourierKind.standard()
+    kind = kind or FourierKind()
     d = p.dim
-    if kind.variant is FourierVariant.QUTRIT_SPIN and d != 3:
-        raise ValueError("the qutrit spin variant is only defined for dim 3")
-    promise = _kind_class(p, kind)
+    if d < 3:
+        raise ValueError(f"quantum classification needs dim >= 3, got {d}")
+    f = qft(d, kind)
+    sigma = kind.relabeling
+    promise = classify_cyclic(p if sigma is None else relabel(p, sigma.inverse()))
     if promise.chirality is Chirality.NOT_CYCLIC:
         raise NotCyclicError(
             f"permutation {p.image} is not cyclic in the requested labeling"
@@ -159,8 +156,8 @@ def run_quantum(p: Permutation, kind: FourierKind | None = None) -> RunReport:
         queries += 1
         return oracle_unitary(p) @ state
 
-    f = qft(d, kind)
-    psi = f @ basis_state(d, initial_index(kind))
+    start = initial_index(kind)
+    psi = f @ basis_state(d, start)
     psi = call_oracle(psi)
     psi = f.conj().T @ psi
 
@@ -173,10 +170,7 @@ def run_quantum(p: Permutation, kind: FourierKind | None = None) -> RunReport:
     amp = psi[idx - 1]
     phase = amp / abs(amp)
 
-    if kind.variant is FourierVariant.QUTRIT_SPIN:
-        outcome_map = {1: Chirality.POSITIVE, 3: Chirality.NEGATIVE}
-    else:
-        outcome_map = {2: Chirality.POSITIVE, d: Chirality.NEGATIVE}
+    outcome_map = {start: Chirality.POSITIVE, d: Chirality.NEGATIVE}
     if idx not in outcome_map:
         raise RuntimeError(f"measured index {idx} outside the promised outcomes")
 
@@ -262,17 +256,3 @@ def phase_table(dim: int) -> dict[tuple[Chirality, int], complex]:
         table[(Chirality.NEGATIVE, r)] = complex(np.exp(2j * np.pi * (r - 1) / d))
     return table
 
-
-def sample_measurement(state, seed: int | None = None) -> int:
-    """Draw a 1-based measurement outcome from |amplitude|^2 weights.
-
-    Demonstration helper; the protocol itself is deterministic and all
-    verification paths use the analytic distribution instead of sampling.
-    """
-    psi = np.asarray(state, dtype=complex)
-    probs = np.abs(psi) ** 2
-    total = probs.sum()
-    if total <= 0:
-        raise ValueError("state has no probability mass")
-    rng = np.random.default_rng(seed)
-    return int(rng.choice(len(probs), p=probs / total)) + 1

@@ -5,8 +5,9 @@ Subcommands:
   verify  sweep dimensions and check every promise the simulator makes
   nmr     synthesize and run the spin-3/2 pulse protocol, exporting artifacts
 
-Exit codes: 0 success, 1 verification failure, 2 malformed permutation,
-3 non-cyclic input to the quantum runner, 4 unconverged pulse synthesis.
+Exit codes: 0 success, 1 verification failure, 2 malformed permutation or
+bad arguments, 3 non-cyclic input to the quantum runner, 4 unconverged
+pulse synthesis.
 The default output directory for nmr artifacts is $QUDITCYCLE_OUTDIR,
 falling back to the current directory.
 """
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys as _sys
 import time
@@ -22,6 +24,7 @@ import time
 import numpy as np
 
 from .algorithm import (
+    FOURIER_VARIANTS,
     FourierKind,
     NotCyclicError,
     one_query_insufficient,
@@ -29,8 +32,8 @@ from .algorithm import (
     run_classical,
     run_quantum,
 )
-from .nmr import SpinSystem, inject_readout_noise
-from .permutations import Chirality, Permutation, classify_cyclic, enumerate_cyclic, parity
+from .nmr import SpinSystem, inject_readout_noise, pseudo_pure
+from .permutations import Chirality, Parity, Permutation, classify_cyclic, enumerate_cyclic
 from .protocol import run_protocol
 from .smp import OptimizerConfig, segments_to_json
 
@@ -48,6 +51,9 @@ GATE_MAP = {
     "fullpos": ("positive", "full"),
     "fullneg": ("negative", "full"),
 }
+
+# OptimizerConfig fields a --config file may set; the report echoes them.
+CONFIG_KEYS = ("segments", "restarts", "seed", "min_fidelity", "max_iter")
 
 
 def _dump(obj, path: str | None, as_json: bool) -> None:
@@ -76,13 +82,8 @@ def cmd_run(args) -> int:
             print(f"error: {exc}", file=_sys.stderr)
             return EXIT_BAD_PERMUTATION
     else:
-        kind = (
-            FourierKind.qutrit_spin(sigma)
-            if args.fourier == "qutrit"
-            else FourierKind.standard(sigma)
-        )
         try:
-            report = run_quantum(p, kind)
+            report = run_quantum(p, FourierKind(args.fourier, sigma))
         except NotCyclicError as exc:
             print(f"error: {exc}", file=_sys.stderr)
             return EXIT_NOT_CYCLIC
@@ -104,25 +105,21 @@ def cmd_run(args) -> int:
 def cmd_verify(args) -> int:
     ok = True
     rows = []
+    parity_matches = True
     t0 = time.perf_counter()
     for d in range(3, args.dmax + 1):
         table = phase_table(d)
-        class_ok = True
-        phase_ok = True
+        class_ok = phase_ok = two_ok = True
         for p in enumerate_cyclic(d):
             truth = classify_cyclic(p)
-            report = run_quantum(p)
-            if report.classification is not truth.chirality:
-                class_ok = False
-            expected = table[(truth.chirality, truth.shift)]
-            if abs(report.phase - expected) > 1e-10:
-                phase_ok = False
+            quantum = run_quantum(p)
+            classical = run_classical(p)
+            class_ok &= quantum.classification is truth.chirality
+            phase_ok &= abs(quantum.phase - table[(truth.chirality, truth.shift)]) <= 1e-10
+            two_ok &= classical.classification is truth.chirality and classical.oracle_queries == 2
+            if d == 3:
+                parity_matches &= (truth.chirality is Chirality.POSITIVE) == (truth.parity is Parity.EVEN)
         query_ok = one_query_insufficient(d) if d <= 8 else None
-        two_ok = all(
-            run_classical(p).classification is classify_cyclic(p).chirality
-            and run_classical(p).oracle_queries == 2
-            for p in enumerate_cyclic(d)
-        )
         rows.append(
             {
                 "dim": d,
@@ -133,11 +130,6 @@ def cmd_verify(args) -> int:
             }
         )
         ok = ok and class_ok and phase_ok and two_ok and (query_ok is not False)
-
-    parity_matches = all(
-        (classify_cyclic(p).chirality is Chirality.POSITIVE) == (parity(p).value == "even")
-        for p in enumerate_cyclic(3)
-    )
     ok = ok and parity_matches
     elapsed = time.perf_counter() - t0
 
@@ -183,33 +175,24 @@ def cmd_nmr(args) -> int:
                 file=_sys.stderr,
             )
             return EXIT_BAD_PERMUTATION
+    if args.noise_seed < 0:
+        print(f"error: --noise-seed must be >= 0, got {args.noise_seed}", file=_sys.stderr)
+        return EXIT_BAD_PERMUTATION
 
-    if args.config:
-        try:
+    flags = ("segments", "restarts", "min_fidelity")
+    overrides = {k: getattr(args, k) for k in flags if getattr(args, k) is not None}
+    try:
+        loaded = {}
+        if args.config:
             with open(args.config) as fh:
                 loaded = json.load(fh)
-            allowed = {"segments", "restarts", "seed", "min_fidelity", "max_iter"}
-            bad = set(loaded) - allowed
+            bad = set(loaded) - set(CONFIG_KEYS)
             if bad:
                 raise ValueError(f"unknown config keys {sorted(bad)}")
-            cfg = OptimizerConfig(**{**{"seed": args.seed}, **loaded})
-        except (OSError, ValueError, TypeError) as exc:
-            print(f"error: bad optimizer config: {exc}", file=_sys.stderr)
-            return EXIT_BAD_PERMUTATION
-    else:
-        cfg = OptimizerConfig(seed=args.seed)
-    if args.segments is not None:
-        from dataclasses import replace
-
-        cfg = replace(cfg, segments=args.segments)
-    if args.restarts is not None:
-        from dataclasses import replace
-
-        cfg = replace(cfg, restarts=args.restarts)
-    if args.min_fidelity is not None:
-        from dataclasses import replace
-
-        cfg = replace(cfg, min_fidelity=args.min_fidelity)
+        cfg = OptimizerConfig(**{"seed": args.seed, **loaded, **overrides})
+    except (OSError, ValueError, TypeError) as exc:
+        print(f"error: bad optimizer config: {exc}", file=_sys.stderr)
+        return EXIT_BAD_PERMUTATION
 
     sys_ = SpinSystem()
     source = "ideal" if args.ideal else "smp"
@@ -221,7 +204,7 @@ def cmd_nmr(args) -> int:
     pure = result.pure_part
     if args.noise_sigma is not None:
         pure = inject_readout_noise(pure, sigma=args.noise_sigma, seed=args.noise_seed)
-        rho = (1.0 - args.epsilon) / 4 * np.eye(4) + args.epsilon * pure
+        rho = pseudo_pure(pure, args.epsilon)
 
     outdir = args.out or os.environ.get("QUDITCYCLE_OUTDIR") or "."
     os.makedirs(outdir, exist_ok=True)
@@ -245,20 +228,14 @@ def cmd_nmr(args) -> int:
         "unconverged": not result.converged,
         "dominant_index": result.dominant_index,
         "noise_sigma": args.noise_sigma,
-        "config": {
-            "segments": cfg.segments,
-            "restarts": cfg.restarts,
-            "seed": cfg.seed,
-            "min_fidelity": cfg.min_fidelity,
-            "max_iter": cfg.max_iter,
-        },
+        "config": {k: getattr(cfg, k) for k in CONFIG_KEYS},
         "pulses": None if result.smp is None else segments_to_json(result.smp.segments),
     }
     with open(f"{prefix}_report.json", "w") as fh:
         fh.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
-    if result.smp is not None:
+    if report["pulses"] is not None:
         with open(f"{prefix}_pulses.json", "w") as fh:
-            fh.write(json.dumps(segments_to_json(result.smp.segments), indent=2, sort_keys=True) + "\n")
+            fh.write(json.dumps(report["pulses"], indent=2, sort_keys=True) + "\n")
 
     if args.json:
         print(json.dumps(report, indent=2, sort_keys=True))
@@ -270,6 +247,21 @@ def cmd_nmr(args) -> int:
         )
         print(f"artifacts written under {outdir}/")
     return EXIT_OK if result.converged else EXIT_UNCONVERGED
+
+
+def _bounded(upper: float):
+    """argparse type: a finite float in [0, upper]; NaN and Inf are refused."""
+
+    def parse(text: str) -> float:
+        try:
+            value = float(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+        if not (math.isfinite(value) and 0 <= value <= upper):
+            raise argparse.ArgumentTypeError(f"must be a finite number in [0, {upper}], got {text!r}")
+        return value
+
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -285,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--mode", choices=("quantum", "classical"), default="quantum")
     run_p.add_argument(
         "--fourier",
-        choices=("general", "qutrit"),
+        choices=FOURIER_VARIANTS,
         default="general",
         help="Fourier convention: general labels 1..d, or the 3-level spin basis",
     )
@@ -309,12 +301,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     nmr_p.add_argument("--seed", type=int, default=0)
     nmr_p.add_argument("--ideal", action="store_true", help="use exact gates instead of pulses")
-    nmr_p.add_argument("--epsilon", type=float, default=1e-5)
+    nmr_p.add_argument("--epsilon", type=_bounded(1.0), default=1e-5)
     nmr_p.add_argument("--config", default=None, help="JSON file with optimizer settings")
     nmr_p.add_argument("--segments", type=int, default=None)
     nmr_p.add_argument("--restarts", type=int, default=None)
     nmr_p.add_argument("--min-fidelity", type=float, default=None)
-    nmr_p.add_argument("--noise-sigma", type=float, default=None, help="simulated readout noise")
+    nmr_p.add_argument("--noise-sigma", type=_bounded(math.inf), default=None, help="simulated readout noise")
     nmr_p.add_argument("--noise-seed", type=int, default=0)
     nmr_p.add_argument("--out", default=None, help="output directory (default $QUDITCYCLE_OUTDIR)")
     nmr_p.add_argument("--json", action="store_true")

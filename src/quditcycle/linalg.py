@@ -62,24 +62,6 @@ def adjoint(m) -> np.ndarray:
     return _as_matrix(m).conj().T
 
 
-def apply_unitary(u, psi) -> np.ndarray:
-    """Apply a matrix to a state vector, validating dimensions."""
-    a = _as_matrix(u)
-    v = _as_vector(psi)
-    if a.shape[0] != v.shape[0]:
-        raise ValueError(f"dimension mismatch: matrix {a.shape[0]}, state {v.shape[0]}")
-    return a @ v
-
-
-def validate_state(psi, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Check unit norm within tol and return the vector."""
-    v = _as_vector(psi)
-    n = np.linalg.norm(v)
-    if abs(n - 1.0) > tol:
-        raise ValueError(f"state norm {n} deviates from 1 by more than {tol}")
-    return v
-
-
 def validate_unitary(u, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Check U U^dag = 1 within tol (max entrywise error) and return U."""
     a = _as_matrix(u)
@@ -149,36 +131,12 @@ def fidelity(rho, target) -> float:
     return float(val.real)
 
 
-# --- JSON codecs ------------------------------------------------------------
+# --- JSON codec -------------------------------------------------------------
 #
-# Vectors:  {"dim": d, "re": [...], "im": [...]}
-# Matrices: {"dim": d, "re": [[...]], "im": [[...]]}
+# Vectors: {"dim": d, "re": [...], "im": [...]}
 # Split real/imag arrays keep the files readable and language-neutral.
 
 
 def vector_to_json(psi) -> dict:
     v = _as_vector(psi)
     return {"dim": int(v.shape[0]), "re": v.real.tolist(), "im": v.imag.tolist()}
-
-
-def vector_from_json(obj: dict) -> np.ndarray:
-    d = check_dim(obj["dim"])
-    re = np.asarray(obj["re"], dtype=float)
-    im = np.asarray(obj["im"], dtype=float)
-    if re.shape != (d,) or im.shape != (d,):
-        raise ValueError(f"vector payload does not match dim {d}")
-    return _as_vector(re + 1j * im)
-
-
-def matrix_to_json(m) -> dict:
-    a = _as_matrix(m)
-    return {"dim": int(a.shape[0]), "re": a.real.tolist(), "im": a.imag.tolist()}
-
-
-def matrix_from_json(obj: dict) -> np.ndarray:
-    d = check_dim(obj["dim"])
-    re = np.asarray(obj["re"], dtype=float)
-    im = np.asarray(obj["im"], dtype=float)
-    if re.shape != (d, d) or im.shape != (d, d):
-        raise ValueError(f"matrix payload does not match dim {d}")
-    return _as_matrix(re + 1j * im)

@@ -22,8 +22,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import basis_state, check_dim
-
 
 def spin_operators(s: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Return (I_x, I_y, I_z) for spin quantum number s in {1/2, 1, 3/2, ...}.
@@ -137,25 +135,17 @@ def sequence_propagator(sys: SpinSystem, segments) -> np.ndarray:
     return u
 
 
-@dataclass(frozen=True)
-class PseudoPureSpec:
-    """Pseudo-pure preparation: rho = (1 - eps)/d * 1 + eps |i><i|."""
+def pseudo_pure(pure: np.ndarray, epsilon: float) -> np.ndarray:
+    """Pseudo-pure density matrix rho = (1 - eps)/d * 1 + eps * pure.
 
-    basis_index: int
-    epsilon: float = 1e-5
-
-    def __post_init__(self):
-        if not 0.0 <= self.epsilon <= 1.0:
-            raise ValueError(f"epsilon must be in [0, 1], got {self.epsilon}")
-
-
-def pseudo_pure(spec: PseudoPureSpec, dim: int) -> np.ndarray:
-    """Density matrix of the pseudo-pure state described by spec."""
-    d = check_dim(dim)
-    ket = basis_state(d, spec.basis_index)
-    return (1.0 - spec.epsilon) / d * np.eye(d, dtype=complex) + spec.epsilon * np.outer(
-        ket, ket.conj()
-    )
+    pure is the epsilon-component (a d x d density matrix, e.g. |i><i| or
+    its evolved form); the maximally mixed background is invisible to
+    unitary evolution and deviation-matrix readout.
+    """
+    if not 0.0 <= epsilon <= 1.0:
+        raise ValueError(f"epsilon must be in [0, 1], got {epsilon}")
+    d = pure.shape[0]
+    return (1.0 - epsilon) / d * np.eye(d, dtype=complex) + epsilon * pure
 
 
 def transition_frequencies(sys: SpinSystem, frame: str = "lab") -> np.ndarray:
@@ -184,8 +174,8 @@ def inject_readout_noise(rho: np.ndarray, sigma: float = 0.01, seed: int | None 
     a = np.asarray(rho, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    if sigma < 0:
-        raise ValueError(f"sigma must be >= 0, got {sigma}")
+    if not np.isfinite(sigma) or sigma < 0:
+        raise ValueError(f"sigma must be finite and >= 0, got {sigma}")
     d = a.shape[0]
     scale = sigma * float(np.max(np.abs(a)))
     rng = np.random.default_rng(seed)

@@ -121,15 +121,22 @@ def reflection(dim: int, r: int) -> Permutation:
 
 
 def classify_cyclic(p: Permutation) -> CyclicClass:
-    """Chirality, parity, and rotation offset of a permutation."""
+    """Chirality, parity, and rotation offset of a permutation.
+
+    p(1) fixes the only candidate offset of each family, so one pass over
+    the image per family decides the chirality.  Rotations are tried first:
+    at d = 2, (2, 1) is both a rotation and a reflection and counts as
+    positive.
+    """
     d = p.dim
+    img = p.image
     par = parity(p)
-    for r in range(d):
-        if p.image == rotation(d, r).image:
-            return CyclicClass(Chirality.POSITIVE, par, r)
-    for r in range(d):
-        if p.image == reflection(d, r).image:
-            return CyclicClass(Chirality.NEGATIVE, par, r)
+    r = img[0] - 1
+    if all(y == (x + r) % d + 1 for x, y in enumerate(img)):
+        return CyclicClass(Chirality.POSITIVE, par, r)
+    r = img[0] % d
+    if all(y == (r - x - 1) % d + 1 for x, y in enumerate(img)):
+        return CyclicClass(Chirality.NEGATIVE, par, r)
     return CyclicClass(Chirality.NOT_CYCLIC, par, None)
 
 

@@ -28,7 +28,7 @@ import numpy as np
 
 from .algorithm import qft
 from .linalg import adjoint, basis_state, fidelity, outer
-from .nmr import PseudoPureSpec, SpinSystem, sequence_propagator
+from .nmr import SpinSystem, pseudo_pure, sequence_propagator
 from .permutations import Permutation, oracle_unitary
 from .smp import OptimizerConfig, SmpResult, smp_optimize
 
@@ -103,14 +103,12 @@ def run_protocol(
         u = target_u
         converged = True
 
-    spec = PseudoPureSpec(basis_index=PREPARED_INDEX, epsilon=epsilon)
-    pure0 = outer(basis_state(4, spec.basis_index))
+    pure0 = outer(basis_state(4, PREPARED_INDEX))
     pure = u @ pure0 @ u.conj().T
-    rho = (1.0 - spec.epsilon) / 4 * np.eye(4, dtype=complex) + spec.epsilon * pure
 
     goal = theory_state(oracle, stage)
     return ProtocolResult(
-        rho=rho,
+        rho=pseudo_pure(pure, epsilon),
         pure_part=pure,
         target=goal,
         fidelity=fidelity(pure, goal),

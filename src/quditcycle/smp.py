@@ -57,6 +57,8 @@ class OptimizerConfig:
             raise ValueError("need 0 < dur_min_s < dur_max_s")
         if self.amp_max_hz <= 0:
             raise ValueError("amp_max_hz must be > 0")
+        if self.seed < 0 or self.max_iter < 1:
+            raise ValueError("need seed >= 0 and max_iter >= 1")
 
 
 def gate_fidelity(u: np.ndarray, v: np.ndarray) -> float:

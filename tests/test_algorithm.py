@@ -7,7 +7,6 @@ import pytest
 
 from quditcycle.algorithm import (
     FourierKind,
-    FourierVariant,
     NotCyclicError,
     initial_index,
     one_query_insufficient,
@@ -15,7 +14,6 @@ from quditcycle.algorithm import (
     qft,
     run_classical,
     run_quantum,
-    sample_measurement,
 )
 from quditcycle.linalg import basis_state, equal_up_to_global_phase
 from quditcycle.permutations import (
@@ -163,6 +161,26 @@ def test_run_quantum_rejects_non_cyclic():
         run_quantum(Permutation((2, 1, 3, 4, 5)))
 
 
+def test_run_quantum_rejects_dims_below_three():
+    # at d = 2 rotation and reflection coincide: both inputs used to come
+    # back "negative-cyclic"; the promise is degenerate, so refuse like
+    # run_classical does, and not as a non-cyclic input
+    cases = [((1,), None), ((1, 2), None), ((2, 1), None)]
+    cases += [((2, 1), FourierKind.standard(Permutation((2, 1)))), ((1, 2), FourierKind.qutrit_spin())]
+    for image, kind in cases:
+        with pytest.raises(ValueError, match="dim >= 3") as err:
+            run_quantum(Permutation(image), kind)
+        assert not isinstance(err.value, NotCyclicError)
+
+
+def test_fourier_kind_names_its_convention():
+    assert FourierKind() == FourierKind.standard() == FourierKind("general")
+    assert FourierKind.qutrit_spin() == FourierKind("qutrit")
+    assert (initial_index(FourierKind("general")), initial_index(FourierKind("qutrit"))) == (2, 1)
+    with pytest.raises(ValueError):
+        FourierKind("spin")
+
+
 def test_run_quantum_deterministic_across_dims():
     for d in range(3, 13):
         table = phase_table(d)
@@ -299,11 +317,3 @@ def test_report_json_shape():
     cl = run_classical(Permutation((2, 3, 4, 1))).to_json()
     assert cl["measured_index"] is None and cl["phase"] is None and cl["final_state"] is None
 
-
-def test_sample_measurement_is_seeded_and_consistent():
-    psi = np.array([0, np.sqrt(0.25), 0, np.sqrt(0.75)])
-    draws = {sample_measurement(psi, seed=s) for s in range(40)}
-    assert draws <= {2, 4}
-    assert sample_measurement(psi, seed=3) == sample_measurement(psi, seed=3)
-    rep = run_quantum(Permutation((2, 3, 4, 1)))
-    assert sample_measurement(rep.final_state, seed=0) == rep.measured_index

@@ -90,6 +90,14 @@ def test_run_malformed_exits_two(capsys):
         assert "error" in err
 
 
+def test_run_quantum_below_dim_three_exits_two(capsys):
+    # (1,2) and (2,1) used to be answered "negative-cyclic" with exit 0
+    for perm in ("1,2", "2,1", "1"):
+        code, out, err = run_cli(capsys, "run", "--perm", perm)
+        assert code == EXIT_BAD_PERMUTATION
+        assert out == "" and err.startswith("error:") and "dim >= 3" in err
+
+
 def test_run_writes_report_file(tmp_path, capsys):
     path = tmp_path / "rep.json"
     code, _, _ = run_cli(capsys, "run", "--perm", "4,1,2,3", "--out", str(path))
@@ -221,5 +229,43 @@ def test_nmr_bad_config_rejected(tmp_path, capsys):
     code, _, err = run_cli(capsys, "nmr", "--gate", "qft", "--config", str(cfg))
     assert code == EXIT_BAD_PERMUTATION
     assert "unknown config keys" in err
+    cfg.write_text(json.dumps({"segments": 1, "max_iter": 0}))
+    code, _, err = run_cli(capsys, "nmr", "--gate", "qft", "--config", str(cfg))
+    assert code == EXIT_BAD_PERMUTATION
+    assert "max_iter" in err
     code, _, err = run_cli(capsys, "nmr", "--gate", "qft", "--config", str(tmp_path / "no.json"))
     assert code == EXIT_BAD_PERMUTATION
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--segments", "0"],
+        ["--restarts", "0"],
+        ["--min-fidelity", "0"],
+        ["--min-fidelity", "nan"],
+        ["--epsilon", "2"],
+        ["--epsilon", "-0.5"],
+        ["--epsilon", "nan"],
+        ["--epsilon", "inf"],
+        ["--noise-sigma", "-1"],
+        ["--noise-sigma", "nan"],
+        ["--noise-sigma", "inf"],
+        ["--seed", "-1"],
+        ["--noise-sigma", "0.01", "--noise-seed", "-1"],
+    ],
+    ids="=".join,
+)
+def test_nmr_invalid_settings_exit_two_before_synthesis(flags, tmp_path, capsys):
+    # without --ideal a bad setting would otherwise surface only after pulse
+    # synthesis, as a traceback with the "verification failed" code 1
+    argv = ["nmr", "--gate", "fullneg", "--out", str(tmp_path / "out"), *flags]
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # refused while parsing
+        code = exc.code
+    captured = capsys.readouterr()
+    assert code == EXIT_BAD_PERMUTATION
+    assert captured.out == ""
+    assert len([line for line in captured.err.splitlines() if "error:" in line]) == 1
+    assert not (tmp_path / "out").exists()

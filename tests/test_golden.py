@@ -1,0 +1,225 @@
+"""Byte-for-byte comparison of CLI output against recorded golden files.
+
+Each case runs `quditcycle` in-process in an empty working directory and
+records the exit code, stdout, stderr and every file the command wrote.
+The recordings in tests/golden/ were made from the code before the design
+was shrunk; any change to a byte of output shows up here.
+
+Regenerate (only when an output change is intended, and say so in CHANGES.md):
+
+    PYTHONPATH=src python tests/test_golden.py --write
+
+Sizes below 3 and invalid `nmr` settings are not recorded: their handling is
+specified by regression tests in test_algorithm.py and test_cli.py instead.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import os
+import sys
+from pathlib import Path
+
+import pytest
+
+GOLDEN_DIR = Path(__file__).parent / "golden"
+GATES = ("qft", "pos", "neg", "fullpos", "fullneg")
+
+# Files some cases place in the working directory before running.
+SETUP_FILES = {
+    "unknown_key.json": json.dumps({"segments": 2, "fidelity_target": 0.9}),
+    "bad_value.json": json.dumps({"segments": 0}),
+    "bad_type.json": json.dumps({"restarts": "two"}),
+    "not_json.json": "{segments: 2",
+}
+
+
+def _img(seq) -> str:
+    return ",".join(map(str, seq))
+
+
+def _rotation(d, r):
+    return [(x - 1 + r) % d + 1 for x in range(1, d + 1)]
+
+
+def _reflection(d, r):
+    return [(r - x) % d + 1 for x in range(1, d + 1)]
+
+
+def _conjugate(q, sigma):
+    """Image of sigma . q . sigma^-1, q written in sigma-relabeled values."""
+    inv = [0] * len(sigma)
+    for x, y in enumerate(sigma, start=1):
+        inv[y - 1] = x
+    return [sigma[q[inv[x] - 1] - 1] for x in range(len(q))]
+
+
+def _swap23(d):
+    return [1, 3, 2] + list(range(4, d + 1))
+
+
+def run_cases() -> dict[str, list[str]]:
+    cases = {}
+    for d in range(3, 9):
+        cyclic = [("pos", r, _rotation(d, r)) for r in range(d)]
+        cyclic += [("neg", r, _reflection(d, r)) for r in range(d)]
+        for chi, r, img in cyclic:
+            cases[f"quantum-d{d}-{chi}{r}"] = ["run", "--perm", _img(img), "--json"]
+            cases[f"classical-d{d}-{chi}{r}"] = [
+                "run", "--perm", _img(img), "--mode", "classical", "--json",
+            ]  # fmt: skip
+        sigma = list(reversed(range(1, d + 1)))
+        sigma[0], sigma[1] = sigma[1], sigma[0]
+        for chi, r, img in (cyclic[1], cyclic[d - 1], cyclic[d], cyclic[-1]):
+            cases[f"relabeled-d{d}-{chi}{r}"] = [
+                "run", "--perm", _img(_conjugate(img, sigma)), "--relabel", _img(sigma), "--json",
+            ]  # fmt: skip
+        if d >= 4:
+            swap = _swap23(d)
+            lookalike = [2, 3, 1] + list(range(4, d + 1))  # f(1), f(2) of a rotation
+            cases[f"classical-d{d}-swap"] = ["run", "--perm", _img(swap), "--mode", "classical", "--json"]
+            cases[f"classical-d{d}-lookalike"] = [
+                "run", "--perm", _img(lookalike), "--mode", "classical", "--json",
+            ]  # fmt: skip
+            cases[f"error-not-cyclic-d{d}"] = ["run", "--perm", _img(swap)]
+            cases[f"error-relabeled-not-cyclic-d{d}"] = [
+                "run", "--perm", _img(_rotation(d, 1)), "--relabel", _img(swap),
+            ]  # fmt: skip
+    for chi, r, img in [("pos", r, _rotation(3, r)) for r in range(3)] + [
+        ("neg", r, _reflection(3, r)) for r in range(3)
+    ]:
+        cases[f"qutrit-{chi}{r}"] = ["run", "--perm", _img(img), "--fourier", "qutrit", "--json"]
+        cases[f"qutrit-relabeled-{chi}{r}"] = [
+            "run", "--perm", _img(_conjugate(img, [2, 3, 1])), "--fourier", "qutrit",
+            "--relabel", "2,3,1", "--json",
+        ]  # fmt: skip
+    cases.update(
+        {
+            "human-pos-d4": ["run", "--perm", "2,3,4,1"],
+            "human-neg-d5": ["run", "--perm", "3,2,1,5,4", "--dim", "5"],
+            "human-classical-d4": ["run", "--perm", "1,3,2,4", "--mode", "classical"],
+            "human-qutrit": ["run", "--perm", "3,2,1", "--fourier", "qutrit"],
+            "error-duplicate": ["run", "--perm", "1,2,2"],
+            "error-not-a-number": ["run", "--perm", "banana"],
+            "error-empty-entry": ["run", "--perm", "2,,1"],
+            "error-too-large": ["run", "--perm", _img(range(1, 66))],
+            "error-dim-mismatch": ["run", "--perm", "2,3,4,1", "--dim", "5"],
+            "error-relabel-size": ["run", "--perm", "2,3,1", "--relabel", "2,1"],
+            "error-relabel-size-d4": ["run", "--perm", "2,3,4,1", "--relabel", "2,3,1"],
+            "error-relabel-malformed": ["run", "--perm", "2,3,1", "--relabel", "1,1,2"],
+            "error-qutrit-d4": ["run", "--perm", "2,3,4,1", "--fourier", "qutrit"],
+            "error-qutrit-d4-not-cyclic": ["run", "--perm", "1,3,2,4", "--fourier", "qutrit"],
+            "error-classical-dim-mismatch": ["run", "--perm", "2,3,1", "--dim", "4", "--mode", "classical"],
+            "error-missing-perm": ["run"],
+            "error-bad-mode": ["run", "--perm", "2,3,1", "--mode", "both"],
+        }
+    )
+    return cases
+
+
+def verify_cases() -> dict[str, list[str]]:
+    cases = {f"dmax{d}": ["verify", "--dmax", str(d), "--json"] for d in (3, 12)}
+    cases["error-dmax"] = ["verify", "--dmax", "13"]
+    return cases
+
+
+def nmr_cases() -> dict[str, list[str]]:
+    noise = ["--noise-sigma", "0.01", "--noise-seed", "7"]
+    cases = {}
+    for gate in GATES:
+        base = ["nmr", "--gate", gate, "--ideal", "--out", "out", "--json"]
+        cases[gate] = base
+        cases[f"{gate}-noise"] = base + noise
+    cases.update(
+        {
+            "human-fullpos": ["nmr", "--gate", "fullpos", "--ideal", "--out", "out"],
+            "fullneg-epsilon": ["nmr", "--gate", "fullneg", "--ideal", "--epsilon", "0.3", "--out", "out", "--json"] + noise,
+            "qft-epsilon-one": ["nmr", "--gate", "qft", "--ideal", "--epsilon", "1", "--out", "out", "--json"],
+            "pos-epsilon-zero": ["nmr", "--gate", "pos", "--ideal", "--epsilon", "0", "--out", "out", "--json"],
+            "error-stage": ["nmr", "--gate", "qft", "--stage", "full", "--ideal", "--out", "out"],
+            "error-config-unknown-key": ["nmr", "--gate", "qft", "--config", "unknown_key.json"],
+            "error-config-bad-value": ["nmr", "--gate", "qft", "--config", "bad_value.json"],
+            "error-config-bad-type": ["nmr", "--gate", "qft", "--config", "bad_type.json"],
+            "error-config-not-json": ["nmr", "--gate", "qft", "--config", "not_json.json"],
+            "error-config-missing": ["nmr", "--gate", "qft", "--config", "missing.json"],
+            "error-gate": ["nmr", "--gate", "swap"],
+        }
+    )
+    return cases
+
+
+SUITES = {"run": run_cases, "verify": verify_cases, "nmr": nmr_cases}
+
+
+def capture(argv: list[str], workdir: Path) -> dict:
+    """Run the CLI in workdir; return exit code, streams and written files."""
+    from quditcycle.cli import main
+
+    for name, text in SETUP_FILES.items():
+        (workdir / name).write_text(text)
+    out, err = io.StringIO(), io.StringIO()
+    here = os.getcwd()
+    os.chdir(workdir)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(list(argv))
+            except SystemExit as exc:  # argparse rejections
+                code = exc.code
+    finally:
+        os.chdir(here)
+    files = {
+        str(path.relative_to(workdir)): path.read_text()
+        for path in sorted(workdir.rglob("*"))
+        if path.is_file() and path.name not in SETUP_FILES
+    }
+    return {"argv": list(argv), "code": code, "stdout": out.getvalue(), "stderr": err.getvalue(), "files": files}
+
+
+def _load(suite: str) -> dict:
+    return json.loads((GOLDEN_DIR / f"{suite}.json").read_text())
+
+
+@pytest.mark.parametrize("suite", sorted(SUITES))
+def test_case_list_matches_recording(suite):
+    assert sorted(SUITES[suite]()) == sorted(_load(suite))
+
+
+@pytest.mark.parametrize(
+    "suite,case", [(s, c) for s in sorted(SUITES) for c in sorted(SUITES[s]())]
+)
+def test_output_is_byte_identical(suite, case, tmp_path, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage to the terminal width
+    monkeypatch.delenv("QUDITCYCLE_OUTDIR", raising=False)
+    want = _load(suite)[case]
+    got = capture(want["argv"], tmp_path)
+    assert got["code"] == want["code"]
+    assert got["stderr"] == want["stderr"]
+    assert got["stdout"] == want["stdout"]
+    assert sorted(got["files"]) == sorted(want["files"])
+    for name, text in want["files"].items():
+        assert got["files"][name] == text, name
+
+
+def write_goldens() -> None:
+    import tempfile
+
+    os.environ["COLUMNS"] = "80"
+    os.environ.pop("QUDITCYCLE_OUTDIR", None)
+    GOLDEN_DIR.mkdir(exist_ok=True)
+    for suite, make in SUITES.items():
+        recorded = {}
+        for case, argv in make().items():
+            with tempfile.TemporaryDirectory() as tmp:
+                recorded[case] = capture(argv, Path(tmp))
+        text = json.dumps(recorded, indent=1, sort_keys=True) + "\n"
+        (GOLDEN_DIR / f"{suite}.json").write_text(text)
+        print(f"{suite}: {len(recorded)} cases", file=sys.stderr)
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--write"]:
+        raise SystemExit("usage: PYTHONPATH=src python tests/test_golden.py --write")
+    write_goldens()

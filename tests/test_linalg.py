@@ -5,22 +5,19 @@ import json
 import numpy as np
 import pytest
 
+from quditcycle.algorithm import qft
 from quditcycle.linalg import (
     MAX_DIM,
     adjoint,
-    apply_unitary,
     basis_state,
     equal_up_to_global_phase,
     fidelity,
-    matrix_from_json,
-    matrix_to_json,
     outer,
     validate_density,
-    validate_state,
     validate_unitary,
-    vector_from_json,
     vector_to_json,
 )
+from quditcycle.permutations import Permutation, oracle_unitary
 
 from conftest import haar_unitary, random_state
 
@@ -40,20 +37,15 @@ PSI2 = np.array([1, 1j, -1, -1j]) / 2
 
 def test_apply_identity_is_noop():
     psi = np.array([0.6, 0.8j, 0.0])
-    out = apply_unitary(np.eye(3), psi)
+    out = oracle_unitary(Permutation.identity(3)) @ psi
     assert np.array_equal(out, psi)
 
 
 def test_shift_on_fourier_column_gives_minus_i_phase():
-    out = apply_unitary(U_SHIFT1, PSI2)
+    u = oracle_unitary(Permutation((2, 3, 4, 1)))
+    assert np.array_equal(u, U_SHIFT1)
+    out = u @ PSI2
     assert np.max(np.abs(out - (-1j) * PSI2)) < 1e-12
-
-
-def test_apply_preserves_norm_random_case(rng):
-    u = haar_unitary(rng, 5)
-    psi = random_state(rng, 5)
-    out = apply_unitary(u, psi)
-    assert abs(np.linalg.norm(out) - 1.0) < 1e-12
 
 
 def test_adjoint_involution_and_inverse():
@@ -95,7 +87,7 @@ def test_dimension_cap():
 
 def test_nan_rejected():
     with pytest.raises(ValueError):
-        validate_state(np.array([np.nan, 0.0]))
+        outer(np.array([np.nan, 0.0]))
     with pytest.raises(ValueError):
         validate_unitary(np.array([[np.inf, 0], [0, 1]], dtype=complex))
 
@@ -134,12 +126,15 @@ def test_phase_equivalence_relation_seeded():
 
 
 def test_norm_preservation_sweep():
+    # the circuit's own gates F, U_p and F^dag U_p F keep random states normalized
     rng = np.random.default_rng(7)
     for _ in range(1000):
         d = int(rng.integers(2, 9))
-        u = haar_unitary(rng, d)
+        f = qft(d)
+        u = oracle_unitary(Permutation(tuple(int(v) + 1 for v in rng.permutation(d))))
         psi = random_state(rng, d)
-        assert abs(np.linalg.norm(apply_unitary(u, psi)) - 1.0) < 1e-10
+        for gate in (f, u, adjoint(f) @ u @ f):
+            assert abs(np.linalg.norm(gate @ psi) - 1.0) < 1e-10
 
 
 def test_unitarity_sweep():
@@ -188,22 +183,7 @@ def test_vector_json_round_trip(rng):
     for _ in range(20):
         d = int(rng.integers(1, 9))
         v = random_state(rng, d)
-        blob = json.dumps(vector_to_json(v))
-        back = vector_from_json(json.loads(blob))
+        blob = json.loads(json.dumps(vector_to_json(v)))
+        assert blob["dim"] == d
+        back = np.array(blob["re"]) + 1j * np.array(blob["im"])
         assert np.array_equal(back, v)  # exact: json round-trips float64
-
-
-def test_matrix_json_round_trip(rng):
-    for _ in range(20):
-        d = int(rng.integers(1, 9))
-        m = haar_unitary(rng, d)
-        blob = json.dumps(matrix_to_json(m))
-        back = matrix_from_json(json.loads(blob))
-        assert np.array_equal(back, m)
-
-
-def test_json_shape_validation():
-    with pytest.raises(ValueError):
-        vector_from_json({"dim": 3, "re": [1, 0], "im": [0, 0]})
-    with pytest.raises(ValueError):
-        matrix_from_json({"dim": 2, "re": [[1, 0]], "im": [[0, 0]]})

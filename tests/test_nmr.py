@@ -5,7 +5,6 @@ import pytest
 
 from quditcycle.linalg import basis_state, validate_density, validate_unitary
 from quditcycle.nmr import (
-    PseudoPureSpec,
     PulseSegment,
     SpinSystem,
     inject_readout_noise,
@@ -127,29 +126,33 @@ def test_sequence_order_matters_and_composes():
     assert np.max(np.abs(sequence_propagator(sys, [a, b]) - ub @ ua)) < 1e-12
 
 
+def ket_bra(dim, index):
+    ket = basis_state(dim, index)
+    return np.outer(ket, ket.conj())
+
+
 def test_pseudo_pure_composition():
-    rho = pseudo_pure(PseudoPureSpec(basis_index=2, epsilon=1e-5), 4)
+    rho = pseudo_pure(ket_bra(4, 2), 1e-5)
     validate_density(rho)
     want_diag = (1 - 1e-5) / 4 + 1e-5 * np.array([0, 1, 0, 0])
     assert np.max(np.abs(np.diag(rho) - want_diag)) < 1e-18
     assert np.max(np.abs(rho - np.diag(np.diag(rho)))) == 0
 
-    pure = pseudo_pure(PseudoPureSpec(basis_index=1, epsilon=1.0), 3)
+    pure = pseudo_pure(ket_bra(3, 1), 1.0)
     assert np.max(np.abs(pure - np.outer(basis_state(3, 1), basis_state(3, 1)))) < 1e-15
-    flat = pseudo_pure(PseudoPureSpec(basis_index=1, epsilon=0.0), 3)
+    flat = pseudo_pure(ket_bra(3, 1), 0.0)
     assert np.max(np.abs(flat - np.eye(3) / 3)) < 1e-15
 
     dev = rho - np.trace(rho) / 4 * np.eye(4)
     assert abs(np.trace(dev)) < 1e-15
 
-    with pytest.raises(ValueError):
-        PseudoPureSpec(basis_index=1, epsilon=1.5)
-    with pytest.raises(ValueError):
-        pseudo_pure(PseudoPureSpec(basis_index=5, epsilon=0.1), 4)
+    for bad in (1.5, -0.1, np.nan):
+        with pytest.raises(ValueError):
+            pseudo_pure(ket_bra(4, 2), bad)
 
 
 def test_readout_noise_properties():
-    rho = pseudo_pure(PseudoPureSpec(basis_index=2, epsilon=1e-5), 4)
+    rho = pseudo_pure(ket_bra(4, 2), 1e-5)
     assert np.max(np.abs(inject_readout_noise(rho, sigma=0.0, seed=1) - rho)) == 0
 
     noisy = inject_readout_noise(rho, sigma=0.02, seed=7)
@@ -166,5 +169,6 @@ def test_readout_noise_properties():
     assert np.max(
         np.abs(inject_readout_noise(rho, seed=3) - inject_readout_noise(rho, seed=3))
     ) == 0
-    with pytest.raises(ValueError):
-        inject_readout_noise(rho, sigma=-0.1, seed=0)
+    for bad in (-0.1, np.nan, np.inf):
+        with pytest.raises(ValueError):
+            inject_readout_noise(rho, sigma=bad, seed=0)

@@ -1,5 +1,6 @@
 """Permutation algebra, chirality classification, and oracle matrices."""
 
+import itertools
 import json
 
 import numpy as np
@@ -114,6 +115,30 @@ def test_classify_against_brute_force():
         d = int(rng.integers(3, 9))
         p = Permutation(random_permutation_image(rng, d))
         assert classify_cyclic(p).chirality is brute_chirality(p)
+
+
+def search_class(p: Permutation):
+    """Reference classifier: search every rotation, then every reflection."""
+    for r in range(p.dim):
+        if p.image == rotation(p.dim, r).image:
+            return Chirality.POSITIVE, r
+    for r in range(p.dim):
+        if p.image == reflection(p.dim, r).image:
+            return Chirality.NEGATIVE, r
+    return Chirality.NOT_CYCLIC, None
+
+
+def test_classify_matches_rotation_search():
+    perms = [Permutation(img) for d in range(1, 7) for img in itertools.permutations(range(1, d + 1))]
+    perms += enumerate_cyclic(64)
+    rng = np.random.default_rng(107)
+    perms += [Permutation(random_permutation_image(rng, int(rng.integers(7, 65)))) for _ in range(300)]
+    for p in perms:
+        c = classify_cyclic(p)
+        assert (c.chirality, c.shift) == search_class(p)
+        assert c.parity is cycle_parity(p)
+    # d = 2: (2, 1) is both a rotation and a reflection and counts as positive
+    assert classify_cyclic(Permutation((2, 1))).chirality is Chirality.POSITIVE
 
 
 def test_rotation_reflection_constructors():

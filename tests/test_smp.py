@@ -35,6 +35,12 @@ def test_config_validation():
         OptimizerConfig(min_fidelity=1.5)
     with pytest.raises(ValueError):
         OptimizerConfig(dur_min_s=5e-6, dur_max_s=1e-6)
+    # both used to fail only inside the search: numpy refuses a negative
+    # seed, and max_iter = 0 tripped an assertion
+    with pytest.raises(ValueError):
+        OptimizerConfig(seed=-1)
+    with pytest.raises(ValueError):
+        OptimizerConfig(max_iter=0)
 
 
 def test_identity_target_via_quadrupolar_refocusing():
