@@ -13,12 +13,15 @@ Units and conventions (hbar = 1 throughout):
 - An rf pulse adds w_1 (I_x cos phi + I_y sin phi) while it is on.
 
 Propagators are built by eigendecomposition of the (Hermitian) Hamiltonian,
-which is exact at these matrix sizes.
+which is exact at these matrix sizes.  A pulse train is propagated in one
+batch: all segment Hamiltonians at once, one stacked eigh, then the
+time-ordered product.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -74,6 +77,15 @@ class SpinSystem:
     def dim(self) -> int:
         return round(2 * self.spin) + 1
 
+    @cached_property
+    def drive(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(I_x, I_y, rotating-frame drift), built once per system and read-only."""
+        ix, iy, _ = spin_operators(self.spin)
+        ops = (ix, iy, static_hamiltonian(self, "rotating"))
+        for op in ops:
+            op.flags.writeable = False
+        return ops
+
 
 def static_hamiltonian(sys: SpinSystem, frame: str = "rotating") -> np.ndarray:
     """Drift Hamiltonian in rad/s, in the lab or the on-resonance rotating frame."""
@@ -110,10 +122,15 @@ class PulseSegment:
             raise ValueError(f"duration must be finite and > 0, got {self.duration}")
 
 
-def _propagator(h: np.ndarray, t: float) -> np.ndarray:
-    """exp(-i h t) for Hermitian h via eigendecomposition (exact at 4x4)."""
+def _propagator(h: np.ndarray, t: float | np.ndarray) -> np.ndarray:
+    """exp(-i h t) for Hermitian h via eigendecomposition (exact at 4x4).
+
+    h is one (d, d) matrix with a scalar t, or a stack (n, d, d) with t of
+    shape (n,); a stack takes one batched eigh.
+    """
     evals, vecs = np.linalg.eigh(h)
-    return (vecs * np.exp(-1j * evals * t)) @ vecs.conj().T
+    phase = np.exp(-1j * evals * np.asarray(t)[..., None])
+    return (vecs * phase[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
 
 
 def pulse_propagator(sys: SpinSystem, seg: PulseSegment) -> np.ndarray:
@@ -121,17 +138,38 @@ def pulse_propagator(sys: SpinSystem, seg: PulseSegment) -> np.ndarray:
 
     H = H_quad + w_1 (I_x cos phi + I_y sin phi), constant over the segment.
     """
-    ix, iy, _ = spin_operators(sys.spin)
-    h = static_hamiltonian(sys, "rotating")
-    h = h + seg.amplitude * (ix * np.cos(seg.phase) + iy * np.sin(seg.phase))
-    return _propagator(h, seg.duration)
+    return sequence_propagator(sys, [seg])
+
+
+def _segment_rows(segments) -> np.ndarray:
+    """(n, 3) float rows of (amplitude, phase, duration), held to PulseSegment's rules."""
+    if not isinstance(segments, np.ndarray):
+        return np.array([(s.amplitude, s.phase, s.duration) for s in segments], dtype=float).reshape(-1, 3)
+    rows = np.asarray(segments, dtype=float)
+    if rows.ndim != 2 or rows.shape[1] != 3:
+        raise ValueError(f"need an (n, 3) array of (amplitude, phase, duration) rows, got shape {rows.shape}")
+    if not (np.isfinite(rows).all() and (rows[:, 0] >= 0).all() and (rows[:, 2] > 0).all()):
+        for row in rows.tolist():
+            PulseSegment(*row)  # raises the segment's own message
+    return rows
 
 
 def sequence_propagator(sys: SpinSystem, segments) -> np.ndarray:
-    """Time-ordered product of segment propagators (first segment acts first)."""
+    """Time-ordered product of segment propagators (first segment acts first).
+
+    segments is a list of PulseSegment or an (n, 3) float array of
+    (amplitude rad/s, phase rad, duration s) rows.  All n Hamiltonians are
+    built at once and exponentiated in one batched call.  The product is
+    folded left in time order (u = step @ u), the same association as a
+    segment-by-segment product, so both input forms give the same bits.
+    """
+    amp, phase, dur = _segment_rows(segments).T
+    ix, iy, h0 = sys.drive
+    cos, sin = np.cos(phase)[:, None, None], np.sin(phase)[:, None, None]
+    h = h0 + amp[:, None, None] * (ix * cos + iy * sin)
     u = np.eye(sys.dim, dtype=complex)
-    for seg in segments:
-        u = pulse_propagator(sys, seg) @ u
+    for step in _propagator(h, dur):
+        u = step @ u
     return u
 
 

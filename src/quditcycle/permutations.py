@@ -99,15 +99,19 @@ class CyclicClass:
 
 
 def parity(p: Permutation) -> Parity:
-    """Group parity by inversion count; O(d^2) is plenty at d <= 64."""
+    """Group parity (-1)^(d - number of cycles), from one O(d) walk of the cycles."""
     img = p.image
-    inv = sum(
-        1
-        for i in range(len(img))
-        for j in range(i + 1, len(img))
-        if img[i] > img[j]
-    )
-    return Parity.EVEN if inv % 2 == 0 else Parity.ODD
+    seen = [False] * len(img)
+    cycles = 0
+    for start in range(len(img)):
+        if seen[start]:
+            continue
+        cycles += 1
+        x = start
+        while not seen[x]:
+            seen[x] = True
+            x = img[x] - 1
+    return Parity.EVEN if (len(img) - cycles) % 2 == 0 else Parity.ODD
 
 
 def rotation(dim: int, r: int) -> Permutation:

@@ -80,14 +80,12 @@ class SmpResult:
     restarts_used: int
 
 
-def _decode(x: np.ndarray, n: int, cfg: OptimizerConfig) -> list[PulseSegment]:
+def _decode(x: np.ndarray, n: int, cfg: OptimizerConfig) -> np.ndarray:
+    """(n, 3) rows of (amplitude rad/s, phase rad, duration s) from the search vector."""
     amps = np.clip(x[:n], 0.0, 1.0) * (2 * np.pi * cfg.amp_max_hz)
     phases = x[n : 2 * n] * (2 * np.pi)
     durs = cfg.dur_min_s + np.clip(x[2 * n :], 0.0, 1.0) * (cfg.dur_max_s - cfg.dur_min_s)
-    return [
-        PulseSegment(amplitude=float(a), phase=float(p), duration=float(t))
-        for a, p, t in zip(amps, phases, durs)
-    ]
+    return np.stack([amps, phases, durs], axis=1)
 
 
 def smp_optimize(
@@ -157,7 +155,7 @@ def smp_optimize(
 
     assert best_x is not None
     return SmpResult(
-        segments=_decode(best_x, n, cfg),
+        segments=[PulseSegment(*row) for row in _decode(best_x, n, cfg).tolist()],
         fidelity=best_fid,
         converged=best_fid >= cfg.min_fidelity,
         restarts_used=used,

@@ -3,7 +3,8 @@
 Each case runs `quditcycle` in-process in an empty working directory and
 records the exit code, stdout, stderr and every file the command wrote.
 The recordings in tests/golden/ were made from the code before the design
-was shrunk; any change to a byte of output shows up here.
+was shrunk (synth.json: before the batched pulse engine); any change to a
+byte of output shows up here.
 
 Regenerate (only when an output change is intended, and say so in CHANGES.md):
 
@@ -33,6 +34,7 @@ SETUP_FILES = {
     "bad_value.json": json.dumps({"segments": 0}),
     "bad_type.json": json.dumps({"restarts": "two"}),
     "not_json.json": "{segments: 2",
+    "c.json": json.dumps({"restarts": 2, "max_iter": 300}),
 }
 
 
@@ -150,7 +152,12 @@ def nmr_cases() -> dict[str, list[str]]:
     return cases
 
 
-SUITES = {"run": run_cases, "verify": verify_cases, "nmr": nmr_cases}
+def synth_cases() -> dict[str, list[str]]:
+    """Seeded SMP synthesis on a short budget: pins the pulses bit for bit."""
+    return {gate: ["nmr", "--gate", gate, "--seed", "0", "--json", "--config", "c.json"] for gate in GATES}
+
+
+SUITES = {"run": run_cases, "verify": verify_cases, "nmr": nmr_cases, "synth": synth_cases}
 
 
 def capture(argv: list[str], workdir: Path) -> dict:

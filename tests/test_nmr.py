@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from quditcycle.linalg import basis_state, validate_density, validate_unitary
+from quditcycle.smp import OptimizerConfig
 from quditcycle.nmr import (
     PulseSegment,
     SpinSystem,
@@ -124,6 +125,85 @@ def test_sequence_order_matters_and_composes():
     b = PulseSegment(TWO_PI * 30e3, np.pi / 2, 11e-6)
     ua, ub = pulse_propagator(sys, a), pulse_propagator(sys, b)
     assert np.max(np.abs(sequence_propagator(sys, [a, b]) - ub @ ua)) < 1e-12
+
+
+def reference_fold(sys, segments):
+    """The engine the batched one replaced: one eigh per segment, folded left."""
+    ix, iy, _ = spin_operators(sys.spin)
+    h0 = static_hamiltonian(sys, "rotating")
+    u = np.eye(sys.dim, dtype=complex)
+    for seg in segments:
+        h = h0 + seg.amplitude * (ix * np.cos(seg.phase) + iy * np.sin(seg.phase))
+        evals, vecs = np.linalg.eigh(h)
+        u = ((vecs * np.exp(-1j * evals * seg.duration)) @ vecs.conj().T) @ u
+    return u
+
+
+def test_batched_engine_is_bitwise_the_per_segment_fold():
+    sys, cfg = SpinSystem(), OptimizerConfig()
+    rng = np.random.default_rng(9100)
+    for case in range(300):
+        n = 1 if case % 10 == 0 else int(rng.integers(2, 9))
+        rows = np.column_stack(
+            [
+                TWO_PI * cfg.amp_max_hz * rng.random(n),
+                TWO_PI * rng.uniform(-2, 2, n),
+                rng.uniform(cfg.dur_min_s, cfg.dur_max_s, n),
+            ]
+        )
+        rows[rng.random(n) < 0.25, 0] = 0.0
+        rows[rng.random(n) < 0.2, 2] = cfg.dur_min_s
+        rows[rng.random(n) < 0.2, 2] = cfg.dur_max_s
+        segs = [PulseSegment(*row) for row in rows.tolist()]
+        from_rows = sequence_propagator(sys, rows)
+        assert np.array_equal(from_rows, reference_fold(sys, segs))
+        assert sequence_propagator(sys, segs).tobytes() == from_rows.tobytes()
+        if n == 1:
+            assert np.array_equal(pulse_propagator(sys, segs[0]), from_rows)
+
+
+def test_empty_train_is_identity():
+    sys = SpinSystem()
+    assert np.array_equal(sequence_propagator(sys, []), np.eye(4))
+    assert np.array_equal(sequence_propagator(sys, np.zeros((0, 3))), np.eye(4))
+
+
+def test_drive_is_built_once_per_system():
+    sys = SpinSystem()
+    drive = sys.drive
+    assert sys.drive is drive
+    ix, iy, _ = spin_operators(sys.spin)
+    assert np.array_equal(drive[0], ix) and np.array_equal(drive[1], iy)
+    assert np.array_equal(drive[2], static_hamiltonian(sys, "rotating"))
+    assert not any(op.flags.writeable for op in drive)
+
+
+@pytest.mark.parametrize(
+    "row",
+    [
+        (np.nan, 0.1, 5e-6),
+        (np.inf, 0.1, 5e-6),
+        (1e3, np.nan, 5e-6),
+        (1e3, -np.inf, 5e-6),
+        (1e3, 0.1, np.inf),
+        (-1.0, 0.1, 5e-6),
+        (1e3, 0.1, 0.0),
+        (1e3, 0.1, -5e-6),
+    ],
+)
+def test_array_train_keeps_segment_rules(row):
+    with pytest.raises(ValueError) as want:
+        PulseSegment(*row)
+    rows = np.array([(TWO_PI * 20e3, 0.3, 10e-6), row])
+    with pytest.raises(ValueError) as got:
+        sequence_propagator(SpinSystem(), rows)
+    assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("shape", [(3,), (2, 2), (2, 4), (1, 3, 1)])
+def test_array_train_must_be_n_by_3(shape):
+    with pytest.raises(ValueError, match=r"\(n, 3\) array"):
+        sequence_propagator(SpinSystem(), np.full(shape, 1e-6))
 
 
 def ket_bra(dim, index):

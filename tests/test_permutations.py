@@ -37,6 +37,13 @@ def cycle_parity(p: Permutation) -> Parity:
     return Parity.EVEN if (p.dim - cycles) % 2 == 0 else Parity.ODD
 
 
+def inversion_parity(p: Permutation) -> Parity:
+    """Reference parity from the inversion count, O(d^2)."""
+    img = p.image
+    inv = sum(1 for i in range(len(img)) for j in range(i + 1, len(img)) if img[i] > img[j])
+    return Parity.EVEN if inv % 2 == 0 else Parity.ODD
+
+
 def brute_chirality(p: Permutation) -> Chirality:
     """Independent chirality oracle via explicit rotation tables."""
     base = list(range(1, p.dim + 1))
@@ -84,6 +91,17 @@ def test_parity_against_cycle_decomposition():
         d = int(rng.integers(2, 10))
         p = Permutation(random_permutation_image(rng, d))
         assert parity(p) is cycle_parity(p)
+
+
+def test_parity_matches_inversion_count():
+    for d in range(1, 8):
+        for img in itertools.permutations(range(1, d + 1)):
+            p = Permutation(img)
+            assert parity(p) is inversion_parity(p)
+    rng = np.random.default_rng(103)
+    for _ in range(300):
+        p = Permutation(random_permutation_image(rng, int(rng.integers(8, 65))))
+        assert parity(p) is inversion_parity(p)
 
 
 def test_parity_homomorphism_sweep():
