@@ -164,13 +164,17 @@ def sequence_propagator(sys: SpinSystem, segments) -> np.ndarray:
     segment-by-segment product, so both input forms give the same bits.
     """
     amp, phase, dur = _segment_rows(segments).T
-    ix, iy, h0 = sys.drive
-    cos, sin = np.cos(phase)[:, None, None], np.sin(phase)[:, None, None]
-    h = h0 + amp[:, None, None] * (ix * cos + iy * sin)
     u = np.eye(sys.dim, dtype=complex)
-    for step in _propagator(h, dur):
+    for step in _propagator(_hamiltonians(sys, amp, phase), dur):
         u = step @ u
     return u
+
+
+def _hamiltonians(sys: SpinSystem, amp: np.ndarray, phase: np.ndarray) -> np.ndarray:
+    """(n, d, d) segment Hamiltonians h0 + amp (I_x cos phase + I_y sin phase)."""
+    ix, iy, h0 = sys.drive
+    cos, sin = np.cos(phase)[:, None, None], np.sin(phase)[:, None, None]
+    return h0 + amp[:, None, None] * (ix * cos + iy * sin)
 
 
 def pseudo_pure(pure: np.ndarray, epsilon: float) -> np.ndarray:

@@ -1,12 +1,19 @@
 """Pulse synthesis: fidelity measure, optimizer behavior, serialization."""
 
+import logging
+
 import numpy as np
 import pytest
+from conftest import haar_unitary
 
 from quditcycle.algorithm import qft
 from quditcycle.nmr import PulseSegment, SpinSystem, sequence_propagator, spin_operators
+from quditcycle.permutations import oracle_unitary
+from quditcycle.protocol import ORACLES, stage_unitary
 from quditcycle.smp import (
     OptimizerConfig,
+    _decode,
+    _objective,
     gate_fidelity,
     segments_from_json,
     segments_to_json,
@@ -14,6 +21,7 @@ from quditcycle.smp import (
 )
 
 TWO_PI = 2 * np.pi
+SPIN_HALF = SpinSystem(spin=0.5, larmor_freq=TWO_PI * 500e6, quad_freq=0.0)
 
 
 def test_gate_fidelity_basics():
@@ -120,3 +128,95 @@ def test_segment_json_round_trip():
 def test_target_shape_checked():
     with pytest.raises(ValueError):
         smp_optimize(SpinSystem(), np.eye(3))
+
+
+def finite_difference_gradient(x, sys, target, cfg, h=1e-7):
+    """Central differences; second-order one-sided ones, pointing inward, on the box edges."""
+    n = x.size // 3
+    f0 = _objective(x, sys, target, cfg)[0]
+
+    def f(y):
+        return _objective(y, sys, target, cfg)[0]
+
+    grad = np.empty_like(x)
+    for i in range(x.size):
+        e = np.zeros_like(x)
+        e[i] = h
+        boxed = i < n or i >= 2 * n  # amplitudes and durations live in [0, 1]
+        if boxed and x[i] == 0.0:
+            grad[i] = (-3 * f0 + 4 * f(x + e) - f(x + 2 * e)) / (2 * h)
+        elif boxed and x[i] == 1.0:
+            grad[i] = (3 * f0 - 4 * f(x - e) + f(x - 2 * e)) / (2 * h)
+        else:
+            grad[i] = (f(x + e) - f(x - e)) / (2 * h)
+    return grad
+
+
+def seeded_train(rng, n):
+    """Search vector of an n-segment train with amplitude 0 and both duration edges in it."""
+    x = np.concatenate([rng.uniform(0.05, 0.95, n), rng.uniform(-1.0, 2.0, n), rng.uniform(0.05, 0.95, n)])
+    x[0] = 0.0  # rf off: the drift's degenerate eigenvalues
+    x[2 * n] = 0.0  # dur_min_s
+    x[-1] = 1.0  # dur_max_s
+    return x
+
+
+@pytest.mark.parametrize("sys", [SpinSystem(), SPIN_HALF], ids=["spin-3/2", "spin-1/2"])
+@pytest.mark.parametrize("n", [1, 2, 6])
+def test_gradient_matches_finite_differences(sys, n):
+    cfg = OptimizerConfig(segments=n)
+    rng = np.random.default_rng([7, n, sys.dim])
+    for _ in range(3):
+        x = seeded_train(rng, n)
+        target = haar_unitary(rng, sys.dim)
+        value, grad = _objective(x, sys, target, cfg)
+        fid = gate_fidelity(target, sequence_propagator(sys, _decode(x, n, cfg)))
+        assert value == pytest.approx(1.0 - fid, abs=1e-15)
+        assert np.abs(grad - finite_difference_gradient(x, sys, target, cfg)).max() <= 1e-6
+        # interior points of the box, where L-BFGS-B spends its time
+        x = np.clip(x, 0.05, 0.95)
+        value, grad = _objective(x, sys, target, cfg)
+        assert np.abs(grad - finite_difference_gradient(x, sys, target, cfg)).max() <= 1e-6
+
+
+def test_zero_trace_gives_zero_gradient():
+    # rf off and no quadrupolar splitting: U is exactly the identity, and
+    # Tr(diag(1, -1)^dag U) = 0 exactly, where the modulus has no gradient
+    x = np.array([0.0, 0.0, 0.3, 1.2, 0.2, 0.7])
+    value, grad = _objective(x, SPIN_HALF, np.diag([1.0, -1.0]).astype(complex), OptimizerConfig(segments=2))
+    assert value == 1.0
+    assert np.all(np.isfinite(grad)) and not grad.any()
+
+
+def test_restart_history_is_recorded_and_logged(caplog):
+    sys = SpinSystem()
+    cfg = OptimizerConfig(segments=1, restarts=3, seed=0, min_fidelity=0.999999, max_iter=40)
+    smp_optimize(sys, qft(4), config=cfg)
+    assert not caplog.records  # silent unless the logger is configured
+    with caplog.at_level(logging.DEBUG, logger="quditcycle"):
+        res = smp_optimize(sys, qft(4), config=cfg)
+    assert [r.index for r in res.history] == [0, 1, 2] and res.restarts_used == 3
+    assert res.fidelity == max(r.fidelity for r in res.history)
+    for rec in res.history:
+        assert 1 <= rec.nfev and 0 <= rec.nit <= cfg.max_iter and rec.seconds >= 0
+        assert isinstance(rec.message, str) and rec.message
+    lines = [r for r in caplog.records if r.name == "quditcycle"]
+    assert len(lines) == 3 and all(r.levelno == logging.DEBUG for r in lines)
+    assert lines[1].getMessage().startswith("smp restart 1: fidelity")
+
+
+def test_criterion_8_restarts_stop_before_the_evaluation_cap():
+    # under the derivative-free search every restart used its whole budget
+    f = qft(4)
+    targets = [
+        f,
+        oracle_unitary(ORACLES["positive"]) @ f,
+        oracle_unitary(ORACLES["negative"]) @ f,
+        stage_unitary("positive", "full"),
+        stage_unitary("negative", "full"),
+    ]
+    cfg = OptimizerConfig(seed=0)
+    for target in targets:
+        res = smp_optimize(SpinSystem(), target, config=cfg)
+        assert res.converged
+        assert all(rec.nfev < cfg.max_iter for rec in res.history)
