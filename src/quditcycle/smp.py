@@ -9,10 +9,11 @@ exp(-i H t) is differentiated in the eigenbasis of its Hamiltonian, taken
 from the one stacked eigh the forward pass needs, and the steps before and
 after it enter as prefix and suffix products.  L-BFGS-B follows that
 gradient inside the hardware box (the quasi-Newton refinement of de
-Fouquieres et al., J. Magn. Reson. 212, 412 (2011)) and is restarted from
-several seeded initial guesses; the best result over all restarts is kept,
-so the outcome is deterministic in (seed) and can only improve as the
-restart budget grows.
+Fouquieres et al., J. Magn. Reson. 212, 412 (2011)), keeping one correction
+pair per parameter so that its Hessian model spans the whole search, and is
+restarted from several seeded initial guesses; the best result over all
+restarts is kept, so the outcome is deterministic in (seed) and can only
+improve as the restart budget grows.
 
 Internally the search walks a dimensionless parameter vector (amplitudes
 and durations scaled to [0, SEARCH_SCALE], phases in turns), which keeps the
@@ -43,7 +44,8 @@ class OptimizerConfig:
 
     max_iter caps both the L-BFGS-B iterations and the objective-plus-
     gradient evaluations of one restart; objective_tol is its relative
-    stopping tolerance on the objective (scipy's ftol).  The rf window
+    stopping tolerance on the objective (scipy's ftol).  The search keeps
+    one correction pair per parameter (3 * segments).  The rf window
     (amplitude up to 50 kHz, segment length 1 .. 200 us) spans several
     quadrupolar periods at the default 10 kHz splitting, enough
     nonlinearity for generic spin-3/2 gates.  Six segments carry 18
@@ -75,6 +77,10 @@ class OptimizerConfig:
             raise ValueError("amp_max_hz must be > 0")
         if self.seed < 0 or self.max_iter < 1:
             raise ValueError("need seed >= 0 and max_iter >= 1")
+        for name in ("segments", "restarts", "seed", "max_iter"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def gate_fidelity(u: np.ndarray, v: np.ndarray) -> float:
@@ -226,7 +232,13 @@ def smp_optimize(
             jac=True,
             method="L-BFGS-B",
             bounds=bounds,
-            options={"maxiter": cfg.max_iter, "maxfun": cfg.max_iter, "ftol": cfg.objective_tol},
+            options={
+                "maxiter": cfg.max_iter,
+                "maxfun": cfg.max_iter,
+                "ftol": cfg.objective_tol,
+                # one correction pair per parameter; scipy's default 10 leaves a slow tail
+                "maxcor": 3 * n,
+            },
         )
         fid = 1.0 - float(res.fun)
         record = RestartRecord(k, fid, int(res.nfev), int(res.nit), str(res.message), perf_counter() - t0)

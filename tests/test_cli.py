@@ -253,12 +253,21 @@ def test_nmr_bad_config_rejected(tmp_path, capsys):
         ["--noise-sigma", "inf"],
         ["--seed", "-1"],
         ["--noise-sigma", "0.01", "--noise-seed", "-1"],
+        ["--config", '{"segments": 2.5}'],
+        ["--config", '{"restarts": 1.5}'],
+        ["--config", '{"seed": 1.5}'],
+        ["--config", '{"max_iter": 10.5}'],
+        ["--config", '{"restarts": true}'],
     ],
     ids="=".join,
 )
 def test_nmr_invalid_settings_exit_two_before_synthesis(flags, tmp_path, capsys):
     # without --ideal a bad setting would otherwise surface only after pulse
     # synthesis, as a traceback with the "verification failed" code 1
+    if flags[0] == "--config":  # the second item is the file's JSON text
+        path = tmp_path / "cfg.json"
+        path.write_text(flags[1])
+        flags = ["--config", str(path)]
     argv = ["nmr", "--gate", "fullneg", "--out", str(tmp_path / "out"), *flags]
     try:
         code = main(argv)

@@ -4,8 +4,9 @@ Each case runs `quditcycle` in-process in an empty working directory and
 records the exit code, stdout, stderr and every file the command wrote.
 The run, verify and nmr recordings in tests/golden/ were made from the code
 before the design was shrunk; synth.json was recorded with the exact-gradient
-L-BFGS-B optimizer, whose pulses differ from the Nelder-Mead search it
-replaced.  Any change to a byte of output shows up here.
+L-BFGS-B optimizer keeping one correction pair per parameter, whose pulses
+differ from those of scipy's default 10 pairs and of the Nelder-Mead search
+before it.  Any change to a byte of output shows up here.
 
 Regenerate (only when an output change is intended, and say so in CHANGES.md):
 

@@ -49,6 +49,12 @@ def test_config_validation():
         OptimizerConfig(seed=-1)
     with pytest.raises(ValueError):
         OptimizerConfig(max_iter=0)
+    # a fractional or boolean count used to fail only inside the search, or
+    # for max_iter to be taken as it stood
+    for name in ("segments", "restarts", "seed", "max_iter"):
+        for value in (2.5, 2.0, True):
+            with pytest.raises(ValueError, match=name):
+                OptimizerConfig(**{name: value})
 
 
 def test_identity_target_via_quadrupolar_refocusing():
@@ -206,7 +212,8 @@ def test_restart_history_is_recorded_and_logged(caplog):
 
 
 def test_criterion_8_restarts_stop_before_the_evaluation_cap():
-    # under the derivative-free search every restart used its whole budget
+    # one correction pair per parameter needs 1,140 evaluations over the five
+    # gates; too few pairs (scipy's default 10) leave a tail that takes 2,304
     f = qft(4)
     targets = [
         f,
@@ -216,7 +223,10 @@ def test_criterion_8_restarts_stop_before_the_evaluation_cap():
         stage_unitary("negative", "full"),
     ]
     cfg = OptimizerConfig(seed=0)
+    total = 0
     for target in targets:
         res = smp_optimize(SpinSystem(), target, config=cfg)
         assert res.converged
         assert all(rec.nfev < cfg.max_iter for rec in res.history)
+        total += sum(rec.nfev for rec in res.history)
+    assert total <= 1600
