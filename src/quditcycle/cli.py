@@ -56,13 +56,14 @@ GATE_MAP = {
 CONFIG_KEYS = ("segments", "restarts", "seed", "min_fidelity", "max_iter")
 
 
-def _dump(obj, path: str | None, as_json: bool) -> None:
-    text = json.dumps(obj, indent=2, sort_keys=True)
-    if path:
-        with open(path, "w") as fh:
-            fh.write(text + "\n")
-    if as_json or not path:
-        print(text)
+def _write(path: str, text: str) -> None:
+    with open(path, "w") as fh:
+        fh.write(text)
+
+
+def _cannot_write(exc: OSError) -> int:
+    print(f"error: cannot write output: {exc}", file=_sys.stderr)
+    return EXIT_BAD_PERMUTATION
 
 
 def cmd_run(args) -> int:
@@ -91,6 +92,12 @@ def cmd_run(args) -> int:
             print(f"error: {exc}", file=_sys.stderr)
             return EXIT_BAD_PERMUTATION
 
+    text = json.dumps(report.to_json(), indent=2, sort_keys=True)
+    if args.out:
+        try:
+            _write(args.out, text + "\n")
+        except OSError as exc:
+            return _cannot_write(exc)
     if not args.json:
         line = f"{','.join(map(str, p.image))} -> {report.classification.value}"
         line += f" ({report.oracle_queries} oracle quer{'y' if report.oracle_queries == 1 else 'ies'}"
@@ -98,7 +105,8 @@ def cmd_run(args) -> int:
             line += f", measured |{report.measured_index}>"
         line += ")"
         print(line)
-    _dump(report.to_json(), args.out, args.json)
+    if args.json or not args.out:
+        print(text)
     return EXIT_OK
 
 
@@ -158,11 +166,8 @@ def cmd_verify(args) -> int:
 
 def _write_csv(path: str, matrix: np.ndarray, part: str) -> None:
     data = matrix.real if part == "re" else matrix.imag
-    with open(path, "w") as fh:
-        fh.write("i,j,value\n")
-        for i in range(data.shape[0]):
-            for j in range(data.shape[1]):
-                fh.write(f"{i + 1},{j + 1},{float(data[i, j])!r}\n")
+    rows = (f"{i + 1},{j + 1},{float(v)!r}\n" for (i, j), v in np.ndenumerate(data))
+    _write(path, "i,j,value\n" + "".join(rows))
 
 
 def cmd_nmr(args) -> int:
@@ -194,6 +199,12 @@ def cmd_nmr(args) -> int:
         print(f"error: bad optimizer config: {exc}", file=_sys.stderr)
         return EXIT_BAD_PERMUTATION
 
+    outdir = args.out or os.environ.get("QUDITCYCLE_OUTDIR") or "."
+    try:
+        os.makedirs(outdir, exist_ok=True)
+    except OSError as exc:
+        return _cannot_write(exc)
+
     sys_ = SpinSystem()
     source = "ideal" if args.ideal else "smp"
     result = run_protocol(
@@ -205,17 +216,6 @@ def cmd_nmr(args) -> int:
     if args.noise_sigma is not None:
         pure = inject_readout_noise(pure, sigma=args.noise_sigma, seed=args.noise_seed)
         rho = pseudo_pure(pure, args.epsilon)
-
-    outdir = args.out or os.environ.get("QUDITCYCLE_OUTDIR") or "."
-    os.makedirs(outdir, exist_ok=True)
-    prefix = os.path.join(outdir, args.gate)
-
-    _write_csv(f"{prefix}_rho_re.csv", rho, "re")
-    _write_csv(f"{prefix}_rho_im.csv", rho, "im")
-    # Pure part = deviation from the maximally mixed background, in units of
-    # epsilon: rho = (1 - eps)/4 * 1 + eps * (this matrix).
-    _write_csv(f"{prefix}_dev_re.csv", pure, "re")
-    _write_csv(f"{prefix}_dev_im.csv", pure, "im")
 
     report = {
         "gate": args.gate,
@@ -231,11 +231,19 @@ def cmd_nmr(args) -> int:
         "config": {k: getattr(cfg, k) for k in CONFIG_KEYS},
         "pulses": None if result.smp is None else segments_to_json(result.smp.segments),
     }
-    with open(f"{prefix}_report.json", "w") as fh:
-        fh.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
-    if report["pulses"] is not None:
-        with open(f"{prefix}_pulses.json", "w") as fh:
-            fh.write(json.dumps(report["pulses"], indent=2, sort_keys=True) + "\n")
+    prefix = os.path.join(outdir, args.gate)
+    try:
+        _write_csv(f"{prefix}_rho_re.csv", rho, "re")
+        _write_csv(f"{prefix}_rho_im.csv", rho, "im")
+        # Pure part = deviation from the maximally mixed background, in units of
+        # epsilon: rho = (1 - eps)/4 * 1 + eps * (this matrix).
+        _write_csv(f"{prefix}_dev_re.csv", pure, "re")
+        _write_csv(f"{prefix}_dev_im.csv", pure, "im")
+        _write(f"{prefix}_report.json", json.dumps(report, indent=2, sort_keys=True) + "\n")
+        if report["pulses"] is not None:
+            _write(f"{prefix}_pulses.json", json.dumps(report["pulses"], indent=2, sort_keys=True) + "\n")
+    except OSError as exc:
+        return _cannot_write(exc)
 
     if args.json:
         print(json.dumps(report, indent=2, sort_keys=True))

@@ -122,15 +122,17 @@ class PulseSegment:
             raise ValueError(f"duration must be finite and > 0, got {self.duration}")
 
 
-def _propagator(h: np.ndarray, t: float | np.ndarray) -> np.ndarray:
-    """exp(-i h t) for Hermitian h via eigendecomposition (exact at 4x4).
+def _propagator(h: np.ndarray, t: np.ndarray):
+    """exp(-i h t) for a stack (n, d, d) of Hermitian h and durations t of shape (n,).
 
-    h is one (d, d) matrix with a scalar t, or a stack (n, d, d) with t of
-    shape (n,); a stack takes one batched eigh.
+    One batched eigh, exact at these sizes.  Returns the steps with the parts
+    they are made of, (steps, evals, vecs, vecs^dag, exp(-i evals t)), so a
+    gradient can work in the same eigenbases.
     """
     evals, vecs = np.linalg.eigh(h)
-    phase = np.exp(-1j * evals * np.asarray(t)[..., None])
-    return (vecs * phase[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
+    phase = np.exp(-1j * evals * t[:, None])
+    vecs_h = vecs.conj().swapaxes(-1, -2)
+    return (vecs * phase[:, None, :]) @ vecs_h, evals, vecs, vecs_h, phase
 
 
 def pulse_propagator(sys: SpinSystem, seg: PulseSegment) -> np.ndarray:
@@ -141,40 +143,34 @@ def pulse_propagator(sys: SpinSystem, seg: PulseSegment) -> np.ndarray:
     return sequence_propagator(sys, [seg])
 
 
-def _segment_rows(segments) -> np.ndarray:
-    """(n, 3) float rows of (amplitude, phase, duration), held to PulseSegment's rules."""
-    if not isinstance(segments, np.ndarray):
-        return np.array([(s.amplitude, s.phase, s.duration) for s in segments], dtype=float).reshape(-1, 3)
-    rows = np.asarray(segments, dtype=float)
-    if rows.ndim != 2 or rows.shape[1] != 3:
-        raise ValueError(f"need an (n, 3) array of (amplitude, phase, duration) rows, got shape {rows.shape}")
-    if not (np.isfinite(rows).all() and (rows[:, 0] >= 0).all() and (rows[:, 2] > 0).all()):
-        for row in rows.tolist():
-            PulseSegment(*row)  # raises the segment's own message
-    return rows
-
-
 def sequence_propagator(sys: SpinSystem, segments) -> np.ndarray:
     """Time-ordered product of segment propagators (first segment acts first).
 
-    segments is a list of PulseSegment or an (n, 3) float array of
-    (amplitude rad/s, phase rad, duration s) rows.  All n Hamiltonians are
-    built at once and exponentiated in one batched call.  The product is
-    folded left in time order (u = step @ u), the same association as a
-    segment-by-segment product, so both input forms give the same bits.
+    segments is a sequence of PulseSegment.  All n Hamiltonians are built at
+    once and exponentiated in one batched call; the product is folded left
+    in time order (u = step @ u), the same association as a
+    segment-by-segment product.
     """
-    amp, phase, dur = _segment_rows(segments).T
-    u = np.eye(sys.dim, dtype=complex)
-    for step in _propagator(_hamiltonians(sys, amp, phase), dur):
-        u = step @ u
-    return u
+    rows = np.array([(s.amplitude, s.phase, s.duration) for s in segments], dtype=float).reshape(-1, 3)
+    return _forward(sys, *rows.T)[0][-1]
 
 
-def _hamiltonians(sys: SpinSystem, amp: np.ndarray, phase: np.ndarray) -> np.ndarray:
-    """(n, d, d) segment Hamiltonians h0 + amp (I_x cos phase + I_y sin phase)."""
+def _forward(sys: SpinSystem, amp: np.ndarray, phase: np.ndarray, dur: np.ndarray):
+    """Forward pass of a train given as arrays of n amplitudes, phases and durations.
+
+    The segment Hamiltonians are h0 + amp (I_x cos phase + I_y sin phase).
+    Returns (prefix, evals, vecs, vecs^dag, exp(-i evals t)) with the parts
+    from _propagator and the prefix products prefix[k] = S_k .. S_1 of the
+    first k steps: prefix[0] = 1 and prefix[n] is the train's propagator.
+    """
     ix, iy, h0 = sys.drive
     cos, sin = np.cos(phase)[:, None, None], np.sin(phase)[:, None, None]
-    return h0 + amp[:, None, None] * (ix * cos + iy * sin)
+    steps, *parts = _propagator(h0 + amp[:, None, None] * (ix * cos + iy * sin), dur)
+    prefix = np.empty((len(steps) + 1, sys.dim, sys.dim), dtype=complex)
+    prefix[0] = np.eye(sys.dim)
+    for k, step in enumerate(steps):
+        np.matmul(step, prefix[k], out=prefix[k + 1])
+    return prefix, *parts
 
 
 def pseudo_pure(pure: np.ndarray, epsilon: float) -> np.ndarray:

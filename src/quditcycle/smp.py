@@ -5,15 +5,16 @@ each described by (amplitude, phase, duration).  The search minimizes
 1 - F where F = |Tr(target^dag U_seq)| / d is the phase-insensitive gate
 fidelity, with its exact gradient in every amplitude, phase and duration
 (GRAPE, Khaneja et al., J. Magn. Reson. 172, 296 (2005)): each segment step
-exp(-i H t) is differentiated in the eigenbasis of its Hamiltonian, taken
-from the one stacked eigh the forward pass needs, and the steps before and
-after it enter as prefix and suffix products.  L-BFGS-B follows that
-gradient inside the hardware box (the quasi-Newton refinement of de
-Fouquieres et al., J. Magn. Reson. 212, 412 (2011)), keeping one correction
-pair per parameter so that its Hessian model spans the whole search, and is
-restarted from several seeded initial guesses; the best result over all
-restarts is kept, so the outcome is deterministic in (seed) and can only
-improve as the restart budget grows.
+exp(-i H t) is differentiated in the eigenbasis of its Hamiltonian, and the
+steps before and after it enter as prefix and suffix products.  Eigenbases
+and prefix products come from nmr's forward pass, the one that
+sequence_propagator also runs.  L-BFGS-B follows that gradient inside the
+hardware box (the quasi-Newton refinement of de Fouquieres et al., J. Magn.
+Reson. 212, 412 (2011)), keeping one correction pair per parameter so that
+its Hessian model spans the whole search, and is restarted from several
+seeded initial guesses; the best result over all restarts is kept, so the
+outcome is deterministic in (seed) and can only improve as the restart
+budget grows.
 
 Internally the search walks a dimensionless parameter vector (amplitudes
 and durations scaled to [0, SEARCH_SCALE], phases in turns), which keeps the
@@ -23,19 +24,21 @@ steps commensurate across parameters of wildly different physical magnitude.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from time import perf_counter
 
 import numpy as np
 from scipy.optimize import Bounds, minimize
 
-from .nmr import PulseSegment, SpinSystem, _hamiltonians
+from .nmr import PulseSegment, SpinSystem, _forward
 
 log = logging.getLogger("quditcycle")
 
 # L-BFGS-B's first step is a unit-length projected-gradient step; in a [0, 1]
 # box it lands in a corner, so amplitude and duration are searched in [0, 10].
 SEARCH_SCALE = 10.0
+# L-BFGS-B's relative stopping tolerance on the objective (scipy's ftol).
+OBJECTIVE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -43,12 +46,11 @@ class OptimizerConfig:
     """Search budget and hardware window for SMP synthesis.
 
     max_iter caps both the L-BFGS-B iterations and the objective-plus-
-    gradient evaluations of one restart; objective_tol is its relative
-    stopping tolerance on the objective (scipy's ftol).  The search keeps
-    one correction pair per parameter (3 * segments).  The rf window
-    (amplitude up to 50 kHz, segment length 1 .. 200 us) spans several
-    quadrupolar periods at the default 10 kHz splitting, enough
-    nonlinearity for generic spin-3/2 gates.  Six segments carry 18
+    gradient evaluations of one restart.  The search keeps one correction
+    pair per parameter (3 * segments).  The rf window (amplitude up to
+    50 kHz, segment length 1 .. 200 us) spans several quadrupolar periods
+    at the default 10 kHz splitting, enough nonlinearity for generic
+    spin-3/2 gates.  Six segments carry 18
     parameters, comfortably over the 15 a four-level gate needs, so random
     restarts land above min_fidelity within a try or two; shorter trains
     reach the target only marginally and unreliably.
@@ -62,7 +64,6 @@ class OptimizerConfig:
     amp_max_hz: float = 50e3
     dur_min_s: float = 1e-6
     dur_max_s: float = 200e-6
-    objective_tol: float = 1e-9
 
     def __post_init__(self):
         if self.segments < 1:
@@ -81,6 +82,8 @@ class OptimizerConfig:
             value = getattr(self, name)
             if not isinstance(value, int) or isinstance(value, bool):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
+        if isinstance(self.min_fidelity, bool):
+            raise ValueError(f"min_fidelity must be a number, got {self.min_fidelity!r}")
 
 
 def gate_fidelity(u: np.ndarray, v: np.ndarray) -> float:
@@ -127,34 +130,26 @@ def _objective(x: np.ndarray, sys: SpinSystem, target: np.ndarray, cfg: Optimize
     """1 - F for the search vector x and its exact gradient in x.
 
     x holds n amplitudes and n durations in [0, 1] and n phases in turns.
-    The value is bitwise 1 - gate_fidelity(target, sequence_propagator(sys,
-    _decode(x))).  Where Tr(target^dag U) = 0 the gradient of its modulus
-    is undefined and a zero gradient is returned.
+    The value is bitwise 1 - gate_fidelity(target, U) with U the
+    sequence_propagator of the decoded train, because both come from the
+    same forward pass.  Where Tr(target^dag U) = 0 the gradient of its
+    modulus is undefined and a zero gradient is returned.
     """
     n = x.size // 3
     d = sys.dim
     amp, phase, dur = _decode(x, n, cfg).T
-    evals, vecs = np.linalg.eigh(_hamiltonians(sys, amp, phase))
-    expo = np.exp(-1j * evals * dur[:, None])
-    vecs_h = vecs.conj().swapaxes(-1, -2)
-    steps = (vecs * expo[:, None, :]) @ vecs_h  # nmr._propagator's steps, bit for bit
-
-    # the fold of sequence_propagator, keeping the prefix products R_k = S_{k-1} .. S_1
-    prefix = []
-    u = np.eye(d, dtype=complex)
-    for step in steps:
-        prefix.append(u)
-        u = step @ u
-    w = target.conj().T @ u
+    # prefix[k] = R_k = S_k .. S_1, so R_{k-1} precedes step k and R_n = U
+    prefix, evals, vecs, vecs_h, expo = _forward(sys, amp, phase, dur)
+    w = target.conj().T @ prefix[-1]
     z = np.trace(w)
     value = 1.0 - float(np.abs(z) / d)
     if z == 0:
         return value, np.zeros_like(x)
 
-    # dz = Tr(G_k dS_k) with G_k = R_k T^dag L_k and the suffix product
-    # L_k = S_n .. S_{k+1} = U R_k^dag S_k^dag; in the eigenbasis V of H_k,
-    # where S_k^dag V = V conj(expo), that is g = A w A^dag conj(expo) with A = V^dag R_k.
-    a = vecs_h @ np.array(prefix)
+    # dz = Tr(G_k dS_k) with G_k = R_{k-1} T^dag L_k and the suffix product
+    # L_k = S_n .. S_{k+1} = U R_{k-1}^dag S_k^dag; in the eigenbasis V of H_k,
+    # where S_k^dag V = V conj(expo), that is g = A w A^dag conj(expo) with A = V^dag R_{k-1}.
+    a = vecs_h @ prefix[:-1]
     g = a @ w @ a.conj().swapaxes(-1, -2) * expo.conj()[:, None, :]
 
     # dS = V (phi * (V^dag dH V)) V^dag with phi the divided difference of
@@ -182,7 +177,6 @@ def _objective(x: np.ndarray, sys: SpinSystem, target: np.ndarray, cfg: Optimize
 def smp_optimize(
     sys: SpinSystem,
     target: np.ndarray,
-    n_segments: int | None = None,
     config: OptimizerConfig | None = None,
 ) -> SmpResult:
     """Synthesize a pulse train approximating the target unitary.
@@ -195,8 +189,6 @@ def smp_optimize(
     "quditcycle" logger.
     """
     cfg = config or OptimizerConfig()
-    if n_segments is not None:
-        cfg = replace(cfg, segments=n_segments)
     n = cfg.segments
 
     target = np.asarray(target, dtype=complex)
@@ -235,7 +227,7 @@ def smp_optimize(
             options={
                 "maxiter": cfg.max_iter,
                 "maxfun": cfg.max_iter,
-                "ftol": cfg.objective_tol,
+                "ftol": OBJECTIVE_TOL,
                 # one correction pair per parameter; scipy's default 10 leaves a slow tail
                 "maxcor": 3 * n,
             },

@@ -14,6 +14,8 @@ from quditcycle.cli import (
     EXIT_VERIFY_FAILED,
     main,
 )
+from quditcycle.nmr import PulseSegment, SpinSystem, sequence_propagator
+from quditcycle.protocol import theory_state
 
 
 def run_cli(capsys, *argv):
@@ -106,6 +108,17 @@ def test_run_writes_report_file(tmp_path, capsys):
     assert blob["permutation"]["image"] == [4, 1, 2, 3]
 
 
+@pytest.mark.parametrize("extra", [[], ["--json"]])
+def test_run_unwritable_out_exits_two(extra, tmp_path, capsys):
+    # used to print the result line, then end in a FileNotFoundError
+    # traceback with the "verification failed" code 1
+    path = tmp_path / "missing" / "rep.json"
+    code, out, err = run_cli(capsys, "run", "--perm", "2,3,4,1", "--out", str(path), *extra)
+    assert code == EXIT_BAD_PERMUTATION
+    assert out == "" and err.startswith("error:") and len(err.splitlines()) == 1
+    assert not path.exists()
+
+
 def test_verify_small_sweep(capsys):
     code, out, _ = run_cli(capsys, "verify", "--dmax", "4", "--json")
     assert code == EXIT_OK == EXIT_VERIFY_FAILED - 1
@@ -178,6 +191,29 @@ def test_nmr_stage_cross_check(tmp_path, capsys):
     assert code == EXIT_OK
 
 
+@pytest.mark.parametrize("ideal", [True, False], ids=["ideal", "smp"])
+def test_nmr_unusable_out_exits_two_before_synthesis(ideal, tmp_path, capsys, monkeypatch):
+    # an --out that is a file used to raise FileExistsError (exit 1), and
+    # without --ideal only after the whole synthesis
+    def no_synthesis(*args, **kwargs):
+        raise AssertionError("the protocol ran before --out was checked")
+
+    monkeypatch.setattr("quditcycle.cli.run_protocol", no_synthesis)
+    blocker = tmp_path / "taken"
+    blocker.write_text("")
+    argv = ["nmr", "--gate", "qft", "--out", str(blocker)] + (["--ideal"] if ideal else [])
+    code, out, err = run_cli(capsys, *argv)
+    assert code == EXIT_BAD_PERMUTATION
+    assert out == "" and err.startswith("error:") and len(err.splitlines()) == 1
+
+
+def test_nmr_unwritable_artifact_exits_two(tmp_path, capsys):
+    (tmp_path / "qft_report.json").mkdir()  # a directory where the report goes
+    code, out, err = run_cli(capsys, "nmr", "--gate", "qft", "--ideal", "--out", str(tmp_path), "--json")
+    assert code == EXIT_BAD_PERMUTATION
+    assert out == "" and err.startswith("error:") and len(err.splitlines()) == 1
+
+
 def test_nmr_smp_deterministic_artifacts(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"segments": 2, "restarts": 1, "min_fidelity": 0.3, "max_iter": 300}))
@@ -193,6 +229,12 @@ def test_nmr_smp_deterministic_artifacts(tmp_path, capsys):
     pulses = json.loads((a_dir / "qft_pulses.json").read_text())
     assert len(pulses) == 2
     assert set(pulses[0]) == {"amp_hz", "phase_rad", "dur_s"}
+    # the exported train, propagated again from |2>, reproduces the reported fidelity
+    train = [PulseSegment(2 * np.pi * p["amp_hz"], p["phase_rad"], p["dur_s"]) for p in pulses]
+    psi = sequence_propagator(SpinSystem(), train)[:, 1]
+    report = json.loads((a_dir / "qft_report.json").read_text())
+    fid = abs(np.vdot(theory_state("positive", "after_qft"), psi)) ** 2
+    assert fid == pytest.approx(report["fidelity"], abs=1e-12)
 
 
 def test_nmr_unconverged_exit(tmp_path, capsys):
@@ -258,6 +300,7 @@ def test_nmr_bad_config_rejected(tmp_path, capsys):
         ["--config", '{"seed": 1.5}'],
         ["--config", '{"max_iter": 10.5}'],
         ["--config", '{"restarts": true}'],
+        ["--config", '{"min_fidelity": true}'],
     ],
     ids="=".join,
 )

@@ -155,17 +155,15 @@ def test_batched_engine_is_bitwise_the_per_segment_fold():
         rows[rng.random(n) < 0.2, 2] = cfg.dur_min_s
         rows[rng.random(n) < 0.2, 2] = cfg.dur_max_s
         segs = [PulseSegment(*row) for row in rows.tolist()]
-        from_rows = sequence_propagator(sys, rows)
-        assert np.array_equal(from_rows, reference_fold(sys, segs))
-        assert sequence_propagator(sys, segs).tobytes() == from_rows.tobytes()
+        u = sequence_propagator(sys, segs)
+        assert u.tobytes() == reference_fold(sys, segs).tobytes()
         if n == 1:
-            assert np.array_equal(pulse_propagator(sys, segs[0]), from_rows)
+            assert np.array_equal(pulse_propagator(sys, segs[0]), u)
 
 
 def test_empty_train_is_identity():
     sys = SpinSystem()
     assert np.array_equal(sequence_propagator(sys, []), np.eye(4))
-    assert np.array_equal(sequence_propagator(sys, np.zeros((0, 3))), np.eye(4))
 
 
 def test_drive_is_built_once_per_system():
@@ -176,34 +174,6 @@ def test_drive_is_built_once_per_system():
     assert np.array_equal(drive[0], ix) and np.array_equal(drive[1], iy)
     assert np.array_equal(drive[2], static_hamiltonian(sys, "rotating"))
     assert not any(op.flags.writeable for op in drive)
-
-
-@pytest.mark.parametrize(
-    "row",
-    [
-        (np.nan, 0.1, 5e-6),
-        (np.inf, 0.1, 5e-6),
-        (1e3, np.nan, 5e-6),
-        (1e3, -np.inf, 5e-6),
-        (1e3, 0.1, np.inf),
-        (-1.0, 0.1, 5e-6),
-        (1e3, 0.1, 0.0),
-        (1e3, 0.1, -5e-6),
-    ],
-)
-def test_array_train_keeps_segment_rules(row):
-    with pytest.raises(ValueError) as want:
-        PulseSegment(*row)
-    rows = np.array([(TWO_PI * 20e3, 0.3, 10e-6), row])
-    with pytest.raises(ValueError) as got:
-        sequence_propagator(SpinSystem(), rows)
-    assert str(got.value) == str(want.value)
-
-
-@pytest.mark.parametrize("shape", [(3,), (2, 2), (2, 4), (1, 3, 1)])
-def test_array_train_must_be_n_by_3(shape):
-    with pytest.raises(ValueError, match=r"\(n, 3\) array"):
-        sequence_propagator(SpinSystem(), np.full(shape, 1e-6))
 
 
 def ket_bra(dim, index):

@@ -55,6 +55,9 @@ def test_config_validation():
         for value in (2.5, 2.0, True):
             with pytest.raises(ValueError, match=name):
                 OptimizerConfig(**{name: value})
+    # True compared as 1.0 and was taken as a fidelity target
+    with pytest.raises(ValueError, match="min_fidelity"):
+        OptimizerConfig(min_fidelity=True)
 
 
 def test_identity_target_via_quadrupolar_refocusing():
@@ -176,8 +179,8 @@ def test_gradient_matches_finite_differences(sys, n):
         x = seeded_train(rng, n)
         target = haar_unitary(rng, sys.dim)
         value, grad = _objective(x, sys, target, cfg)
-        fid = gate_fidelity(target, sequence_propagator(sys, _decode(x, n, cfg)))
-        assert value == pytest.approx(1.0 - fid, abs=1e-15)
+        segs = [PulseSegment(*row) for row in _decode(x, n, cfg).tolist()]
+        assert value == 1.0 - gate_fidelity(target, sequence_propagator(sys, segs))  # one forward pass
         assert np.abs(grad - finite_difference_gradient(x, sys, target, cfg)).max() <= 1e-6
         # interior points of the box, where L-BFGS-B spends its time
         x = np.clip(x, 0.05, 0.95)
