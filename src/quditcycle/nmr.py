@@ -12,10 +12,17 @@ Units and conventions (hbar = 1 throughout):
   diag(+w_Q/2, -w_Q/2, -w_Q/2, +w_Q/2).
 - An rf pulse adds w_1 (I_x cos phi + I_y sin phi) while it is on.
 
-Propagators are built by eigendecomposition of the (Hermitian) Hamiltonian,
-which is exact at these matrix sizes.  A pulse train is propagated in one
-batch: all segment Hamiltonians at once, one stacked eigh, then the
-time-ordered product.
+Propagators are built by eigendecomposition of the Hamiltonian, which is
+exact at these matrix sizes.  The rf phase is a rotation about z: with
+Z_phi = exp(-i phi I_z), diagonal in this basis,
+
+    H(w_1, phi) = Z_phi (H_Q + w_1 I_x) Z_phi^dag,
+
+and H_Q + w_1 I_x is real symmetric (the fictitious spin-1/2 picture of
+quadrupolar NMR; Vega, J. Chem. Phys. 68, 5518 (1978)).  So each segment is
+diagonalized by a real eigh, and the phase only scales the rows of the
+eigenvectors.  A pulse train is propagated in one batch: all segment
+Hamiltonians at once, one stacked real eigh, then the time-ordered product.
 """
 
 from __future__ import annotations
@@ -79,9 +86,10 @@ class SpinSystem:
 
     @cached_property
     def drive(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(I_x, I_y, rotating-frame drift), built once per system and read-only."""
-        ix, iy, _ = spin_operators(self.spin)
-        ops = (ix, iy, static_hamiltonian(self, "rotating"))
+        """(rotating-frame drift, stacked (I_x, -i I_y), m = diag I_z), all real, built once and read-only."""
+        ix, iy, iz = spin_operators(self.spin)
+        drift = static_hamiltonian(self, "rotating").real.copy()
+        ops = (drift, np.stack([ix.real, iy.imag]), iz.diagonal().real.copy())
         for op in ops:
             op.flags.writeable = False
         return ops
@@ -122,17 +130,22 @@ class PulseSegment:
             raise ValueError(f"duration must be finite and > 0, got {self.duration}")
 
 
-def _propagator(h: np.ndarray, t: np.ndarray):
-    """exp(-i h t) for a stack (n, d, d) of Hermitian h and durations t of shape (n,).
+def _propagator(h: np.ndarray, t: np.ndarray, frame: np.ndarray):
+    """exp(-i Z h Z^dag t) for a stack (n, d, d) of real symmetric h, durations t
+    of shape (n,) and diagonal unitary frames Z given by their diagonals (n, d).
 
-    One batched eigh, exact at these sizes.  Returns the steps with the parts
-    they are made of, (steps, evals, vecs, vecs^dag, exp(-i evals t)), so a
-    gradient can work in the same eigenbases.
+    One batched real eigh, exact at these sizes: if h = W diag(evals) W^T, then
+    V = Z W diagonalizes Z h Z^dag, and with the half steps
+    D = diag(exp(-i evals t / 2)) each step is (V D)(D V^dag).  Returns the
+    steps with the parts a gradient works in, (steps, evals, W, D V^dag,
+    evals t / 2).
     """
-    evals, vecs = np.linalg.eigh(h)
-    phase = np.exp(-1j * evals * t[:, None])
-    vecs_h = vecs.conj().swapaxes(-1, -2)
-    return (vecs * phase[:, None, :]) @ vecs_h, evals, vecs, vecs_h, phase
+    evals, real_vecs = np.linalg.eigh(h)
+    angle = evals * (0.5 * t)[:, None]
+    half = np.exp(-1j * angle)
+    vecs = frame[:, :, None] * real_vecs
+    half_vecs_h = half[:, :, None] * vecs.conj().swapaxes(-1, -2)
+    return (vecs * half[:, None, :]) @ half_vecs_h, evals, real_vecs, half_vecs_h, angle
 
 
 def pulse_propagator(sys: SpinSystem, seg: PulseSegment) -> np.ndarray:
@@ -158,18 +171,19 @@ def sequence_propagator(sys: SpinSystem, segments) -> np.ndarray:
 def _forward(sys: SpinSystem, amp: np.ndarray, phase: np.ndarray, dur: np.ndarray):
     """Forward pass of a train given as arrays of n amplitudes, phases and durations.
 
-    The segment Hamiltonians are h0 + amp (I_x cos phase + I_y sin phase).
-    Returns (prefix, evals, vecs, vecs^dag, exp(-i evals t)) with the parts
-    from _propagator and the prefix products prefix[k] = S_k .. S_1 of the
-    first k steps: prefix[0] = 1 and prefix[n] is the train's propagator.
+    Segment k has the Hamiltonian Z_k (h0 + amp_k I_x) Z_k^dag with
+    Z_k = exp(-i phase_k I_z).  Returns (prefix, evals, W, D V^dag, evals t / 2)
+    with the parts from _propagator and the prefix products
+    prefix[k] = S_k .. S_1 of the first k steps: prefix[0] = 1 and prefix[n]
+    is the train's propagator.
     """
-    ix, iy, h0 = sys.drive
-    cos, sin = np.cos(phase)[:, None, None], np.sin(phase)[:, None, None]
-    steps, *parts = _propagator(h0 + amp[:, None, None] * (ix * cos + iy * sin), dur)
+    h0, ops, m = sys.drive
+    frame = np.exp(-1j * phase[:, None] * m)
+    steps, *parts = _propagator(h0 + amp[:, None, None] * ops[0], dur, frame)
     prefix = np.empty((len(steps) + 1, sys.dim, sys.dim), dtype=complex)
     prefix[0] = np.eye(sys.dim)
-    for k, step in enumerate(steps):
-        np.matmul(step, prefix[k], out=prefix[k + 1])
+    for k in range(len(steps)):  # np.dot costs less per call than np.matmul at these sizes
+        np.dot(steps[k], prefix[k], out=prefix[k + 1])
     return prefix, *parts
 
 

@@ -8,7 +8,10 @@ fidelity, with its exact gradient in every amplitude, phase and duration
 exp(-i H t) is differentiated in the eigenbasis of its Hamiltonian, and the
 steps before and after it enter as prefix and suffix products.  Eigenbases
 and prefix products come from nmr's forward pass, the one that
-sequence_propagator also runs.  L-BFGS-B follows that gradient inside the
+sequence_propagator also runs.  That pass diagonalizes the real matrix
+H_Q + w_1 I_x and carries the rf phase as a diagonal frame, so the
+amplitude and phase derivatives are traces against I_x and I_y turned into
+the same real eigenbasis.  L-BFGS-B follows that gradient inside the
 hardware box (the quasi-Newton refinement of de Fouquieres et al., J. Magn.
 Reson. 212, 412 (2011)), keeping one correction pair per parameter so that
 its Hessian model spans the whole search, and is restarted from several
@@ -24,8 +27,11 @@ steps commensurate across parameters of wildly different physical magnitude.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
+from numbers import Real
 from time import perf_counter
+from typing import NamedTuple
 
 import numpy as np
 from scipy.optimize import Bounds, minimize
@@ -66,6 +72,12 @@ class OptimizerConfig:
     dur_max_s: float = 200e-6
 
     def __post_init__(self):
+        # NaN passes every comparison below and an infinite window reaches the
+        # search, which then fails inside the eigensolver
+        for name in ("min_fidelity", "amp_max_hz", "dur_min_s", "dur_max_s"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Real) or not math.isfinite(value):
+                raise ValueError(f"{name} must be a finite number, got {value!r}")
         if self.segments < 1:
             raise ValueError("need at least one segment")
         if self.restarts < 1:
@@ -82,8 +94,6 @@ class OptimizerConfig:
             value = getattr(self, name)
             if not isinstance(value, int) or isinstance(value, bool):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
-        if isinstance(self.min_fidelity, bool):
-            raise ValueError(f"min_fidelity must be a number, got {self.min_fidelity!r}")
 
 
 def gate_fidelity(u: np.ndarray, v: np.ndarray) -> float:
@@ -118,60 +128,76 @@ class SmpResult:
     history: list[RestartRecord]
 
 
-def _decode(x: np.ndarray, n: int, cfg: OptimizerConfig) -> np.ndarray:
-    """(n, 3) rows of (amplitude rad/s, phase rad, duration s) from the search vector."""
-    amps = np.clip(x[:n], 0.0, 1.0) * (2 * np.pi * cfg.amp_max_hz)
-    phases = x[n : 2 * n] * (2 * np.pi)
-    durs = cfg.dur_min_s + np.clip(x[2 * n :], 0.0, 1.0) * (cfg.dur_max_s - cfg.dur_min_s)
-    return np.stack([amps, phases, durs], axis=1)
+class _Box(NamedTuple):
+    """The search vector's box and its map to physical units: offset + scale * clip(y, lower, upper)."""
+
+    lower: np.ndarray
+    upper: np.ndarray
+    scale: np.ndarray
+    offset: np.ndarray
 
 
-def _objective(x: np.ndarray, sys: SpinSystem, target: np.ndarray, cfg: OptimizerConfig):
-    """1 - F for the search vector x and its exact gradient in x.
+def _search_box(n: int, cfg: OptimizerConfig) -> _Box:
+    """Box of an n-segment search: n amplitudes and n durations in [0, SEARCH_SCALE], n phases in turns."""
+    span = (2 * np.pi * cfg.amp_max_hz / SEARCH_SCALE, 2 * np.pi, (cfg.dur_max_s - cfg.dur_min_s) / SEARCH_SCALE)
+    return _Box(
+        np.repeat([0.0, -np.inf, 0.0], n),
+        np.repeat([SEARCH_SCALE, np.inf, SEARCH_SCALE], n),
+        np.repeat(span, n),
+        np.repeat([0.0, 0.0, cfg.dur_min_s], n),
+    )
 
-    x holds n amplitudes and n durations in [0, 1] and n phases in turns.
-    The value is bitwise 1 - gate_fidelity(target, U) with U the
-    sequence_propagator of the decoded train, because both come from the
-    same forward pass.  Where Tr(target^dag U) = 0 the gradient of its
-    modulus is undefined and a zero gradient is returned.
+
+def _decode(y: np.ndarray, box: _Box) -> np.ndarray:
+    """(3, n) rows of amplitudes (rad/s), phases (rad) and durations (s) from the search vector."""
+    return (box.offset + box.scale * np.minimum(np.maximum(y, box.lower), box.upper)).reshape(3, -1)
+
+
+def _objective(y: np.ndarray, sys: SpinSystem, target_h: np.ndarray, box: _Box):
+    """1 - F for the search vector y and its exact gradient in y.
+
+    y holds n amplitudes, n phases and n durations as _search_box lays them
+    out, and target_h is target^dag.  The value is bitwise
+    1 - gate_fidelity(target, U) with U the sequence_propagator of the decoded
+    train, because both come from the same forward pass.  Where
+    Tr(target^dag U) = 0 the gradient of its modulus is undefined and a zero
+    gradient is returned.
     """
-    n = x.size // 3
     d = sys.dim
-    amp, phase, dur = _decode(x, n, cfg).T
+    amp, _, dur = rows = _decode(y, box)
     # prefix[k] = R_k = S_k .. S_1, so R_{k-1} precedes step k and R_n = U
-    prefix, evals, vecs, vecs_h, expo = _forward(sys, amp, phase, dur)
-    w = target.conj().T @ prefix[-1]
-    z = np.trace(w)
+    prefix, evals, real_vecs, half_vecs_h, angle = _forward(sys, *rows)
+    w = target_h @ prefix[-1]
+    z = w.trace()
     value = 1.0 - float(np.abs(z) / d)
     if z == 0:
-        return value, np.zeros_like(x)
+        return value, np.zeros_like(y)
 
-    # dz = Tr(G_k dS_k) with G_k = R_{k-1} T^dag L_k and the suffix product
-    # L_k = S_n .. S_{k+1} = U R_{k-1}^dag S_k^dag; in the eigenbasis V of H_k,
-    # where S_k^dag V = V conj(expo), that is g = A w A^dag conj(expo) with A = V^dag R_{k-1}.
-    a = vecs_h @ prefix[:-1]
-    g = a @ w @ a.conj().swapaxes(-1, -2) * expo.conj()[:, None, :]
+    # dz = Tr(T^dag L_k dS_k R_{k-1}) with the suffix product L_k = S_n .. S_{k+1}
+    # = U R_k^dag.  In the eigenbasis V = Z W of step k that is
+    # -i t sum_ij p_ij sinc_ij (V^dag dH V)_ji, where p = A w A^dag with the
+    # half-step A = D V^dag R_{k-1}, and sinc_ij = sin(x) / x at
+    # x = (lambda_i - lambda_j) t / 2: the divided difference of exp(-i lambda t)
+    # in a form that is exact and tends to 1 as x -> 0, which covers the
+    # degenerate drift at amplitude 0.
+    a = half_vecs_h @ prefix[:-1]
+    p = a @ w @ a.conj().swapaxes(-1, -2)
+    x = angle[:, :, None] - angle[:, None, :]
+    x = np.where(x, x, 1e-300)  # sin(x) / x is then exactly 1 where x = 0
+    # Z^dag dH Z is I_x per unit amplitude and amp I_y per unit phase, because
+    # dZ/dphase = -i I_z Z, the drift commutes with I_z and -i[I_z, I_x] = I_y;
+    # and V^dag dH V = W^T (Z^dag dH Z) W.
+    rotated = real_vecs.swapaxes(-1, -2) @ sys.drive[1][:, None] @ real_vecs  # W^T (I_x, -i I_y) W
+    dz = np.empty((3, len(amp)), dtype=complex)
+    np.einsum("kij,pkji->pk", p * (np.sin(x) / x), rotated, out=dz[:2])
+    np.einsum("kjj,kj->k", p, evals, out=dz[2])  # dS/dt = -i H S
+    dz[1] *= 1j * amp
+    # the derivatives of z are -i dur dz[0], -i dur dz[1] and -i dz[2], and Re(-i u) = Im(u)
+    grad = (np.conj(z) * dz).imag
+    grad[:2] *= dur
 
-    # dS = V (phi * (V^dag dH V)) V^dag with phi the divided difference of
-    # exp(-i lambda t); the sinc form is exact and tends to -i t exp(-i lambda_j t)
-    # as lambda_k -> lambda_j, which covers the degenerate drift at amplitude 0.
-    half = np.exp(-0.5j * evals * dur[:, None])
-    gap = (evals[:, :, None] - evals[:, None, :]) * dur[:, None, None]
-    phi = ((-1j * dur)[:, None] * half)[:, :, None] * half[:, None, :] * np.sinc(gap / (2 * np.pi))
-    q = vecs @ (g * phi) @ vecs_h  # dz = Tr(q dH)
-    ix, iy, _ = sys.drive
-    qx = np.einsum("kij,ji->k", q, ix)
-    qy = np.einsum("kij,ji->k", q, iy)
-    cos, sin = np.cos(phase), np.sin(phase)
-    dz_amp = cos * qx + sin * qy
-    dz_phase = amp * (cos * qy - sin * qx)
-    dz_dur = (g.diagonal(axis1=1, axis2=2) * (-1j * evals * expo)).sum(axis=1)  # dS/dt = -i H S
-
-    # chain rule through _decode (its clips are the identity inside the box)
-    dz = np.concatenate(
-        [2 * np.pi * cfg.amp_max_hz * dz_amp, 2 * np.pi * dz_phase, (cfg.dur_max_s - cfg.dur_min_s) * dz_dur]
-    )
-    return value, -(np.conj(z) * dz).real / (np.abs(z) * d)
+    # chain rule through _decode (its clip is the identity inside the box)
+    return value, grad.ravel() * (box.scale / (-np.abs(z) * d))
 
 
 def smp_optimize(
@@ -195,32 +221,28 @@ def smp_optimize(
     if target.shape != (sys.dim, sys.dim):
         raise ValueError(f"target shape {target.shape} does not match system dim {sys.dim}")
 
-    scale = np.repeat([SEARCH_SCALE, 1.0, SEARCH_SCALE], n)
+    box = _search_box(n, cfg)
+    bounds = Bounds(box.lower, box.upper)
 
-    def objective(y: np.ndarray):
-        value, grad = _objective(y / scale, sys, target, cfg)
-        return value, grad / scale
-
-    bounds = Bounds(np.repeat([0.0, -np.inf, 0.0], n), np.repeat([SEARCH_SCALE, np.inf, SEARCH_SCALE], n))
-
-    best_x: np.ndarray | None = None
+    best_y: np.ndarray | None = None
     best_fid = -1.0
     history: list[RestartRecord] = []
     for k in range(cfg.restarts):
         # Seeding each restart independently keeps restart k's trajectory
         # identical no matter how large the overall budget is.
         rng = np.random.default_rng([cfg.seed, k])
-        x0 = np.concatenate(
+        y0 = np.concatenate(
             [
-                rng.uniform(0.05, 0.95, n),
+                rng.uniform(0.05, 0.95, n) * SEARCH_SCALE,
                 rng.uniform(0.0, 1.0, n),
-                rng.uniform(0.05, 0.95, n),
+                rng.uniform(0.05, 0.95, n) * SEARCH_SCALE,
             ]
         )
         t0 = perf_counter()
         res = minimize(
-            objective,
-            x0 * scale,
+            _objective,
+            y0,
+            args=(sys, target.conj().T, box),
             jac=True,
             method="L-BFGS-B",
             bounds=bounds,
@@ -241,13 +263,13 @@ def smp_optimize(
         )
         if fid > best_fid:
             best_fid = fid
-            best_x = res.x / scale
+            best_y = res.x
         if best_fid >= cfg.min_fidelity:
             break
 
-    assert best_x is not None
+    assert best_y is not None
     return SmpResult(
-        segments=[PulseSegment(*row) for row in _decode(best_x, n, cfg).tolist()],
+        segments=[PulseSegment(*row) for row in _decode(best_y, box).T.tolist()],
         fidelity=best_fid,
         converged=best_fid >= cfg.min_fidelity,
         restarts_used=len(history),

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quditcycle.linalg import basis_state, validate_density, validate_unitary
 from quditcycle.smp import OptimizerConfig
@@ -127,8 +129,19 @@ def test_sequence_order_matters_and_composes():
     assert np.max(np.abs(sequence_propagator(sys, [a, b]) - ub @ ua)) < 1e-12
 
 
+SPINS = {"spin-1/2": 0.5, "spin-1": 1.0, "spin-3/2": 1.5, "spin-2": 2.0, "spin-5/2": 2.5, "spin-3": 3.0, "spin-7/2": 3.5}
+
+
+def fold_tolerance(spin):
+    """How far two exact engines may drift apart: 1e-13 up to spin 3/2, then in
+    proportion to the spin, as the rounding of exp(-i lambda t) grows with |H| t.
+    At spin 7/2 both this engine and reference_fold are 4e-14 to 9e-14 off a
+    30-digit propagator on the worst of the seeded trains."""
+    return 1e-13 * max(1.0, spin / 1.5)
+
+
 def reference_fold(sys, segments):
-    """The engine the batched one replaced: one eigh per segment, folded left."""
+    """The engine the batched one replaced: one complex eigh per segment, folded left."""
     ix, iy, _ = spin_operators(sys.spin)
     h0 = static_hamiltonian(sys, "rotating")
     u = np.eye(sys.dim, dtype=complex)
@@ -139,8 +152,11 @@ def reference_fold(sys, segments):
     return u
 
 
-def test_batched_engine_is_bitwise_the_per_segment_fold():
-    sys, cfg = SpinSystem(), OptimizerConfig()
+@pytest.mark.parametrize("spin", SPINS.values(), ids=SPINS.keys())
+def test_engine_matches_the_per_segment_fold(spin):
+    # the engine diagonalizes a real matrix in the rf-phase frame, not the
+    # complex Hamiltonian, so it agrees with the reference to rounding, not bitwise
+    sys, cfg = SpinSystem(spin=spin), OptimizerConfig()
     rng = np.random.default_rng(9100)
     for case in range(300):
         n = 1 if case % 10 == 0 else int(rng.integers(2, 9))
@@ -156,9 +172,47 @@ def test_batched_engine_is_bitwise_the_per_segment_fold():
         rows[rng.random(n) < 0.2, 2] = cfg.dur_max_s
         segs = [PulseSegment(*row) for row in rows.tolist()]
         u = sequence_propagator(sys, segs)
-        assert u.tobytes() == reference_fold(sys, segs).tobytes()
+        assert np.abs(u - reference_fold(sys, segs)).max() <= fold_tolerance(spin)
         if n == 1:
             assert np.array_equal(pulse_propagator(sys, segs[0]), u)
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(
+    spin=st.sampled_from(list(SPINS.values())),
+    train=st.lists(
+        st.tuples(
+            st.floats(0.0, TWO_PI * 50e3),
+            st.floats(-2 * TWO_PI, 2 * TWO_PI),
+            st.floats(1e-6, 200e-6),
+        ),
+        min_size=1,
+        max_size=8,
+    ),
+)
+def test_engine_matches_the_per_segment_fold_on_random_trains(spin, train):
+    sys = SpinSystem(spin=spin)
+    segs = [PulseSegment(*row) for row in train]
+    assert np.abs(sequence_propagator(sys, segs) - reference_fold(sys, segs)).max() <= fold_tolerance(spin)
+
+
+@pytest.mark.parametrize("spin", SPINS.values(), ids=SPINS.keys())
+def test_segment_hamiltonian_factors_through_the_phase_frame(spin):
+    # what the engine rests on: H(a, phi) = Z_phi H(a, 0) Z_phi^dag with the
+    # diagonal Z_phi = exp(-i phi I_z), and H(a, 0) real symmetric, commuting
+    # with the level reversal m -> -m
+    sys = SpinSystem(spin=spin)
+    ix, iy, iz = spin_operators(spin)
+    h0 = static_hamiltonian(sys, "rotating")
+    reverse = np.eye(sys.dim)[::-1]
+    rng = np.random.default_rng([31, sys.dim])
+    for amp, phase in zip(TWO_PI * 50e3 * rng.random(20), TWO_PI * rng.uniform(-2, 2, 20)):
+        h = h0 + amp * ix
+        assert not h.imag.any() and np.array_equal(h, h.T)
+        assert np.array_equal(reverse @ h @ reverse, h)
+        z = np.diag(np.exp(-1j * phase * np.diag(iz)))
+        want = h0 + amp * (ix * np.cos(phase) + iy * np.sin(phase))
+        assert np.abs(z @ h @ z.conj().T - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_empty_train_is_identity():
@@ -170,10 +224,12 @@ def test_drive_is_built_once_per_system():
     sys = SpinSystem()
     drive = sys.drive
     assert sys.drive is drive
-    ix, iy, _ = spin_operators(sys.spin)
-    assert np.array_equal(drive[0], ix) and np.array_equal(drive[1], iy)
-    assert np.array_equal(drive[2], static_hamiltonian(sys, "rotating"))
-    assert not any(op.flags.writeable for op in drive)
+    ix, iy, iz = spin_operators(sys.spin)
+    h0, ops, m = drive
+    assert np.array_equal(h0, static_hamiltonian(sys, "rotating"))
+    assert np.array_equal(ops[0], ix) and np.array_equal(1j * ops[1], iy)
+    assert np.array_equal(m, np.diag(iz))
+    assert not any(np.iscomplexobj(op) or op.flags.writeable for op in drive)
 
 
 def ket_bra(dim, index):

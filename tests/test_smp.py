@@ -11,9 +11,11 @@ from quditcycle.nmr import PulseSegment, SpinSystem, sequence_propagator, spin_o
 from quditcycle.permutations import oracle_unitary
 from quditcycle.protocol import ORACLES, stage_unitary
 from quditcycle.smp import (
+    SEARCH_SCALE,
     OptimizerConfig,
     _decode,
     _objective,
+    _search_box,
     gate_fidelity,
     segments_from_json,
     segments_to_json,
@@ -58,6 +60,15 @@ def test_config_validation():
     # True compared as 1.0 and was taken as a fidelity target
     with pytest.raises(ValueError, match="min_fidelity"):
         OptimizerConfig(min_fidelity=True)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, True], ids=repr)
+@pytest.mark.parametrize("name", ["amp_max_hz", "dur_min_s", "dur_max_s"])
+def test_config_rejects_a_non_finite_window(name, value):
+    # NaN passed every range check and infinity most of them; the search then
+    # died inside the eigensolver.  True was taken as 1 Hz or 1 s.
+    with pytest.raises(ValueError, match=name):
+        OptimizerConfig(**{name: value})
 
 
 def test_identity_target_via_quadrupolar_refocusing():
@@ -139,14 +150,10 @@ def test_target_shape_checked():
         smp_optimize(SpinSystem(), np.eye(3))
 
 
-def finite_difference_gradient(x, sys, target, cfg, h=1e-7):
-    """Central differences; second-order one-sided ones, pointing inward, on the box edges."""
+def finite_difference_gradient(f, x, h=1e-7):
+    """Central differences of f; second-order one-sided ones, pointing inward, on the box edges."""
     n = x.size // 3
-    f0 = _objective(x, sys, target, cfg)[0]
-
-    def f(y):
-        return _objective(y, sys, target, cfg)[0]
-
+    f0 = f(x)
     grad = np.empty_like(x)
     for i in range(x.size):
         e = np.zeros_like(x)
@@ -162,7 +169,7 @@ def finite_difference_gradient(x, sys, target, cfg, h=1e-7):
 
 
 def seeded_train(rng, n):
-    """Search vector of an n-segment train with amplitude 0 and both duration edges in it."""
+    """Unit-box vector of an n-segment train with amplitude 0 and both duration edges in it."""
     x = np.concatenate([rng.uniform(0.05, 0.95, n), rng.uniform(-1.0, 2.0, n), rng.uniform(0.05, 0.95, n)])
     x[0] = 0.0  # rf off: the drift's degenerate eigenvalues
     x[2 * n] = 0.0  # dur_min_s
@@ -170,29 +177,40 @@ def seeded_train(rng, n):
     return x
 
 
-@pytest.mark.parametrize("sys", [SpinSystem(), SPIN_HALF], ids=["spin-3/2", "spin-1/2"])
+SPINS = {"spin-3/2": SpinSystem(), "spin-1/2": SPIN_HALF, "spin-1": SpinSystem(spin=1.0), "spin-5/2": SpinSystem(spin=2.5)}
+
+
+@pytest.mark.parametrize("sys", SPINS.values(), ids=SPINS.keys())
 @pytest.mark.parametrize("n", [1, 2, 6])
 def test_gradient_matches_finite_differences(sys, n):
-    cfg = OptimizerConfig(segments=n)
+    # the search vector is the unit box x stretched to [0, SEARCH_SCALE] in
+    # amplitude and duration; the test differentiates in x, as it always has
+    box = _search_box(n, OptimizerConfig(segments=n))
+    unit = np.repeat([SEARCH_SCALE, 1.0, SEARCH_SCALE], n)
     rng = np.random.default_rng([7, n, sys.dim])
     for _ in range(3):
         x = seeded_train(rng, n)
         target = haar_unitary(rng, sys.dim)
-        value, grad = _objective(x, sys, target, cfg)
-        segs = [PulseSegment(*row) for row in _decode(x, n, cfg).tolist()]
+
+        def f(u):
+            return _objective(u * unit, sys, target.conj().T, box)[0]
+
+        value, grad = _objective(x * unit, sys, target.conj().T, box)
+        segs = [PulseSegment(*row) for row in _decode(x * unit, box).T.tolist()]
         assert value == 1.0 - gate_fidelity(target, sequence_propagator(sys, segs))  # one forward pass
-        assert np.abs(grad - finite_difference_gradient(x, sys, target, cfg)).max() <= 1e-6
+        assert np.abs(grad * unit - finite_difference_gradient(f, x)).max() <= 1e-6
         # interior points of the box, where L-BFGS-B spends its time
         x = np.clip(x, 0.05, 0.95)
-        value, grad = _objective(x, sys, target, cfg)
-        assert np.abs(grad - finite_difference_gradient(x, sys, target, cfg)).max() <= 1e-6
+        value, grad = _objective(x * unit, sys, target.conj().T, box)
+        assert np.abs(grad * unit - finite_difference_gradient(f, x)).max() <= 1e-6
 
 
 def test_zero_trace_gives_zero_gradient():
     # rf off and no quadrupolar splitting: U is exactly the identity, and
     # Tr(diag(1, -1)^dag U) = 0 exactly, where the modulus has no gradient
-    x = np.array([0.0, 0.0, 0.3, 1.2, 0.2, 0.7])
-    value, grad = _objective(x, SPIN_HALF, np.diag([1.0, -1.0]).astype(complex), OptimizerConfig(segments=2))
+    y = np.array([0.0, 0.0, 0.3, 1.2, 2.0, 7.0])
+    box = _search_box(2, OptimizerConfig(segments=2))
+    value, grad = _objective(y, SPIN_HALF, np.diag([1.0, -1.0]).astype(complex), box)
     assert value == 1.0
     assert np.all(np.isfinite(grad)) and not grad.any()
 
