@@ -33,7 +33,7 @@ from .algorithm import (
     run_quantum,
 )
 from .nmr import SpinSystem, inject_readout_noise, pseudo_pure
-from .permutations import Chirality, Parity, Permutation, classify_cyclic, enumerate_cyclic
+from .permutations import Chirality, Parity, Permutation, classify_cyclic, enumerate_cyclic, parity
 from .protocol import run_protocol
 from .smp import OptimizerConfig, segments_to_json
 
@@ -56,14 +56,18 @@ GATE_MAP = {
 CONFIG_KEYS = ("segments", "restarts", "seed", "min_fidelity", "max_iter")
 
 
+def _dumps(obj) -> str:
+    return json.dumps(obj, indent=2, sort_keys=True)
+
+
 def _write(path: str, text: str) -> None:
     with open(path, "w") as fh:
         fh.write(text)
 
 
-def _cannot_write(exc: OSError) -> int:
-    print(f"error: cannot write output: {exc}", file=_sys.stderr)
-    return EXIT_BAD_PERMUTATION
+def _error(message, code: int = EXIT_BAD_PERMUTATION) -> int:
+    print(f"error: {message}", file=_sys.stderr)
+    return code
 
 
 def cmd_run(args) -> int:
@@ -72,32 +76,21 @@ def cmd_run(args) -> int:
         if args.dim is not None and args.dim != p.dim:
             raise ValueError(f"--dim {args.dim} does not match permutation of size {p.dim}")
         sigma = Permutation.from_string(args.relabel) if args.relabel else None
-    except ValueError as exc:
-        print(f"error: {exc}", file=_sys.stderr)
-        return EXIT_BAD_PERMUTATION
-
-    if args.mode == "classical":
-        try:
+        if args.mode == "classical":
             report = run_classical(p)
-        except ValueError as exc:
-            print(f"error: {exc}", file=_sys.stderr)
-            return EXIT_BAD_PERMUTATION
-    else:
-        try:
+        else:
             report = run_quantum(p, FourierKind(args.fourier, sigma))
-        except NotCyclicError as exc:
-            print(f"error: {exc}", file=_sys.stderr)
-            return EXIT_NOT_CYCLIC
-        except ValueError as exc:
-            print(f"error: {exc}", file=_sys.stderr)
-            return EXIT_BAD_PERMUTATION
+    except NotCyclicError as exc:
+        return _error(exc, EXIT_NOT_CYCLIC)
+    except ValueError as exc:
+        return _error(exc)
 
-    text = json.dumps(report.to_json(), indent=2, sort_keys=True)
+    text = _dumps(report.to_json())
     if args.out:
         try:
             _write(args.out, text + "\n")
         except OSError as exc:
-            return _cannot_write(exc)
+            return _error(f"cannot write output: {exc}")
     if not args.json:
         line = f"{','.join(map(str, p.image))} -> {report.classification.value}"
         line += f" ({report.oracle_queries} oracle quer{'y' if report.oracle_queries == 1 else 'ies'}"
@@ -110,8 +103,11 @@ def cmd_run(args) -> int:
     return EXIT_OK
 
 
+def _mark(check: bool | None) -> str:
+    return "-" if check is None else ("ok" if check else "FAIL")
+
+
 def cmd_verify(args) -> int:
-    ok = True
     rows = []
     parity_matches = True
     t0 = time.perf_counter()
@@ -126,7 +122,7 @@ def cmd_verify(args) -> int:
             phase_ok &= abs(quantum.phase - table[(truth.chirality, truth.shift)]) <= 1e-10
             two_ok &= classical.classification is truth.chirality and classical.oracle_queries == 2
             if d == 3:
-                parity_matches &= (truth.chirality is Chirality.POSITIVE) == (truth.parity is Parity.EVEN)
+                parity_matches &= (truth.chirality is Chirality.POSITIVE) == (parity(p) is Parity.EVEN)
         query_ok = one_query_insufficient(d) if d <= 8 else None
         rows.append(
             {
@@ -137,52 +133,32 @@ def cmd_verify(args) -> int:
                 "classical_two_queries": two_ok,
             }
         )
-        ok = ok and class_ok and phase_ok and two_ok and (query_ok is not False)
-    ok = ok and parity_matches
     elapsed = time.perf_counter() - t0
+    ok = parity_matches and all(val is not False for row in rows for val in row.values())
 
     if args.json:
-        print(
-            json.dumps(
-                {"rows": rows, "parity_is_chirality_at_dim3": parity_matches, "ok": ok},
-                indent=2,
-                sort_keys=True,
-            )
-        )
+        print(_dumps({"rows": rows, "parity_is_chirality_at_dim3": parity_matches, "ok": ok}))
     else:
         for row in rows:
-            marks = []
-            for key in ("classifications", "phases", "one_query_insufficient", "classical_two_queries"):
-                val = row[key]
-                marks.append(f"{key}={'-' if val is None else ('ok' if val else 'FAIL')}")
-            print(f"d={row['dim']:2d}  " + "  ".join(marks))
-        print(
-            f"d= 3  chirality coincides with even/odd parity: "
-            f"{'ok' if parity_matches else 'FAIL'}"
-        )
+            marks = "  ".join(f"{key}={_mark(val)}" for key, val in row.items() if key != "dim")
+            print(f"d={row['dim']:2d}  {marks}")
+        print(f"d= 3  chirality coincides with even/odd parity: {_mark(parity_matches)}")
         print(f"{'all checks passed' if ok else 'FAILURES detected'} in {elapsed:.2f}s")
     return EXIT_OK if ok else EXIT_VERIFY_FAILED
 
 
-def _write_csv(path: str, matrix: np.ndarray, part: str) -> None:
-    data = matrix.real if part == "re" else matrix.imag
+def _write_csv(path: str, data: np.ndarray) -> None:
     rows = (f"{i + 1},{j + 1},{float(v)!r}\n" for (i, j), v in np.ndenumerate(data))
     _write(path, "i,j,value\n" + "".join(rows))
 
 
 def cmd_nmr(args) -> int:
     oracle, stage = GATE_MAP[args.gate]
-    if args.stage != "auto":
-        want = "full" if stage == "full" else "after"
-        if args.stage != want:
-            print(
-                f"error: --stage {args.stage} contradicts --gate {args.gate} (expects {want})",
-                file=_sys.stderr,
-            )
-            return EXIT_BAD_PERMUTATION
+    want = "full" if stage == "full" else "after"
+    if args.stage not in ("auto", want):
+        return _error(f"--stage {args.stage} contradicts --gate {args.gate} (expects {want})")
     if args.noise_seed < 0:
-        print(f"error: --noise-seed must be >= 0, got {args.noise_seed}", file=_sys.stderr)
-        return EXIT_BAD_PERMUTATION
+        return _error(f"--noise-seed must be >= 0, got {args.noise_seed}")
 
     flags = ("segments", "restarts", "min_fidelity")
     overrides = {k: getattr(args, k) for k in flags if getattr(args, k) is not None}
@@ -196,14 +172,13 @@ def cmd_nmr(args) -> int:
                 raise ValueError(f"unknown config keys {sorted(bad)}")
         cfg = OptimizerConfig(**{"seed": args.seed, **loaded, **overrides})
     except (OSError, ValueError, TypeError) as exc:
-        print(f"error: bad optimizer config: {exc}", file=_sys.stderr)
-        return EXIT_BAD_PERMUTATION
+        return _error(f"bad optimizer config: {exc}")
 
     outdir = args.out or os.environ.get("QUDITCYCLE_OUTDIR") or "."
     try:
         os.makedirs(outdir, exist_ok=True)
     except OSError as exc:
-        return _cannot_write(exc)
+        return _error(f"cannot write output: {exc}")
 
     sys_ = SpinSystem()
     source = "ideal" if args.ideal else "smp"
@@ -211,11 +186,10 @@ def cmd_nmr(args) -> int:
         sys_, oracle, stage, gate_source=source, epsilon=args.epsilon, config=cfg
     )
 
-    rho = result.rho
     pure = result.pure_part
     if args.noise_sigma is not None:
         pure = inject_readout_noise(pure, sigma=args.noise_sigma, seed=args.noise_seed)
-        rho = pseudo_pure(pure, args.epsilon)
+    rho = pseudo_pure(pure, args.epsilon)
 
     report = {
         "gate": args.gate,
@@ -231,22 +205,22 @@ def cmd_nmr(args) -> int:
         "config": {k: getattr(cfg, k) for k in CONFIG_KEYS},
         "pulses": None if result.smp is None else segments_to_json(result.smp.segments),
     }
+    text = _dumps(report)
     prefix = os.path.join(outdir, args.gate)
     try:
-        _write_csv(f"{prefix}_rho_re.csv", rho, "re")
-        _write_csv(f"{prefix}_rho_im.csv", rho, "im")
-        # Pure part = deviation from the maximally mixed background, in units of
-        # epsilon: rho = (1 - eps)/4 * 1 + eps * (this matrix).
-        _write_csv(f"{prefix}_dev_re.csv", pure, "re")
-        _write_csv(f"{prefix}_dev_im.csv", pure, "im")
-        _write(f"{prefix}_report.json", json.dumps(report, indent=2, sort_keys=True) + "\n")
+        # dev = the pure part: the deviation from the maximally mixed background,
+        # in units of epsilon: rho = (1 - eps)/4 * 1 + eps * dev.
+        for name, matrix in (("rho", rho), ("dev", pure)):
+            _write_csv(f"{prefix}_{name}_re.csv", matrix.real)
+            _write_csv(f"{prefix}_{name}_im.csv", matrix.imag)
+        _write(f"{prefix}_report.json", text + "\n")
         if report["pulses"] is not None:
-            _write(f"{prefix}_pulses.json", json.dumps(report["pulses"], indent=2, sort_keys=True) + "\n")
+            _write(f"{prefix}_pulses.json", _dumps(report["pulses"]) + "\n")
     except OSError as exc:
-        return _cannot_write(exc)
+        return _error(f"cannot write output: {exc}")
 
     if args.json:
-        print(json.dumps(report, indent=2, sort_keys=True))
+        print(text)
     else:
         flag = "" if result.converged else "  [UNCONVERGED]"
         print(

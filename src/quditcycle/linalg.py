@@ -13,6 +13,9 @@ Conventions used across the package:
 
 from __future__ import annotations
 
+import math
+from numbers import Real
+
 import numpy as np
 
 MAX_DIM = 64
@@ -25,6 +28,14 @@ def check_dim(dim: int) -> int:
     if d != dim or d < 1 or d > MAX_DIM:
         raise ValueError(f"dimension must be an integer in [1, {MAX_DIM}], got {dim!r}")
     return d
+
+
+def check_finite(owner, *names: str) -> None:
+    """Raise ValueError unless each named field of owner is a finite real number; bools are refused."""
+    for name in names:
+        value = getattr(owner, name)
+        if isinstance(value, bool) or not isinstance(value, Real) or not math.isfinite(value):
+            raise ValueError(f"{name} must be a finite number, got {value!r}")
 
 
 def _as_vector(psi) -> np.ndarray:
@@ -71,12 +82,8 @@ def validate_unitary(u, tol: float = DEFAULT_TOL) -> np.ndarray:
     return a
 
 
-def validate_density(rho, tol: float = DEFAULT_TOL, check_psd: bool = True) -> np.ndarray:
-    """Check hermiticity, unit trace, and (optionally) positivity.
-
-    check_psd=False admits tomography-style reconstructions whose small
-    negative eigenvalues are measurement artifacts, not physics.
-    """
+def validate_density(rho, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """Check hermiticity, unit trace, and positivity."""
     a = _as_matrix(rho)
     herm = np.max(np.abs(a - a.conj().T))
     if herm > tol:
@@ -84,10 +91,9 @@ def validate_density(rho, tol: float = DEFAULT_TOL, check_psd: bool = True) -> n
     tr = np.trace(a).real
     if abs(tr - 1.0) > tol:
         raise ValueError(f"density matrix trace {tr} deviates from 1 by more than {tol}")
-    if check_psd:
-        evals = np.linalg.eigvalsh(a)
-        if evals.min() < -tol:
-            raise ValueError(f"density matrix has eigenvalue {evals.min()} < -{tol}")
+    evals = np.linalg.eigvalsh(a)
+    if evals.min() < -tol:
+        raise ValueError(f"density matrix has eigenvalue {evals.min()} < -{tol}")
     return a
 
 

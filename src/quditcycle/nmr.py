@@ -32,6 +32,8 @@ from functools import cached_property
 
 import numpy as np
 
+from .linalg import _as_matrix, check_finite
+
 
 def spin_operators(s: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Return (I_x, I_y, I_z) for spin quantum number s in {1/2, 1, 3/2, ...}.
@@ -72,6 +74,8 @@ class SpinSystem:
     quad_freq: float = 2 * np.pi * 10e3
 
     def __post_init__(self):
+        # NaN passes the Zeeman-dominance test below and reaches the eigensolver
+        check_finite(self, "spin", "larmor_freq", "quad_freq")
         twice = round(2 * self.spin)
         if abs(2 * self.spin - twice) > 1e-9 or twice < 1:
             raise ValueError(f"spin must be a positive half-integer, got {self.spin}")
@@ -122,12 +126,11 @@ class PulseSegment:
     duration: float
 
     def __post_init__(self):
-        if not np.isfinite(self.amplitude) or self.amplitude < 0:
-            raise ValueError(f"amplitude must be finite and >= 0, got {self.amplitude}")
-        if not np.isfinite(self.phase):
-            raise ValueError("phase must be finite")
-        if not np.isfinite(self.duration) or self.duration <= 0:
-            raise ValueError(f"duration must be finite and > 0, got {self.duration}")
+        check_finite(self, "amplitude", "phase", "duration")
+        if self.amplitude < 0:
+            raise ValueError(f"amplitude must be >= 0, got {self.amplitude}")
+        if self.duration <= 0:
+            raise ValueError(f"duration must be > 0, got {self.duration}")
 
 
 def _propagator(h: np.ndarray, t: np.ndarray, frame: np.ndarray):
@@ -220,12 +223,9 @@ def inject_readout_noise(rho: np.ndarray, sigma: float = 0.01, seed: int | None 
     restoration in tomography postprocessing).  At the default sigma the
     element-wise deviation stays well below 6% of the largest element: the
     cap sits almost 7 standard deviations out.  The output may have small
-    negative eigenvalues, as real reconstructed matrices do, so validate it
-    with check_psd=False.
+    negative eigenvalues, as real reconstructed matrices do.
     """
-    a = np.asarray(rho, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    a = _as_matrix(rho)
     if not np.isfinite(sigma) or sigma < 0:
         raise ValueError(f"sigma must be finite and >= 0, got {sigma}")
     d = a.shape[0]

@@ -9,6 +9,7 @@ with even/odd group parity; from d = 4 on the two notions split, e.g.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from enum import Enum
 
@@ -35,7 +36,13 @@ class Permutation:
     image: tuple[int, ...]
 
     def __post_init__(self):
-        img = tuple(int(v) for v in self.image)
+        raw = tuple(self.image)
+        try:
+            if bool in map(type, raw):
+                raise TypeError("booleans are not labels")
+            img = tuple(map(operator.index, raw))
+        except TypeError:
+            raise ValueError(f"permutation entries must be integers, got {raw!r}") from None
         object.__setattr__(self, "image", img)
         d = len(img)
         if d < 1 or d > MAX_DIM:
@@ -71,11 +78,8 @@ class Permutation:
     @staticmethod
     def from_string(text: str) -> "Permutation":
         """Parse "2,3,4,1" (whitespace tolerated)."""
-        parts = [s.strip() for s in text.split(",")]
-        if not parts or any(not s for s in parts):
-            raise ValueError(f"malformed permutation string {text!r}")
         try:
-            img = tuple(int(s) for s in parts)
+            img = tuple(int(s) for s in text.split(","))
         except ValueError as exc:
             raise ValueError(f"malformed permutation string {text!r}") from exc
         return Permutation(img)
@@ -83,18 +87,10 @@ class Permutation:
     def to_json(self) -> dict:
         return {"dim": self.dim, "image": list(self.image)}
 
-    @staticmethod
-    def from_json(obj: dict) -> "Permutation":
-        p = Permutation(tuple(obj["image"]))
-        if p.dim != int(obj["dim"]):
-            raise ValueError(f"dim field {obj['dim']} does not match image length {p.dim}")
-        return p
-
 
 @dataclass(frozen=True)
 class CyclicClass:
     chirality: Chirality
-    parity: Parity
     shift: int | None  # rotation offset r in 0..d-1; None when not cyclic
 
 
@@ -125,7 +121,7 @@ def reflection(dim: int, r: int) -> Permutation:
 
 
 def classify_cyclic(p: Permutation) -> CyclicClass:
-    """Chirality, parity, and rotation offset of a permutation.
+    """Chirality and rotation offset of a permutation.
 
     p(1) fixes the only candidate offset of each family, so one pass over
     the image per family decides the chirality.  Rotations are tried first:
@@ -134,22 +130,19 @@ def classify_cyclic(p: Permutation) -> CyclicClass:
     """
     d = p.dim
     img = p.image
-    par = parity(p)
     r = img[0] - 1
     if all(y == (x + r) % d + 1 for x, y in enumerate(img)):
-        return CyclicClass(Chirality.POSITIVE, par, r)
+        return CyclicClass(Chirality.POSITIVE, r)
     r = img[0] % d
     if all(y == (r - x - 1) % d + 1 for x, y in enumerate(img)):
-        return CyclicClass(Chirality.NEGATIVE, par, r)
-    return CyclicClass(Chirality.NOT_CYCLIC, par, None)
+        return CyclicClass(Chirality.NEGATIVE, r)
+    return CyclicClass(Chirality.NOT_CYCLIC, None)
 
 
 def enumerate_cyclic(dim: int) -> list[Permutation]:
     """All 2d cyclic permutations: d positive (r = 0..d-1), then d negative."""
     if dim < 3:
         raise ValueError(f"cyclic enumeration needs dim >= 3, got {dim}")
-    if dim > MAX_DIM:
-        raise ValueError(f"dim must be <= {MAX_DIM}, got {dim}")
     return [rotation(dim, r) for r in range(dim)] + [reflection(dim, r) for r in range(dim)]
 
 
@@ -172,6 +165,4 @@ def relabel(p: Permutation, sigma: Permutation) -> Permutation:
     base sequence rotated by r, which is the usual way relabeled families
     are tabulated.
     """
-    if p.dim != sigma.dim:
-        raise ValueError(f"size mismatch: {p.dim} vs {sigma.dim}")
     return sigma.compose(p).compose(sigma.inverse())

@@ -27,15 +27,14 @@ steps commensurate across parameters of wildly different physical magnitude.
 from __future__ import annotations
 
 import logging
-import math
 from dataclasses import dataclass
-from numbers import Real
 from time import perf_counter
 from typing import NamedTuple
 
 import numpy as np
 from scipy.optimize import Bounds, minimize
 
+from .linalg import check_finite
 from .nmr import PulseSegment, SpinSystem, _forward
 
 log = logging.getLogger("quditcycle")
@@ -74,10 +73,7 @@ class OptimizerConfig:
     def __post_init__(self):
         # NaN passes every comparison below and an infinite window reaches the
         # search, which then fails inside the eigensolver
-        for name in ("min_fidelity", "amp_max_hz", "dur_min_s", "dur_max_s"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, Real) or not math.isfinite(value):
-                raise ValueError(f"{name} must be a finite number, got {value!r}")
+        check_finite(self, "min_fidelity", "amp_max_hz", "dur_min_s", "dur_max_s")
         if self.segments < 1:
             raise ValueError("need at least one segment")
         if self.restarts < 1:
@@ -119,12 +115,11 @@ class RestartRecord:
 
 @dataclass
 class SmpResult:
-    """Best pulse train found, with its fidelity, convergence status and per-restart record."""
+    """Best pulse train found, with its fidelity, convergence status and one record per restart run."""
 
     segments: list[PulseSegment]
     fidelity: float
     converged: bool
-    restarts_used: int
     history: list[RestartRecord]
 
 
@@ -272,7 +267,6 @@ def smp_optimize(
         segments=[PulseSegment(*row) for row in _decode(best_y, box).T.tolist()],
         fidelity=best_fid,
         converged=best_fid >= cfg.min_fidelity,
-        restarts_used=len(history),
         history=history,
     )
 

@@ -251,6 +251,21 @@ def test_nmr_unconverged_exit(tmp_path, capsys):
     assert (tmp_path / "fullneg_pulses.json").exists()
 
 
+def test_nmr_unconverged_human_output(tmp_path, capsys):
+    code, out, _ = run_cli(
+        capsys,
+        "nmr", "--gate", "fullneg", "--segments", "1", "--restarts", "1",
+        "--min-fidelity", "0.9999", "--out", str(tmp_path),
+    )
+    assert code == EXIT_UNCONVERGED
+    lines = out.splitlines()
+    assert len(lines) == 2
+    assert lines[0].endswith("  [UNCONVERGED]")
+    assert lines[1] == f"artifacts written under {tmp_path}/"
+    names = ["rho_re.csv", "rho_im.csv", "dev_re.csv", "dev_im.csv", "report.json", "pulses.json"]
+    assert all((tmp_path / f"fullneg_{name}").exists() for name in names)
+
+
 def test_nmr_noise_flag(tmp_path, capsys):
     code, out, _ = run_cli(
         capsys,

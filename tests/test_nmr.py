@@ -59,6 +59,16 @@ def test_spin_system_validation():
         SpinSystem(spin=1.5, larmor_freq=TWO_PI * 1e5, quad_freq=TWO_PI * 1e4)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, True], ids=repr)
+@pytest.mark.parametrize("name", ["spin", "larmor_freq", "quad_freq"])
+def test_spin_system_rejects_a_non_finite_or_boolean_field(name, value):
+    # NaN slips past the Zeeman-dominance test and kills the eigensolver in the
+    # first propagator, an infinite Larmor frequency passes it, and spin=True
+    # would be taken as spin 1.
+    with pytest.raises(ValueError, match=name):
+        SpinSystem(**{name: value})
+
+
 def test_rotating_frame_hamiltonian_is_quadrupolar_only():
     sys = SpinSystem(spin=1.5, larmor_freq=TWO_PI * 105.8e6, quad_freq=TWO_PI * 10e3)
     h = static_hamiltonian(sys, frame="rotating")
@@ -85,6 +95,8 @@ def test_pulse_segment_validation():
         PulseSegment(amplitude=1.0, phase=0.0, duration=0.0)
     with pytest.raises(ValueError):
         PulseSegment(amplitude=np.nan, phase=0.0, duration=1e-6)
+    with pytest.raises(ValueError, match="amplitude"):
+        PulseSegment(amplitude=True, phase=0.0, duration=1e-6)
 
 
 def test_spin_half_pi_pulse_closed_form():
@@ -278,3 +290,6 @@ def test_readout_noise_properties():
     for bad in (-0.1, np.nan, np.inf):
         with pytest.raises(ValueError):
             inject_readout_noise(rho, sigma=bad, seed=0)
+    for bad in (np.ones((4, 3)), np.full((4, 4), np.nan)):
+        with pytest.raises(ValueError):
+            inject_readout_noise(bad, seed=0)

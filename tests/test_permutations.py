@@ -67,6 +67,19 @@ def test_permutation_validation():
     assert p(1) == 2 and p(3) == 1
     with pytest.raises(ValueError):
         p(4)
+    # numpy integers are labels too
+    assert Permutation(np.array([2, 3, 1])).image == (2, 3, 1)
+
+
+@pytest.mark.parametrize(
+    "image",
+    [(2.7, 1.2), (2.0, 1.0), (True, 2), (np.True_, 2), (np.float64(1), 2), ("1", "2")],
+    ids=repr,
+)
+def test_permutation_refuses_entries_that_are_not_integers(image):
+    # int() would silently turn (2.7, 1.2) into (2, 1) and (True, 2) into (1, 2)
+    with pytest.raises(ValueError, match="integers"):
+        Permutation(image)
 
 
 def test_compose_and_inverse():
@@ -115,8 +128,9 @@ def test_parity_homomorphism_sweep():
 
 
 def test_classify_examples():
-    c = classify_cyclic(Permutation((2, 3, 4, 1)))
-    assert c.chirality is Chirality.POSITIVE and c.shift == 1 and c.parity is Parity.ODD
+    p = Permutation((2, 3, 4, 1))
+    c = classify_cyclic(p)
+    assert c.chirality is Chirality.POSITIVE and c.shift == 1 and parity(p) is Parity.ODD
     c = classify_cyclic(Permutation((4, 3, 2, 1)))
     assert c.chirality is Chirality.NEGATIVE and c.shift == 0
     c = classify_cyclic(Permutation((2, 1, 4, 3)))
@@ -154,7 +168,7 @@ def test_classify_matches_rotation_search():
     for p in perms:
         c = classify_cyclic(p)
         assert (c.chirality, c.shift) == search_class(p)
-        assert c.parity is cycle_parity(p)
+        assert parity(p) is cycle_parity(p)
     # d = 2: (2, 1) is both a rotation and a reflection and counts as positive
     assert classify_cyclic(Permutation((2, 1))).chirality is Chirality.POSITIVE
 
@@ -187,18 +201,20 @@ def test_enumerate_cyclic_structure():
 
     with pytest.raises(ValueError):
         enumerate_cyclic(2)
+    with pytest.raises(ValueError):
+        enumerate_cyclic(65)
 
 
 def test_chirality_equals_parity_only_at_dim3():
     for p in enumerate_cyclic(3):
         c = classify_cyclic(p)
-        assert (c.chirality is Chirality.POSITIVE) == (c.parity is Parity.EVEN)
+        assert (c.chirality is Chirality.POSITIVE) == (parity(p) is Parity.EVEN)
     # the forward rotations at d=4 alternate even/odd parity
-    pars = [classify_cyclic(rotation(4, r)).parity for r in range(4)]
+    pars = [parity(rotation(4, r)) for r in range(4)]
     assert pars == [Parity.EVEN, Parity.ODD, Parity.EVEN, Parity.ODD]
     # so chirality and parity split: (2,3,4,1) is odd but positive
-    c = classify_cyclic(Permutation((2, 3, 4, 1)))
-    assert c.chirality is Chirality.POSITIVE and c.parity is Parity.ODD
+    p = Permutation((2, 3, 4, 1))
+    assert classify_cyclic(p).chirality is Chirality.POSITIVE and parity(p) is Parity.ODD
 
 
 def test_oracle_matrix_examples():
@@ -246,6 +262,8 @@ def test_relabel_identity_and_inverse():
         p = Permutation(random_permutation_image(rng, d))
         s = Permutation(random_permutation_image(rng, d))
         assert relabel(relabel(p, s), s.inverse()).image == p.image
+    with pytest.raises(ValueError, match="size mismatch"):
+        relabel(Permutation((2, 3, 1)), sigma)
 
 
 def test_relabel_preserves_class_in_new_labels():
@@ -281,9 +299,7 @@ def test_from_string_and_json():
     assert p.image == (2, 3, 4, 1)
     with pytest.raises(ValueError):
         Permutation.from_string("2,3,x")
-    with pytest.raises(ValueError):
-        Permutation.from_string("")
-    blob = json.dumps(p.to_json())
-    assert Permutation.from_json(json.loads(blob)) == p
-    with pytest.raises(ValueError):
-        Permutation.from_json({"dim": 3, "image": [2, 3, 4, 1]})
+    for text in ("", "2,,3,1", "2, ,3,1", "2,3,"):
+        with pytest.raises(ValueError, match="malformed"):
+            Permutation.from_string(text)
+    assert json.loads(json.dumps(p.to_json())) == {"dim": 4, "image": [2, 3, 4, 1]}

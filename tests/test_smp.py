@@ -106,7 +106,7 @@ def test_same_seed_reproduces_bitwise():
     a = smp_optimize(sys, qft(4), config=cfg)
     b = smp_optimize(sys, qft(4), config=cfg)
     assert a.fidelity == b.fidelity
-    assert a.restarts_used == b.restarts_used
+    assert len(a.history) == len(b.history)
     for sa, sb in zip(a.segments, b.segments):
         assert sa.amplitude == sb.amplitude
         assert sa.phase == sb.phase
@@ -222,7 +222,7 @@ def test_restart_history_is_recorded_and_logged(caplog):
     assert not caplog.records  # silent unless the logger is configured
     with caplog.at_level(logging.DEBUG, logger="quditcycle"):
         res = smp_optimize(sys, qft(4), config=cfg)
-    assert [r.index for r in res.history] == [0, 1, 2] and res.restarts_used == 3
+    assert [r.index for r in res.history] == [0, 1, 2]
     assert res.fidelity == max(r.fidelity for r in res.history)
     for rec in res.history:
         assert 1 <= rec.nfev and 0 <= rec.nit <= cfg.max_iter and rec.seconds >= 0
