@@ -105,13 +105,16 @@ class RunReport:
     to the bare basis state |measured_index>.
     """
 
-    dim: int
     permutation: Permutation
     oracle_queries: int
     classification: Chirality
     measured_index: int | None = None
     phase: complex | None = None
     final_state: np.ndarray | None = None
+
+    @property
+    def dim(self) -> int:
+        return self.permutation.dim
 
     def to_json(self) -> dict:
         return {
@@ -175,7 +178,6 @@ def run_quantum(p: Permutation, kind: FourierKind | None = None) -> RunReport:
         raise RuntimeError(f"measured index {idx} outside the promised outcomes")
 
     return RunReport(
-        dim=d,
         permutation=p,
         oracle_queries=queries,
         classification=outcome_map[idx],
@@ -213,7 +215,6 @@ def run_classical(p: Permutation) -> RunReport:
         chi = Chirality.NOT_CYCLIC
 
     return RunReport(
-        dim=d,
         permutation=p,
         oracle_queries=queries,
         classification=chi,

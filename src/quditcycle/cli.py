@@ -15,6 +15,7 @@ falling back to the current directory.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -53,7 +54,7 @@ GATE_MAP = {
 }
 
 # OptimizerConfig fields a --config file may set; the report echoes them.
-CONFIG_KEYS = ("segments", "restarts", "seed", "min_fidelity", "max_iter")
+CONFIG_KEYS = tuple(f.name for f in dataclasses.fields(OptimizerConfig))
 
 
 def _dumps(obj) -> str:
@@ -71,6 +72,8 @@ def _error(message, code: int = EXIT_BAD_PERMUTATION) -> int:
 
 
 def cmd_run(args) -> int:
+    if args.mode == "classical" and (args.relabel or args.fourier != "general"):
+        return _error("--relabel and --fourier qutrit apply to --mode quantum only")
     try:
         p = Permutation.from_string(args.perm)
         if args.dim is not None and args.dim != p.dim:
@@ -160,7 +163,7 @@ def cmd_nmr(args) -> int:
     if args.noise_seed < 0:
         return _error(f"--noise-seed must be >= 0, got {args.noise_seed}")
 
-    flags = ("segments", "restarts", "min_fidelity")
+    flags = ("seed", "segments", "restarts", "min_fidelity")
     overrides = {k: getattr(args, k) for k in flags if getattr(args, k) is not None}
     try:
         loaded = {}
@@ -170,7 +173,7 @@ def cmd_nmr(args) -> int:
             bad = set(loaded) - set(CONFIG_KEYS)
             if bad:
                 raise ValueError(f"unknown config keys {sorted(bad)}")
-        cfg = OptimizerConfig(**{"seed": args.seed, **loaded, **overrides})
+        cfg = OptimizerConfig(**{**loaded, **overrides})
     except (OSError, ValueError, TypeError) as exc:
         return _error(f"bad optimizer config: {exc}")
 
@@ -182,9 +185,7 @@ def cmd_nmr(args) -> int:
 
     sys_ = SpinSystem()
     source = "ideal" if args.ideal else "smp"
-    result = run_protocol(
-        sys_, oracle, stage, gate_source=source, epsilon=args.epsilon, config=cfg
-    )
+    result = run_protocol(sys_, oracle, stage, gate_source=source, config=cfg)
 
     pure = result.pure_part
     if args.noise_sigma is not None:
@@ -196,7 +197,7 @@ def cmd_nmr(args) -> int:
         "oracle": oracle,
         "stage": stage,
         "gate_source": source,
-        "seed": args.seed,
+        "seed": cfg.seed,
         "epsilon": args.epsilon,
         "fidelity": result.fidelity,
         "unconverged": not result.converged,
@@ -281,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="auto",
         help="cross-check against the prefix implied by --gate",
     )
-    nmr_p.add_argument("--seed", type=int, default=0)
+    nmr_p.add_argument("--seed", type=int, default=None, help="optimizer seed (default 0); overrides --config")
     nmr_p.add_argument("--ideal", action="store_true", help="use exact gates instead of pulses")
     nmr_p.add_argument("--epsilon", type=_bounded(1.0), default=1e-5)
     nmr_p.add_argument("--config", default=None, help="JSON file with optimizer settings")

@@ -14,10 +14,10 @@ Two oracle representatives are wired in, matching the demonstrated cases:
 SMP pulse synthesis ("smp"); in the latter case the convergence flag of the
 underlying search is surfaced on the result.
 
-Fidelity is always quoted for the epsilon-component of the pseudo-pure
-state, i.e. the pure part rho_1 in rho = (1 - eps)/d * 1 + eps * rho_1,
-which is what a deviation-matrix readout reconstructs.  Unitary evolution
-is linear, so rho_1 is propagated exactly alongside the identity part.
+A run evolves the pure part rho_1 of the pseudo-pure state
+rho = (1 - eps)/d * 1 + eps * rho_1, which a deviation-matrix readout
+reconstructs, and quotes its fidelity.  Unitary evolution leaves the
+identity part alone, so the caller mixes it in with nmr.pseudo_pure.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import numpy as np
 
 from .algorithm import qft
 from .linalg import adjoint, basis_state, fidelity, outer
-from .nmr import SpinSystem, pseudo_pure, sequence_propagator
+from .nmr import SpinSystem, sequence_propagator
 from .permutations import Permutation, oracle_unitary
 from .smp import OptimizerConfig, SmpResult, smp_optimize
 
@@ -64,9 +64,8 @@ def theory_state(oracle: str, stage: str) -> np.ndarray:
 
 @dataclass
 class ProtocolResult:
-    """Full density matrix, its pure part, and the fidelity to theory."""
+    """The evolved pure part, its fidelity to theory, and the pulse search if one ran."""
 
-    rho: np.ndarray
     pure_part: np.ndarray  # rho_1, the epsilon-component as a density matrix
     fidelity: float
     smp: SmpResult | None
@@ -87,10 +86,9 @@ def run_protocol(
     oracle: str,
     stage: str,
     gate_source: str = "ideal",
-    epsilon: float = 1e-5,
     config: OptimizerConfig | None = None,
 ) -> ProtocolResult:
-    """Evolve the pseudo-pure |2> through the requested circuit prefix."""
+    """Evolve the pure part |2><2| of the pseudo-pure state through the requested circuit prefix."""
     if sys.dim != 4:
         raise ValueError(f"the protocol runs on a four-level system, got dim {sys.dim}")
     if gate_source not in ("ideal", "smp"):
@@ -105,7 +103,6 @@ def run_protocol(
     start = basis_state(4, PREPARED_INDEX)
     pure = u @ outer(start) @ u.conj().T
     return ProtocolResult(
-        rho=pseudo_pure(pure, epsilon),
         pure_part=pure,
         fidelity=fidelity(pure, target_u @ start),
         smp=smp_result,

@@ -34,11 +34,17 @@ from typing import NamedTuple
 import numpy as np
 from scipy.optimize import Bounds, minimize
 
-from .linalg import check_finite
+from .linalg import check_finite, validate_unitary
 from .nmr import PulseSegment, SpinSystem, _forward
 
 log = logging.getLogger("quditcycle")
 
+# The rf window: amplitude up to 50 kHz, segment length 1 .. 200 us.  It spans
+# several quadrupolar periods at the default 10 kHz splitting, enough
+# nonlinearity for generic spin-3/2 gates.
+AMP_MAX_HZ = 50e3
+DUR_MIN_S = 1e-6
+DUR_MAX_S = 200e-6
 # L-BFGS-B's first step is a unit-length projected-gradient step; in a [0, 1]
 # box it lands in a corner, so amplitude and duration are searched in [0, 10].
 SEARCH_SCALE = 10.0
@@ -48,17 +54,14 @@ OBJECTIVE_TOL = 1e-9
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Search budget and hardware window for SMP synthesis.
+    """Search budget for SMP synthesis inside the fixed rf window.
 
     max_iter caps both the L-BFGS-B iterations and the objective-plus-
     gradient evaluations of one restart.  The search keeps one correction
-    pair per parameter (3 * segments).  The rf window (amplitude up to
-    50 kHz, segment length 1 .. 200 us) spans several quadrupolar periods
-    at the default 10 kHz splitting, enough nonlinearity for generic
-    spin-3/2 gates.  Six segments carry 18
-    parameters, comfortably over the 15 a four-level gate needs, so random
-    restarts land above min_fidelity within a try or two; shorter trains
-    reach the target only marginally and unreliably.
+    pair per parameter (3 * segments).  Six segments carry 18 parameters,
+    comfortably over the 15 a four-level gate needs, so random restarts land
+    above min_fidelity within a try or two; shorter trains reach the target
+    only marginally and unreliably.
     """
 
     segments: int = 6
@@ -66,24 +69,16 @@ class OptimizerConfig:
     seed: int = 0
     min_fidelity: float = 0.995
     max_iter: int = 6000
-    amp_max_hz: float = 50e3
-    dur_min_s: float = 1e-6
-    dur_max_s: float = 200e-6
 
     def __post_init__(self):
-        # NaN passes every comparison below and an infinite window reaches the
-        # search, which then fails inside the eigensolver
-        check_finite(self, "min_fidelity", "amp_max_hz", "dur_min_s", "dur_max_s")
+        # True would compare as 1 and be taken as a fidelity target
+        check_finite(self, "min_fidelity")
         if self.segments < 1:
             raise ValueError("need at least one segment")
         if self.restarts < 1:
             raise ValueError("need at least one restart")
         if not 0 < self.min_fidelity <= 1:
             raise ValueError("min_fidelity must be in (0, 1]")
-        if self.dur_min_s <= 0 or self.dur_max_s <= self.dur_min_s:
-            raise ValueError("need 0 < dur_min_s < dur_max_s")
-        if self.amp_max_hz <= 0:
-            raise ValueError("amp_max_hz must be > 0")
         if self.seed < 0 or self.max_iter < 1:
             raise ValueError("need seed >= 0 and max_iter >= 1")
         for name in ("segments", "restarts", "seed", "max_iter"):
@@ -105,7 +100,6 @@ def gate_fidelity(u: np.ndarray, v: np.ndarray) -> float:
 class RestartRecord:
     """What one optimizer restart did: its final fidelity, cost and stop reason."""
 
-    index: int
     fidelity: float
     nfev: int
     nit: int
@@ -132,14 +126,14 @@ class _Box(NamedTuple):
     offset: np.ndarray
 
 
-def _search_box(n: int, cfg: OptimizerConfig) -> _Box:
+def _search_box(n: int) -> _Box:
     """Box of an n-segment search: n amplitudes and n durations in [0, SEARCH_SCALE], n phases in turns."""
-    span = (2 * np.pi * cfg.amp_max_hz / SEARCH_SCALE, 2 * np.pi, (cfg.dur_max_s - cfg.dur_min_s) / SEARCH_SCALE)
+    span = (2 * np.pi * AMP_MAX_HZ / SEARCH_SCALE, 2 * np.pi, (DUR_MAX_S - DUR_MIN_S) / SEARCH_SCALE)
     return _Box(
         np.repeat([0.0, -np.inf, 0.0], n),
         np.repeat([SEARCH_SCALE, np.inf, SEARCH_SCALE], n),
         np.repeat(span, n),
-        np.repeat([0.0, 0.0, cfg.dur_min_s], n),
+        np.repeat([0.0, 0.0, DUR_MIN_S], n),
     )
 
 
@@ -207,16 +201,17 @@ def smp_optimize(
     to reach the threshold is reported through converged=False rather than
     an exception, so callers can inspect the best attempt.  Each restart is
     recorded in SmpResult.history and logged at DEBUG level on the
-    "quditcycle" logger.
+    "quditcycle" logger.  A target that is not a unitary of the system's
+    dimension raises ValueError.
     """
     cfg = config or OptimizerConfig()
     n = cfg.segments
 
-    target = np.asarray(target, dtype=complex)
+    target = validate_unitary(target)
     if target.shape != (sys.dim, sys.dim):
         raise ValueError(f"target shape {target.shape} does not match system dim {sys.dim}")
 
-    box = _search_box(n, cfg)
+    box = _search_box(n)
     bounds = Bounds(box.lower, box.upper)
 
     best_y: np.ndarray | None = None
@@ -250,7 +245,7 @@ def smp_optimize(
             },
         )
         fid = 1.0 - float(res.fun)
-        record = RestartRecord(k, fid, int(res.nfev), int(res.nit), str(res.message), perf_counter() - t0)
+        record = RestartRecord(fid, int(res.nfev), int(res.nit), str(res.message), perf_counter() - t0)
         history.append(record)
         log.debug(
             "smp restart %d: fidelity %.9f, %d evaluations, %d iterations, %.3f s, %s",

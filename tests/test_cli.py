@@ -73,6 +73,19 @@ def test_run_relabeled(capsys):
     assert blob["classification"] == "positive-cyclic"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["--perm", "3,1,4,2", "--relabel", "2,1,3,4"], ["--perm", "2,3,1", "--fourier", "qutrit"]],
+    ids=["relabel", "qutrit"],
+)
+def test_run_classical_refuses_quantum_only_flags(argv, capsys):
+    # classical mode dropped both silently: 3,1,4,2 relabeled by 2,1,3,4 is
+    # positive-cyclic, yet it answered not-cyclic with exit 0
+    code, out, err = run_cli(capsys, "run", *argv, "--mode", "classical", "--json")
+    assert code == EXIT_BAD_PERMUTATION
+    assert out == "" and err.startswith("error:") and len(err.splitlines()) == 1
+
+
 def test_run_not_cyclic_exit(capsys):
     code, _, err = run_cli(capsys, "run", "--perm", "1,3,2,4")
     assert code == EXIT_NOT_CYCLIC
@@ -278,6 +291,18 @@ def test_nmr_noise_flag(tmp_path, capsys):
     assert np.max(np.abs(dev_re - np.diag(np.diag(dev_re)))) > 0  # noise is visible
     rho_re = read_csv_matrix(tmp_path / "fullpos_rho_re.csv")
     assert abs(np.trace(rho_re) - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("seed_flag, want", [([], 1), (["--seed", "3"], 3)], ids=["config", "flag"])
+def test_nmr_seed_flag_overrides_config_and_is_reported(seed_flag, want, tmp_path, capsys):
+    # a config file's seed used to beat --seed, while the report quoted the flag
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seed": 1}))
+    argv = ["nmr", "--gate", "qft", "--ideal", "--config", str(cfg), *seed_flag, "--out", str(tmp_path), "--json"]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == EXIT_OK
+    report = json.loads(out)
+    assert report["seed"] == report["config"]["seed"] == want
 
 
 def test_nmr_bad_config_rejected(tmp_path, capsys):

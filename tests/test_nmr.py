@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quditcycle.linalg import basis_state, validate_density, validate_unitary
-from quditcycle.smp import OptimizerConfig
+from quditcycle.smp import AMP_MAX_HZ, DUR_MAX_S, DUR_MIN_S
 from quditcycle.nmr import (
     PulseSegment,
     SpinSystem,
@@ -168,20 +168,20 @@ def reference_fold(sys, segments):
 def test_engine_matches_the_per_segment_fold(spin):
     # the engine diagonalizes a real matrix in the rf-phase frame, not the
     # complex Hamiltonian, so it agrees with the reference to rounding, not bitwise
-    sys, cfg = SpinSystem(spin=spin), OptimizerConfig()
+    sys = SpinSystem(spin=spin)
     rng = np.random.default_rng(9100)
     for case in range(300):
         n = 1 if case % 10 == 0 else int(rng.integers(2, 9))
         rows = np.column_stack(
             [
-                TWO_PI * cfg.amp_max_hz * rng.random(n),
+                TWO_PI * AMP_MAX_HZ * rng.random(n),
                 TWO_PI * rng.uniform(-2, 2, n),
-                rng.uniform(cfg.dur_min_s, cfg.dur_max_s, n),
+                rng.uniform(DUR_MIN_S, DUR_MAX_S, n),
             ]
         )
         rows[rng.random(n) < 0.25, 0] = 0.0
-        rows[rng.random(n) < 0.2, 2] = cfg.dur_min_s
-        rows[rng.random(n) < 0.2, 2] = cfg.dur_max_s
+        rows[rng.random(n) < 0.2, 2] = DUR_MIN_S
+        rows[rng.random(n) < 0.2, 2] = DUR_MAX_S
         segs = [PulseSegment(*row) for row in rows.tolist()]
         u = sequence_propagator(sys, segs)
         assert np.abs(u - reference_fold(sys, segs)).max() <= fold_tolerance(spin)
@@ -194,9 +194,9 @@ def test_engine_matches_the_per_segment_fold(spin):
     spin=st.sampled_from(list(SPINS.values())),
     train=st.lists(
         st.tuples(
-            st.floats(0.0, TWO_PI * 50e3),
+            st.floats(0.0, TWO_PI * AMP_MAX_HZ),
             st.floats(-2 * TWO_PI, 2 * TWO_PI),
-            st.floats(1e-6, 200e-6),
+            st.floats(DUR_MIN_S, DUR_MAX_S),
         ),
         min_size=1,
         max_size=8,
@@ -218,7 +218,7 @@ def test_segment_hamiltonian_factors_through_the_phase_frame(spin):
     h0 = static_hamiltonian(sys, "rotating")
     reverse = np.eye(sys.dim)[::-1]
     rng = np.random.default_rng([31, sys.dim])
-    for amp, phase in zip(TWO_PI * 50e3 * rng.random(20), TWO_PI * rng.uniform(-2, 2, 20)):
+    for amp, phase in zip(TWO_PI * AMP_MAX_HZ * rng.random(20), TWO_PI * rng.uniform(-2, 2, 20)):
         h = h0 + amp * ix
         assert not h.imag.any() and np.array_equal(h, h.T)
         assert np.array_equal(reverse @ h @ reverse, h)

@@ -5,7 +5,7 @@ import pytest
 
 from quditcycle.algorithm import qft
 from quditcycle.linalg import basis_state, equal_up_to_global_phase, validate_density
-from quditcycle.nmr import SpinSystem
+from quditcycle.nmr import SpinSystem, pseudo_pure
 from quditcycle.permutations import oracle_unitary
 from quditcycle.protocol import (
     ORACLES,
@@ -53,10 +53,7 @@ def test_ideal_runs_hit_theory_exactly():
         assert res.converged is True
         assert res.smp is None
         assert res.dominant_index == want_idx
-        validate_density(res.rho)
-        # full state is the epsilon mixture of identity and the pure part
-        mix = (1 - 1e-5) / 4 * np.eye(4) + 1e-5 * res.pure_part
-        assert np.max(np.abs(res.rho - mix)) < 1e-18
+        validate_density(res.pure_part)
 
     res = run_protocol(sys, "positive", "after_qft")
     assert abs(res.fidelity - 1.0) < 1e-10
@@ -65,9 +62,10 @@ def test_ideal_runs_hit_theory_exactly():
 
 def test_epsilon_controls_the_mixture():
     sys = SpinSystem()
-    res = run_protocol(sys, "positive", "full", epsilon=0.5)
+    res = run_protocol(sys, "positive", "full")
     assert abs(res.fidelity - 1.0) < 1e-10  # quoted on the pure part only
-    assert abs(res.rho[1, 1].real - (0.125 + 0.5)) < 1e-12
+    # the caller mixes in the background, as the nmr command does
+    assert abs(pseudo_pure(res.pure_part, 0.5)[1, 1].real - (0.125 + 0.5)) < 1e-12
 
 
 def test_run_protocol_validation():
@@ -89,7 +87,7 @@ def test_smp_source_plumbs_through_and_flags_convergence():
     assert res.smp is not None
     assert res.converged is res.smp.converged
     assert res.fidelity > 0.5
-    validate_density(res.rho)
+    validate_density(res.pure_part)
 
     starved = OptimizerConfig(segments=1, restarts=1, seed=0, min_fidelity=0.9999, max_iter=30)
     res = run_protocol(sys, "negative", "full", gate_source="smp", config=starved)

@@ -43,8 +43,6 @@ def test_config_validation():
         OptimizerConfig(restarts=0)
     with pytest.raises(ValueError):
         OptimizerConfig(min_fidelity=1.5)
-    with pytest.raises(ValueError):
-        OptimizerConfig(dur_min_s=5e-6, dur_max_s=1e-6)
     # both used to fail only inside the search: numpy refuses a negative
     # seed, and max_iter = 0 tripped an assertion
     with pytest.raises(ValueError):
@@ -65,9 +63,9 @@ def test_config_validation():
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, True], ids=repr)
 @pytest.mark.parametrize("name", ["amp_max_hz", "dur_min_s", "dur_max_s"])
 def test_config_rejects_a_non_finite_window(name, value):
-    # NaN passed every range check and infinity most of them; the search then
-    # died inside the eigensolver.  True was taken as 1 Hz or 1 s.
-    with pytest.raises(ValueError, match=name):
+    # a NaN or infinite window used to reach the eigensolver; the window is now
+    # the fixed AMP_MAX_HZ, DUR_MIN_S and DUR_MAX_S, and no config can carry one
+    with pytest.raises(TypeError, match=name):
         OptimizerConfig(**{name: value})
 
 
@@ -89,15 +87,13 @@ def test_recovers_pi_pulse_on_spin_half():
     sys = SpinSystem(spin=0.5, larmor_freq=TWO_PI * 500e6, quad_freq=0.0)
     ix, _, _ = spin_operators(0.5)
     target = np.array([[0, -1j], [-1j, 0]])  # exp(-i pi Ix)
-    cfg = OptimizerConfig(
-        segments=1, restarts=12, seed=0, min_fidelity=0.9999, dur_min_s=1e-6, dur_max_s=15e-6
-    )
+    cfg = OptimizerConfig(segments=1, restarts=12, seed=0, min_fidelity=0.9999)
     res = smp_optimize(sys, target, config=cfg)
     assert res.converged and res.fidelity >= 0.9999
     seg = res.segments[0]
     area = seg.amplitude * seg.duration
-    # pulse area must come out at pi (mod 2 pi; window is too short for 3 pi)
-    assert abs(area - np.pi) / np.pi < 0.01
+    # pulse area must come out at pi mod 2 pi; the window reaches 20 pi
+    assert abs(np.angle(np.exp(1j * (area - np.pi)))) / np.pi < 0.01
 
 
 def test_same_seed_reproduces_bitwise():
@@ -119,6 +115,16 @@ def test_more_restarts_never_hurt():
     small = smp_optimize(sys, qft(4), config=OptimizerConfig(restarts=1, **base))
     big = smp_optimize(sys, qft(4), config=OptimizerConfig(restarts=4, **base))
     assert big.fidelity >= small.fidelity
+
+
+@pytest.mark.parametrize(
+    "target", [3 * np.eye(4), np.zeros((4, 4)), np.full((4, 4), np.nan)], ids=["3I", "zeros", "nan"]
+)
+def test_rejects_a_target_that_is_not_unitary(target):
+    # 3 I came back with fidelity 2.87 and converged=True; NaN died in eigh
+    cfg = OptimizerConfig(segments=1, restarts=1, max_iter=5)
+    with pytest.raises(ValueError, match="not unitary|NaN"):
+        smp_optimize(SpinSystem(), target, config=cfg)
 
 
 def test_unconverged_is_flagged_not_raised():
@@ -172,8 +178,8 @@ def seeded_train(rng, n):
     """Unit-box vector of an n-segment train with amplitude 0 and both duration edges in it."""
     x = np.concatenate([rng.uniform(0.05, 0.95, n), rng.uniform(-1.0, 2.0, n), rng.uniform(0.05, 0.95, n)])
     x[0] = 0.0  # rf off: the drift's degenerate eigenvalues
-    x[2 * n] = 0.0  # dur_min_s
-    x[-1] = 1.0  # dur_max_s
+    x[2 * n] = 0.0  # DUR_MIN_S
+    x[-1] = 1.0  # DUR_MAX_S
     return x
 
 
@@ -185,7 +191,7 @@ SPINS = {"spin-3/2": SpinSystem(), "spin-1/2": SPIN_HALF, "spin-1": SpinSystem(s
 def test_gradient_matches_finite_differences(sys, n):
     # the search vector is the unit box x stretched to [0, SEARCH_SCALE] in
     # amplitude and duration; the test differentiates in x, as it always has
-    box = _search_box(n, OptimizerConfig(segments=n))
+    box = _search_box(n)
     unit = np.repeat([SEARCH_SCALE, 1.0, SEARCH_SCALE], n)
     rng = np.random.default_rng([7, n, sys.dim])
     for _ in range(3):
@@ -209,7 +215,7 @@ def test_zero_trace_gives_zero_gradient():
     # rf off and no quadrupolar splitting: U is exactly the identity, and
     # Tr(diag(1, -1)^dag U) = 0 exactly, where the modulus has no gradient
     y = np.array([0.0, 0.0, 0.3, 1.2, 2.0, 7.0])
-    box = _search_box(2, OptimizerConfig(segments=2))
+    box = _search_box(2)
     value, grad = _objective(y, SPIN_HALF, np.diag([1.0, -1.0]).astype(complex), box)
     assert value == 1.0
     assert np.all(np.isfinite(grad)) and not grad.any()
@@ -222,7 +228,7 @@ def test_restart_history_is_recorded_and_logged(caplog):
     assert not caplog.records  # silent unless the logger is configured
     with caplog.at_level(logging.DEBUG, logger="quditcycle"):
         res = smp_optimize(sys, qft(4), config=cfg)
-    assert [r.index for r in res.history] == [0, 1, 2]
+    assert len(res.history) == 3
     assert res.fidelity == max(r.fidelity for r in res.history)
     for rec in res.history:
         assert 1 <= rec.nfev and 0 <= rec.nit <= cfg.max_iter and rec.seconds >= 0
