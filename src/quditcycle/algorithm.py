@@ -18,6 +18,7 @@ claims rather than assumed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -49,6 +50,8 @@ class FourierKind:
     def __post_init__(self):
         if self.variant not in FOURIER_VARIANTS:
             raise ValueError(f"Fourier variant must be one of {FOURIER_VARIANTS}, got {self.variant!r}")
+        if self.relabeling is not None and not isinstance(self.relabeling, Permutation):
+            raise ValueError(f"relabeling must be a Permutation or None, got {self.relabeling!r}")
 
     @staticmethod
     def standard(relabeling: Permutation | None = None) -> "FourierKind":
@@ -57,6 +60,15 @@ class FourierKind:
     @staticmethod
     def qutrit_spin(relabeling: Permutation | None = None) -> "FourierKind":
         return FourierKind("qutrit", relabeling)
+
+
+@lru_cache(maxsize=None)
+def _fourier(d: int, variant: str) -> np.ndarray:
+    """Read-only unrelabeled Fourier matrix; one entry per valid (d, variant)."""
+    labels = np.array([1, 0, -1]) if variant == "qutrit" else np.arange(d)
+    f = np.exp(2j * np.pi * np.outer(labels, labels) / d) / np.sqrt(d)
+    f.flags.writeable = False
+    return f
 
 
 def qft(dim: int, kind: FourierKind | None = None) -> np.ndarray:
@@ -69,25 +81,25 @@ def qft(dim: int, kind: FourierKind | None = None) -> np.ndarray:
     At d = 2 the standard matrix is the Hadamard transform.
 
     A relabeling permutation sigma turns F into P_sigma F, which runs the
-    same algorithm on sigma-relabeled basis states.
+    same algorithm on sigma-relabeled basis states; it is taken as a row
+    gather, which has the same bits as the product with the 0/1 matrix.
+
+    The matrix is built once per (dim, variant) per process; the returned
+    array is a fresh one that belongs to the caller.
     """
     d = check_dim(dim)
     if d < 2:
         raise ValueError(f"Fourier transform needs dim >= 2, got {d}")
     kind = kind or FourierKind()
-    if kind.variant == "qutrit":
-        if d != 3:
-            raise ValueError("the qutrit spin variant is only defined for dim 3")
-        labels = np.array([1, 0, -1])
-    else:
-        labels = np.arange(d)
-    f = np.exp(2j * np.pi * np.outer(labels, labels) / d) / np.sqrt(d)
+    if kind.variant == "qutrit" and d != 3:
+        raise ValueError("the qutrit spin variant is only defined for dim 3")
     sigma = kind.relabeling
-    if sigma is not None:
-        if sigma.dim != d:
-            raise ValueError(f"size mismatch: {sigma.dim} vs {d}")
-        f = oracle_unitary(sigma) @ f
-    return f
+    if sigma is not None and sigma.dim != d:
+        raise ValueError(f"size mismatch: {sigma.dim} vs {d}")
+    f = _fourier(d, kind.variant)
+    if sigma is None:
+        return f.copy()
+    return f[[x - 1 for x in sigma.inverse().image]]
 
 
 def initial_index(kind: FourierKind | None = None) -> int:

@@ -15,7 +15,7 @@ from quditcycle.algorithm import (
     run_classical,
     run_quantum,
 )
-from quditcycle.linalg import basis_state, equal_up_to_global_phase
+from quditcycle.linalg import MAX_DIM, basis_state, equal_up_to_global_phase
 from quditcycle.permutations import (
     Chirality,
     Permutation,
@@ -94,10 +94,13 @@ def test_qft_unitarity():
 def test_qft_validation():
     with pytest.raises(ValueError):
         qft(1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="only defined for dim 3"):
         qft(4, FourierKind.qutrit_spin())
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="size mismatch"):
         qft(4, FourierKind.standard(Permutation((1, 3, 2))))
+    # a refused call leaves no trace in the per-dimension cache
+    assert np.max(np.abs(qft(3, FourierKind.qutrit_spin()) - QFT3_SPIN)) < 1e-12
+    assert np.max(np.abs(qft(4) - QFT4)) < 1e-12
 
 
 def test_spin_variant_columns_match_standard_up_to_phase():
@@ -179,6 +182,13 @@ def test_fourier_kind_names_its_convention():
     assert (initial_index(FourierKind("general")), initial_index(FourierKind("qutrit"))) == (2, 1)
     with pytest.raises(ValueError):
         FourierKind("spin")
+
+
+@pytest.mark.parametrize("relabeling", [(1, 3, 2), [1, 3, 2], "132"])
+def test_fourier_kind_rejects_relabeling_that_is_not_a_permutation(relabeling):
+    # refused at construction, not later inside run_quantum
+    with pytest.raises(ValueError, match="relabeling must be a Permutation"):
+        FourierKind("general", relabeling)
 
 
 def test_run_quantum_deterministic_across_dims():
@@ -301,6 +311,85 @@ def test_relabeled_family_tabulation_matches_convention():
     assert pos_seqs == [(1, 3, 2, 4), (3, 2, 4, 1), (2, 4, 1, 3), (4, 1, 3, 2)]
     neg_seqs = {tuple(relabel(reflection(4, r), sigma).compose(sigma).image) for r in range(4)}
     assert {(4, 2, 3, 1), (2, 3, 1, 4), (3, 1, 4, 2)} <= neg_seqs
+
+
+def _dense_permutation_matrix(p):
+    """U[p(x)-1, x-1] = 1, written out entry by entry."""
+    u = np.zeros((p.dim, p.dim), dtype=complex)
+    for x in range(p.dim):
+        u[p.image[x] - 1, x] = 1.0
+    return u
+
+
+def _dense_qft(d, kind):
+    """The Fourier matrix built from scratch, relabeled by a dense product."""
+    labels = np.array([1, 0, -1]) if kind.variant == "qutrit" else np.arange(d)
+    f = np.exp(2j * np.pi * np.outer(labels, labels) / d) / np.sqrt(d)
+    if kind.relabeling is not None:
+        f = _dense_permutation_matrix(kind.relabeling) @ f
+    return f
+
+
+def _assert_run_matches_dense_circuit(p, kind, f, f_dag):
+    rep = run_quantum(p, kind)
+    start = basis_state(p.dim, initial_index(kind))
+    psi = f_dag @ (_dense_permutation_matrix(p) @ (f @ start))
+    idx = int(np.argmax(np.abs(psi) ** 2)) + 1
+    amp = psi[idx - 1]
+    assert rep.final_state.tobytes() == psi.tobytes()
+    assert rep.measured_index == idx
+    assert np.array([rep.phase]).tobytes() == np.array([amp / abs(amp)]).tobytes()
+    return rep
+
+
+def test_run_quantum_bitwise_matches_dense_circuit_up_to_max_dim():
+    # the goldens pin d <= 8; this pins every cyclic input up to MAX_DIM,
+    # plus seeded relabelings, against F rebuilt per call the dense way
+    rng = np.random.default_rng(20140)
+    relabeled_dims = (3, 4, 5, 8, 13, 31, 64)
+    for d in range(3, MAX_DIM + 1):
+        table = phase_table(d)
+        kinds = [FourierKind()]
+        if d in relabeled_dims:
+            kinds += [FourierKind.standard(Permutation(tuple(rng.permutation(d) + 1))) for _ in range(2)]
+        for kind in kinds:
+            f = _dense_qft(d, kind)
+            f_dag = f.conj().T
+            sigma = kind.relabeling
+            for r in range(d):
+                for chi, family in ((Chirality.POSITIVE, rotation), (Chirality.NEGATIVE, reflection)):
+                    p = family(d, r) if sigma is None else relabel(family(d, r), sigma)
+                    rep = _assert_run_matches_dense_circuit(p, kind, f, f_dag)
+                    assert rep.classification is chi
+                    assert abs(rep.phase - table[(chi, r)]) < 1e-10
+    kind = FourierKind.qutrit_spin()
+    f = _dense_qft(3, kind)
+    for img in QUTRIT_FAMILY:
+        _assert_run_matches_dense_circuit(Permutation(img), kind, f, f.conj().T)
+
+
+def test_qft_returns_arrays_the_caller_owns():
+    sigma = Permutation((3, 1, 4, 2, 5))
+    cases = [
+        (5, FourierKind(), rotation(5, 2)),
+        (3, FourierKind.qutrit_spin(), Permutation((2, 3, 1))),
+        (5, FourierKind.standard(sigma), relabel(reflection(5, 1), sigma)),
+    ]
+    for d, kind, probe in cases:
+        want = _dense_qft(d, kind)
+        before = run_quantum(probe, kind)
+        got = qft(d, kind)
+        assert got.flags.writeable and not np.shares_memory(got, qft(d, kind))
+        got[:] = 0
+        assert qft(d, kind).tobytes() == want.tobytes()
+        after = run_quantum(probe, kind)
+        assert after.final_state.tobytes() == before.final_state.tobytes()
+        assert (after.measured_index, after.phase) == (before.measured_index, before.phase)
+    assert qft(5).tobytes() == _dense_qft(5, FourierKind()).tobytes()
+    for d in (4, 17, 64):
+        sigma = Permutation(tuple(np.random.default_rng(d).permutation(d) + 1))
+        relabeled = qft(d, FourierKind.standard(sigma))
+        assert relabeled.tobytes() == (oracle_unitary(sigma) @ qft(d)).tobytes()
 
 
 def test_report_json_shape():
