@@ -22,7 +22,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .linalg import basis_state, check_dim, vector_to_json
+from .linalg import check_dim, vector_to_json
 from .permutations import (
     Chirality,
     Permutation,
@@ -69,6 +69,14 @@ def _fourier(d: int, variant: str) -> np.ndarray:
     f = np.exp(2j * np.pi * np.outer(labels, labels) / d) / np.sqrt(d)
     f.flags.writeable = False
     return f
+
+
+@lru_cache(maxsize=None)
+def _fourier_conj(d: int, variant: str) -> np.ndarray:
+    """Read-only conj(_fourier(d, variant)); its transpose is F^dag."""
+    fc = _fourier(d, variant).conj()
+    fc.flags.writeable = False
+    return fc
 
 
 def qft(dim: int, kind: FourierKind | None = None) -> np.ndarray:
@@ -157,9 +165,14 @@ def run_quantum(p: Permutation, kind: FourierKind | None = None) -> RunReport:
     if d < 3:
         raise ValueError(f"quantum classification needs dim >= 3, got {d}")
     f = qft(d, kind)
+    f_conj = _fourier_conj(d, kind.variant)
+    base = p
     sigma = kind.relabeling
-    promise = classify_cyclic(p if sigma is None else relabel(p, sigma.inverse()))
-    if promise.chirality is Chirality.NOT_CYCLIC:
+    if sigma is not None:
+        inv = sigma.inverse()
+        base = relabel(p, inv)
+        f_conj = f_conj[[x - 1 for x in inv.image]]  # conj(P_sigma F): the rows qft gathers
+    if classify_cyclic(base).chirality is Chirality.NOT_CYCLIC:
         raise NotCyclicError(
             f"permutation {p.image} is not cyclic in the requested labeling"
         )
@@ -172,9 +185,8 @@ def run_quantum(p: Permutation, kind: FourierKind | None = None) -> RunReport:
         return oracle_unitary(p) @ state
 
     start = initial_index(kind)
-    psi = f @ basis_state(d, start)
-    psi = call_oracle(psi)
-    psi = f.conj().T @ psi
+    psi = call_oracle(f[:, start - 1])  # F|start>
+    psi = f_conj.T @ psi
 
     probs = np.abs(psi) ** 2
     idx = int(np.argmax(probs)) + 1
@@ -234,22 +246,25 @@ def run_classical(p: Permutation) -> RunReport:
 
 
 def one_query_insufficient(dim: int) -> bool:
-    """Brute-force check that one classical value query cannot decide chirality.
+    """Exhaustive check that one classical value query cannot decide chirality.
 
     For every query x and every answer y, the cyclic permutations consistent
     with f(x) = y must include both chiralities; then a single answer never
-    determines the class.  Exhaustive over all 2d cyclic permutations.
+    determines the class.  Equivalently, for each x the images p(x) of the
+    positive members, and those of the negative members, must each cover
+    all of 1..d; the scan reads those d * 2d images over all 2d cyclic
+    permutations, each classed by classify_cyclic.
     """
-    if not 3 <= dim <= 8:
+    d = check_dim(dim)
+    if not 3 <= d <= 8:
         raise ValueError(f"supported range is 3 <= dim <= 8, got {dim}")
-    family = enumerate_cyclic(dim)
-    classes = {p: classify_cyclic(p).chirality for p in family}
-    for x in range(1, dim + 1):
-        for y in range(1, dim + 1):
-            seen = {classes[p] for p in family if p(x) == y}
-            if not {Chirality.POSITIVE, Chirality.NEGATIVE} <= seen:
-                return False
-    return True
+    classes = [(classify_cyclic(p).chirality, p.image) for p in enumerate_cyclic(d)]
+    labels = set(range(1, d + 1))
+    return all(
+        {img[x] for chi, img in classes if chi is chirality} == labels
+        for chirality in (Chirality.POSITIVE, Chirality.NEGATIVE)
+        for x in range(d)
+    )
 
 
 def phase_table(dim: int) -> dict[tuple[Chirality, int], complex]:

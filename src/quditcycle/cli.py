@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -247,7 +248,9 @@ def _bounded(upper: float):
     return parse
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parsing leaves it unchanged."""
     ap = argparse.ArgumentParser(
         prog="quditcycle",
         description="Classify cyclic permutations with one quantum query on a single qudit.",
@@ -267,12 +270,10 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--relabel", default=None, help="relabeling permutation, e.g. \"1,3,2,4\"")
     run_p.add_argument("--json", action="store_true", help="machine-readable output only")
     run_p.add_argument("--out", default=None, help="write the report JSON to this file")
-    run_p.set_defaults(func=cmd_run)
 
     ver_p = sub.add_parser("verify", help="check the simulator's promises over a range of dims")
     ver_p.add_argument("--dmax", type=int, default=8, choices=range(3, 13), metavar="3..12")
     ver_p.add_argument("--json", action="store_true")
-    ver_p.set_defaults(func=cmd_verify)
 
     nmr_p = sub.add_parser("nmr", help="run the spin-3/2 pulse protocol")
     nmr_p.add_argument("--gate", required=True, choices=sorted(GATE_MAP))
@@ -293,14 +294,14 @@ def build_parser() -> argparse.ArgumentParser:
     nmr_p.add_argument("--noise-seed", type=int, default=0)
     nmr_p.add_argument("--out", default=None, help="output directory (default $QUDITCYCLE_OUTDIR)")
     nmr_p.add_argument("--json", action="store_true")
-    nmr_p.set_defaults(func=cmd_nmr)
 
     return ap
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    # looked up by name on each call, so a replaced module attribute takes effect
+    return globals()[f"cmd_{args.command}"](args)
 
 
 if __name__ == "__main__":

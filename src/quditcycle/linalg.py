@@ -23,9 +23,16 @@ DEFAULT_TOL = 1e-10
 
 
 def check_dim(dim: int) -> int:
-    """Validate a Hilbert-space dimension and return it as an int."""
-    d = int(dim)
-    if d != dim or d < 1 or d > MAX_DIM:
+    """Validate a Hilbert-space dimension and return it as an int.
+
+    Integral values of any numeric type pass (3, numpy 3, 3.0); booleans,
+    fractions, strings, None, NaN and Inf raise ValueError.
+    """
+    try:
+        d = int(dim)
+    except (TypeError, ValueError, OverflowError):
+        d = None
+    if isinstance(dim, (bool, np.bool_)) or d is None or d != dim or not 1 <= d <= MAX_DIM:
         raise ValueError(f"dimension must be an integer in [1, {MAX_DIM}], got {dim!r}")
     return d
 

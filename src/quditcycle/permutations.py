@@ -15,7 +15,7 @@ from enum import Enum
 
 import numpy as np
 
-from .linalg import MAX_DIM
+from .linalg import MAX_DIM, check_dim
 
 
 class Chirality(Enum):
@@ -55,6 +55,8 @@ class Permutation:
         return len(self.image)
 
     def __call__(self, x: int) -> int:
+        if isinstance(x, bool) or not isinstance(x, (int, np.integer)):
+            raise ValueError(f"argument must be an integer label, got {x!r}")
         if not 1 <= x <= self.dim:
             raise ValueError(f"argument must be in 1..{self.dim}, got {x}")
         return self.image[x - 1]
@@ -112,12 +114,14 @@ def parity(p: Permutation) -> Parity:
 
 def rotation(dim: int, r: int) -> Permutation:
     """Positive cyclic permutation x -> ((x - 1 + r) mod d) + 1."""
-    return Permutation(tuple((x + r) % dim + 1 for x in range(dim)))
+    d = check_dim(dim)
+    return Permutation(tuple((x + r) % d + 1 for x in range(d)))
 
 
 def reflection(dim: int, r: int) -> Permutation:
     """Negative cyclic permutation x -> ((r - x) mod d) + 1."""
-    return Permutation(tuple((r - (x + 1)) % dim + 1 for x in range(dim)))
+    d = check_dim(dim)
+    return Permutation(tuple((r - (x + 1)) % d + 1 for x in range(d)))
 
 
 def classify_cyclic(p: Permutation) -> CyclicClass:
@@ -141,9 +145,10 @@ def classify_cyclic(p: Permutation) -> CyclicClass:
 
 def enumerate_cyclic(dim: int) -> list[Permutation]:
     """All 2d cyclic permutations: d positive (r = 0..d-1), then d negative."""
-    if dim < 3:
+    d = check_dim(dim)
+    if d < 3:
         raise ValueError(f"cyclic enumeration needs dim >= 3, got {dim}")
-    return [rotation(dim, r) for r in range(dim)] + [reflection(dim, r) for r in range(dim)]
+    return [rotation(d, r) for r in range(d)] + [reflection(d, r) for r in range(d)]
 
 
 def oracle_unitary(p: Permutation) -> np.ndarray:
@@ -165,4 +170,10 @@ def relabel(p: Permutation, sigma: Permutation) -> Permutation:
     base sequence rotated by r, which is the usual way relabeled families
     are tabulated.
     """
-    return sigma.compose(p).compose(sigma.inverse())
+    if p.dim != sigma.dim:
+        raise ValueError(f"size mismatch: {sigma.dim} vs {p.dim}")
+    # position sigma(x) of the result holds sigma(p(x))
+    img = [0] * p.dim
+    for x, y in zip(sigma.image, p.image):
+        img[x - 1] = sigma.image[y - 1]
+    return Permutation(tuple(img))

@@ -268,6 +268,30 @@ def test_one_query_insufficient_range():
         one_query_insufficient(9)
 
 
+def _one_query_insufficient_by_pairs(dim):
+    """The d^2 * 2d definition: every (x, y) is consistent with both chiralities."""
+    family = enumerate_cyclic(dim)
+    classes = {p: classify_cyclic(p).chirality for p in family}
+    for x in range(1, dim + 1):
+        for y in range(1, dim + 1):
+            seen = {classes[p] for p in family if p(x) == y}
+            if not {Chirality.POSITIVE, Chirality.NEGATIVE} <= seen:
+                return False
+    return True
+
+
+def test_one_query_scan_agrees_with_pairwise_definition():
+    for d in range(3, 9):
+        assert one_query_insufficient(d) is _one_query_insufficient_by_pairs(d) is True
+
+
+def test_one_query_insufficient_takes_integral_dims_only():
+    assert one_query_insufficient(3.0) is True and one_query_insufficient(np.int64(8)) is True
+    for dim in (3.5, True, "3", None, float("nan"), 2.0, 9.0):
+        with pytest.raises(ValueError):
+            one_query_insufficient(dim)
+
+
 def test_one_query_membership_detail():
     # spot-check the counting argument behind the sweep: each (x, y) pair is
     # consistent with exactly one rotation and one reflection

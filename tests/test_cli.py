@@ -12,6 +12,7 @@ from quditcycle.cli import (
     EXIT_OK,
     EXIT_UNCONVERGED,
     EXIT_VERIFY_FAILED,
+    build_parser,
     main,
 )
 from quditcycle.nmr import PulseSegment, SpinSystem, sequence_propagator
@@ -130,6 +131,42 @@ def test_run_unwritable_out_exits_two(extra, tmp_path, capsys):
     assert code == EXIT_BAD_PERMUTATION
     assert out == "" and err.startswith("error:") and len(err.splitlines()) == 1
     assert not path.exists()
+
+
+def test_main_dispatches_by_name_at_call_time(capsys, monkeypatch):
+    # the parser is built once, so the command must not be bound into it
+    assert run_cli(capsys, "verify", "--dmax", "3", "--json")[0] == EXIT_OK
+    seen = []
+
+    def fake_verify(args):
+        seen.append(args.dmax)
+        return EXIT_VERIFY_FAILED
+
+    monkeypatch.setattr("quditcycle.cli.cmd_verify", fake_verify)
+    assert run_cli(capsys, "verify", "--dmax", "3", "--json") == (EXIT_VERIFY_FAILED, "", "")
+    assert seen == [3]
+
+
+def test_one_parser_serves_repeated_calls(tmp_path, capsys):
+    assert build_parser() is build_parser()
+
+    def call(*argv):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = ("SystemExit", exc.code)
+        return (code, *capsys.readouterr())
+
+    argvs = [
+        ("run", "--perm", "3,4,2,1", "--relabel", "1,3,2,4", "--json"),
+        ("run", "--perm", "2,3,1", "--mode", "sideways"),
+        ("nmr", "--gate", "fullneg", "--ideal", "--noise-sigma", "0.01", "--out", str(tmp_path), "--json"),
+    ]
+    first = [call(*argv) for argv in argvs]
+    assert [r[0] for r in first] == [EXIT_OK, ("SystemExit", 2), EXIT_OK]
+    assert "invalid choice" in first[1][2]
+    for argv, want in [*zip(argvs, first), *zip(reversed(argvs), reversed(first))]:
+        assert call(*argv)[:2] == want[:2]
 
 
 def test_verify_small_sweep(capsys):

@@ -10,6 +10,7 @@ from quditcycle.linalg import (
     MAX_DIM,
     adjoint,
     basis_state,
+    check_dim,
     equal_up_to_global_phase,
     fidelity,
     outer,
@@ -83,6 +84,13 @@ def test_dimension_cap():
     with pytest.raises(ValueError):
         basis_state(MAX_DIM + 1, 1)
     basis_state(MAX_DIM, MAX_DIM)  # boundary is allowed
+
+
+def test_check_dim_takes_integral_values_only():
+    assert check_dim(3) == check_dim(3.0) == check_dim(np.int64(3)) == 3
+    for dim in (0, MAX_DIM + 1, 2.5, True, np.True_, "3", None, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="dimension"):
+            check_dim(dim)
 
 
 def test_nan_rejected():

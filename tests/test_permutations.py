@@ -82,6 +82,33 @@ def test_permutation_refuses_entries_that_are_not_integers(image):
         Permutation(image)
 
 
+@pytest.mark.parametrize("label", [True, False, np.True_, 2.0, 1.5, "2", None], ids=repr)
+def test_call_refuses_labels_that_are_not_integers(label):
+    # True used to act as label 1 and 2.0 raised TypeError
+    with pytest.raises(ValueError, match="integer label"):
+        Permutation((2, 1, 3))(label)
+
+
+def test_call_takes_numpy_integer_labels():
+    assert Permutation((2, 1, 3))(np.int64(1)) == 2
+
+
+BAD_DIMS = [3.5, True, np.True_, "3", None, float("nan"), float("inf")]
+
+
+@pytest.mark.parametrize(
+    "build",
+    [enumerate_cyclic, lambda d: rotation(d, 1), lambda d: reflection(d, 1)],
+    ids=["enumerate_cyclic", "rotation", "reflection"],
+)
+def test_constructors_take_integral_dims_only(build):
+    # a float dim used to raise TypeError from range()
+    assert build(4.0) == build(np.int64(4)) == build(4)
+    for dim in BAD_DIMS:
+        with pytest.raises(ValueError, match="dimension"):
+            build(dim)
+
+
 def test_compose_and_inverse():
     p = Permutation((2, 3, 4, 1))
     q = Permutation((1, 3, 2, 4))
