@@ -35,7 +35,7 @@ from .algorithm import (
     run_quantum,
 )
 from .nmr import SpinSystem, inject_readout_noise, pseudo_pure
-from .permutations import Chirality, Parity, Permutation, classify_cyclic, enumerate_cyclic, parity
+from .permutations import Chirality, Permutation, classify_cyclic, enumerate_cyclic, parity
 from .protocol import run_protocol
 from .smp import OptimizerConfig, segments_to_json
 
@@ -126,7 +126,7 @@ def cmd_verify(args) -> int:
             phase_ok &= abs(quantum.phase - table[(truth.chirality, truth.shift)]) <= 1e-10
             two_ok &= classical.classification is truth.chirality and classical.oracle_queries == 2
             if d == 3:
-                parity_matches &= (truth.chirality is Chirality.POSITIVE) == (parity(p) is Parity.EVEN)
+                parity_matches &= (truth.chirality is Chirality.POSITIVE) == (parity(p) == 1)
         query_ok = one_query_insufficient(d) if d <= 8 else None
         rows.append(
             {
@@ -185,8 +185,7 @@ def cmd_nmr(args) -> int:
         return _error(f"cannot write output: {exc}")
 
     sys_ = SpinSystem()
-    source = "ideal" if args.ideal else "smp"
-    result = run_protocol(sys_, oracle, stage, gate_source=source, config=cfg)
+    result = run_protocol(sys_, oracle, stage, None if args.ideal else cfg)
 
     pure = result.pure_part
     if args.noise_sigma is not None:
@@ -197,7 +196,7 @@ def cmd_nmr(args) -> int:
         "gate": args.gate,
         "oracle": oracle,
         "stage": stage,
-        "gate_source": source,
+        "gate_source": "ideal" if args.ideal else "smp",
         "seed": cfg.seed,
         "epsilon": args.epsilon,
         "fidelity": result.fidelity,

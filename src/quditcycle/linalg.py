@@ -14,6 +14,7 @@ Conventions used across the package:
 from __future__ import annotations
 
 import math
+import operator
 from numbers import Real
 
 import numpy as np
@@ -35,6 +36,13 @@ def check_dim(dim: int) -> int:
     if isinstance(dim, (bool, np.bool_)) or d is None or d != dim or not 1 <= d <= MAX_DIM:
         raise ValueError(f"dimension must be an integer in [1, {MAX_DIM}], got {dim!r}")
     return d
+
+
+def check_int(value, name: str) -> int:
+    """Return a Python or numpy integer as an int; booleans, floats, strings and None raise ValueError."""
+    if isinstance(value, (bool, np.bool_)) or not hasattr(type(value), "__index__"):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return operator.index(value)
 
 
 def check_finite(owner, *names: str) -> None:
@@ -68,16 +76,12 @@ def _as_matrix(m) -> np.ndarray:
 def basis_state(dim: int, index: int) -> np.ndarray:
     """Computational basis state |index> with a 1-based index."""
     d = check_dim(dim)
+    index = check_int(index, "basis index")
     if not 1 <= index <= d:
         raise ValueError(f"basis index must be in 1..{d}, got {index}")
     v = np.zeros(d, dtype=complex)
     v[index - 1] = 1.0
     return v
-
-
-def adjoint(m) -> np.ndarray:
-    """Conjugate transpose."""
-    return _as_matrix(m).conj().T
 
 
 def validate_unitary(u, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -86,21 +90,6 @@ def validate_unitary(u, tol: float = DEFAULT_TOL) -> np.ndarray:
     err = np.max(np.abs(a @ a.conj().T - np.eye(a.shape[0])))
     if err > tol:
         raise ValueError(f"matrix is not unitary: max |UU^dag - 1| = {err}")
-    return a
-
-
-def validate_density(rho, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Check hermiticity, unit trace, and positivity."""
-    a = _as_matrix(rho)
-    herm = np.max(np.abs(a - a.conj().T))
-    if herm > tol:
-        raise ValueError(f"density matrix is not Hermitian: max |rho - rho^dag| = {herm}")
-    tr = np.trace(a).real
-    if abs(tr - 1.0) > tol:
-        raise ValueError(f"density matrix trace {tr} deviates from 1 by more than {tol}")
-    evals = np.linalg.eigvalsh(a)
-    if evals.min() < -tol:
-        raise ValueError(f"density matrix has eigenvalue {evals.min()} < -{tol}")
     return a
 
 

@@ -32,7 +32,15 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import _as_matrix, check_finite
+from .linalg import _as_matrix, check_finite, check_int
+
+
+def _twice_spin(s: float) -> int:
+    """2s for a positive half-integer spin s; anything else raises ValueError."""
+    twice = round(2 * s)
+    if abs(2 * s - twice) > 1e-9 or twice < 1:
+        raise ValueError(f"spin must be a positive half-integer, got {s}")
+    return twice
 
 
 def spin_operators(s: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -41,9 +49,7 @@ def spin_operators(s: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     Built from the ladder operators with the standard matrix elements
     <m+-1| I_+- |m> = sqrt(s(s+1) - m(m +- 1)).
     """
-    twice = round(2 * s)
-    if abs(2 * s - twice) > 1e-9 or twice < 1:
-        raise ValueError(f"spin must be a positive half-integer, got {s}")
+    twice = _twice_spin(s)
     s = twice / 2.0
     dim = twice + 1
     m = s - np.arange(dim)  # m = s .. -s
@@ -76,9 +82,7 @@ class SpinSystem:
     def __post_init__(self):
         # NaN passes the Zeeman-dominance test below and reaches the eigensolver
         check_finite(self, "spin", "larmor_freq", "quad_freq")
-        twice = round(2 * self.spin)
-        if abs(2 * self.spin - twice) > 1e-9 or twice < 1:
-            raise ValueError(f"spin must be a positive half-integer, got {self.spin}")
+        _twice_spin(self.spin)
         if abs(self.larmor_freq) < 100 * abs(self.quad_freq):
             raise ValueError(
                 "Zeeman term must dominate: need |larmor_freq| >= 100 |quad_freq|"
@@ -104,7 +108,7 @@ def static_hamiltonian(sys: SpinSystem, frame: str = "rotating") -> np.ndarray:
     if frame not in ("lab", "rotating"):
         raise ValueError(f"frame must be 'lab' or 'rotating', got {frame!r}")
     _, _, iz = spin_operators(sys.spin)
-    s = round(2 * sys.spin) / 2.0
+    s = (sys.dim - 1) / 2.0
     itotal = s * (s + 1) * np.eye(sys.dim, dtype=complex)
     h = (sys.quad_freq / 6.0) * (3 * (iz @ iz) - itotal)
     if frame == "lab":
@@ -197,7 +201,8 @@ def pseudo_pure(pure: np.ndarray, epsilon: float) -> np.ndarray:
     its evolved form); the maximally mixed background is invisible to
     unitary evolution and deviation-matrix readout.
     """
-    if not 0.0 <= epsilon <= 1.0:
+    pure = _as_matrix(pure)
+    if isinstance(epsilon, bool) or not 0.0 <= epsilon <= 1.0:
         raise ValueError(f"epsilon must be in [0, 1], got {epsilon}")
     d = pure.shape[0]
     return (1.0 - epsilon) / d * np.eye(d, dtype=complex) + epsilon * pure
@@ -226,11 +231,11 @@ def inject_readout_noise(rho: np.ndarray, sigma: float = 0.01, seed: int | None 
     negative eigenvalues, as real reconstructed matrices do.
     """
     a = _as_matrix(rho)
-    if not np.isfinite(sigma) or sigma < 0:
+    if isinstance(sigma, bool) or not np.isfinite(sigma) or sigma < 0:
         raise ValueError(f"sigma must be finite and >= 0, got {sigma}")
     d = a.shape[0]
     scale = sigma * float(np.max(np.abs(a)))
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(None if seed is None else check_int(seed, "seed"))
     g = rng.normal(0.0, scale, a.shape) + 1j * rng.normal(0.0, scale, a.shape)
     pert = (g + g.conj().T) / 2
     pert -= (np.trace(pert).real / d) * np.eye(d)

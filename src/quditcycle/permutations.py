@@ -15,18 +15,13 @@ from enum import Enum
 
 import numpy as np
 
-from .linalg import MAX_DIM, check_dim
+from .linalg import MAX_DIM, check_dim, check_int
 
 
 class Chirality(Enum):
     POSITIVE = "positive-cyclic"
     NEGATIVE = "negative-cyclic"
     NOT_CYCLIC = "not-cyclic"
-
-
-class Parity(Enum):
-    EVEN = "even"
-    ODD = "odd"
 
 
 @dataclass(frozen=True)
@@ -55,8 +50,7 @@ class Permutation:
         return len(self.image)
 
     def __call__(self, x: int) -> int:
-        if isinstance(x, bool) or not isinstance(x, (int, np.integer)):
-            raise ValueError(f"argument must be an integer label, got {x!r}")
+        x = check_int(x, "label")
         if not 1 <= x <= self.dim:
             raise ValueError(f"argument must be in 1..{self.dim}, got {x}")
         return self.image[x - 1]
@@ -72,10 +66,6 @@ class Permutation:
         for x, y in enumerate(self.image, start=1):
             inv[y - 1] = x
         return Permutation(tuple(inv))
-
-    @staticmethod
-    def identity(dim: int) -> "Permutation":
-        return Permutation(tuple(range(1, dim + 1)))
 
     @staticmethod
     def from_string(text: str) -> "Permutation":
@@ -96,8 +86,8 @@ class CyclicClass:
     shift: int | None  # rotation offset r in 0..d-1; None when not cyclic
 
 
-def parity(p: Permutation) -> Parity:
-    """Group parity (-1)^(d - number of cycles), from one O(d) walk of the cycles."""
+def parity(p: Permutation) -> int:
+    """Sign (-1)^(d - number of cycles): +1 even, -1 odd, from one O(d) walk of the cycles."""
     img = p.image
     seen = [False] * len(img)
     cycles = 0
@@ -109,18 +99,18 @@ def parity(p: Permutation) -> Parity:
         while not seen[x]:
             seen[x] = True
             x = img[x] - 1
-    return Parity.EVEN if (len(img) - cycles) % 2 == 0 else Parity.ODD
+    return 1 if (len(img) - cycles) % 2 == 0 else -1
 
 
 def rotation(dim: int, r: int) -> Permutation:
     """Positive cyclic permutation x -> ((x - 1 + r) mod d) + 1."""
-    d = check_dim(dim)
+    d, r = check_dim(dim), check_int(r, "offset")
     return Permutation(tuple((x + r) % d + 1 for x in range(d)))
 
 
 def reflection(dim: int, r: int) -> Permutation:
     """Negative cyclic permutation x -> ((r - x) mod d) + 1."""
-    d = check_dim(dim)
+    d, r = check_dim(dim), check_int(r, "offset")
     return Permutation(tuple((r - (x + 1)) % d + 1 for x in range(d)))
 
 

@@ -10,9 +10,9 @@ as a single composite pulse:
 
 Two oracle representatives are wired in, matching the demonstrated cases:
 "positive" is the forward rotation (2,3,4,1) and "negative" the reversal
-(3,2,1,4).  Gates come either from the exact matrices ("ideal") or from
-SMP pulse synthesis ("smp"); in the latter case the convergence flag of the
-underlying search is surfaced on the result.
+(3,2,1,4).  Gates are the exact matrices when no optimizer config is given,
+and SMP-synthesized pulses when one is; in the latter case the convergence
+flag of the underlying search is surfaced on the result.
 
 A run evolves the pure part rho_1 of the pseudo-pure state
 rho = (1 - eps)/d * 1 + eps * rho_1, which a deviation-matrix readout
@@ -26,8 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algorithm import qft
-from .linalg import adjoint, basis_state, fidelity, outer
+from .algorithm import initial_index, qft
+from .linalg import basis_state, fidelity, outer
 from .nmr import SpinSystem, sequence_propagator
 from .permutations import Permutation, oracle_unitary
 from .smp import OptimizerConfig, SmpResult, smp_optimize
@@ -38,8 +38,6 @@ ORACLES = {
     "positive": Permutation((2, 3, 4, 1)),
     "negative": Permutation((3, 2, 1, 4)),
 }
-
-PREPARED_INDEX = 2
 
 
 def stage_unitary(oracle: str, stage: str) -> np.ndarray:
@@ -54,12 +52,12 @@ def stage_unitary(oracle: str, stage: str) -> np.ndarray:
     u = oracle_unitary(ORACLES[oracle])
     if stage == "after_oracle":
         return u @ f
-    return adjoint(f) @ u @ f
+    return f.conj().T @ u @ f
 
 
 def theory_state(oracle: str, stage: str) -> np.ndarray:
     """Pure state an ideal run leaves the epsilon-component in."""
-    return stage_unitary(oracle, stage) @ basis_state(4, PREPARED_INDEX)
+    return stage_unitary(oracle, stage) @ basis_state(4, initial_index())
 
 
 @dataclass
@@ -81,26 +79,20 @@ class ProtocolResult:
         return int(np.argmax(np.diag(self.pure_part).real)) + 1
 
 
-def run_protocol(
-    sys: SpinSystem,
-    oracle: str,
-    stage: str,
-    gate_source: str = "ideal",
-    config: OptimizerConfig | None = None,
-) -> ProtocolResult:
-    """Evolve the pure part |2><2| of the pseudo-pure state through the requested circuit prefix."""
+def run_protocol(sys: SpinSystem, oracle: str, stage: str, config: OptimizerConfig | None = None) -> ProtocolResult:
+    """Evolve the pure part |2><2| through the circuit prefix: exact gates if config is None, else SMP pulses."""
     if sys.dim != 4:
         raise ValueError(f"the protocol runs on a four-level system, got dim {sys.dim}")
-    if gate_source not in ("ideal", "smp"):
-        raise ValueError(f"gate_source must be 'ideal' or 'smp', got {gate_source!r}")
+    if config is not None and not isinstance(config, OptimizerConfig):
+        raise ValueError(f"config must be an OptimizerConfig or None, got {config!r}")
 
     target_u = stage_unitary(oracle, stage)
     smp_result, u = None, target_u
-    if gate_source == "smp":
+    if config is not None:
         smp_result = smp_optimize(sys, target_u, config=config)
         u = sequence_propagator(sys, smp_result.segments)
 
-    start = basis_state(4, PREPARED_INDEX)
+    start = basis_state(4, initial_index())
     pure = u @ outer(start) @ u.conj().T
     return ProtocolResult(
         pure_part=pure,

@@ -34,7 +34,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.optimize import Bounds, minimize
 
-from .linalg import check_finite, validate_unitary
+from .linalg import check_finite, check_int, validate_unitary
 from .nmr import PulseSegment, SpinSystem, _forward
 
 log = logging.getLogger("quditcycle")
@@ -82,9 +82,7 @@ class OptimizerConfig:
         if self.seed < 0 or self.max_iter < 1:
             raise ValueError("need seed >= 0 and max_iter >= 1")
         for name in ("segments", "restarts", "seed", "max_iter"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, check_int(getattr(self, name), name))
 
 
 def gate_fidelity(u: np.ndarray, v: np.ndarray) -> float:

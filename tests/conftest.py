@@ -9,6 +9,13 @@ def haar_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
+def assert_density(rho: np.ndarray, tol: float = 1e-10) -> None:
+    """Hermitian, unit trace and positive semidefinite, each within tol."""
+    assert np.max(np.abs(rho - rho.conj().T)) <= tol
+    assert abs(np.trace(rho).real - 1.0) <= tol
+    assert np.linalg.eigvalsh(rho).min() >= -tol
+
+
 def random_state(rng: np.random.Generator, dim: int) -> np.ndarray:
     z = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     return z / np.linalg.norm(z)

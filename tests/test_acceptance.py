@@ -33,7 +33,6 @@ from quditcycle.nmr import (
 )
 from quditcycle.permutations import (
     Chirality,
-    Parity,
     Permutation,
     classify_cyclic,
     enumerate_cyclic,
@@ -66,7 +65,7 @@ def test_criterion_1_qutrit_exhaustive(report):
     for img in [(1, 2, 3), (2, 3, 1), (3, 1, 2), (3, 2, 1), (2, 1, 3), (1, 3, 2)]:
         p = Permutation(img)
         rep = run_quantum(p, kind)
-        even = parity(p) is Parity.EVEN
+        even = parity(p) == 1
         ok = ok and rep.measured_index == (1 if even else 3)
         ok = ok and rep.oracle_queries == 1
         ok = ok and abs(rep.final_state[1]) ** 2 <= 1e-9
@@ -215,9 +214,9 @@ def test_criterion_8_pulse_synthesis_and_protocol(report):
         ok = ok and res.converged and gate_fidelity(u, target) >= 0.99
 
     for oracle in ("positive", "negative"):
-        ideal = run_protocol(sysm, oracle, "full", gate_source="ideal")
+        ideal = run_protocol(sysm, oracle, "full", config=None)
         ok = ok and abs(ideal.fidelity - 1.0) <= 1e-10
-        pulsed = run_protocol(sysm, oracle, "full", gate_source="smp")
+        pulsed = run_protocol(sysm, oracle, "full", config=OptimizerConfig())
         ok = ok and pulsed.converged and pulsed.fidelity >= 0.97
         ok = ok and pulsed.dominant_index == (2 if oracle == "positive" else 4)
     elapsed = time.perf_counter() - t0
@@ -255,8 +254,7 @@ def test_criterion_9_property_sweeps(report):
         d = int(rng.integers(2, 11))
         p = Permutation(tuple(int(v) + 1 for v in rng.permutation(d)))
         q = Permutation(tuple(int(v) + 1 for v in rng.permutation(d)))
-        signs = {Parity.EVEN: 1, Parity.ODD: -1}
-        ok = ok and signs[parity(p.compose(q))] == signs[parity(p)] * signs[parity(q)]
+        ok = ok and parity(p.compose(q)) == parity(p) * parity(q)
 
     # oracle respects composition
     for case in range(500):

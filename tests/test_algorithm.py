@@ -236,7 +236,7 @@ def test_run_classical_examples():
     assert rep.oracle_queries == 2
     assert rep.measured_index is None and rep.phase is None and rep.final_state is None
 
-    rep = run_classical(Permutation.identity(5))
+    rep = run_classical(rotation(5, 0))
     assert rep.classification is Chirality.POSITIVE
 
     rep = run_classical(Permutation((3, 2, 1, 4)))

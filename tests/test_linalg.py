@@ -8,19 +8,17 @@ import pytest
 from quditcycle.algorithm import qft
 from quditcycle.linalg import (
     MAX_DIM,
-    adjoint,
     basis_state,
     check_dim,
     equal_up_to_global_phase,
     fidelity,
     outer,
-    validate_density,
     validate_unitary,
     vector_to_json,
 )
-from quditcycle.permutations import Permutation, oracle_unitary
+from quditcycle.permutations import Permutation, oracle_unitary, rotation
 
-from conftest import haar_unitary, random_state
+from conftest import assert_density, haar_unitary, random_state
 
 # Shift-by-one permutation matrix on four labels and the Fourier column it
 # fixes; the product was checked by hand (amplitude at x comes from x - 1).
@@ -38,7 +36,7 @@ PSI2 = np.array([1, 1j, -1, -1j]) / 2
 
 def test_apply_identity_is_noop():
     psi = np.array([0.6, 0.8j, 0.0])
-    out = oracle_unitary(Permutation.identity(3)) @ psi
+    out = oracle_unitary(rotation(3, 0)) @ psi
     assert np.array_equal(out, psi)
 
 
@@ -49,28 +47,6 @@ def test_shift_on_fourier_column_gives_minus_i_phase():
     assert np.max(np.abs(out - (-1j) * PSI2)) < 1e-12
 
 
-def test_adjoint_involution_and_inverse():
-    assert np.array_equal(adjoint(np.eye(3)), np.eye(3))
-    # DFT built inline so the check does not lean on the package's own qft
-    k = np.arange(3)
-    f = np.exp(2j * np.pi * np.outer(k, k) / 3) / np.sqrt(3)
-    assert np.max(np.abs(adjoint(f) @ f - np.eye(3))) < 1e-12
-
-
-def test_adjoint_of_shift_is_inverse_shift():
-    u4 = np.array(
-        [
-            [0, 1, 0, 0],
-            [0, 0, 1, 0],
-            [0, 0, 0, 1],
-            [1, 0, 0, 0],
-        ],
-        dtype=complex,
-    )
-    assert np.array_equal(adjoint(U_SHIFT1), u4)
-    assert np.max(np.abs(adjoint(U_SHIFT1) @ U_SHIFT1 - np.eye(4))) < 1e-15
-
-
 def test_basis_state_labels_are_one_based():
     v = basis_state(2, 1)
     assert np.array_equal(v, np.array([1, 0], dtype=complex))
@@ -78,6 +54,17 @@ def test_basis_state_labels_are_one_based():
         basis_state(2, 0)
     with pytest.raises(ValueError):
         basis_state(2, 3)
+
+
+@pytest.mark.parametrize("index", [True, False, np.True_, 2.0, 1.5, "2", None], ids=repr)
+def test_basis_state_refuses_indices_that_are_not_integers(index):
+    # True used to give |1> and 2.0 raised numpy's IndexError
+    with pytest.raises(ValueError, match="basis index must be an integer"):
+        basis_state(3, index)
+
+
+def test_basis_state_takes_numpy_integer_indices():
+    assert np.array_equal(basis_state(3, np.int64(2)), basis_state(3, 2))
 
 
 def test_dimension_cap():
@@ -141,7 +128,7 @@ def test_norm_preservation_sweep():
         f = qft(d)
         u = oracle_unitary(Permutation(tuple(int(v) + 1 for v in rng.permutation(d))))
         psi = random_state(rng, d)
-        for gate in (f, u, adjoint(f) @ u @ f):
+        for gate in (f, u, f.conj().T @ u @ f):
             assert abs(np.linalg.norm(gate @ psi) - 1.0) < 1e-10
 
 
@@ -165,7 +152,8 @@ def test_outer_examples():
 def test_outer_is_valid_density(rng):
     for _ in range(50):
         d = int(rng.integers(2, 9))
-        rho = validate_density(outer(random_state(rng, d)), 1e-10)
+        rho = outer(random_state(rng, d))
+        assert_density(rho, 1e-10)
         assert abs(np.trace(rho) - 1.0) < 1e-12
 
 

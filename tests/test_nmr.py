@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quditcycle.linalg import basis_state, validate_density, validate_unitary
+from quditcycle.linalg import basis_state, validate_unitary
 from quditcycle.smp import AMP_MAX_HZ, DUR_MAX_S, DUR_MIN_S
 from quditcycle.nmr import (
     PulseSegment,
@@ -18,6 +18,8 @@ from quditcycle.nmr import (
     static_hamiltonian,
     transition_frequencies,
 )
+
+from conftest import assert_density
 
 TWO_PI = 2 * np.pi
 
@@ -251,7 +253,7 @@ def ket_bra(dim, index):
 
 def test_pseudo_pure_composition():
     rho = pseudo_pure(ket_bra(4, 2), 1e-5)
-    validate_density(rho)
+    assert_density(rho)
     want_diag = (1 - 1e-5) / 4 + 1e-5 * np.array([0, 1, 0, 0])
     assert np.max(np.abs(np.diag(rho) - want_diag)) < 1e-18
     assert np.max(np.abs(rho - np.diag(np.diag(rho)))) == 0
@@ -267,6 +269,31 @@ def test_pseudo_pure_composition():
     for bad in (1.5, -0.1, np.nan):
         with pytest.raises(ValueError):
             pseudo_pure(ket_bra(4, 2), bad)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda rho: pseudo_pure(rho, True),
+        lambda rho: pseudo_pure([1.0, 0.0], 0.5),
+        lambda rho: pseudo_pure([[1.0, 0.0]], 0.5),
+        lambda rho: inject_readout_noise(rho, sigma=True),
+        lambda rho: inject_readout_noise(rho, seed=1.5),
+    ],
+    ids=["epsilon-bool", "pure-1d-list", "pure-nonsquare-list", "sigma-bool", "seed-float"],
+)
+def test_mixture_and_noise_refuse_bad_arguments(call):
+    # True used to run as 1, a list as pure raised AttributeError and a
+    # fractional seed raised numpy's TypeError
+    with pytest.raises(ValueError):
+        call(ket_bra(4, 2))
+
+
+def test_pseudo_pure_takes_any_square_array_like():
+    assert np.array_equal(pseudo_pure([[1]], 0.5), np.eye(1))
+    assert np.array_equal(pseudo_pure(ket_bra(4, 2).tolist(), 0.5), pseudo_pure(ket_bra(4, 2), 0.5))
+    rho = pseudo_pure(ket_bra(4, 2), 1e-5)
+    assert np.array_equal(inject_readout_noise(rho, seed=np.int64(3)), inject_readout_noise(rho, seed=3))
 
 
 def test_readout_noise_properties():

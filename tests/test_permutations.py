@@ -8,7 +8,6 @@ import pytest
 
 from quditcycle.permutations import (
     Chirality,
-    Parity,
     Permutation,
     classify_cyclic,
     enumerate_cyclic,
@@ -22,7 +21,7 @@ from quditcycle.permutations import (
 from conftest import random_permutation_image
 
 
-def cycle_parity(p: Permutation) -> Parity:
+def cycle_parity(p: Permutation) -> int:
     """Independent parity oracle: (-1)^(d - number of cycles)."""
     seen = [False] * p.dim
     cycles = 0
@@ -34,14 +33,14 @@ def cycle_parity(p: Permutation) -> Parity:
         while not seen[x - 1]:
             seen[x - 1] = True
             x = p(x)
-    return Parity.EVEN if (p.dim - cycles) % 2 == 0 else Parity.ODD
+    return 1 if (p.dim - cycles) % 2 == 0 else -1
 
 
-def inversion_parity(p: Permutation) -> Parity:
+def inversion_parity(p: Permutation) -> int:
     """Reference parity from the inversion count, O(d^2)."""
     img = p.image
     inv = sum(1 for i in range(len(img)) for j in range(i + 1, len(img)) if img[i] > img[j])
-    return Parity.EVEN if inv % 2 == 0 else Parity.ODD
+    return 1 if inv % 2 == 0 else -1
 
 
 def brute_chirality(p: Permutation) -> Chirality:
@@ -85,7 +84,7 @@ def test_permutation_refuses_entries_that_are_not_integers(image):
 @pytest.mark.parametrize("label", [True, False, np.True_, 2.0, 1.5, "2", None], ids=repr)
 def test_call_refuses_labels_that_are_not_integers(label):
     # True used to act as label 1 and 2.0 raised TypeError
-    with pytest.raises(ValueError, match="integer label"):
+    with pytest.raises(ValueError, match="label must be an integer"):
         Permutation((2, 1, 3))(label)
 
 
@@ -109,6 +108,15 @@ def test_constructors_take_integral_dims_only(build):
             build(dim)
 
 
+@pytest.mark.parametrize("build", [rotation, reflection], ids=["rotation", "reflection"])
+def test_constructors_take_integer_offsets_only(build):
+    # True used to act as offset 1, and 1.0 failed with an error about the entries
+    assert build(4, np.int64(1)) == build(4, 1)
+    for r in (True, np.True_, 1.0, 1.5, "1", None):
+        with pytest.raises(ValueError, match="offset must be an integer"):
+            build(4, r)
+
+
 def test_compose_and_inverse():
     p = Permutation((2, 3, 4, 1))
     q = Permutation((1, 3, 2, 4))
@@ -119,10 +127,10 @@ def test_compose_and_inverse():
 
 
 def test_parity_examples():
-    assert parity(Permutation((1, 2, 3))) is Parity.EVEN
-    assert parity(Permutation((3, 2, 1))) is Parity.ODD
+    assert parity(Permutation((1, 2, 3))) == 1
+    assert parity(Permutation((3, 2, 1))) == -1
     # three inversions: (2,1), (3,1), (4,1)
-    assert parity(Permutation((2, 3, 4, 1))) is Parity.ODD
+    assert parity(Permutation((2, 3, 4, 1))) == -1
 
 
 def test_parity_against_cycle_decomposition():
@@ -130,18 +138,18 @@ def test_parity_against_cycle_decomposition():
     for _ in range(300):
         d = int(rng.integers(2, 10))
         p = Permutation(random_permutation_image(rng, d))
-        assert parity(p) is cycle_parity(p)
+        assert parity(p) == cycle_parity(p)
 
 
 def test_parity_matches_inversion_count():
     for d in range(1, 8):
         for img in itertools.permutations(range(1, d + 1)):
             p = Permutation(img)
-            assert parity(p) is inversion_parity(p)
+            assert parity(p) == inversion_parity(p)
     rng = np.random.default_rng(103)
     for _ in range(300):
         p = Permutation(random_permutation_image(rng, int(rng.integers(8, 65))))
-        assert parity(p) is inversion_parity(p)
+        assert parity(p) == inversion_parity(p)
 
 
 def test_parity_homomorphism_sweep():
@@ -150,21 +158,20 @@ def test_parity_homomorphism_sweep():
         d = int(rng.integers(3, 9))
         p = Permutation(random_permutation_image(rng, d))
         q = Permutation(random_permutation_image(rng, d))
-        even = (parity(p) is Parity.EVEN) == (parity(q) is Parity.EVEN)
-        assert (parity(p.compose(q)) is Parity.EVEN) == even
+        assert parity(p.compose(q)) == parity(p) * parity(q)
 
 
 def test_classify_examples():
     p = Permutation((2, 3, 4, 1))
     c = classify_cyclic(p)
-    assert c.chirality is Chirality.POSITIVE and c.shift == 1 and parity(p) is Parity.ODD
+    assert c.chirality is Chirality.POSITIVE and c.shift == 1 and parity(p) == -1
     c = classify_cyclic(Permutation((4, 3, 2, 1)))
     assert c.chirality is Chirality.NEGATIVE and c.shift == 0
     c = classify_cyclic(Permutation((2, 1, 4, 3)))
     assert c.chirality is Chirality.NEGATIVE and c.shift == 2
     c = classify_cyclic(Permutation((1, 3, 2, 4)))
     assert c.chirality is Chirality.NOT_CYCLIC and c.shift is None
-    c = classify_cyclic(Permutation.identity(5))
+    c = classify_cyclic(rotation(5, 0))
     assert c.chirality is Chirality.POSITIVE and c.shift == 0
 
 
@@ -195,7 +202,7 @@ def test_classify_matches_rotation_search():
     for p in perms:
         c = classify_cyclic(p)
         assert (c.chirality, c.shift) == search_class(p)
-        assert parity(p) is cycle_parity(p)
+        assert parity(p) == cycle_parity(p)
     # d = 2: (2, 1) is both a rotation and a reflection and counts as positive
     assert classify_cyclic(Permutation((2, 1))).chirality is Chirality.POSITIVE
 
@@ -235,17 +242,17 @@ def test_enumerate_cyclic_structure():
 def test_chirality_equals_parity_only_at_dim3():
     for p in enumerate_cyclic(3):
         c = classify_cyclic(p)
-        assert (c.chirality is Chirality.POSITIVE) == (parity(p) is Parity.EVEN)
+        assert (c.chirality is Chirality.POSITIVE) == (parity(p) == 1)
     # the forward rotations at d=4 alternate even/odd parity
     pars = [parity(rotation(4, r)) for r in range(4)]
-    assert pars == [Parity.EVEN, Parity.ODD, Parity.EVEN, Parity.ODD]
+    assert pars == [1, -1, 1, -1]
     # so chirality and parity split: (2,3,4,1) is odd but positive
     p = Permutation((2, 3, 4, 1))
-    assert classify_cyclic(p).chirality is Chirality.POSITIVE and parity(p) is Parity.ODD
+    assert classify_cyclic(p).chirality is Chirality.POSITIVE and parity(p) == -1
 
 
 def test_oracle_matrix_examples():
-    assert np.array_equal(oracle_unitary(Permutation.identity(4)), np.eye(4))
+    assert np.array_equal(oracle_unitary(rotation(4, 0)), np.eye(4))
     u2 = oracle_unitary(Permutation((2, 3, 4, 1)))
     assert np.array_equal(
         u2.real,
@@ -282,7 +289,7 @@ def test_oracle_homomorphism_sweep():
 
 def test_relabel_identity_and_inverse():
     sigma = Permutation((1, 3, 2, 4))
-    assert relabel(Permutation.identity(4), sigma).image == (1, 2, 3, 4)
+    assert relabel(rotation(4, 0), sigma).image == (1, 2, 3, 4)
     rng = np.random.default_rng(106)
     for _ in range(200):
         d = int(rng.integers(3, 9))

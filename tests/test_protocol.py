@@ -4,18 +4,19 @@ import numpy as np
 import pytest
 
 from quditcycle.algorithm import qft
-from quditcycle.linalg import basis_state, equal_up_to_global_phase, validate_density
+from quditcycle.linalg import basis_state, equal_up_to_global_phase
 from quditcycle.nmr import SpinSystem, pseudo_pure
 from quditcycle.permutations import oracle_unitary
 from quditcycle.protocol import (
     ORACLES,
-    PREPARED_INDEX,
     STAGES,
     run_protocol,
     stage_unitary,
     theory_state,
 )
 from quditcycle.smp import OptimizerConfig
+
+from conftest import assert_density
 
 
 def test_stage_unitaries_compose_the_circuit():
@@ -48,12 +49,12 @@ def test_theory_states():
 def test_ideal_runs_hit_theory_exactly():
     sys = SpinSystem()
     for oracle, want_idx in (("positive", 2), ("negative", 4)):
-        res = run_protocol(sys, oracle, "full", gate_source="ideal")
+        res = run_protocol(sys, oracle, "full", config=None)
         assert abs(res.fidelity - 1.0) < 1e-10
         assert res.converged is True
         assert res.smp is None
         assert res.dominant_index == want_idx
-        validate_density(res.pure_part)
+        assert_density(res.pure_part)
 
     res = run_protocol(sys, "positive", "after_qft")
     assert abs(res.fidelity - 1.0) < 1e-10
@@ -71,24 +72,23 @@ def test_epsilon_controls_the_mixture():
 def test_run_protocol_validation():
     with pytest.raises(ValueError):
         run_protocol(SpinSystem(spin=0.5), "positive", "full")
-    with pytest.raises(ValueError):
-        run_protocol(SpinSystem(), "positive", "full", gate_source="analog")
+    with pytest.raises(ValueError, match="OptimizerConfig"):
+        run_protocol(SpinSystem(), "positive", "full", "smp")
     with pytest.raises(ValueError):
         run_protocol(SpinSystem(), "positive", "nowhere")
     assert set(STAGES) == {"after_qft", "after_oracle", "full"}
-    assert PREPARED_INDEX == 2
 
 
 def test_smp_source_plumbs_through_and_flags_convergence():
     sys = SpinSystem()
     # permissive search: enough to verify plumbing without a long run
     cfg = OptimizerConfig(segments=6, restarts=2, seed=0, min_fidelity=0.90, max_iter=2500)
-    res = run_protocol(sys, "positive", "after_qft", gate_source="smp", config=cfg)
+    res = run_protocol(sys, "positive", "after_qft", config=cfg)
     assert res.smp is not None
     assert res.converged is res.smp.converged
     assert res.fidelity > 0.5
-    validate_density(res.pure_part)
+    assert_density(res.pure_part)
 
     starved = OptimizerConfig(segments=1, restarts=1, seed=0, min_fidelity=0.9999, max_iter=30)
-    res = run_protocol(sys, "negative", "full", gate_source="smp", config=starved)
+    res = run_protocol(sys, "negative", "full", config=starved)
     assert res.converged is False

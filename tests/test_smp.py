@@ -52,7 +52,7 @@ def test_config_validation():
     # a fractional or boolean count used to fail only inside the search, or
     # for max_iter to be taken as it stood
     for name in ("segments", "restarts", "seed", "max_iter"):
-        for value in (2.5, 2.0, True):
+        for value in (2.5, 2.0, True, np.True_):
             with pytest.raises(ValueError, match=name):
                 OptimizerConfig(**{name: value})
     # True compared as 1.0 and was taken as a fidelity target
@@ -67,6 +67,13 @@ def test_config_rejects_a_non_finite_window(name, value):
     # the fixed AMP_MAX_HZ, DUR_MIN_S and DUR_MAX_S, and no config can carry one
     with pytest.raises(TypeError, match=name):
         OptimizerConfig(**{name: value})
+
+
+def test_config_takes_numpy_integer_counts():
+    # numpy integers used to be refused as "seed must be an integer"
+    cfg = OptimizerConfig(segments=np.int64(4), restarts=np.int32(2), seed=np.int64(3), max_iter=np.uint16(50))
+    assert cfg == OptimizerConfig(segments=4, restarts=2, seed=3, max_iter=50)
+    assert all(type(getattr(cfg, k)) is int for k in ("segments", "restarts", "seed", "max_iter"))
 
 
 def test_identity_target_via_quadrupolar_refocusing():
