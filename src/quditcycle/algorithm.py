@@ -26,6 +26,7 @@ from .linalg import check_dim, vector_to_json
 from .permutations import (
     Chirality,
     Permutation,
+    check_cyclic_dim,
     classify_cyclic,
     enumerate_cyclic,
     oracle_unitary,
@@ -161,9 +162,7 @@ def run_quantum(p: Permutation, kind: FourierKind | None = None) -> RunReport:
     is only meaningful on cyclic inputs.
     """
     kind = kind or FourierKind()
-    d = p.dim
-    if d < 3:
-        raise ValueError(f"quantum classification needs dim >= 3, got {d}")
+    d = check_cyclic_dim(p.dim)
     f = qft(d, kind)
     f_conj = _fourier_conj(d, kind.variant)
     base = p
@@ -218,9 +217,7 @@ def run_classical(p: Permutation) -> RunReport:
     decides between them.  If neither candidate matches, the oracle cannot
     be cyclic and the report says so.
     """
-    d = p.dim
-    if d < 3:
-        raise ValueError(f"classical classification needs dim >= 3, got {d}")
+    d = check_cyclic_dim(p.dim)
 
     queries = 0
 
@@ -249,15 +246,13 @@ def one_query_insufficient(dim: int) -> bool:
     """Exhaustive check that one classical value query cannot decide chirality.
 
     For every query x and every answer y, the cyclic permutations consistent
-    with f(x) = y must include both chiralities; then a single answer never
-    determines the class.  Equivalently, for each x the images p(x) of the
-    positive members, and those of the negative members, must each cover
-    all of 1..d; the scan reads those d * 2d images over all 2d cyclic
-    permutations, each classed by classify_cyclic.
+    with f(x) = y must include both chiralities, so one answer never fixes
+    the class.  The O(d^2) scan checks that, for each x, the images p(x) of
+    the positive and of the negative members (classed by classify_cyclic)
+    each cover 1..d.  It holds at every d >= 3: rotation(d, (y - x) mod d)
+    and reflection(d, (x + y - 1) mod d) both send x to y.
     """
-    d = check_dim(dim)
-    if not 3 <= d <= 8:
-        raise ValueError(f"supported range is 3 <= dim <= 8, got {dim}")
+    d = check_cyclic_dim(dim)
     classes = [(classify_cyclic(p).chirality, p.image) for p in enumerate_cyclic(d)]
     labels = set(range(1, d + 1))
     return all(
@@ -275,9 +270,7 @@ def phase_table(dim: int) -> dict[tuple[Chirality, int], complex]:
     Both follow from shifting the initial Fourier column |psi_2>, whose
     amplitudes are exp(i 2 pi j / d) / sqrt(d) over j = 0..d-1.
     """
-    d = check_dim(dim)
-    if d < 3:
-        raise ValueError(f"phase table needs dim >= 3, got {d}")
+    d = check_cyclic_dim(dim)
     table: dict[tuple[Chirality, int], complex] = {}
     for r in range(d):
         table[(Chirality.POSITIVE, r)] = complex(np.exp(-2j * np.pi * r / d))

@@ -34,6 +34,7 @@ from .algorithm import (
     run_classical,
     run_quantum,
 )
+from .linalg import MAX_DIM
 from .nmr import SpinSystem, inject_readout_noise, pseudo_pure
 from .permutations import Chirality, Permutation, classify_cyclic, enumerate_cyclic, parity
 from .protocol import run_protocol
@@ -107,13 +108,13 @@ def cmd_run(args) -> int:
     return EXIT_OK
 
 
-def _mark(check: bool | None) -> str:
-    return "-" if check is None else ("ok" if check else "FAIL")
+def _mark(check: bool) -> str:
+    return "ok" if check else "FAIL"
 
 
 def cmd_verify(args) -> int:
     rows = []
-    parity_matches = True
+    ok = parity_matches = True
     t0 = time.perf_counter()
     for d in range(3, args.dmax + 1):
         table = phase_table(d)
@@ -127,18 +128,16 @@ def cmd_verify(args) -> int:
             two_ok &= classical.classification is truth.chirality and classical.oracle_queries == 2
             if d == 3:
                 parity_matches &= (truth.chirality is Chirality.POSITIVE) == (parity(p) == 1)
-        query_ok = one_query_insufficient(d) if d <= 8 else None
-        rows.append(
-            {
-                "dim": d,
-                "classifications": class_ok,
-                "phases": phase_ok,
-                "one_query_insufficient": query_ok,
-                "classical_two_queries": two_ok,
-            }
-        )
+        checks = {
+            "classifications": class_ok,
+            "phases": phase_ok,
+            "one_query_insufficient": one_query_insufficient(d),
+            "classical_two_queries": two_ok,
+        }
+        ok &= all(checks.values())
+        rows.append({"dim": d, **checks})
     elapsed = time.perf_counter() - t0
-    ok = parity_matches and all(val is not False for row in rows for val in row.values())
+    ok &= parity_matches
 
     if args.json:
         print(_dumps({"rows": rows, "parity_is_chirality_at_dim3": parity_matches, "ok": ok}))
@@ -271,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--out", default=None, help="write the report JSON to this file")
 
     ver_p = sub.add_parser("verify", help="check the simulator's promises over a range of dims")
-    ver_p.add_argument("--dmax", type=int, default=8, choices=range(3, 13), metavar="3..12")
+    ver_p.add_argument("--dmax", type=int, default=8, choices=range(3, MAX_DIM + 1), metavar=f"3..{MAX_DIM}")
     ver_p.add_argument("--json", action="store_true")
 
     nmr_p = sub.add_parser("nmr", help="run the spin-3/2 pulse protocol")

@@ -45,10 +45,9 @@ def check_int(value, name: str) -> int:
     return operator.index(value)
 
 
-def check_finite(owner, *names: str) -> None:
-    """Raise ValueError unless each named field of owner is a finite real number; bools are refused."""
-    for name in names:
-        value = getattr(owner, name)
+def check_finite(**values) -> None:
+    """Raise ValueError unless each keyword value is a finite real number; bools are refused."""
+    for name, value in values.items():
         if isinstance(value, bool) or not isinstance(value, Real) or not math.isfinite(value):
             raise ValueError(f"{name} must be a finite number, got {value!r}")
 

@@ -81,7 +81,7 @@ class SpinSystem:
 
     def __post_init__(self):
         # NaN passes the Zeeman-dominance test below and reaches the eigensolver
-        check_finite(self, "spin", "larmor_freq", "quad_freq")
+        check_finite(spin=self.spin, larmor_freq=self.larmor_freq, quad_freq=self.quad_freq)
         _twice_spin(self.spin)
         if abs(self.larmor_freq) < 100 * abs(self.quad_freq):
             raise ValueError(
@@ -130,7 +130,7 @@ class PulseSegment:
     duration: float
 
     def __post_init__(self):
-        check_finite(self, "amplitude", "phase", "duration")
+        check_finite(amplitude=self.amplitude, phase=self.phase, duration=self.duration)
         if self.amplitude < 0:
             raise ValueError(f"amplitude must be >= 0, got {self.amplitude}")
         if self.duration <= 0:
@@ -202,7 +202,8 @@ def pseudo_pure(pure: np.ndarray, epsilon: float) -> np.ndarray:
     unitary evolution and deviation-matrix readout.
     """
     pure = _as_matrix(pure)
-    if isinstance(epsilon, bool) or not 0.0 <= epsilon <= 1.0:
+    check_finite(epsilon=epsilon)
+    if not 0.0 <= epsilon <= 1.0:
         raise ValueError(f"epsilon must be in [0, 1], got {epsilon}")
     d = pure.shape[0]
     return (1.0 - epsilon) / d * np.eye(d, dtype=complex) + epsilon * pure
@@ -231,8 +232,9 @@ def inject_readout_noise(rho: np.ndarray, sigma: float = 0.01, seed: int | None 
     negative eigenvalues, as real reconstructed matrices do.
     """
     a = _as_matrix(rho)
-    if isinstance(sigma, bool) or not np.isfinite(sigma) or sigma < 0:
-        raise ValueError(f"sigma must be finite and >= 0, got {sigma}")
+    check_finite(sigma=sigma)
+    if sigma < 0:
+        raise ValueError(f"sigma must be >= 0, got {sigma}")
     d = a.shape[0]
     scale = sigma * float(np.max(np.abs(a)))
     rng = np.random.default_rng(None if seed is None else check_int(seed, "seed"))

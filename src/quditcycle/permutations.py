@@ -133,11 +133,17 @@ def classify_cyclic(p: Permutation) -> CyclicClass:
     return CyclicClass(Chirality.NOT_CYCLIC, None)
 
 
-def enumerate_cyclic(dim: int) -> list[Permutation]:
-    """All 2d cyclic permutations: d positive (r = 0..d-1), then d negative."""
+def check_cyclic_dim(dim: int) -> int:
+    """Return dim as an int if 3 <= dim <= MAX_DIM; below 3 every rotation is also a reflection."""
     d = check_dim(dim)
     if d < 3:
-        raise ValueError(f"cyclic enumeration needs dim >= 3, got {dim}")
+        raise ValueError(f"the cyclic promise needs dim >= 3, got {dim!r}")
+    return d
+
+
+def enumerate_cyclic(dim: int) -> list[Permutation]:
+    """All 2d cyclic permutations: d positive (r = 0..d-1), then d negative."""
+    d = check_cyclic_dim(dim)
     return [rotation(d, r) for r in range(d)] + [reflection(d, r) for r in range(d)]
 
 

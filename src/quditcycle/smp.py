@@ -71,8 +71,11 @@ class OptimizerConfig:
     max_iter: int = 6000
 
     def __post_init__(self):
+        # a string or None would fail the range checks below with a TypeError
+        for name in ("segments", "restarts", "seed", "max_iter"):
+            object.__setattr__(self, name, check_int(getattr(self, name), name))
         # True would compare as 1 and be taken as a fidelity target
-        check_finite(self, "min_fidelity")
+        check_finite(min_fidelity=self.min_fidelity)
         if self.segments < 1:
             raise ValueError("need at least one segment")
         if self.restarts < 1:
@@ -81,8 +84,6 @@ class OptimizerConfig:
             raise ValueError("min_fidelity must be in (0, 1]")
         if self.seed < 0 or self.max_iter < 1:
             raise ValueError("need seed >= 0 and max_iter >= 1")
-        for name in ("segments", "restarts", "seed", "max_iter"):
-            object.__setattr__(self, name, check_int(getattr(self, name), name))
 
 
 def gate_fidelity(u: np.ndarray, v: np.ndarray) -> float:

@@ -20,6 +20,7 @@ from quditcycle.algorithm import (
     run_quantum,
 )
 from quditcycle.linalg import (
+    MAX_DIM,
     basis_state,
     equal_up_to_global_phase,
     validate_unitary,
@@ -116,7 +117,7 @@ def test_criterion_3_dimension_sweep(report):
 
 def test_criterion_4_query_complexity_separation(report):
     t0 = time.perf_counter()
-    ok = all(one_query_insufficient(d) for d in range(3, 9))
+    ok = all(one_query_insufficient(d) for d in range(3, MAX_DIM + 1))
     for d in range(3, 9):
         for p in enumerate_cyclic(d):
             rep = run_classical(p)
@@ -124,7 +125,8 @@ def test_criterion_4_query_complexity_separation(report):
             ok = ok and rep.classification is classify_cyclic(p).chirality
     elapsed = time.perf_counter() - t0
     ok = ok and elapsed < 5.0
-    report(4, f"one classical query never suffices, two always do, sizes 3..8 ({elapsed:.2f}s < 5s)", ok)
+    label = f"one classical query never suffices (sizes 3..{MAX_DIM}), two always do (3..8)"
+    report(4, f"{label} ({elapsed:.2f}s < 5s)", ok)
 
 
 def test_criterion_5_fourier_matrices(report):

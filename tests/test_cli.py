@@ -15,6 +15,7 @@ from quditcycle.cli import (
     build_parser,
     main,
 )
+from quditcycle.linalg import MAX_DIM
 from quditcycle.nmr import PulseSegment, SpinSystem, sequence_propagator
 from quditcycle.protocol import theory_state
 
@@ -181,6 +182,15 @@ def test_verify_small_sweep(capsys):
         assert row["classifications"] and row["phases"]
         assert row["one_query_insufficient"] is True
         assert row["classical_two_queries"] is True
+
+
+def test_verify_full_range(capsys):
+    # rows 9..12 used to hold null, and --dmax stopped at 12
+    code, out, _ = run_cli(capsys, "verify", "--dmax", str(MAX_DIM), "--json")
+    blob = json.loads(out)
+    assert code == EXIT_OK and blob["ok"] is True and blob["parity_is_chirality_at_dim3"] is True
+    assert [row["dim"] for row in blob["rows"]] == list(range(3, MAX_DIM + 1))
+    assert all(val is True for row in blob["rows"] for key, val in row.items() if key != "dim")
 
 
 def test_verify_human_table(capsys):

@@ -127,7 +127,7 @@ def run_cases() -> dict[str, list[str]]:
 
 def verify_cases() -> dict[str, list[str]]:
     cases = {f"dmax{d}": ["verify", "--dmax", str(d), "--json"] for d in (3, 12)}
-    cases["error-dmax"] = ["verify", "--dmax", "13"]
+    cases["error-dmax"] = ["verify", "--dmax", "65"]
     return cases
 
 

@@ -266,8 +266,9 @@ def test_pseudo_pure_composition():
     dev = rho - np.trace(rho) / 4 * np.eye(4)
     assert abs(np.trace(dev)) < 1e-15
 
-    for bad in (1.5, -0.1, np.nan):
-        with pytest.raises(ValueError):
+    # a string or None used to raise TypeError from the range comparison
+    for bad in (1.5, -0.1, np.nan, "0.5", None):
+        with pytest.raises(ValueError, match="epsilon"):
             pseudo_pure(ket_bra(4, 2), bad)
 
 
@@ -314,8 +315,8 @@ def test_readout_noise_properties():
     assert np.max(
         np.abs(inject_readout_noise(rho, seed=3) - inject_readout_noise(rho, seed=3))
     ) == 0
-    for bad in (-0.1, np.nan, np.inf):
-        with pytest.raises(ValueError):
+    for bad in (-0.1, np.nan, np.inf, "0.1", None):
+        with pytest.raises(ValueError, match="sigma"):
             inject_readout_noise(rho, sigma=bad, seed=0)
     for bad in (np.ones((4, 3)), np.full((4, 4), np.nan)):
         with pytest.raises(ValueError):

@@ -1,0 +1,69 @@
+"""Property tests over the whole accepted size range, 3 <= d <= MAX_DIM.
+
+Hypothesis draws sizes and permutations; the settings are derandomized and
+keep no example database, so every run checks the same examples.
+"""
+
+import json
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from quditcycle.algorithm import FourierKind, phase_table, run_quantum
+from quditcycle.linalg import MAX_DIM
+from quditcycle.permutations import (
+    Permutation,
+    classify_cyclic,
+    oracle_unitary,
+    reflection,
+    relabel,
+    rotation,
+)
+
+PROPERTY = settings(max_examples=30, derandomize=True, database=None, deadline=None)
+dims = st.integers(3, MAX_DIM)
+
+
+def perms(d):
+    return st.permutations(range(1, d + 1)).map(lambda img: Permutation(tuple(img)))
+
+
+@st.composite
+def cyclic(draw, d=None):
+    d = draw(dims) if d is None else d
+    make = draw(st.sampled_from((rotation, reflection)))
+    return make(d, draw(st.integers(0, d - 1)))
+
+
+@PROPERTY
+@given(dims.flatmap(lambda d: st.tuples(perms(d), perms(d), perms(d))))
+def test_group_laws_and_oracle_homomorphism(pqr):
+    p, q, r = pqr
+    assert p.compose(q).compose(r) == p.compose(q.compose(r))
+    assert p.compose(p.inverse()) == rotation(p.dim, 0) == p.inverse().compose(p)
+    assert np.array_equal(oracle_unitary(p.compose(q)), oracle_unitary(p) @ oracle_unitary(q))
+
+
+@PROPERTY
+@given(dims.flatmap(lambda d: st.tuples(cyclic(d), perms(d))))
+def test_relabeled_run_keeps_the_class(pair):
+    p, sigma = pair
+    truth = classify_cyclic(p)
+    conj = relabel(p, sigma)
+    assert conj.compose(sigma) == sigma.compose(p)
+    assert run_quantum(conj, FourierKind("general", sigma)).classification is truth.chirality
+
+
+@PROPERTY
+@given(cyclic())
+def test_report_phase_survives_a_json_round_trip(p):
+    truth = classify_cyclic(p)
+    report = run_quantum(p)
+    assert abs(report.phase - phase_table(p.dim)[(truth.chirality, truth.shift)]) <= 1e-10
+    blob = json.loads(json.dumps(report.to_json()))
+    assert Permutation(tuple(blob["permutation"]["image"])) == p
+    assert blob["classification"] == truth.chirality.value
+    assert complex(blob["phase"]["re"], blob["phase"]["im"]) == report.phase
+    state = blob["final_state"]
+    assert np.array_equal(np.array(state["re"]) + 1j * np.array(state["im"]), report.final_state)

@@ -50,9 +50,10 @@ def test_config_validation():
     with pytest.raises(ValueError):
         OptimizerConfig(max_iter=0)
     # a fractional or boolean count used to fail only inside the search, or
-    # for max_iter to be taken as it stood
+    # for max_iter to be taken as it stood; a string or None raised TypeError
+    # from a range comparison
     for name in ("segments", "restarts", "seed", "max_iter"):
-        for value in (2.5, 2.0, True, np.True_):
+        for value in (2.5, 2.0, True, np.True_, "2", None):
             with pytest.raises(ValueError, match=name):
                 OptimizerConfig(**{name: value})
     # True compared as 1.0 and was taken as a fidelity target
