@@ -80,6 +80,17 @@ def _fourier_conj(d: int, variant: str) -> np.ndarray:
     return fc
 
 
+def _check_kind(d: int, kind: FourierKind | None) -> FourierKind:
+    """The kind, defaulted, if it fits size d: qutrit only at d = 3, relabeling of size d."""
+    kind = kind or FourierKind()
+    if kind.variant == "qutrit" and d != 3:
+        raise ValueError("the qutrit spin variant is only defined for dim 3")
+    sigma = kind.relabeling
+    if sigma is not None and sigma.dim != d:
+        raise ValueError(f"size mismatch: {sigma.dim} vs {d}")
+    return kind
+
+
 def qft(dim: int, kind: FourierKind | None = None) -> np.ndarray:
     """Fourier matrix for the given dimension and convention.
 
@@ -94,18 +105,16 @@ def qft(dim: int, kind: FourierKind | None = None) -> np.ndarray:
     gather, which has the same bits as the product with the 0/1 matrix.
 
     The matrix is built once per (dim, variant) per process; the returned
-    array is a fresh one that belongs to the caller.
+    array is a fresh one that belongs to the caller.  run_quantum does not
+    call this: it reads only the start column of the cached matrix and the
+    cached conj(F), with the same rows gathered for a relabeling.
     """
     d = check_dim(dim)
     if d < 2:
         raise ValueError(f"Fourier transform needs dim >= 2, got {d}")
-    kind = kind or FourierKind()
-    if kind.variant == "qutrit" and d != 3:
-        raise ValueError("the qutrit spin variant is only defined for dim 3")
-    sigma = kind.relabeling
-    if sigma is not None and sigma.dim != d:
-        raise ValueError(f"size mismatch: {sigma.dim} vs {d}")
+    kind = _check_kind(d, kind)
     f = _fourier(d, kind.variant)
+    sigma = kind.relabeling
     if sigma is None:
         return f.copy()
     return f[[x - 1 for x in sigma.inverse().image]]
@@ -160,21 +169,32 @@ def run_quantum(p: Permutation, kind: FourierKind | None = None) -> RunReport:
     or when the kind does not fit the size, and NotCyclicError for
     permutations outside the promise (in the kind's labeling); the circuit
     is only meaningful on cyclic inputs.
+
+    It does not call qft.  Of the cached Fourier matrix F it reads only the
+    start column F|start>, and F^dag as the transpose of the cached conj(F);
+    for a relabeling sigma both take the rows of P_sigma F, gathered by
+    sigma^-1 once the promise check has passed, so a relabeled run gathers
+    one d x d array (conj(F)) and an unrelabeled run none.
     """
-    kind = kind or FourierKind()
     d = check_cyclic_dim(p.dim)
-    f = qft(d, kind)
-    f_conj = _fourier_conj(d, kind.variant)
-    base = p
+    kind = _check_kind(d, kind)
     sigma = kind.relabeling
-    if sigma is not None:
-        inv = sigma.inverse()
-        base = relabel(p, inv)
-        f_conj = f_conj[[x - 1 for x in inv.image]]  # conj(P_sigma F): the rows qft gathers
+    inv = None if sigma is None else sigma.inverse()
+    base = p if inv is None else relabel(p, inv)
     if classify_cyclic(base).chirality is Chirality.NOT_CYCLIC:
         raise NotCyclicError(
             f"permutation {p.image} is not cyclic in the requested labeling"
         )
+
+    start = initial_index(kind)
+    f = _fourier(d, kind.variant)
+    f_conj = _fourier_conj(d, kind.variant)
+    if inv is None:
+        column = f[:, start - 1]  # F|start>
+    else:
+        rows = [x - 1 for x in inv.image]  # P_sigma F, as qft gathers it
+        column = f[rows, start - 1]
+        f_conj = f_conj[rows]
 
     queries = 0
 
@@ -183,12 +203,11 @@ def run_quantum(p: Permutation, kind: FourierKind | None = None) -> RunReport:
         queries += 1
         return oracle_unitary(p) @ state
 
-    start = initial_index(kind)
-    psi = call_oracle(f[:, start - 1])  # F|start>
+    psi = call_oracle(column)
     psi = f_conj.T @ psi
 
     probs = np.abs(psi) ** 2
-    idx = int(np.argmax(probs)) + 1
+    idx = int(probs.argmax()) + 1
     if probs[idx - 1] < 1.0 - 1e-9:
         raise RuntimeError(
             f"final state is not a basis state: max probability {probs[idx - 1]}"

@@ -246,6 +246,17 @@ def _bounded(upper: float):
     return parse
 
 
+def _cyclic_dim(text: str) -> int:
+    """argparse type: an integer in 3..MAX_DIM, the sizes the cyclic promise covers."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if not 3 <= value <= MAX_DIM:
+        raise argparse.ArgumentTypeError(f"must be an integer in [3, {MAX_DIM}], got {text!r}")
+    return value
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process; parsing leaves it unchanged."""
@@ -270,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--out", default=None, help="write the report JSON to this file")
 
     ver_p = sub.add_parser("verify", help="check the simulator's promises over a range of dims")
-    ver_p.add_argument("--dmax", type=int, default=8, choices=range(3, MAX_DIM + 1), metavar=f"3..{MAX_DIM}")
+    ver_p.add_argument("--dmax", type=_cyclic_dim, default=8, metavar=f"3..{MAX_DIM}")
     ver_p.add_argument("--json", action="store_true")
 
     nmr_p = sub.add_parser("nmr", help="run the spin-3/2 pulse protocol")

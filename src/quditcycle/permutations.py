@@ -31,13 +31,15 @@ class Permutation:
     image: tuple[int, ...]
 
     def __post_init__(self):
-        raw = tuple(self.image)
-        try:
-            if bool in map(type, raw):
-                raise TypeError("booleans are not labels")
-            img = tuple(map(operator.index, raw))
-        except TypeError:
-            raise ValueError(f"permutation entries must be integers, got {raw!r}") from None
+        img = tuple(self.image)
+        types = set(map(type, img))
+        if types != {int}:  # numpy integers become ints; booleans are not labels
+            try:
+                if bool in types:
+                    raise TypeError
+                img = tuple(map(operator.index, img))
+            except TypeError:
+                raise ValueError(f"permutation entries must be integers, got {img!r}") from None
         object.__setattr__(self, "image", img)
         d = len(img)
         if d < 1 or d > MAX_DIM:
@@ -102,33 +104,45 @@ def parity(p: Permutation) -> int:
     return 1 if (len(img) - cycles) % 2 == 0 else -1
 
 
+def _rotation_image(d: int, r: int) -> tuple[int, ...]:
+    """Image of x -> ((x - 1 + r) mod d) + 1: r+1..d, then 1..r (r taken mod d)."""
+    r %= d
+    return (*range(r + 1, d + 1), *range(1, r + 1))
+
+
+def _reflection_image(d: int, r: int) -> tuple[int, ...]:
+    """Image of x -> ((r - x) mod d) + 1: r..1, then d..r+1 (r taken mod d)."""
+    r %= d
+    return (*range(r, 0, -1), *range(d, r, -1))
+
+
 def rotation(dim: int, r: int) -> Permutation:
     """Positive cyclic permutation x -> ((x - 1 + r) mod d) + 1."""
     d, r = check_dim(dim), check_int(r, "offset")
-    return Permutation(tuple((x + r) % d + 1 for x in range(d)))
+    return Permutation(_rotation_image(d, r))
 
 
 def reflection(dim: int, r: int) -> Permutation:
     """Negative cyclic permutation x -> ((r - x) mod d) + 1."""
     d, r = check_dim(dim), check_int(r, "offset")
-    return Permutation(tuple((r - (x + 1)) % d + 1 for x in range(d)))
+    return Permutation(_reflection_image(d, r))
 
 
 def classify_cyclic(p: Permutation) -> CyclicClass:
     """Chirality and rotation offset of a permutation.
 
-    p(1) fixes the only candidate offset of each family, so one pass over
-    the image per family decides the chirality.  Rotations are tried first:
-    at d = 2, (2, 1) is both a rotation and a reflection and counts as
-    positive.
+    p(1) fixes the only candidate offset of each family, so one comparison
+    of the image with that candidate per family decides the chirality.
+    Rotations are tried first: at d = 2, (2, 1) is both a rotation and a
+    reflection and counts as positive.
     """
     d = p.dim
     img = p.image
     r = img[0] - 1
-    if all(y == (x + r) % d + 1 for x, y in enumerate(img)):
+    if img == _rotation_image(d, r):
         return CyclicClass(Chirality.POSITIVE, r)
     r = img[0] % d
-    if all(y == (r - x - 1) % d + 1 for x, y in enumerate(img)):
+    if img == _reflection_image(d, r):
         return CyclicClass(Chirality.NEGATIVE, r)
     return CyclicClass(Chirality.NOT_CYCLIC, None)
 

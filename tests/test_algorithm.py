@@ -176,6 +176,52 @@ def test_run_quantum_rejects_dims_below_three():
         assert not isinstance(err.value, NotCyclicError)
 
 
+@pytest.mark.parametrize(
+    "image,kind,message",
+    [
+        ((1, 3, 2, 4), FourierKind("qutrit"), "qutrit spin variant is only defined for dim 3"),
+        ((1, 3, 2, 4), FourierKind("general", Permutation((2, 3, 1))), "size mismatch: 3 vs 4"),
+        ((1, 3, 2, 4, 5), FourierKind("general", Permutation((2, 1, 4, 3))), "size mismatch: 4 vs 5"),
+        ((2, 1), FourierKind("qutrit"), "dim >= 3"),
+        ((2, 1), FourierKind("general", Permutation((2, 3, 1))), "dim >= 3"),
+    ],
+)
+def test_run_quantum_checks_the_kind_before_the_promise(image, kind, message):
+    # a kind that does not fit the size is a bad argument (ValueError, exit 2
+    # in the CLI), whatever the permutation; only then is the promise checked
+    with pytest.raises(ValueError, match=message) as err:
+        run_quantum(Permutation(image), kind)
+    assert not isinstance(err.value, NotCyclicError)
+
+
+def test_run_quantum_inverts_sigma_once_and_never_copies_f(monkeypatch):
+    def no_qft(*args, **kwargs):
+        raise AssertionError("run_quantum called qft")
+
+    inversions = []
+    inverse = Permutation.inverse
+
+    def counting_inverse(self):
+        inversions.append(self)
+        return inverse(self)
+
+    sigma = Permutation((3, 1, 4, 2, 5))
+    kind = FourierKind.standard(sigma)
+    cyclic = relabel(reflection(5, 2), sigma)
+    want = run_quantum(cyclic, kind)
+    monkeypatch.setattr("quditcycle.algorithm.qft", no_qft)
+    monkeypatch.setattr(Permutation, "inverse", counting_inverse)
+    got = run_quantum(cyclic, kind)
+    assert inversions == [sigma]
+    assert got.final_state.tobytes() == want.final_state.tobytes() and got.phase == want.phase
+    with pytest.raises(NotCyclicError):
+        run_quantum(Permutation((1, 3, 2, 4, 5)), kind)
+    assert inversions == [sigma, sigma]
+    run_quantum(rotation(7, 3))
+    run_quantum(Permutation((3, 2, 1)), FourierKind.qutrit_spin())
+    assert len(inversions) == 2
+
+
 def test_fourier_kind_names_its_convention():
     assert FourierKind() == FourierKind.standard() == FourierKind("general")
     assert FourierKind.qutrit_spin() == FourierKind("qutrit")

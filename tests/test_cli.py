@@ -193,6 +193,25 @@ def test_verify_full_range(capsys):
     assert all(val is True for row in blob["rows"] for key, val in row.items() if key != "dim")
 
 
+@pytest.mark.parametrize(
+    "value,message",
+    [
+        ("2", "must be an integer in [3, 64], got '2'"),
+        ("65", "must be an integer in [3, 64], got '65'"),
+        ("x", "invalid int value: 'x'"),
+    ],
+)
+def test_verify_dmax_out_of_range_is_one_line(value, message, capsys):
+    # choices=range(3, 65) used to list all 62 accepted values in the error
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--dmax", value])
+    err = capsys.readouterr().err
+    assert exc.value.code == EXIT_BAD_PERMUTATION == 2
+    errors = [line for line in err.splitlines() if "error:" in line]
+    assert errors == [f"quditcycle verify: error: argument --dmax: {message}"]
+    assert len(err.splitlines()) == 2  # the usage line, then the error
+
+
 def test_verify_human_table(capsys):
     code, out, _ = run_cli(capsys, "verify", "--dmax", "3")
     assert code == EXIT_OK

@@ -207,6 +207,68 @@ def test_classify_matches_rotation_search():
     assert classify_cyclic(Permutation((2, 1))).chirality is Chirality.POSITIVE
 
 
+def _old_classify(p: Permutation):
+    """The modulo scan classify_cyclic made before it compared against range-built images."""
+    d, img = p.dim, p.image
+    r = img[0] - 1
+    if all(y == (x + r) % d + 1 for x, y in enumerate(img)):
+        return Chirality.POSITIVE, r
+    r = img[0] % d
+    if all(y == (r - x - 1) % d + 1 for x, y in enumerate(img)):
+        return Chirality.NEGATIVE, r
+    return Chirality.NOT_CYCLIC, None
+
+
+def test_range_built_images_match_modulo_formulas():
+    for d in range(1, 65):
+        for r in range(-2 * d, 2 * d + 1):
+            assert rotation(d, r).image == tuple((x + r) % d + 1 for x in range(d))
+            assert reflection(d, r).image == tuple((r - x - 1) % d + 1 for x in range(d))
+
+
+def test_classify_matches_modulo_scan():
+    rng = np.random.default_rng(141)
+    for d in range(2, 65):
+        perms = [rotation(d, r) for r in range(d)] + [reflection(d, r) for r in range(d)]
+        perms += [Permutation(random_permutation_image(rng, d)) for _ in range(20)]
+        # a rotation or a reflection with two images swapped: right p(1), wrong tail
+        for family in (rotation, reflection):
+            img = list(family(d, int(rng.integers(d))).image)
+            i, j = sorted(rng.choice(d, size=2, replace=False))
+            img[i], img[j] = img[j], img[i]
+            perms.append(Permutation(tuple(img)))
+        for p in perms:
+            c = classify_cyclic(p)
+            assert (c.chirality, c.shift) == _old_classify(p)
+
+
+def test_permutation_stores_plain_ints():
+    for image in (np.array([2, 3, 1]), (np.int64(2), np.int32(3), np.uint8(1)), [2, np.int16(3), 1]):
+        p = Permutation(image)
+        assert p.image == (2, 3, 1) and {type(x) for x in p.image} == {int}
+
+
+@pytest.mark.parametrize(
+    "image,message",
+    [
+        ((True, 2), "permutation entries must be integers, got (True, 2)"),
+        ((2, np.True_), f"permutation entries must be integers, got {(2, np.True_)!r}"),
+        ((2.0, 1), "permutation entries must be integers, got (2.0, 1)"),
+        ((1, 1, 2), "image (1, 1, 2) is not a bijection of 1..3"),
+        ((0, 1, 2), "image (0, 1, 2) is not a bijection of 1..3"),
+        ((1, 2, 4), "image (1, 2, 4) is not a bijection of 1..3"),
+        ((np.int64(1), 3), "image (1, 3) is not a bijection of 1..2"),
+        ((), "permutation size must be in [1, 64], got 0"),
+        (tuple(range(1, 66)), "permutation size must be in [1, 64], got 65"),
+    ],
+    ids=repr,
+)
+def test_permutation_refusal_messages(image, message):
+    with pytest.raises(ValueError) as err:
+        Permutation(image)
+    assert str(err.value) == message
+
+
 def test_rotation_reflection_constructors():
     assert rotation(4, 1).image == (2, 3, 4, 1)
     assert reflection(4, 0).image == (4, 3, 2, 1)
