@@ -30,7 +30,6 @@ from .permutations import (
     classify_cyclic,
     enumerate_cyclic,
     oracle_unitary,
-    relabel,
 )
 
 # Fourier conventions by name: labels 1..d, or the d = 3 spin labels m = +1, 0, -1.
@@ -107,7 +106,8 @@ def qft(dim: int, kind: FourierKind | None = None) -> np.ndarray:
     The matrix is built once per (dim, variant) per process; the returned
     array is a fresh one that belongs to the caller.  run_quantum does not
     call this: it reads only the start column of the cached matrix and the
-    cached conj(F), with the same rows gathered for a relabeling.
+    cached conj(F), with the same rows gathered for a relabeling, and reads
+    the permutation only through its one oracle application.
     """
     d = check_dim(dim)
     if d < 2:
@@ -167,32 +167,33 @@ def run_quantum(p: Permutation, kind: FourierKind | None = None) -> RunReport:
 
     Raises ValueError below dim 3, where rotations and reflections coincide,
     or when the kind does not fit the size, and NotCyclicError for
-    permutations outside the promise (in the kind's labeling); the circuit
-    is only meaningful on cyclic inputs.
+    permutations outside the promise (in the kind's labeling).
+
+    p is read only through its one application of U_p, and the outcome
+    alone refuses non-cyclic inputs.  F^dag U_p F |2> is a phase times |m>
+    exactly when x = (m - 1) p(x) + b mod d for all x: rotations land on
+    |2>, reflections on |d>, other unit multipliers elsewhere.  Any other
+    bijection breaks that relation at two x or more, so no probability
+    exceeds |d - 2 + 2 exp(2 pi i / d)|^2 / d^2 < 1 - 1e-9 for d <= 64.
+    A relabeling reduces to this, as P_sigma^dag U_p P_sigma = U_(sigma^-1
+    p sigma), and the qutrit variant reorders the labels of d = 3.
 
     It does not call qft.  Of the cached Fourier matrix F it reads only the
     start column F|start>, and F^dag as the transpose of the cached conj(F);
     for a relabeling sigma both take the rows of P_sigma F, gathered by
-    sigma^-1 once the promise check has passed, so a relabeled run gathers
-    one d x d array (conj(F)) and an unrelabeled run none.
+    sigma^-1, so a relabeled run gathers one d x d array (conj(F)) and an
+    unrelabeled run none.
     """
     d = check_cyclic_dim(p.dim)
     kind = _check_kind(d, kind)
-    sigma = kind.relabeling
-    inv = None if sigma is None else sigma.inverse()
-    base = p if inv is None else relabel(p, inv)
-    if classify_cyclic(base).chirality is Chirality.NOT_CYCLIC:
-        raise NotCyclicError(
-            f"permutation {p.image} is not cyclic in the requested labeling"
-        )
-
     start = initial_index(kind)
     f = _fourier(d, kind.variant)
     f_conj = _fourier_conj(d, kind.variant)
-    if inv is None:
+    sigma = kind.relabeling
+    if sigma is None:
         column = f[:, start - 1]  # F|start>
     else:
-        rows = [x - 1 for x in inv.image]  # P_sigma F, as qft gathers it
+        rows = [x - 1 for x in sigma.inverse().image]  # P_sigma F, as qft gathers it
         column = f[rows, start - 1]
         f_conj = f_conj[rows]
 
@@ -208,23 +209,19 @@ def run_quantum(p: Permutation, kind: FourierKind | None = None) -> RunReport:
 
     probs = np.abs(psi) ** 2
     idx = int(probs.argmax()) + 1
-    if probs[idx - 1] < 1.0 - 1e-9:
-        raise RuntimeError(
-            f"final state is not a basis state: max probability {probs[idx - 1]}"
+    outcome_map = {start: Chirality.POSITIVE, d: Chirality.NEGATIVE}
+    if probs[idx - 1] < 1.0 - 1e-9 or idx not in outcome_map:
+        raise NotCyclicError(
+            f"permutation {p.image} is not cyclic in the requested labeling"
         )
     amp = psi[idx - 1]
-    phase = amp / abs(amp)
-
-    outcome_map = {start: Chirality.POSITIVE, d: Chirality.NEGATIVE}
-    if idx not in outcome_map:
-        raise RuntimeError(f"measured index {idx} outside the promised outcomes")
 
     return RunReport(
         permutation=p,
         oracle_queries=queries,
         classification=outcome_map[idx],
         measured_index=idx,
-        phase=complex(phase),
+        phase=complex(amp / abs(amp)),
         final_state=psi,
     )
 

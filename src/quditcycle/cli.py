@@ -74,13 +74,13 @@ def _error(message, code: int = EXIT_BAD_PERMUTATION) -> int:
 
 
 def cmd_run(args) -> int:
-    if args.mode == "classical" and (args.relabel or args.fourier != "general"):
+    if args.mode == "classical" and (args.relabel is not None or args.fourier != "general"):
         return _error("--relabel and --fourier qutrit apply to --mode quantum only")
     try:
         p = Permutation.from_string(args.perm)
         if args.dim is not None and args.dim != p.dim:
             raise ValueError(f"--dim {args.dim} does not match permutation of size {p.dim}")
-        sigma = Permutation.from_string(args.relabel) if args.relabel else None
+        sigma = None if args.relabel is None else Permutation.from_string(args.relabel)
         if args.mode == "classical":
             report = run_classical(p)
         else:
@@ -157,9 +157,6 @@ def _write_csv(path: str, data: np.ndarray) -> None:
 
 def cmd_nmr(args) -> int:
     oracle, stage = GATE_MAP[args.gate]
-    want = "full" if stage == "full" else "after"
-    if args.stage not in ("auto", want):
-        return _error(f"--stage {args.stage} contradicts --gate {args.gate} (expects {want})")
     if args.noise_seed < 0:
         return _error(f"--noise-seed must be >= 0, got {args.noise_seed}")
 
@@ -170,6 +167,8 @@ def cmd_nmr(args) -> int:
         if args.config:
             with open(args.config) as fh:
                 loaded = json.load(fh)
+            if not isinstance(loaded, dict):
+                raise ValueError(f"config file must hold a JSON object, got {type(loaded).__name__}")
             bad = set(loaded) - set(CONFIG_KEYS)
             if bad:
                 raise ValueError(f"unknown config keys {sorted(bad)}")
@@ -286,12 +285,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     nmr_p = sub.add_parser("nmr", help="run the spin-3/2 pulse protocol")
     nmr_p.add_argument("--gate", required=True, choices=sorted(GATE_MAP))
-    nmr_p.add_argument(
-        "--stage",
-        choices=("auto", "after", "full"),
-        default="auto",
-        help="cross-check against the prefix implied by --gate",
-    )
     nmr_p.add_argument("--seed", type=int, default=None, help="optimizer seed (default 0); overrides --config")
     nmr_p.add_argument("--ideal", action="store_true", help="use exact gates instead of pulses")
     nmr_p.add_argument("--epsilon", type=_bounded(1.0), default=1e-5)

@@ -1,5 +1,6 @@
 """The one-query classifier: Fourier matrices, runs, phases, query counts."""
 
+import itertools
 import json
 
 import numpy as np
@@ -162,6 +163,105 @@ def test_run_quantum_rejects_non_cyclic():
         run_quantum(Permutation((1, 3, 2, 4)))
     with pytest.raises(NotCyclicError):
         run_quantum(Permutation((2, 1, 3, 4, 5)))
+
+
+def _promise_class(p, kind):
+    """classify_cyclic of p read in the kind's labeling."""
+    sigma = kind.relabeling
+    return classify_cyclic(p if sigma is None else relabel(p, sigma.inverse())).chirality
+
+
+def _quantum_class(p, kind):
+    try:
+        return run_quantum(p, kind).classification
+    except NotCyclicError as exc:
+        assert str(exc) == f"permutation {p.image} is not cyclic in the requested labeling"
+        return Chirality.NOT_CYCLIC
+
+
+def _outcome_mismatches(perms, kind):
+    """Inputs where the circuit's own answer differs from classify_cyclic; and the refusal count."""
+    bad, refused = [], 0
+    for p in perms:
+        want = _promise_class(p, kind)
+        refused += want is Chirality.NOT_CYCLIC
+        if _quantum_class(p, kind) is not want:
+            bad.append(p.image)
+    return bad, refused
+
+
+@pytest.mark.parametrize("d", range(3, 8))
+def test_run_quantum_outcome_refuses_exactly_the_non_cyclic(d):
+    # run_quantum reads p only through U_p: every permutation, plain and
+    # under one seeded relabeling, is refused exactly when it is not cyclic
+    perms = [Permutation(img) for img in itertools.permutations(range(1, d + 1))]
+    order = list(range(1, d + 1))
+    np.random.default_rng(d).shuffle(order)
+    for kind in (FourierKind(), FourierKind.standard(Permutation(tuple(order)))):
+        bad, refused = _outcome_mismatches(perms, kind)
+        assert not bad
+        assert refused == len(perms) - 2 * d
+
+
+def test_run_quantum_outcome_on_every_qutrit_case():
+    perms = [Permutation(img) for img in itertools.permutations((1, 2, 3))]
+    for sigma in [None, *perms]:
+        bad, refused = _outcome_mismatches(perms, FourierKind.qutrit_spin(sigma))
+        assert not bad and refused == 0
+
+
+@pytest.mark.parametrize("d", [5, 7, 8, 9, 64])
+def test_run_quantum_refuses_affine_maps_with_other_unit_multipliers(d):
+    # x -> a (x - 1) + b with a unit a other than +-1 lands on a single level
+    # other than |2> and |d>, e.g. 1,3,5,2,4 on |4>
+    units = [a for a in range(2, d - 1) if np.gcd(a, d) == 1]
+    perms = [Permutation(tuple((a * x + b) % d + 1 for x in range(d))) for a in units for b in range(d)]
+    bad, refused = _outcome_mismatches(perms, FourierKind())
+    assert not bad and refused == len(perms) > 0
+
+
+def test_run_quantum_refuses_near_cyclic_inputs_at_max_dim():
+    # a rotation or reflection with two entries swapped keeps the largest
+    # probability within about 3e-4 of one, far outside the 1e-9 threshold
+    d, rng = MAX_DIM, np.random.default_rng(64)
+    perms = []
+    for r in range(d):
+        for family in (rotation, reflection):
+            pairs = [(0, 1), (d - 2, d - 1)] + [tuple(rng.choice(d, 2, replace=False)) for _ in range(6)]
+            for i, j in pairs:
+                img = list(family(d, r).image)
+                img[i], img[j] = img[j], img[i]
+                perms.append(Permutation(tuple(img)))
+    bad, refused = _outcome_mismatches(perms, FourierKind())
+    assert not bad and refused == len(perms)
+
+
+def test_run_quantum_reads_p_only_through_the_oracle(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("run_quantum read the permutation classically")
+
+    sigma = Permutation((3, 1, 4, 2, 5))
+    cyclic = [
+        (rotation(7, 3), None),
+        (reflection(6, 2), None),
+        (relabel(reflection(5, 2), sigma), FourierKind.standard(sigma)),
+        (Permutation((3, 2, 1)), FourierKind.qutrit_spin()),
+        (Permutation((1, 3, 2)), FourierKind.qutrit_spin(Permutation((2, 3, 1)))),
+    ]
+    want = [run_quantum(p, kind) for p, kind in cyclic]
+    for target in ("algorithm.classify_cyclic", "permutations.classify_cyclic", "permutations.relabel"):
+        monkeypatch.setattr(f"quditcycle.{target}", refuse)
+    for (p, kind), before in zip(cyclic, want):
+        got = run_quantum(p, kind)
+        assert json.dumps(got.to_json()) == json.dumps(before.to_json())
+        assert got.final_state.tobytes() == before.final_state.tobytes()
+    for p, kind in [
+        (Permutation((1, 3, 5, 2, 4)), None),
+        (Permutation((1, 3, 2, 4, 5)), FourierKind.standard(sigma)),
+        (relabel(Permutation((1, 3, 5, 2, 4)), sigma), FourierKind.standard(sigma)),
+    ]:
+        with pytest.raises(NotCyclicError, match="is not cyclic in the requested labeling"):
+            run_quantum(p, kind)
 
 
 def test_run_quantum_rejects_dims_below_three():

@@ -88,10 +88,22 @@ def test_run_classical_refuses_quantum_only_flags(argv, capsys):
     assert out == "" and err.startswith("error:") and len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("mode", ["quantum", "classical"])
+def test_run_empty_relabel_exits_two(mode, capsys):
+    # --relabel= was tested for truthiness and taken as "no relabeling" with
+    # exit 0 in both modes, while --perm= is refused as malformed
+    for argv in (["--relabel", ""], ["--relabel="]):
+        code, out, err = run_cli(capsys, "run", "--perm", "2,3,1", *argv, "--mode", mode)
+        assert code == EXIT_BAD_PERMUTATION
+        assert out == "" and err.startswith("error:") and len(err.splitlines()) == 1
+
+
 def test_run_not_cyclic_exit(capsys):
-    code, _, err = run_cli(capsys, "run", "--perm", "1,3,2,4")
-    assert code == EXIT_NOT_CYCLIC
-    assert "error" in err
+    # 1,3,5,2,4 is x -> 2x - 1 mod 5: the circuit lands it on |4>, neither |2> nor |5>
+    for perm in ("1,3,2,4", "1,3,5,2,4"):
+        code, _, err = run_cli(capsys, "run", "--perm", perm)
+        assert code == EXIT_NOT_CYCLIC
+        assert err == f"error: permutation ({perm.replace(',', ', ')}) is not cyclic in the requested labeling\n"
 
 
 def test_run_malformed_exits_two(capsys):
@@ -258,18 +270,6 @@ def test_nmr_outdir_from_environment(tmp_path, capsys, monkeypatch):
     assert (tmp_path / "artifacts" / "fullpos_report.json").exists()
 
 
-def test_nmr_stage_cross_check(tmp_path, capsys):
-    code, _, err = run_cli(
-        capsys, "nmr", "--gate", "qft", "--stage", "full", "--ideal", "--out", str(tmp_path)
-    )
-    assert code == EXIT_BAD_PERMUTATION
-    assert "contradicts" in err
-    code, _, _ = run_cli(
-        capsys, "nmr", "--gate", "qft", "--stage", "after", "--ideal", "--out", str(tmp_path)
-    )
-    assert code == EXIT_OK
-
-
 @pytest.mark.parametrize("ideal", [True, False], ids=["ideal", "smp"])
 def test_nmr_unusable_out_exits_two_before_synthesis(ideal, tmp_path, capsys, monkeypatch):
     # an --out that is a file used to raise FileExistsError (exit 1), and
@@ -383,6 +383,18 @@ def test_nmr_bad_config_rejected(tmp_path, capsys):
     assert "max_iter" in err
     code, _, err = run_cli(capsys, "nmr", "--gate", "qft", "--config", str(tmp_path / "no.json"))
     assert code == EXIT_BAD_PERMUTATION
+
+
+@pytest.mark.parametrize("text,kind", [('"abc"', "str"), ("[1, 2]", "list"), ("5", "int"), ("null", "NoneType")])
+def test_nmr_config_must_be_a_json_object(text, kind, tmp_path, capsys):
+    # a string or list was read as its characters or items ("unknown config
+    # keys ['a', 'b', 'c']") and a number failed with "'int' object is not iterable"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    code, out, err = run_cli(capsys, "nmr", "--gate", "qft", "--ideal", "--config", str(cfg))
+    assert code == EXIT_BAD_PERMUTATION
+    assert out == ""
+    assert err == f"error: bad optimizer config: config file must hold a JSON object, got {kind}\n"
 
 
 @pytest.mark.parametrize(

@@ -144,7 +144,6 @@ def nmr_cases() -> dict[str, list[str]]:
             "fullneg-epsilon": ["nmr", "--gate", "fullneg", "--ideal", "--epsilon", "0.3", "--out", "out", "--json"] + noise,
             "qft-epsilon-one": ["nmr", "--gate", "qft", "--ideal", "--epsilon", "1", "--out", "out", "--json"],
             "pos-epsilon-zero": ["nmr", "--gate", "pos", "--ideal", "--epsilon", "0", "--out", "out", "--json"],
-            "error-stage": ["nmr", "--gate", "qft", "--stage", "full", "--ideal", "--out", "out"],
             "error-config-unknown-key": ["nmr", "--gate", "qft", "--config", "unknown_key.json"],
             "error-config-bad-value": ["nmr", "--gate", "qft", "--config", "bad_value.json"],
             "error-config-bad-type": ["nmr", "--gate", "qft", "--config", "bad_type.json"],
