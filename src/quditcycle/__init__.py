@@ -1,4 +1,9 @@
-"""Exact single-qudit simulation of one-query cyclic-permutation classification."""
+"""Exact single-qudit simulation of one-query cyclic-permutation classification.
+
+The root exports the exact layer and the spin-3/2 model in nmr, which need
+only numpy.  The pulse search imports scipy.optimize, so its names are
+imported from quditcycle.protocol and quditcycle.smp.
+"""
 
 from .algorithm import (
     FourierKind,
@@ -40,28 +45,21 @@ from .permutations import (
     relabel,
     rotation,
 )
-from .protocol import ORACLES, ProtocolResult, run_protocol, stage_unitary, theory_state
-from .smp import OptimizerConfig, SmpResult, gate_fidelity, smp_optimize
 
 __all__ = [
     "Chirality",
     "CyclicClass",
     "FourierKind",
     "NotCyclicError",
-    "OptimizerConfig",
-    "ORACLES",
     "Permutation",
-    "ProtocolResult",
     "PulseSegment",
     "RunReport",
-    "SmpResult",
     "SpinSystem",
     "basis_state",
     "classify_cyclic",
     "enumerate_cyclic",
     "equal_up_to_global_phase",
     "fidelity",
-    "gate_fidelity",
     "initial_index",
     "inject_readout_noise",
     "one_query_insufficient",
@@ -76,14 +74,10 @@ __all__ = [
     "relabel",
     "rotation",
     "run_classical",
-    "run_protocol",
     "run_quantum",
     "sequence_propagator",
-    "smp_optimize",
     "spin_operators",
-    "stage_unitary",
     "static_hamiltonian",
-    "theory_state",
     "transition_frequencies",
 ]
 

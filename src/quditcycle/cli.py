@@ -37,8 +37,6 @@ from .algorithm import (
 from .linalg import MAX_DIM
 from .nmr import SpinSystem, inject_readout_noise, pseudo_pure
 from .permutations import Chirality, Permutation, classify_cyclic, enumerate_cyclic, parity
-from .protocol import run_protocol
-from .smp import OptimizerConfig, segments_to_json
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -54,9 +52,6 @@ GATE_MAP = {
     "fullpos": ("positive", "full"),
     "fullneg": ("negative", "full"),
 }
-
-# OptimizerConfig fields a --config file may set; the report echoes them.
-CONFIG_KEYS = tuple(f.name for f in dataclasses.fields(OptimizerConfig))
 
 
 def _dumps(obj) -> str:
@@ -91,7 +86,7 @@ def cmd_run(args) -> int:
         return _error(exc)
 
     text = _dumps(report.to_json())
-    if args.out:
+    if args.out is not None:
         try:
             _write(args.out, text + "\n")
         except OSError as exc:
@@ -103,7 +98,7 @@ def cmd_run(args) -> int:
             line += f", measured |{report.measured_index}>"
         line += ")"
         print(line)
-    if args.json or not args.out:
+    if args.json or args.out is None:
         print(text)
     return EXIT_OK
 
@@ -156,27 +151,33 @@ def _write_csv(path: str, data: np.ndarray) -> None:
 
 
 def cmd_nmr(args) -> int:
+    # the pulse layer imports scipy.optimize; run and verify never load it
+    from .protocol import run_protocol
+    from .smp import OptimizerConfig, segments_to_json
+
     oracle, stage = GATE_MAP[args.gate]
     if args.noise_seed < 0:
         return _error(f"--noise-seed must be >= 0, got {args.noise_seed}")
 
+    # OptimizerConfig fields a --config file may set; the report echoes them.
+    config_keys = tuple(f.name for f in dataclasses.fields(OptimizerConfig))
     flags = ("seed", "segments", "restarts", "min_fidelity")
     overrides = {k: getattr(args, k) for k in flags if getattr(args, k) is not None}
     try:
         loaded = {}
-        if args.config:
+        if args.config is not None:
             with open(args.config) as fh:
                 loaded = json.load(fh)
             if not isinstance(loaded, dict):
                 raise ValueError(f"config file must hold a JSON object, got {type(loaded).__name__}")
-            bad = set(loaded) - set(CONFIG_KEYS)
+            bad = set(loaded) - set(config_keys)
             if bad:
                 raise ValueError(f"unknown config keys {sorted(bad)}")
         cfg = OptimizerConfig(**{**loaded, **overrides})
-    except (OSError, ValueError, TypeError) as exc:
+    except (OSError, ValueError, TypeError, RecursionError) as exc:
         return _error(f"bad optimizer config: {exc}")
 
-    outdir = args.out or os.environ.get("QUDITCYCLE_OUTDIR") or "."
+    outdir = args.out if args.out is not None else os.environ.get("QUDITCYCLE_OUTDIR") or "."
     try:
         os.makedirs(outdir, exist_ok=True)
     except OSError as exc:
@@ -201,7 +202,7 @@ def cmd_nmr(args) -> int:
         "unconverged": not result.converged,
         "dominant_index": result.dominant_index,
         "noise_sigma": args.noise_sigma,
-        "config": {k: getattr(cfg, k) for k in CONFIG_KEYS},
+        "config": {k: getattr(cfg, k) for k in config_keys},
         "pulses": None if result.smp is None else segments_to_json(result.smp.segments),
     }
     text = _dumps(report)

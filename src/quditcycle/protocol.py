@@ -83,8 +83,6 @@ def run_protocol(sys: SpinSystem, oracle: str, stage: str, config: OptimizerConf
     """Evolve the pure part |2><2| through the circuit prefix: exact gates if config is None, else SMP pulses."""
     if sys.dim != 4:
         raise ValueError(f"the protocol runs on a four-level system, got dim {sys.dim}")
-    if config is not None and not isinstance(config, OptimizerConfig):
-        raise ValueError(f"config must be an OptimizerConfig or None, got {config!r}")
 
     target_u = stage_unitary(oracle, stage)
     smp_result, u = None, target_u

@@ -201,9 +201,12 @@ def smp_optimize(
     an exception, so callers can inspect the best attempt.  Each restart is
     recorded in SmpResult.history and logged at DEBUG level on the
     "quditcycle" logger.  A target that is not a unitary of the system's
-    dimension raises ValueError.
+    dimension, or a config that is neither an OptimizerConfig nor None,
+    raises ValueError.
     """
-    cfg = config or OptimizerConfig()
+    if config is not None and not isinstance(config, OptimizerConfig):
+        raise ValueError(f"config must be an OptimizerConfig or None, got {config!r}")
+    cfg = OptimizerConfig() if config is None else config
     n = cfg.segments
 
     target = validate_unitary(target)

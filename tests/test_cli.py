@@ -98,6 +98,16 @@ def test_run_empty_relabel_exits_two(mode, capsys):
         assert out == "" and err.startswith("error:") and len(err.splitlines()) == 1
 
 
+def test_run_empty_out_exits_two(tmp_path, capsys, monkeypatch):
+    # --out= was tested for truthiness: no file was written and the report
+    # went to stdout with exit 0
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, "run", "--perm", "2,3,1", "--out=")
+    assert code == EXIT_BAD_PERMUTATION
+    assert out == "" and err.startswith("error:") and len(err.splitlines()) == 1
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_run_not_cyclic_exit(capsys):
     # 1,3,5,2,4 is x -> 2x - 1 mod 5: the circuit lands it on |4>, neither |2> nor |5>
     for perm in ("1,3,2,4", "1,3,5,2,4"):
@@ -277,7 +287,7 @@ def test_nmr_unusable_out_exits_two_before_synthesis(ideal, tmp_path, capsys, mo
     def no_synthesis(*args, **kwargs):
         raise AssertionError("the protocol ran before --out was checked")
 
-    monkeypatch.setattr("quditcycle.cli.run_protocol", no_synthesis)
+    monkeypatch.setattr("quditcycle.protocol.run_protocol", no_synthesis)
     blocker = tmp_path / "taken"
     blocker.write_text("")
     argv = ["nmr", "--gate", "qft", "--out", str(blocker)] + (["--ideal"] if ideal else [])
@@ -397,6 +407,27 @@ def test_nmr_config_must_be_a_json_object(text, kind, tmp_path, capsys):
     assert err == f"error: bad optimizer config: config file must hold a JSON object, got {kind}\n"
 
 
+def test_nmr_empty_out_exits_two(tmp_path, capsys, monkeypatch):
+    # --out= fell through to $QUDITCYCLE_OUTDIR, or else wrote the artifacts
+    # into the current directory
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("QUDITCYCLE_OUTDIR", str(tmp_path / "artifacts"))
+    code, out, err = run_cli(capsys, "nmr", "--gate", "qft", "--ideal", "--out=")
+    assert code == EXIT_BAD_PERMUTATION
+    assert out == "" and err.startswith("error: cannot write output:") and len(err.splitlines()) == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_nmr_deeply_nested_config_exits_two(tmp_path, capsys):
+    # json.load ended in a RecursionError traceback with exit 1, the
+    # "verification failed" code
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text("[" * 100_000)
+    code, out, err = run_cli(capsys, "nmr", "--gate", "qft", "--ideal", "--config", str(cfg))
+    assert code == EXIT_BAD_PERMUTATION
+    assert out == "" and err.startswith("error: bad optimizer config:") and len(err.splitlines()) == 1
+
+
 @pytest.mark.parametrize(
     "flags",
     [
@@ -419,6 +450,7 @@ def test_nmr_config_must_be_a_json_object(text, kind, tmp_path, capsys):
         ["--config", '{"max_iter": 10.5}'],
         ["--config", '{"restarts": true}'],
         ["--config", '{"min_fidelity": true}'],
+        ["--config="],  # was tested for truthiness and ran with the default settings
     ],
     ids="=".join,
 )

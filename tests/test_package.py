@@ -1,0 +1,45 @@
+"""The package root's namespace, and which modules each command loads."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import quditcycle
+
+PULSE_LAYER = ("scipy.optimize", "quditcycle.smp", "quditcycle.protocol")
+
+
+def test_every_exported_name_resolves():
+    assert all(hasattr(quditcycle, name) for name in quditcycle.__all__)
+
+
+def test_star_import_binds_exactly_all():
+    namespace = {}
+    exec("from quditcycle import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(quditcycle.__all__)
+
+
+def test_root_exports_nothing_from_the_pulse_search():
+    homes = {name: getattr(getattr(quditcycle, name), "__module__", None) for name in quditcycle.__all__}
+    assert not {name for name, home in homes.items() if home in ("quditcycle.protocol", "quditcycle.smp")}
+
+
+def test_run_and_verify_never_load_the_pulse_layer(tmp_path):
+    # run and verify used to pay for importing scipy.optimize, through the
+    # root's protocol/smp re-exports and cli's module-level imports
+    script = f"""
+import contextlib, io, sys
+import quditcycle, quditcycle.cli as cli
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(["run", "--perm", "2,3,1", "--json"]) == 0
+    assert cli.main(["verify", "--dmax", "3", "--json"]) == 0
+loaded = [name for name in {PULSE_LAYER!r} if name in sys.modules]
+assert not loaded, loaded
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(["nmr", "--gate", "qft", "--ideal", "--out", {str(tmp_path)!r}]) == 0
+"""
+    # the child imports the same copy of the package as this process
+    env = {**os.environ, "PYTHONPATH": str(Path(quditcycle.__file__).parent.parent)}
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

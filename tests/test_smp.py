@@ -9,7 +9,7 @@ from conftest import haar_unitary
 from quditcycle.algorithm import qft
 from quditcycle.nmr import PulseSegment, SpinSystem, sequence_propagator, spin_operators
 from quditcycle.permutations import oracle_unitary
-from quditcycle.protocol import ORACLES, stage_unitary
+from quditcycle.protocol import ORACLES, run_protocol, stage_unitary
 from quditcycle.smp import (
     SEARCH_SCALE,
     OptimizerConfig,
@@ -59,6 +59,16 @@ def test_config_validation():
     # True compared as 1.0 and was taken as a fidelity target
     with pytest.raises(ValueError, match="min_fidelity"):
         OptimizerConfig(min_fidelity=True)
+
+
+@pytest.mark.parametrize("config", [{"seed": 1}, {}, 5, 0, "x", False], ids=repr)
+def test_only_an_optimizer_config_or_none_is_taken(config):
+    # a dict, number or string raised AttributeError from smp_optimize, or an
+    # empty one ran the default search; run_protocol reaches the same check
+    with pytest.raises(ValueError, match="config must be an OptimizerConfig or None"):
+        smp_optimize(SpinSystem(), qft(4), config=config)
+    with pytest.raises(ValueError, match="config must be an OptimizerConfig or None"):
+        run_protocol(SpinSystem(), "positive", "full", config)
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, True], ids=repr)
