@@ -37,6 +37,7 @@ from .permutations import (
     Chirality,
     CyclicClass,
     Permutation,
+    apply_oracle,
     classify_cyclic,
     enumerate_cyclic,
     oracle_unitary,
@@ -55,6 +56,7 @@ __all__ = [
     "PulseSegment",
     "RunReport",
     "SpinSystem",
+    "apply_oracle",
     "basis_state",
     "classify_cyclic",
     "enumerate_cyclic",

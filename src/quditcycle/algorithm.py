@@ -26,10 +26,10 @@ from .linalg import check_dim, vector_to_json
 from .permutations import (
     Chirality,
     Permutation,
+    apply_oracle,
     check_cyclic_dim,
     classify_cyclic,
     enumerate_cyclic,
-    oracle_unitary,
 )
 
 # Fourier conventions by name: labels 1..d, or the d = 3 spin labels m = +1, 0, -1.
@@ -62,6 +62,9 @@ class FourierKind:
         return FourierKind("qutrit", relabeling)
 
 
+_DEFAULT_KIND = FourierKind()  # frozen, so one instance serves every call
+
+
 @lru_cache(maxsize=None)
 def _fourier(d: int, variant: str) -> np.ndarray:
     """Read-only unrelabeled Fourier matrix; one entry per valid (d, variant)."""
@@ -81,7 +84,7 @@ def _fourier_conj(d: int, variant: str) -> np.ndarray:
 
 def _check_kind(d: int, kind: FourierKind | None) -> FourierKind:
     """The kind, defaulted, if it fits size d: qutrit only at d = 3, relabeling of size d."""
-    kind = kind or FourierKind()
+    kind = kind or _DEFAULT_KIND
     if kind.variant == "qutrit" and d != 3:
         raise ValueError("the qutrit spin variant is only defined for dim 3")
     sigma = kind.relabeling
@@ -122,7 +125,7 @@ def qft(dim: int, kind: FourierKind | None = None) -> np.ndarray:
 
 def initial_index(kind: FourierKind | None = None) -> int:
     """Basis label the protocol starts from for a given Fourier convention."""
-    kind = kind or FourierKind()
+    kind = kind or _DEFAULT_KIND
     return 1 if kind.variant == "qutrit" else 2
 
 
@@ -178,11 +181,12 @@ def run_quantum(p: Permutation, kind: FourierKind | None = None) -> RunReport:
     A relabeling reduces to this, as P_sigma^dag U_p P_sigma = U_(sigma^-1
     p sigma), and the qutrit variant reorders the labels of d = 3.
 
-    It does not call qft.  Of the cached Fourier matrix F it reads only the
-    start column F|start>, and F^dag as the transpose of the cached conj(F);
-    for a relabeling sigma both take the rows of P_sigma F, gathered by
-    sigma^-1, so a relabeled run gathers one d x d array (conj(F)) and an
-    unrelabeled run none.
+    It does not call qft or build the oracle matrix.  Of the cached Fourier
+    matrix F it reads only the start column F|start>, and F^dag as the
+    transpose of the cached conj(F); for a relabeling sigma both take the
+    rows of P_sigma F, gathered by sigma^-1.  The query is apply_oracle, a
+    scatter of the d amplitudes, so the only d x d work is the F^dag
+    product, and only a relabeled run copies a d x d array (conj(F)).
     """
     d = check_cyclic_dim(p.dim)
     kind = _check_kind(d, kind)
@@ -202,15 +206,14 @@ def run_quantum(p: Permutation, kind: FourierKind | None = None) -> RunReport:
     def call_oracle(state: np.ndarray) -> np.ndarray:
         nonlocal queries
         queries += 1
-        return oracle_unitary(p) @ state
+        return apply_oracle(p, state)
 
     psi = call_oracle(column)
     psi = f_conj.T @ psi
 
     probs = np.abs(psi) ** 2
     idx = int(probs.argmax()) + 1
-    outcome_map = {start: Chirality.POSITIVE, d: Chirality.NEGATIVE}
-    if probs[idx - 1] < 1.0 - 1e-9 or idx not in outcome_map:
+    if probs[idx - 1] < 1.0 - 1e-9 or (idx != start and idx != d):
         raise NotCyclicError(
             f"permutation {p.image} is not cyclic in the requested labeling"
         )
@@ -219,7 +222,7 @@ def run_quantum(p: Permutation, kind: FourierKind | None = None) -> RunReport:
     return RunReport(
         permutation=p,
         oracle_queries=queries,
-        classification=outcome_map[idx],
+        classification=Chirality.POSITIVE if idx == start else Chirality.NEGATIVE,
         measured_index=idx,
         phase=complex(amp / abs(amp)),
         final_state=psi,
@@ -258,7 +261,7 @@ def run_classical(p: Permutation) -> RunReport:
     )
 
 
-def one_query_insufficient(dim: int) -> bool:
+def one_query_insufficient(dim: int, classes=None) -> bool:
     """Exhaustive check that one classical value query cannot decide chirality.
 
     For every query x and every answer y, the cyclic permutations consistent
@@ -267,9 +270,14 @@ def one_query_insufficient(dim: int) -> bool:
     the positive and of the negative members (classed by classify_cyclic)
     each cover 1..d.  It holds at every d >= 3: rotation(d, (y - x) mod d)
     and reflection(d, (x + y - 1) mod d) both send x to y.
+
+    classes, when given, is the list of (classify_cyclic(p).chirality,
+    p.image) over enumerate_cyclic(dim), for a caller that has already
+    classed the family; by default the function builds it.
     """
     d = check_cyclic_dim(dim)
-    classes = [(classify_cyclic(p).chirality, p.image) for p in enumerate_cyclic(d)]
+    if classes is None:
+        classes = [(classify_cyclic(p).chirality, p.image) for p in enumerate_cyclic(d)]
     labels = set(range(1, d + 1))
     return all(
         {img[x] for chi, img in classes if chi is chirality} == labels

@@ -114,8 +114,10 @@ def cmd_verify(args) -> int:
     for d in range(3, args.dmax + 1):
         table = phase_table(d)
         class_ok = phase_ok = two_ok = True
+        classes = []
         for p in enumerate_cyclic(d):
             truth = classify_cyclic(p)
+            classes.append((truth.chirality, p.image))
             quantum = run_quantum(p)
             classical = run_classical(p)
             class_ok &= quantum.classification is truth.chirality
@@ -126,7 +128,7 @@ def cmd_verify(args) -> int:
         checks = {
             "classifications": class_ok,
             "phases": phase_ok,
-            "one_query_insufficient": one_query_insufficient(d),
+            "one_query_insufficient": one_query_insufficient(d, classes),
             "classical_two_queries": two_ok,
         }
         ok &= all(checks.values())
@@ -188,7 +190,10 @@ def cmd_nmr(args) -> int:
 
     pure = result.pure_part
     if args.noise_sigma is not None:
-        pure = inject_readout_noise(pure, sigma=args.noise_sigma, seed=args.noise_seed)
+        try:
+            pure = inject_readout_noise(pure, sigma=args.noise_sigma, seed=args.noise_seed)
+        except ValueError as exc:
+            return _error(f"bad --noise-sigma: {exc}")
     rho = pseudo_pure(pure, args.epsilon)
 
     report = {

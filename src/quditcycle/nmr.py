@@ -230,15 +230,22 @@ def inject_readout_noise(rho: np.ndarray, sigma: float = 0.01, seed: int | None 
     element-wise deviation stays well below 6% of the largest element: the
     cap sits almost 7 standard deviations out.  The output may have small
     negative eigenvalues, as real reconstructed matrices do.
+
+    Raises ValueError, without a floating-point warning, when sigma is so
+    large that the perturbation or the noisy matrix overflows.
     """
     a = _as_matrix(rho)
     check_finite(sigma=sigma)
     if sigma < 0:
         raise ValueError(f"sigma must be >= 0, got {sigma}")
     d = a.shape[0]
-    scale = sigma * float(np.max(np.abs(a)))
     rng = np.random.default_rng(None if seed is None else check_int(seed, "seed"))
-    g = rng.normal(0.0, scale, a.shape) + 1j * rng.normal(0.0, scale, a.shape)
-    pert = (g + g.conj().T) / 2
-    pert -= (np.trace(pert).real / d) * np.eye(d)
-    return a + pert
+    with np.errstate(over="ignore", invalid="ignore"):
+        scale = sigma * float(np.max(np.abs(a)))
+        g = rng.normal(0.0, scale, a.shape) + 1j * rng.normal(0.0, scale, a.shape)
+        pert = (g + g.conj().T) / 2
+        pert -= (np.trace(pert).real / d) * np.eye(d)
+        noisy = a + pert
+    if not np.all(np.isfinite(noisy)):
+        raise ValueError(f"readout noise with sigma {sigma!r} overflows: the perturbed matrix is not finite")
+    return noisy

@@ -161,13 +161,28 @@ def enumerate_cyclic(dim: int) -> list[Permutation]:
     return [rotation(d, r) for r in range(d)] + [reflection(d, r) for r in range(d)]
 
 
+def apply_oracle(p: Permutation, a: np.ndarray) -> np.ndarray:
+    """U_p a, the oracle's action on a vector or on the columns of a matrix.
+
+    Row x-1 of a moves to row p(x)-1 with its bits unchanged: a scatter of
+    the d rows, O(d) for a vector, with no d x d matrix built.  For finite a
+    it equals oracle_unitary(p) @ a, except that the product may turn a
+    -0.0 into +0.0.  The result is a new array; a is not written.
+    """
+    if a.shape[:1] != (p.dim,):
+        raise ValueError(f"size mismatch: {p.dim} vs shape {a.shape}")
+    out = np.empty_like(a)
+    out[np.subtract(p.image, 1)] = a
+    return out
+
+
 def oracle_unitary(p: Permutation) -> np.ndarray:
-    """Permutation matrix U with U|x> = |p(x)>, i.e. U[p(x)-1, x-1] = 1."""
-    d = p.dim
-    u = np.zeros((d, d), dtype=complex)
-    for x in range(d):
-        u[p.image[x] - 1, x] = 1.0
-    return u
+    """Permutation matrix U with U|x> = |p(x)>, i.e. U[p(x)-1, x-1] = 1.
+
+    It is apply_oracle applied to the identity, so the matrix and the
+    action cannot disagree.  run_quantum does not build it.
+    """
+    return apply_oracle(p, np.eye(p.dim, dtype=complex))
 
 
 def relabel(p: Permutation, sigma: Permutation) -> Permutation:

@@ -20,6 +20,7 @@ from quditcycle.linalg import MAX_DIM, basis_state, equal_up_to_global_phase
 from quditcycle.permutations import (
     Chirality,
     Permutation,
+    apply_oracle,
     classify_cyclic,
     enumerate_cyclic,
     oracle_unitary,
@@ -320,6 +321,66 @@ def test_run_quantum_inverts_sigma_once_and_never_copies_f(monkeypatch):
     run_quantum(rotation(7, 3))
     run_quantum(Permutation((3, 2, 1)), FourierKind.qutrit_spin())
     assert len(inversions) == 2
+
+
+def test_run_quantum_never_builds_the_dense_oracle(monkeypatch):
+    def no_matrix(*args, **kwargs):
+        raise AssertionError("run_quantum built the dense oracle")
+
+    sigma = Permutation((3, 1, 4, 2, 5))
+    cyclic = [
+        (rotation(64, 17), None),
+        (reflection(6, 2), None),
+        (relabel(reflection(5, 2), sigma), FourierKind.standard(sigma)),
+        (Permutation((3, 2, 1)), FourierKind.qutrit_spin()),
+        (Permutation((1, 3, 2)), FourierKind.qutrit_spin(Permutation((2, 3, 1)))),
+    ]
+    want = [run_quantum(p, kind) for p, kind in cyclic]
+    monkeypatch.setattr("quditcycle.permutations.oracle_unitary", no_matrix)
+    monkeypatch.setattr("quditcycle.algorithm.oracle_unitary", no_matrix, raising=False)
+    for (p, kind), before in zip(cyclic, want):
+        got = run_quantum(p, kind)
+        assert json.dumps(got.to_json()) == json.dumps(before.to_json())
+        assert got.final_state.tobytes() == before.final_state.tobytes()
+    for p, kind in [
+        (Permutation((1, 3, 5, 2, 4)), None),
+        (Permutation((1, 3, 2, 4, 5)), FourierKind.standard(sigma)),
+        (Permutation((2, 1, *range(3, 65))), None),
+    ]:
+        with pytest.raises(NotCyclicError):
+            run_quantum(p, kind)
+
+
+def _oracle_by_entries(p):
+    u = np.zeros((p.dim, p.dim), dtype=complex)
+    for x in range(p.dim):
+        u[p.image[x] - 1, x] = 1.0
+    return u
+
+
+def test_oracle_unitary_is_the_entry_by_entry_matrix():
+    rng = np.random.default_rng(17)
+    for d in range(1, MAX_DIM + 1):
+        for _ in range(3):
+            p = Permutation(tuple(int(v) + 1 for v in rng.permutation(d)))
+            assert oracle_unitary(p).tobytes() == _oracle_by_entries(p).tobytes()
+
+
+def test_apply_oracle_is_the_matrix_product():
+    rng = np.random.default_rng(5)
+    for d in (1, 2, 3, 8, 33, MAX_DIM):
+        p = Permutation(tuple(int(v) + 1 for v in rng.permutation(d)))
+        for shape in ((d,), (d, 1), (d, d), (d, 3)):
+            a = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+            kept = a.copy()
+            got = apply_oracle(p, a)
+            assert got.shape == a.shape and got.dtype == a.dtype
+            assert np.array_equal(got, oracle_unitary(p) @ a)
+            assert np.array_equal(a, kept)  # the input is not written
+    p = rotation(4, 1)
+    for bad in (np.ones(3, dtype=complex), np.ones((5, 4), dtype=complex), np.array(1.0 + 0j)):
+        with pytest.raises(ValueError, match="size mismatch"):
+            apply_oracle(p, bad)
 
 
 def test_fourier_kind_names_its_convention():

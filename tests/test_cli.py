@@ -2,6 +2,8 @@
 
 import csv
 import json
+import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -234,6 +236,25 @@ def test_verify_dmax_out_of_range_is_one_line(value, message, capsys):
     assert len(err.splitlines()) == 2  # the usage line, then the error
 
 
+def test_verify_classes_each_dim_once(monkeypatch, capsys):
+    # one_query_insufficient used to enumerate and class each d a second time
+    import quditcycle.algorithm
+    import quditcycle.cli
+
+    calls = Counter()
+    classify = quditcycle.cli.classify_cyclic
+
+    def counting(p):
+        calls[p.dim] += 1
+        return classify(p)
+
+    for module in (quditcycle.algorithm, quditcycle.cli):
+        monkeypatch.setattr(module, "classify_cyclic", counting)
+    code, out, _ = run_cli(capsys, "verify", "--dmax", "12", "--json")
+    assert code == EXIT_OK and json.loads(out)["ok"] is True
+    assert calls == {d: 2 * d for d in range(3, 13)}
+
+
 def test_verify_human_table(capsys):
     code, out, _ = run_cli(capsys, "verify", "--dmax", "3")
     assert code == EXIT_OK
@@ -353,6 +374,21 @@ def test_nmr_unconverged_human_output(tmp_path, capsys):
     assert lines[1] == f"artifacts written under {tmp_path}/"
     names = ["rho_re.csv", "rho_im.csv", "dev_re.csv", "dev_im.csv", "report.json", "pulses.json"]
     assert all((tmp_path / f"fullneg_{name}").exists() for name in names)
+
+
+def test_nmr_overflowing_noise_exits_two_without_artifacts(tmp_path, capsys):
+    # --noise-sigma 1e308 used to warn, then exit 1 with a traceback from pseudo_pure
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(
+            capsys, "nmr", "--gate", "fullneg", "--ideal", "--noise-sigma", "1e308",
+            "--noise-seed", "0", "--out", str(tmp_path), "--json",
+        )
+    assert code == EXIT_BAD_PERMUTATION and out == ""
+    assert err.splitlines() == [
+        "error: bad --noise-sigma: readout noise with sigma 1e+308 overflows: the perturbed matrix is not finite"
+    ]
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_nmr_noise_flag(tmp_path, capsys):

@@ -1,5 +1,7 @@
 """Spin operators, quadrupolar Hamiltonians, pulses, pseudo-pure states."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -321,3 +323,14 @@ def test_readout_noise_properties():
     for bad in (np.ones((4, 3)), np.full((4, 4), np.nan)):
         with pytest.raises(ValueError):
             inject_readout_noise(bad, seed=0)
+
+
+def test_readout_noise_refuses_an_overflowing_perturbation():
+    # sigma = 1e308 used to warn and return a NaN matrix, which pseudo_pure
+    # then refused with a traceback
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="not finite"):
+            inject_readout_noise(ket_bra(4, 4), 1e308, 0)
+        big = inject_readout_noise(ket_bra(4, 4), 1e300, 0)
+    assert np.all(np.isfinite(big)) and np.max(np.abs(big)) > 1e299
