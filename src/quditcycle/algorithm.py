@@ -93,6 +93,20 @@ def _check_kind(d: int, kind: FourierKind | None) -> FourierKind:
     return kind
 
 
+def _check_permutation(p) -> Permutation:
+    """p if it is a Permutation; anything else is refused by type, unread."""
+    if not isinstance(p, Permutation):
+        raise ValueError(f"expected a Permutation, got {type(p).__name__}")
+    return p
+
+
+def _relabeled_rows(sigma: Permutation) -> np.ndarray:
+    """sigma^-1 - 1 as an index array: the rows of F that make up P_sigma F."""
+    rows = np.empty(sigma.dim, np.intp)
+    rows[np.subtract(sigma.image, 1)] = np.arange(sigma.dim)
+    return rows
+
+
 def qft(dim: int, kind: FourierKind | None = None) -> np.ndarray:
     """Fourier matrix for the given dimension and convention.
 
@@ -104,7 +118,8 @@ def qft(dim: int, kind: FourierKind | None = None) -> np.ndarray:
 
     A relabeling permutation sigma turns F into P_sigma F, which runs the
     same algorithm on sigma-relabeled basis states; it is taken as a row
-    gather, which has the same bits as the product with the 0/1 matrix.
+    gather by sigma^-1, read once as an index array, which has the same
+    bits as the product with the 0/1 matrix.
 
     The matrix is built once per (dim, variant) per process; the returned
     array is a fresh one that belongs to the caller.  run_quantum does not
@@ -120,7 +135,7 @@ def qft(dim: int, kind: FourierKind | None = None) -> np.ndarray:
     sigma = kind.relabeling
     if sigma is None:
         return f.copy()
-    return f[[x - 1 for x in sigma.inverse().image]]
+    return f.take(_relabeled_rows(sigma), axis=0)
 
 
 def initial_index(kind: FourierKind | None = None) -> int:
@@ -168,9 +183,10 @@ class RunReport:
 def run_quantum(p: Permutation, kind: FourierKind | None = None) -> RunReport:
     """Classify a cyclic permutation with a single oracle application.
 
-    Raises ValueError below dim 3, where rotations and reflections coincide,
-    or when the kind does not fit the size, and NotCyclicError for
-    permutations outside the promise (in the kind's labeling).
+    Raises ValueError when p is not a Permutation, below dim 3, where
+    rotations and reflections coincide, or when the kind does not fit the
+    size, and NotCyclicError for permutations outside the promise (in the
+    kind's labeling).
 
     p is read only through its one application of U_p, and the outcome
     alone refuses non-cyclic inputs.  F^dag U_p F |2> is a phase times |m>
@@ -184,11 +200,12 @@ def run_quantum(p: Permutation, kind: FourierKind | None = None) -> RunReport:
     It does not call qft or build the oracle matrix.  Of the cached Fourier
     matrix F it reads only the start column F|start>, and F^dag as the
     transpose of the cached conj(F); for a relabeling sigma both take the
-    rows of P_sigma F, gathered by sigma^-1.  The query is apply_oracle, a
+    rows of P_sigma F, gathered by sigma^-1 read once as an index array
+    (no inverse Permutation is built).  The query is apply_oracle, a
     scatter of the d amplitudes, so the only d x d work is the F^dag
     product, and only a relabeled run copies a d x d array (conj(F)).
     """
-    d = check_cyclic_dim(p.dim)
+    d = check_cyclic_dim(_check_permutation(p).dim)
     kind = _check_kind(d, kind)
     start = initial_index(kind)
     f = _fourier(d, kind.variant)
@@ -197,9 +214,9 @@ def run_quantum(p: Permutation, kind: FourierKind | None = None) -> RunReport:
     if sigma is None:
         column = f[:, start - 1]  # F|start>
     else:
-        rows = [x - 1 for x in sigma.inverse().image]  # P_sigma F, as qft gathers it
-        column = f[rows, start - 1]
-        f_conj = f_conj[rows]
+        rows = _relabeled_rows(sigma)  # P_sigma F, as qft gathers it
+        column = f[:, start - 1].take(rows)
+        f_conj = f_conj.take(rows, axis=0)
 
     queries = 0
 
@@ -234,9 +251,10 @@ def run_classical(p: Permutation) -> RunReport:
 
     f(1) pins down one positive and one negative cyclic candidate; f(2)
     decides between them.  If neither candidate matches, the oracle cannot
-    be cyclic and the report says so.
+    be cyclic and the report says so.  Raises ValueError when p is not a
+    Permutation or below dim 3.
     """
-    d = check_cyclic_dim(p.dim)
+    d = check_cyclic_dim(_check_permutation(p).dim)
 
     queries = 0
 

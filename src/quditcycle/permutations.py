@@ -167,8 +167,10 @@ def apply_oracle(p: Permutation, a: np.ndarray) -> np.ndarray:
     Row x-1 of a moves to row p(x)-1 with its bits unchanged: a scatter of
     the d rows, O(d) for a vector, with no d x d matrix built.  For finite a
     it equals oracle_unitary(p) @ a, except that the product may turn a
-    -0.0 into +0.0.  The result is a new array; a is not written.
+    -0.0 into +0.0.  Array-likes are taken through np.asarray.  The result
+    is a new array; a is not written.
     """
+    a = np.asarray(a)
     if a.shape[:1] != (p.dim,):
         raise ValueError(f"size mismatch: {p.dim} vs shape {a.shape}")
     out = np.empty_like(a)

@@ -313,14 +313,14 @@ def test_run_quantum_inverts_sigma_once_and_never_copies_f(monkeypatch):
     monkeypatch.setattr("quditcycle.algorithm.qft", no_qft)
     monkeypatch.setattr(Permutation, "inverse", counting_inverse)
     got = run_quantum(cyclic, kind)
-    assert inversions == [sigma]
+    assert inversions == []  # sigma^-1 is an index array, not a Permutation
     assert got.final_state.tobytes() == want.final_state.tobytes() and got.phase == want.phase
     with pytest.raises(NotCyclicError):
         run_quantum(Permutation((1, 3, 2, 4, 5)), kind)
-    assert inversions == [sigma, sigma]
+    assert inversions == []
     run_quantum(rotation(7, 3))
     run_quantum(Permutation((3, 2, 1)), FourierKind.qutrit_spin())
-    assert len(inversions) == 2
+    assert inversions == []
 
 
 def test_run_quantum_never_builds_the_dense_oracle(monkeypatch):
@@ -378,9 +378,17 @@ def test_apply_oracle_is_the_matrix_product():
             assert np.array_equal(got, oracle_unitary(p) @ a)
             assert np.array_equal(a, kept)  # the input is not written
     p = rotation(4, 1)
-    for bad in (np.ones(3, dtype=complex), np.ones((5, 4), dtype=complex), np.array(1.0 + 0j)):
+    assert np.array_equal(apply_oracle(p, [1, 2, 3, 4]), oracle_unitary(p) @ [1, 2, 3, 4])  # array-likes too
+    for bad in (np.ones(3, dtype=complex), np.ones((5, 4), dtype=complex), np.array(1.0 + 0j), [1, 2, 3], "abcd", None):
         with pytest.raises(ValueError, match="size mismatch"):
             apply_oracle(p, bad)
+
+
+@pytest.mark.parametrize("run", [run_quantum, run_classical])
+@pytest.mark.parametrize("p", [(2, 3, 1), [2, 3, 1], None])
+def test_runs_refuse_what_is_not_a_permutation(run, p):
+    with pytest.raises(ValueError, match=f"expected a Permutation, got {type(p).__name__}"):
+        run(p)
 
 
 def test_fourier_kind_names_its_convention():

@@ -10,8 +10,8 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quditcycle.algorithm import FourierKind, phase_table, run_quantum
-from quditcycle.linalg import MAX_DIM
+from quditcycle.algorithm import FourierKind, phase_table, qft, run_quantum
+from quditcycle.linalg import MAX_DIM, basis_state
 from quditcycle.permutations import (
     Permutation,
     classify_cyclic,
@@ -53,6 +53,22 @@ def test_relabeled_run_keeps_the_class(pair):
     conj = relabel(p, sigma)
     assert conj.compose(sigma) == sigma.compose(p)
     assert run_quantum(conj, FourierKind("general", sigma)).classification is truth.chirality
+
+
+@PROPERTY
+@given(dims.flatmap(lambda d: st.tuples(cyclic(d), perms(d))))
+def test_relabeled_run_is_bitwise_the_dense_circuit(pair):
+    p, sigma = pair
+    d = p.dim
+    kind = FourierKind.standard(sigma)
+    f = oracle_unitary(sigma) @ qft(d)  # P_sigma F as a dense product
+    assert qft(d, kind).tobytes() == f.tobytes()
+    conj = relabel(p, sigma)
+    report = run_quantum(conj, kind)
+    psi = f.conj().T @ (oracle_unitary(conj) @ (f @ basis_state(d, 2)))
+    amp = psi[report.measured_index - 1]
+    assert report.final_state.tobytes() == psi.tobytes()
+    assert np.array([report.phase]).tobytes() == np.array([amp / abs(amp)]).tobytes()
 
 
 @PROPERTY
