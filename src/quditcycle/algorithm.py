@@ -66,20 +66,13 @@ _DEFAULT_KIND = FourierKind()  # frozen, so one instance serves every call
 
 
 @lru_cache(maxsize=None)
-def _fourier(d: int, variant: str) -> np.ndarray:
-    """Read-only unrelabeled Fourier matrix; one entry per valid (d, variant)."""
+def _fourier(d: int, variant: str) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only unrelabeled F and conj(F), whose transpose is F^dag; one entry per (d, variant)."""
     labels = np.array([1, 0, -1]) if variant == "qutrit" else np.arange(d)
     f = np.exp(2j * np.pi * np.outer(labels, labels) / d) / np.sqrt(d)
-    f.flags.writeable = False
-    return f
-
-
-@lru_cache(maxsize=None)
-def _fourier_conj(d: int, variant: str) -> np.ndarray:
-    """Read-only conj(_fourier(d, variant)); its transpose is F^dag."""
-    fc = _fourier(d, variant).conj()
-    fc.flags.writeable = False
-    return fc
+    f_conj = f.conj()
+    f.flags.writeable = f_conj.flags.writeable = False
+    return f, f_conj
 
 
 def _check_kind(d: int, kind: FourierKind | None) -> FourierKind:
@@ -100,13 +93,6 @@ def _check_permutation(p) -> Permutation:
     return p
 
 
-def _relabeled_rows(sigma: Permutation) -> np.ndarray:
-    """sigma^-1 - 1 as an index array: the rows of F that make up P_sigma F."""
-    rows = np.empty(sigma.dim, np.intp)
-    rows[np.subtract(sigma.image, 1)] = np.arange(sigma.dim)
-    return rows
-
-
 def qft(dim: int, kind: FourierKind | None = None) -> np.ndarray:
     """Fourier matrix for the given dimension and convention.
 
@@ -116,26 +102,20 @@ def qft(dim: int, kind: FourierKind | None = None) -> np.ndarray:
     standard d = 3 matrix up to column order and global phases.
     At d = 2 the standard matrix is the Hadamard transform.
 
-    A relabeling permutation sigma turns F into P_sigma F, which runs the
-    same algorithm on sigma-relabeled basis states; it is taken as a row
-    gather by sigma^-1, read once as an index array, which has the same
-    bits as the product with the 0/1 matrix.
+    A relabeling permutation sigma turns F into P_sigma F, the oracle
+    scatter apply_oracle(sigma, F): row x of F moves to row sigma(x), so
+    the same algorithm runs on sigma-relabeled basis states.
 
     The matrix is built once per (dim, variant) per process; the returned
-    array is a fresh one that belongs to the caller.  run_quantum does not
-    call this: it reads only the start column of the cached matrix and the
-    cached conj(F), with the same rows gathered for a relabeling, and reads
-    the permutation only through its one oracle application.
+    array is a fresh one that belongs to the caller.
     """
     d = check_dim(dim)
     if d < 2:
         raise ValueError(f"Fourier transform needs dim >= 2, got {d}")
     kind = _check_kind(d, kind)
-    f = _fourier(d, kind.variant)
+    f, _ = _fourier(d, kind.variant)
     sigma = kind.relabeling
-    if sigma is None:
-        return f.copy()
-    return f.take(_relabeled_rows(sigma), axis=0)
+    return f.copy() if sigma is None else apply_oracle(sigma, f)
 
 
 def initial_index(kind: FourierKind | None = None) -> int:
@@ -197,25 +177,22 @@ def run_quantum(p: Permutation, kind: FourierKind | None = None) -> RunReport:
     A relabeling reduces to this, as P_sigma^dag U_p P_sigma = U_(sigma^-1
     p sigma), and the qutrit variant reorders the labels of d = 3.
 
-    It does not call qft or build the oracle matrix.  Of the cached Fourier
-    matrix F it reads only the start column F|start>, and F^dag as the
-    transpose of the cached conj(F); for a relabeling sigma both take the
-    rows of P_sigma F, gathered by sigma^-1 read once as an index array
-    (no inverse Permutation is built).  The query is apply_oracle, a
-    scatter of the d amplitudes, so the only d x d work is the F^dag
-    product, and only a relabeled run copies a d x d array (conj(F)).
+    The query and the relabeling are one scatter, apply_oracle.  The
+    query is U_p applied to F|start>, the start column of the cached F.
+    The sigma scatter is not a query of p: apply_oracle(sigma, arange(d))
+    is sigma^-1 - 1, whose entries pick the rows of P_sigma F out of
+    F|start> and out of the cached conj(F), whose transpose is F^dag.  The
+    only d x d work is the F^dag product.
     """
     d = check_cyclic_dim(_check_permutation(p).dim)
     kind = _check_kind(d, kind)
     start = initial_index(kind)
-    f = _fourier(d, kind.variant)
-    f_conj = _fourier_conj(d, kind.variant)
+    f, f_conj = _fourier(d, kind.variant)
+    column = f[:, start - 1]  # F|start>
     sigma = kind.relabeling
-    if sigma is None:
-        column = f[:, start - 1]  # F|start>
-    else:
-        rows = _relabeled_rows(sigma)  # P_sigma F, as qft gathers it
-        column = f[:, start - 1].take(rows)
+    if sigma is not None:
+        rows = apply_oracle(sigma, np.arange(d))  # sigma^-1 - 1: the rows of P_sigma F
+        column = column.take(rows)
         f_conj = f_conj.take(rows, axis=0)
 
     queries = 0

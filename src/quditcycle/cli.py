@@ -7,7 +7,7 @@ Subcommands:
 
 Exit codes: 0 success, 1 verification failure, 2 malformed permutation or
 bad arguments, 3 non-cyclic input to the quantum runner, 4 unconverged
-pulse synthesis.
+pulse synthesis, 141 standard output closed before the output was written.
 The default output directory for nmr artifacts is $QUDITCYCLE_OUTDIR,
 falling back to the current directory.
 """
@@ -43,6 +43,7 @@ EXIT_VERIFY_FAILED = 1
 EXIT_BAD_PERMUTATION = 2
 EXIT_NOT_CYCLIC = 3
 EXIT_UNCONVERGED = 4
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a process the signal ended
 
 # --gate value -> (oracle representative, circuit prefix)
 GATE_MAP = {
@@ -236,30 +237,19 @@ def cmd_nmr(args) -> int:
     return EXIT_OK if result.converged else EXIT_UNCONVERGED
 
 
-def _bounded(upper: float):
-    """argparse type: a finite float in [0, upper]; NaN and Inf are refused."""
+def _ranged(cast, lower, upper, what: str):
+    """argparse type: cast(text) if it lands in [lower, upper] and is finite; NaN and Inf are refused."""
 
-    def parse(text: str) -> float:
+    def parse(text: str):
         try:
-            value = float(text)
+            value = cast(text)
         except ValueError:
-            raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
-        if not (math.isfinite(value) and 0 <= value <= upper):
-            raise argparse.ArgumentTypeError(f"must be a finite number in [0, {upper}], got {text!r}")
+            raise argparse.ArgumentTypeError(f"invalid {cast.__name__} value: {text!r}") from None
+        if not (lower <= value <= upper and math.isfinite(value)):
+            raise argparse.ArgumentTypeError(f"must be {what} in [{lower}, {upper}], got {text!r}")
         return value
 
     return parse
-
-
-def _cyclic_dim(text: str) -> int:
-    """argparse type: an integer in 3..MAX_DIM, the sizes the cyclic promise covers."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if not 3 <= value <= MAX_DIM:
-        raise argparse.ArgumentTypeError(f"must be an integer in [3, {MAX_DIM}], got {text!r}")
-    return value
 
 
 @functools.cache
@@ -286,19 +276,24 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--out", default=None, help="write the report JSON to this file")
 
     ver_p = sub.add_parser("verify", help="check the simulator's promises over a range of dims")
-    ver_p.add_argument("--dmax", type=_cyclic_dim, default=8, metavar=f"3..{MAX_DIM}")
+    ver_p.add_argument("--dmax", type=_ranged(int, 3, MAX_DIM, "an integer"), default=8, metavar=f"3..{MAX_DIM}")
     ver_p.add_argument("--json", action="store_true")
 
     nmr_p = sub.add_parser("nmr", help="run the spin-3/2 pulse protocol")
     nmr_p.add_argument("--gate", required=True, choices=sorted(GATE_MAP))
     nmr_p.add_argument("--seed", type=int, default=None, help="optimizer seed (default 0); overrides --config")
     nmr_p.add_argument("--ideal", action="store_true", help="use exact gates instead of pulses")
-    nmr_p.add_argument("--epsilon", type=_bounded(1.0), default=1e-5)
+    nmr_p.add_argument("--epsilon", type=_ranged(float, 0, 1.0, "a finite number"), default=1e-5)
     nmr_p.add_argument("--config", default=None, help="JSON file with optimizer settings")
     nmr_p.add_argument("--segments", type=int, default=None)
     nmr_p.add_argument("--restarts", type=int, default=None)
     nmr_p.add_argument("--min-fidelity", type=float, default=None)
-    nmr_p.add_argument("--noise-sigma", type=_bounded(math.inf), default=None, help="simulated readout noise")
+    nmr_p.add_argument(
+        "--noise-sigma",
+        type=_ranged(float, 0, math.inf, "a finite number"),
+        default=None,
+        help="simulated readout noise",
+    )
     nmr_p.add_argument("--noise-seed", type=int, default=0)
     nmr_p.add_argument("--out", default=None, help="output directory (default $QUDITCYCLE_OUTDIR)")
     nmr_p.add_argument("--json", action="store_true")
@@ -307,9 +302,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    # looked up by name on each call, so a replaced module attribute takes effect
-    return globals()[f"cmd_{args.command}"](args)
+    try:
+        args = build_parser().parse_args(argv)
+        # looked up by name on each call, so a replaced module attribute takes effect
+        code = globals()[f"cmd_{args.command}"](args)
+        _sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader has gone: point stdout at devnull so the flush at exit is quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), _sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
+    return code
 
 
 if __name__ == "__main__":

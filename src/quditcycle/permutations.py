@@ -64,10 +64,8 @@ class Permutation:
         return Permutation(tuple(self.image[y - 1] for y in other.image))
 
     def inverse(self) -> "Permutation":
-        inv = [0] * self.dim
-        for x, y in enumerate(self.image, start=1):
-            inv[y - 1] = x
-        return Permutation(tuple(inv))
+        """self^-1: the labels 1..d scattered by self, so entry self(x) holds x."""
+        return Permutation(apply_oracle(self, np.arange(1, self.dim + 1)).tolist())
 
     @staticmethod
     def from_string(text: str) -> "Permutation":
@@ -165,7 +163,9 @@ def apply_oracle(p: Permutation, a: np.ndarray) -> np.ndarray:
     """U_p a, the oracle's action on a vector or on the columns of a matrix.
 
     Row x-1 of a moves to row p(x)-1 with its bits unchanged: a scatter of
-    the d rows, O(d) for a vector, with no d x d matrix built.  For finite a
+    the d rows, O(d) for a vector, with no d x d matrix built.  This one
+    scatter is every relabeling in the package: U_p, P_sigma F (qft),
+    sigma^-1 (Permutation.inverse, run_quantum) and relabel.  For finite a
     it equals oracle_unitary(p) @ a, except that the product may turn a
     -0.0 into +0.0.  Array-likes are taken through np.asarray.  The result
     is a new array; a is not written.
@@ -190,17 +190,16 @@ def oracle_unitary(p: Permutation) -> np.ndarray:
 def relabel(p: Permutation, sigma: Permutation) -> Permutation:
     """Conjugate p by a relabeling sigma: returns sigma . p . sigma^-1.
 
-    The result acts on sigma-relabeled values exactly as p acts on the
-    original ones, so its cyclic class under sigma-relabeled indices equals
-    classify_cyclic(p).  Note: written as a value sequence over the base
-    order (sigma(1), ..., sigma(d)), the conjugate of rotation(d, r) is the
-    base sequence rotated by r, which is the usual way relabeled families
-    are tabulated.
+    It scatters p.image by sigma (apply_oracle puts p(x) at position
+    sigma(x)) and reads the result through sigma, so position sigma(x)
+    holds sigma(p(x)).  The result acts on sigma-relabeled values exactly as p
+    acts on the original ones, so its cyclic class under sigma-relabeled
+    indices equals classify_cyclic(p).  Note: written as a value sequence
+    over the base order (sigma(1), ..., sigma(d)), the conjugate of
+    rotation(d, r) is the base sequence rotated by r, which is the usual
+    way relabeled families are tabulated.
     """
     if p.dim != sigma.dim:
         raise ValueError(f"size mismatch: {sigma.dim} vs {p.dim}")
-    # position sigma(x) of the result holds sigma(p(x))
-    img = [0] * p.dim
-    for x, y in zip(sigma.image, p.image):
-        img[x - 1] = sigma.image[y - 1]
-    return Permutation(tuple(img))
+    moved = apply_oracle(sigma, p.image)
+    return Permutation(np.take(sigma.image, moved - 1).tolist())

@@ -2,14 +2,20 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
 import warnings
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import quditcycle
 from quditcycle.cli import (
     EXIT_BAD_PERMUTATION,
+    EXIT_BROKEN_PIPE,
     EXIT_NOT_CYCLIC,
     EXIT_OK,
     EXIT_UNCONVERGED,
@@ -192,6 +198,25 @@ def test_one_parser_serves_repeated_calls(tmp_path, capsys):
     assert "invalid choice" in first[1][2]
     for argv, want in [*zip(argvs, first), *zip(reversed(argvs), reversed(first))]:
         assert call(*argv)[:2] == want[:2]
+
+
+def test_closed_stdout_exits_with_its_own_code_and_no_traceback():
+    # a reader that has gone is neither a verification failure (1) nor a traceback
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = {**os.environ, "PYTHONPATH": str(Path(quditcycle.__file__).parent.parent)}
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "quditcycle", "verify", "--dmax", "3", "--json"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=env,
+            timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == EXIT_BROKEN_PIPE == 141
+    assert proc.stderr == b""
 
 
 def test_verify_small_sweep(capsys):

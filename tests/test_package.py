@@ -43,3 +43,24 @@ with contextlib.redirect_stdout(io.StringIO()):
     env = {**os.environ, "PYTHONPATH": str(Path(quditcycle.__file__).parent.parent)}
     proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_a_failing_property_leaves_the_session_running(tmp_path):
+    # with every warning an error, the hypothesis plugin's deprecation notice
+    # used to end the session with an INTERNALERROR after the first failing property
+    (tmp_path / "test_probe.py").write_text(
+        "from hypothesis import given, settings, strategies as st\n"
+        "\n"
+        "@settings(database=None)\n"
+        "@given(st.just(0))\n"
+        "def test_fails(x):\n"
+        "    assert x != 0\n"
+        "\n"
+        "def test_passes():\n"
+        "    pass\n"
+    )
+    config = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    argv = [sys.executable, "-m", "pytest", "-q", "-c", str(config), "--rootdir", "."]
+    proc = subprocess.run([*argv, "test_probe.py"], cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    assert "INTERNALERROR" not in proc.stdout + proc.stderr
+    assert "1 failed, 1 passed" in proc.stdout, proc.stdout

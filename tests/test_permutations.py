@@ -358,8 +358,9 @@ def test_relabel_identity_and_inverse():
         p = Permutation(random_permutation_image(rng, d))
         s = Permutation(random_permutation_image(rng, d))
         assert relabel(relabel(p, s), s.inverse()).image == p.image
-    with pytest.raises(ValueError, match="size mismatch"):
-        relabel(Permutation((2, 3, 1)), sigma)
+    for p in (Permutation((2, 3, 1)), rotation(5, 1)):  # p smaller and larger than sigma
+        with pytest.raises(ValueError, match="size mismatch"):
+            relabel(p, sigma)
 
 
 def test_relabel_preserves_class_in_new_labels():
