@@ -5,9 +5,10 @@ Subcommands:
   verify  sweep dimensions and check every promise the simulator makes
   nmr     synthesize and run the spin-3/2 pulse protocol, exporting artifacts
 
-Exit codes: 0 success, 1 verification failure, 2 malformed permutation or
-bad arguments, 3 non-cyclic input to the quantum runner, 4 unconverged
-pulse synthesis, 141 standard output closed before the output was written.
+Exit codes: 0 success, 1 verification failure, 2 malformed permutation,
+bad arguments or output that cannot be written, 3 non-cyclic input to the
+quantum runner, 4 unconverged pulse synthesis, 141 standard output closed
+before the output was written.
 The default output directory for nmr artifacts is $QUDITCYCLE_OUTDIR,
 falling back to the current directory.
 """
@@ -15,11 +16,14 @@ falling back to the current directory.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import functools
+import io
 import json
 import math
 import os
+import stat
 import sys as _sys
 import time
 
@@ -60,8 +64,18 @@ def _dumps(obj) -> str:
 
 
 def _write(path: str, text: str) -> None:
-    with open(path, "w") as fh:
-        fh.write(text)
+    """Write text over path in place, keeping its inode, links and mode.
+
+    No O_TRUNC: ext4 starts writeback on close of a file truncated to zero.
+    Only a regular file is cut to the written length; /dev/null or a pipe
+    behind /dev/stdout cannot be truncated.
+    """
+    data = text.encode()
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
+        fh.write(data)
+        fh.flush()
+        if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+            os.ftruncate(fh.fileno(), len(data))
 
 
 def _error(message, code: int = EXIT_BAD_PERMUTATION) -> int:
@@ -302,15 +316,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    try:
-        args = build_parser().parse_args(argv)
+    args = build_parser().parse_args(argv)
+    # the command's stdout is held and written in one place, so an OSError
+    # there is stdout's own and never one from the command
+    held = io.StringIO()
+    with contextlib.redirect_stdout(held):
         # looked up by name on each call, so a replaced module attribute takes effect
         code = globals()[f"cmd_{args.command}"](args)
+    try:
+        _sys.stdout.write(held.getvalue())
         _sys.stdout.flush()
-    except BrokenPipeError:
-        # the reader has gone: point stdout at devnull so the flush at exit is quiet
+    except OSError as exc:
+        # point stdout at devnull so the interpreter's flush at exit is quiet
         os.dup2(os.open(os.devnull, os.O_WRONLY), _sys.stdout.fileno())
-        return EXIT_BROKEN_PIPE
+        if isinstance(exc, BrokenPipeError):  # the reader has gone
+            return EXIT_BROKEN_PIPE
+        return _error(f"cannot write output: {exc}")
     return code
 
 

@@ -219,6 +219,43 @@ def test_closed_stdout_exits_with_its_own_code_and_no_traceback():
     assert proc.stderr == b""
 
 
+def _run_module(*argv, stdout):
+    env = {**os.environ, "PYTHONPATH": str(Path(quditcycle.__file__).parent.parent)}
+    return subprocess.run(
+        [sys.executable, "-m", "quditcycle", *argv], stdout=stdout, stderr=subprocess.PIPE, env=env, timeout=120
+    )
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("extra", [[], ["--json"]], ids=["human", "json"])
+def test_unwritable_stdout_exits_two_with_one_line(extra):
+    # a full device under stdout used to end in an OSError traceback with
+    # exit 1, the "verification failed" code
+    with open("/dev/full", "wb") as full:
+        proc = _run_module("verify", "--dmax", "3", *extra, stdout=full)
+    assert proc.returncode == EXIT_BAD_PERMUTATION
+    err = proc.stderr.decode()
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+    assert err.startswith("error: cannot write output: [Errno 28]")
+
+
+def test_an_oserror_from_the_command_is_not_called_a_stdout_failure(capsys, monkeypatch):
+    def failing_verify(args):
+        raise OSError("not from stdout")
+
+    monkeypatch.setattr("quditcycle.cli.cmd_verify", failing_verify)
+    with pytest.raises(OSError, match="not from stdout"):
+        main(["verify", "--dmax", "3"])
+    assert capsys.readouterr().err == ""
+
+
+def test_run_out_into_the_stdout_pipe_exits_zero():
+    proc = _run_module("run", "--perm", "2,3,1", "--out", "/dev/stdout", "--json", stdout=subprocess.PIPE)
+    assert proc.returncode == EXIT_OK and proc.stderr == b""
+    first, second = proc.stdout.decode().split("}\n{")  # the report file, then the --json print
+    assert json.loads(first + "}") == json.loads("{" + second)
+
+
 def test_verify_small_sweep(capsys):
     code, out, _ = run_cli(capsys, "verify", "--dmax", "4", "--json")
     assert code == EXIT_OK == EXIT_VERIFY_FAILED - 1
@@ -347,6 +384,86 @@ def test_nmr_unwritable_artifact_exits_two(tmp_path, capsys):
     code, out, err = run_cli(capsys, "nmr", "--gate", "qft", "--ideal", "--out", str(tmp_path), "--json")
     assert code == EXIT_BAD_PERMUTATION
     assert out == "" and err.startswith("error:") and len(err.splitlines()) == 1
+
+
+def test_run_out_rewrites_a_longer_file_without_a_stale_tail(tmp_path, capsys):
+    path = tmp_path / "r.json"
+    path.write_bytes(b"x" * 10_000)
+    code, out, _ = run_cli(capsys, "run", "--perm", "2,3,1", "--out", str(path), "--json")
+    assert code == EXIT_OK
+    assert path.read_text() == out  # the same report, and nothing after it
+
+
+def test_nmr_rewrite_equals_a_fresh_export(tmp_path, capsys):
+    # the noisy CSVs are longer than the noiseless ones that overwrite them
+    noise = ["--noise-sigma", "0.01"]
+    for out, extra in ((tmp_path / "reused", noise), (tmp_path / "reused", []), (tmp_path / "fresh", [])):
+        assert run_cli(capsys, "nmr", "--gate", "fullneg", "--ideal", *extra, "--out", str(out))[0] == EXIT_OK
+    names = sorted(p.name for p in (tmp_path / "fresh").iterdir())
+    assert sorted(p.name for p in (tmp_path / "reused").iterdir()) == names
+    assert len([n for n in names if n.endswith(".csv")]) == 4
+    for name in names:
+        assert (tmp_path / "reused" / name).read_bytes() == (tmp_path / "fresh" / name).read_bytes(), name
+
+
+def test_new_artifacts_are_not_executable(tmp_path, capsys):
+    old = os.umask(0o027)
+    try:
+        assert run_cli(capsys, "run", "--perm", "2,3,1", "--out", str(tmp_path / "r.json"))[0] == EXIT_OK
+        assert run_cli(capsys, "nmr", "--gate", "qft", "--ideal", "--out", str(tmp_path / "nmr"))[0] == EXIT_OK
+    finally:
+        os.umask(old)
+    paths = [tmp_path / "r.json", *(tmp_path / "nmr").iterdir()]
+    assert len(paths) == 6
+    for path in paths:
+        assert path.stat().st_mode & 0o777 == 0o666 & ~0o027 == 0o640, path
+
+
+def test_rewrite_keeps_the_inode_and_its_links(tmp_path, capsys):
+    path, link = tmp_path / "r.json", tmp_path / "link.json"
+    assert run_cli(capsys, "run", "--perm", "2,3,4,1", "--out", str(path))[0] == EXIT_OK
+    os.link(path, link)
+    inode = path.stat().st_ino
+    assert run_cli(capsys, "run", "--perm", "2,3,1", "--out", str(path))[0] == EXIT_OK
+    assert path.stat().st_ino == inode
+    assert json.loads(link.read_text())["permutation"]["image"] == [2, 3, 1]
+
+
+def test_run_out_dev_null_exits_zero(capsys):
+    code, out, err = run_cli(capsys, "run", "--perm", "2,3,1", "--out", os.devnull)
+    assert code == EXIT_OK and err == ""
+    assert out.startswith("2,3,1 -> positive-cyclic")
+
+
+def test_nmr_rewrite_never_truncates_to_zero(tmp_path, capsys, monkeypatch):
+    # on ext4 a truncation to zero makes close() start writeback of the file:
+    # about 0.1 ms per artifact, more than the rest of nmr --ideal
+    argv = ["nmr", "--gate", "fullneg", "--ideal", "--noise-sigma", "0.01", "--out", str(tmp_path)]
+    assert run_cli(capsys, *argv)[0] == EXIT_OK
+    opened, truncated, path_of = [], [], {}
+    real_open, real_ftruncate = os.open, os.ftruncate
+
+    def spy_open(path, flags, *args, **kwargs):
+        fd = real_open(path, flags, *args, **kwargs)
+        if str(path).startswith(str(tmp_path)):
+            opened.append((Path(path), flags))
+            path_of[fd] = Path(path)  # fds are reused once closed
+        return fd
+
+    def spy_ftruncate(fd, length):
+        truncated.append((path_of[fd], length))
+        return real_ftruncate(fd, length)
+
+    monkeypatch.setattr(os, "open", spy_open)
+    monkeypatch.setattr(os, "ftruncate", spy_ftruncate)
+    assert run_cli(capsys, *argv)[0] == EXIT_OK
+    monkeypatch.undo()
+    artifacts = sorted(tmp_path.iterdir())
+    assert len(artifacts) == 5
+    assert sorted(path for path, _ in opened) == artifacts
+    assert not any(flags & os.O_TRUNC for _, flags in opened)
+    assert sorted(truncated) == [(path, path.stat().st_size) for path in artifacts]
+    assert all(length > 0 for _, length in truncated)
 
 
 def test_nmr_smp_deterministic_artifacts(tmp_path, capsys):
