@@ -75,9 +75,18 @@ def _fourier(d: int, variant: str) -> tuple[np.ndarray, np.ndarray]:
     return f, f_conj
 
 
+def _as_kind(kind) -> FourierKind:
+    """kind, or the default for None; anything that is not a FourierKind is refused by type."""
+    if kind is None:
+        return _DEFAULT_KIND
+    if not isinstance(kind, FourierKind):
+        raise ValueError(f"kind must be a FourierKind or None, got {kind!r}")
+    return kind
+
+
 def _check_kind(d: int, kind: FourierKind | None) -> FourierKind:
     """The kind, defaulted, if it fits size d: qutrit only at d = 3, relabeling of size d."""
-    kind = kind or _DEFAULT_KIND
+    kind = _as_kind(kind)
     if kind.variant == "qutrit" and d != 3:
         raise ValueError("the qutrit spin variant is only defined for dim 3")
     sigma = kind.relabeling
@@ -120,8 +129,7 @@ def qft(dim: int, kind: FourierKind | None = None) -> np.ndarray:
 
 def initial_index(kind: FourierKind | None = None) -> int:
     """Basis label the protocol starts from for a given Fourier convention."""
-    kind = kind or _DEFAULT_KIND
-    return 1 if kind.variant == "qutrit" else 2
+    return 1 if _as_kind(kind).variant == "qutrit" else 2
 
 
 @dataclass(eq=False)

@@ -176,10 +176,10 @@ def cmd_nmr(args) -> int:
     if args.noise_seed < 0:
         return _error(f"--noise-seed must be >= 0, got {args.noise_seed}")
 
-    # OptimizerConfig fields a --config file may set; the report echoes them.
+    # OptimizerConfig fields a --config file may set and a flag of the same
+    # name overrides (max_iter has no flag); the report echoes them.
     config_keys = tuple(f.name for f in dataclasses.fields(OptimizerConfig))
-    flags = ("seed", "segments", "restarts", "min_fidelity")
-    overrides = {k: getattr(args, k) for k in flags if getattr(args, k) is not None}
+    overrides = {k: getattr(args, k) for k in config_keys if getattr(args, k, None) is not None}
     try:
         loaded = {}
         if args.config is not None:
@@ -316,22 +316,29 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    # the command's stdout is held and written in one place, so an OSError
-    # there is stdout's own and never one from the command
+    # stdout, argparse's help and usage included, is held and written in one
+    # place, so an OSError there is stdout's own and never one from the command
     held = io.StringIO()
     with contextlib.redirect_stdout(held):
-        # looked up by name on each call, so a replaced module attribute takes effect
-        code = globals()[f"cmd_{args.command}"](args)
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:  # raised again once the held text is out
+            code = exc
+        else:
+            # looked up by name on each call, so a replaced module attribute takes effect
+            code = globals()[f"cmd_{args.command}"](args)
     try:
-        _sys.stdout.write(held.getvalue())
-        _sys.stdout.flush()
+        if held.tell():  # a usage error holds nothing, and an empty write fails on a full device
+            _sys.stdout.write(held.getvalue())
+            _sys.stdout.flush()
     except OSError as exc:
         # point stdout at devnull so the interpreter's flush at exit is quiet
         os.dup2(os.open(os.devnull, os.O_WRONLY), _sys.stdout.fileno())
         if isinstance(exc, BrokenPipeError):  # the reader has gone
             return EXIT_BROKEN_PIPE
         return _error(f"cannot write output: {exc}")
+    if isinstance(code, SystemExit):
+        raise code
     return code
 
 

@@ -37,6 +37,7 @@ from .linalg import _as_matrix, check_finite, check_int
 
 def _twice_spin(s: float) -> int:
     """2s for a positive half-integer spin s; anything else raises ValueError."""
+    check_finite(spin=s)  # round() would raise TypeError on a string and take True as 1
     twice = round(2 * s)
     if abs(2 * s - twice) > 1e-9 or twice < 1:
         raise ValueError(f"spin must be a positive half-integer, got {s}")
@@ -51,14 +52,10 @@ def spin_operators(s: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """
     twice = _twice_spin(s)
     s = twice / 2.0
-    dim = twice + 1
-    m = s - np.arange(dim)  # m = s .. -s
+    m = s - np.arange(twice + 1)  # m = s .. -s
     iz = np.diag(m).astype(complex)
-    # I_+ connects |m> to |m+1>: one diagonal above the main one.
-    raising = np.zeros((dim, dim), dtype=complex)
-    for k in range(1, dim):
-        mm = m[k]  # source level
-        raising[k - 1, k] = np.sqrt(s * (s + 1) - mm * (mm + 1))
+    # I_+ connects |m> to |m+1>: one diagonal above the main one, read at the source level m.
+    raising = np.diag(np.sqrt(s * (s + 1) - m[1:] * (m[1:] + 1)), 1).astype(complex)
     lowering = raising.conj().T
     ix = (raising + lowering) / 2
     iy = (raising - lowering) / 2j
@@ -80,9 +77,9 @@ class SpinSystem:
     quad_freq: float = 2 * np.pi * 10e3
 
     def __post_init__(self):
-        # NaN passes the Zeeman-dominance test below and reaches the eigensolver
-        check_finite(spin=self.spin, larmor_freq=self.larmor_freq, quad_freq=self.quad_freq)
         _twice_spin(self.spin)
+        # NaN passes the Zeeman-dominance test below and reaches the eigensolver
+        check_finite(larmor_freq=self.larmor_freq, quad_freq=self.quad_freq)
         if abs(self.larmor_freq) < 100 * abs(self.quad_freq):
             raise ValueError(
                 "Zeeman term must dominate: need |larmor_freq| >= 100 |quad_freq|"
@@ -107,13 +104,12 @@ def static_hamiltonian(sys: SpinSystem, frame: str = "rotating") -> np.ndarray:
     """Drift Hamiltonian in rad/s, in the lab or the on-resonance rotating frame."""
     if frame not in ("lab", "rotating"):
         raise ValueError(f"frame must be 'lab' or 'rotating', got {frame!r}")
-    _, _, iz = spin_operators(sys.spin)
     s = (sys.dim - 1) / 2.0
-    itotal = s * (s + 1) * np.eye(sys.dim, dtype=complex)
-    h = (sys.quad_freq / 6.0) * (3 * (iz @ iz) - itotal)
+    m = s - np.arange(sys.dim)
+    energies = (sys.quad_freq / 6.0) * (3 * m * m - s * (s + 1))
     if frame == "lab":
-        h = h - sys.larmor_freq * iz
-    return h
+        energies = energies - sys.larmor_freq * m
+    return np.diag(energies).astype(complex)
 
 
 @dataclass(frozen=True)
@@ -166,12 +162,15 @@ def pulse_propagator(sys: SpinSystem, seg: PulseSegment) -> np.ndarray:
 def sequence_propagator(sys: SpinSystem, segments) -> np.ndarray:
     """Time-ordered product of segment propagators (first segment acts first).
 
-    segments is a sequence of PulseSegment.  All n Hamiltonians are built at
-    once and exponentiated in one batched call; the product is folded left
-    in time order (u = step @ u), the same association as a
-    segment-by-segment product.
+    segments is an iterable of PulseSegment; anything else raises ValueError.
+    All n Hamiltonians are built at once and exponentiated in one batched
+    call; the product is folded left in time order (u = step @ u), the same
+    association as a segment-by-segment product.
     """
-    rows = np.array([(s.amplitude, s.phase, s.duration) for s in segments], dtype=float).reshape(-1, 3)
+    segs = list(segments) if np.iterable(segments) else None
+    if segs is None or not all(isinstance(s, PulseSegment) for s in segs):
+        raise ValueError(f"segments must be an iterable of PulseSegment, got {segments!r}")
+    rows = np.array([(s.amplitude, s.phase, s.duration) for s in segs], dtype=float).reshape(-1, 3)
     return _forward(sys, *rows.T)[0][-1]
 
 
@@ -215,8 +214,7 @@ def transition_frequencies(sys: SpinSystem, frame: str = "lab") -> np.ndarray:
     In the lab frame a spin-3/2 shows the familiar triplet
     (w_L - w_Q, w_L, w_L + w_Q).
     """
-    h = static_hamiltonian(sys, frame)
-    energies = np.diag(h).real  # H is diagonal in the I_z basis
+    energies = static_hamiltonian(sys, frame).diagonal().real  # H is diagonal in the I_z basis
     return np.sort(np.abs(np.diff(energies)))
 
 

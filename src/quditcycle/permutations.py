@@ -31,7 +31,10 @@ class Permutation:
     image: tuple[int, ...]
 
     def __post_init__(self):
-        img = tuple(self.image)
+        try:
+            img = tuple(self.image)
+        except TypeError:  # not iterable: None, a bare int
+            raise ValueError(f"permutation image must be an iterable of integers, got {self.image!r}") from None
         types = set(map(type, img))
         if types != {int}:  # numpy integers become ints; booleans are not labels
             try:
@@ -70,6 +73,8 @@ class Permutation:
     @staticmethod
     def from_string(text: str) -> "Permutation":
         """Parse "2,3,4,1" (whitespace tolerated)."""
+        if not isinstance(text, str):
+            raise ValueError(f"permutation string must be a str, got {text!r}")
         try:
             img = tuple(int(s) for s in text.split(","))
         except ValueError as exc:

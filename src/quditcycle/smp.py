@@ -29,7 +29,6 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from time import perf_counter
-from typing import NamedTuple
 
 import numpy as np
 from scipy.optimize import Bounds, minimize
@@ -116,43 +115,31 @@ class SmpResult:
     history: list[RestartRecord]
 
 
-class _Box(NamedTuple):
-    """The search vector's box and its map to physical units: offset + scale * clip(y, lower, upper)."""
-
-    lower: np.ndarray
-    upper: np.ndarray
-    scale: np.ndarray
-    offset: np.ndarray
-
-
-def _search_box(n: int) -> _Box:
-    """Box of an n-segment search: n amplitudes and n durations in [0, SEARCH_SCALE], n phases in turns."""
-    span = (2 * np.pi * AMP_MAX_HZ / SEARCH_SCALE, 2 * np.pi, (DUR_MAX_S - DUR_MIN_S) / SEARCH_SCALE)
-    return _Box(
-        np.repeat([0.0, -np.inf, 0.0], n),
-        np.repeat([SEARCH_SCALE, np.inf, SEARCH_SCALE], n),
-        np.repeat(span, n),
-        np.repeat([0.0, 0.0, DUR_MIN_S], n),
-    )
+# The search window, one row each for amplitude, phase (in turns, unbounded) and
+# duration: y is clipped to [_LOWER, _UPPER] and decodes to _OFFSET + _SPAN * y.
+_LOWER = np.array([[0.0], [-np.inf], [0.0]])
+_UPPER = np.array([[SEARCH_SCALE], [np.inf], [SEARCH_SCALE]])
+_SPAN = np.array([[2 * np.pi * AMP_MAX_HZ / SEARCH_SCALE], [2 * np.pi], [(DUR_MAX_S - DUR_MIN_S) / SEARCH_SCALE]])
+_OFFSET = np.array([[0.0], [0.0], [DUR_MIN_S]])
 
 
-def _decode(y: np.ndarray, box: _Box) -> np.ndarray:
+def _decode(y: np.ndarray) -> np.ndarray:
     """(3, n) rows of amplitudes (rad/s), phases (rad) and durations (s) from the search vector."""
-    return (box.offset + box.scale * np.minimum(np.maximum(y, box.lower), box.upper)).reshape(3, -1)
+    return _OFFSET + _SPAN * np.minimum(np.maximum(y.reshape(3, -1), _LOWER), _UPPER)
 
 
-def _objective(y: np.ndarray, sys: SpinSystem, target_h: np.ndarray, box: _Box):
+def _objective(y: np.ndarray, sys: SpinSystem, target_h: np.ndarray):
     """1 - F for the search vector y and its exact gradient in y.
 
-    y holds n amplitudes, n phases and n durations as _search_box lays them
-    out, and target_h is target^dag.  The value is bitwise
+    y holds n amplitudes, n phases and n durations, the rows of the search
+    window, and target_h is target^dag.  The value is bitwise
     1 - gate_fidelity(target, U) with U the sequence_propagator of the decoded
     train, because both come from the same forward pass.  Where
     Tr(target^dag U) = 0 the gradient of its modulus is undefined and a zero
     gradient is returned.
     """
     d = sys.dim
-    amp, _, dur = rows = _decode(y, box)
+    amp, _, dur = rows = _decode(y)
     # prefix[k] = R_k = S_k .. S_1, so R_{k-1} precedes step k and R_n = U
     prefix, evals, real_vecs, half_vecs_h, angle = _forward(sys, *rows)
     w = target_h @ prefix[-1]
@@ -184,8 +171,8 @@ def _objective(y: np.ndarray, sys: SpinSystem, target_h: np.ndarray, box: _Box):
     grad = (np.conj(z) * dz).imag
     grad[:2] *= dur
 
-    # chain rule through _decode (its clip is the identity inside the box)
-    return value, grad.ravel() * (box.scale / (-np.abs(z) * d))
+    # chain rule through _decode (its clip is the identity inside the window)
+    return value, (grad * (_SPAN / (-np.abs(z) * d))).ravel()
 
 
 def smp_optimize(
@@ -213,8 +200,7 @@ def smp_optimize(
     if target.shape != (sys.dim, sys.dim):
         raise ValueError(f"target shape {target.shape} does not match system dim {sys.dim}")
 
-    box = _search_box(n)
-    bounds = Bounds(box.lower, box.upper)
+    bounds = Bounds(np.repeat(_LOWER, n), np.repeat(_UPPER, n))
 
     best_y: np.ndarray | None = None
     best_fid = -1.0
@@ -234,7 +220,7 @@ def smp_optimize(
         res = minimize(
             _objective,
             y0,
-            args=(sys, target.conj().T, box),
+            args=(sys, target.conj().T),
             jac=True,
             method="L-BFGS-B",
             bounds=bounds,
@@ -261,7 +247,7 @@ def smp_optimize(
 
     assert best_y is not None
     return SmpResult(
-        segments=[PulseSegment(*row) for row in _decode(best_y, box).T.tolist()],
+        segments=[PulseSegment(*row) for row in _decode(best_y).T.tolist()],
         fidelity=best_fid,
         converged=best_fid >= cfg.min_fidelity,
         history=history,

@@ -399,6 +399,22 @@ def test_fourier_kind_names_its_convention():
         FourierKind("spin")
 
 
+KIND_CALLS = {
+    "qft": lambda kind: qft(3, kind),
+    "initial_index": initial_index,
+    "run_quantum": lambda kind: run_quantum(rotation(3, 1), kind),
+}
+
+
+@pytest.mark.parametrize("call", KIND_CALLS.values(), ids=KIND_CALLS.keys())
+@pytest.mark.parametrize("kind", ["general", "qutrit", "x", ("general", None), 0, ""], ids=repr)
+def test_kind_that_is_not_a_fourier_kind_is_refused(call, kind):
+    # a string used to fail with AttributeError on kind.variant, and a falsy
+    # value such as "" or 0 was taken as the default kind
+    with pytest.raises(ValueError, match="kind must be a FourierKind or None"):
+        call(kind)
+
+
 @pytest.mark.parametrize("relabeling", [(1, 3, 2), [1, 3, 2], "132"])
 def test_fourier_kind_rejects_relabeling_that_is_not_a_permutation(relabeling):
     # refused at construction, not later inside run_quantum

@@ -239,6 +239,25 @@ def test_unwritable_stdout_exits_two_with_one_line(extra):
     assert err.startswith("error: cannot write output: [Errno 28]")
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("argv", [["--help"], ["nmr", "--help"]], ids=["top", "nmr"])
+def test_unwritable_help_exits_two_with_one_line(argv):
+    # argparse swallowed the OSError and the help exited 0 with nothing written
+    with open("/dev/full", "wb") as full:
+        proc = _run_module(*argv, stdout=full)
+    assert proc.returncode == EXIT_BAD_PERMUTATION
+    err = proc.stderr.decode()
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+    assert err.startswith("error: cannot write output: [Errno 28]")
+
+
+def test_held_help_is_written_and_still_leaves_main_as_system_exit(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == EXIT_OK
+    assert capsys.readouterr().out.startswith("usage: quditcycle")
+
+
 def test_an_oserror_from_the_command_is_not_called_a_stdout_failure(capsys, monkeypatch):
     def failing_verify(args):
         raise OSError("not from stdout")

@@ -54,6 +54,62 @@ def test_angular_momentum_algebra():
         assert np.max(np.abs(iz @ ix - ix @ iz - 1j * iy)) < 1e-12
 
 
+def loop_ladder(s):
+    """I_+ filled entry by entry, the reference the one-diagonal build must match."""
+    m = s - np.arange(round(2 * s) + 1)
+    raising = np.zeros((m.size, m.size), dtype=complex)
+    for k in range(1, m.size):
+        raising[k - 1, k] = np.sqrt(s * (s + 1) - m[k] * (m[k] + 1))
+    return raising
+
+
+HALF_SPINS = [0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5]
+
+
+@pytest.mark.parametrize("s", HALF_SPINS)
+def test_spin_operators_match_the_loop_built_ladder(s):
+    raising = loop_ladder(s)
+    lowering = raising.conj().T
+    ix, iy, iz = spin_operators(s)
+    assert np.array_equal(ix, (raising + lowering) / 2)
+    assert np.array_equal(iy, (raising - lowering) / 2j)
+    assert np.array_equal(iz, np.diag(s - np.arange(round(2 * s) + 1)).astype(complex))
+
+
+@pytest.mark.parametrize("frame", ["lab", "rotating"])
+@pytest.mark.parametrize(
+    "freqs", [(TWO_PI * 105.8e6, TWO_PI * 10e3), (TWO_PI * 50e6, -TWO_PI * 37e3)], ids=["default", "negative-wq"]
+)
+@pytest.mark.parametrize("s", HALF_SPINS)
+def test_static_hamiltonian_is_the_operator_form_diagonal(s, freqs, frame):
+    # the level diagonal equals (w_Q/6)(3 I_z^2 - s(s+1)) - w_L I_z built from
+    # the operators, bit for bit; only the sign of a zero may differ
+    larmor, quad = freqs
+    sys = SpinSystem(spin=s, larmor_freq=larmor, quad_freq=quad)
+    iz = spin_operators(s)[2]
+    want = (quad / 6.0) * (3 * (iz @ iz) - s * (s + 1) * np.eye(sys.dim))
+    if frame == "lab":
+        want = want - larmor * iz
+    h = static_hamiltonian(sys, frame)
+    assert h.dtype == complex and h.shape == (sys.dim, sys.dim)
+    assert np.array_equal(h.diagonal().real, want.diagonal().real)
+    assert not h.imag.any() and not (h - np.diag(h.diagonal())).any()
+
+
+@pytest.mark.parametrize("s", ["a", None, True, np.inf, 1.2], ids=repr)
+def test_spin_operators_refuse_what_is_not_a_half_integer(s):
+    # "a" and None used to raise TypeError from round(), and True was spin 1
+    with pytest.raises(ValueError, match="spin must be a"):
+        spin_operators(s)
+
+
+@pytest.mark.parametrize("segments", [[1, 2], None, 5, "ab", [PulseSegment(1.0, 0.0, 1e-6), None]], ids=repr)
+def test_sequence_propagator_refuses_what_is_not_pulse_segments(segments):
+    # [1, 2] used to raise AttributeError, and None or 5 a TypeError
+    with pytest.raises(ValueError, match="iterable of PulseSegment"):
+        sequence_propagator(SpinSystem(), segments)
+
+
 def test_spin_system_validation():
     SpinSystem()  # defaults are self-consistent
     SpinSystem(spin=1.5, larmor_freq=TWO_PI * 1e6, quad_freq=0.0)

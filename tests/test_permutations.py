@@ -81,6 +81,20 @@ def test_permutation_refuses_entries_that_are_not_integers(image):
         Permutation(image)
 
 
+@pytest.mark.parametrize("image", [5, None, 2.5], ids=repr)
+def test_permutation_refuses_an_image_that_is_not_iterable(image):
+    # tuple(image) used to raise TypeError
+    with pytest.raises(ValueError, match="iterable of integers"):
+        Permutation(image)
+
+
+@pytest.mark.parametrize("text", [None, 231, b"2,3,1", ["2", "3", "1"]], ids=repr)
+def test_from_string_refuses_what_is_not_a_str(text):
+    # text.split used to raise AttributeError
+    with pytest.raises(ValueError, match="must be a str"):
+        Permutation.from_string(text)
+
+
 @pytest.mark.parametrize("label", [True, False, np.True_, 2.0, 1.5, "2", None], ids=repr)
 def test_call_refuses_labels_that_are_not_integers(label):
     # True used to act as label 1 and 2.0 raised TypeError
