@@ -1,8 +1,8 @@
 """Exact single-qudit simulation of one-query cyclic-permutation classification.
 
-The root exports the exact layer and the spin-3/2 model in nmr, which need
-only numpy.  The pulse search imports scipy.optimize, so its names are
-imported from quditcycle.protocol and quditcycle.smp.
+The root exports the exact layer and the spin-3/2 model in nmr.  The pulse
+search's names are imported from quditcycle.protocol and quditcycle.smp, so
+that the run and verify commands never load it.
 """
 
 from .algorithm import (

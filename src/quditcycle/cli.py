@@ -168,7 +168,7 @@ def _write_csv(path: str, data: np.ndarray) -> None:
 
 
 def cmd_nmr(args) -> int:
-    # the pulse layer imports scipy.optimize; run and verify never load it
+    # the pulse layer loads only here; run and verify never import it
     from .protocol import run_protocol
     from .smp import OptimizerConfig, segments_to_json
 

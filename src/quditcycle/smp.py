@@ -1,4 +1,4 @@
-"""Strongly modulating pulse (SMP) synthesis by exact-gradient L-BFGS-B.
+"""Strongly modulating pulse (SMP) synthesis by exact-gradient BFGS.
 
 A target unitary is approximated by a short train of constant rf segments,
 each described by (amplitude, phase, duration).  The search minimizes
@@ -11,17 +11,15 @@ and prefix products come from nmr's forward pass, the one that
 sequence_propagator also runs.  That pass diagonalizes the real matrix
 H_Q + w_1 I_x and carries the rf phase as a diagonal frame, so the
 amplitude and phase derivatives are traces against I_x and I_y turned into
-the same real eigenbasis.  L-BFGS-B follows that gradient inside the
-hardware box (the quasi-Newton refinement of de Fouquieres et al., J. Magn.
-Reson. 212, 412 (2011)), keeping one correction pair per parameter so that
-its Hessian model spans the whole search, and is restarted from several
-seeded initial guesses; the best result over all restarts is kept, so the
-outcome is deterministic in (seed) and can only improve as the restart
-budget grows.
+the same real eigenbasis.  A dense BFGS with a strong-Wolfe line search
+follows that gradient (the quasi-Newton refinement of de Fouquieres et al.,
+J. Magn. Reson. 212, 412 (2011)), and is restarted from several seeded
+initial guesses; the best result over all restarts is kept, so the outcome
+is deterministic in (seed) and can only improve as the restart budget grows.
 
-Internally the search walks a dimensionless parameter vector (amplitudes
-and durations scaled to [0, SEARCH_SCALE], phases in turns), which keeps the
-steps commensurate across parameters of wildly different physical magnitude.
+The search has no box.  Amplitude and duration are searched as angles u
+that decode to the fraction (1 - cos u) / 2 of their window, so every u
+lands inside the hardware limits, and phases are free (in turns).
 """
 
 from __future__ import annotations
@@ -29,9 +27,9 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from time import perf_counter
+from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import Bounds, minimize
 
 from .linalg import check_finite, check_int, validate_unitary
 from .nmr import PulseSegment, SpinSystem, _forward
@@ -44,20 +42,31 @@ log = logging.getLogger("quditcycle")
 AMP_MAX_HZ = 50e3
 DUR_MIN_S = 1e-6
 DUR_MAX_S = 200e-6
-# L-BFGS-B's first step is a unit-length projected-gradient step; in a [0, 1]
-# box it lands in a corner, so amplitude and duration are searched in [0, 10].
-SEARCH_SCALE = 10.0
-# L-BFGS-B's relative stopping tolerance on the objective (scipy's ftol).
+# The search's inverse Hessian holds (3 * segments)^2 doubles: 72 MB at this cap.
+MAX_SEGMENTS = 1000
+# minimize stops once one iteration lowers the objective by at most this
+# fraction of max(|f|, 1), or once every gradient entry is at most GRADIENT_TOL.
 OBJECTIVE_TOL = 1e-9
+GRADIENT_TOL = 1e-5
+# Strong-Wolfe constants of the line search (Nocedal & Wright, Alg. 3.5).
+WOLFE_C1 = 1e-4
+WOLFE_C2 = 0.9
+
+# The stop reasons minimize reports, and so RestartRecord.message.
+STOP_OBJECTIVE = "relative reduction of the objective <= OBJECTIVE_TOL"
+STOP_GRADIENT = "max |gradient| <= GRADIENT_TOL"
+STOP_CAP = "evaluation cap reached"
+STOP_LINE_SEARCH = "line search found no strong-Wolfe step"
 
 
 @dataclass(frozen=True)
 class OptimizerConfig:
     """Search budget for SMP synthesis inside the fixed rf window.
 
-    max_iter caps both the L-BFGS-B iterations and the objective-plus-
-    gradient evaluations of one restart.  The search keeps one correction
-    pair per parameter (3 * segments).  Six segments carry 18 parameters,
+    max_iter caps the objective-plus-gradient evaluations of one restart.
+    segments is at most MAX_SEGMENTS = 1000, because the search keeps a dense
+    inverse Hessian of (3 * segments)^2 doubles: 72 MB at the cap, where
+    20,000 segments would need 29 GB.  Six segments carry 18 parameters,
     comfortably over the 15 a four-level gate needs, so random restarts land
     above min_fidelity within a try or two; shorter trains reach the target
     only marginally and unreliably.
@@ -77,6 +86,8 @@ class OptimizerConfig:
         check_finite(min_fidelity=self.min_fidelity)
         if self.segments < 1:
             raise ValueError("need at least one segment")
+        if self.segments > MAX_SEGMENTS:
+            raise ValueError(f"segments must be at most {MAX_SEGMENTS}, got {self.segments}")
         if self.restarts < 1:
             raise ValueError("need at least one restart")
         if not 0 < self.min_fidelity <= 1:
@@ -115,26 +126,134 @@ class SmpResult:
     history: list[RestartRecord]
 
 
-# The search window, one row each for amplitude, phase (in turns, unbounded) and
-# duration: y is clipped to [_LOWER, _UPPER] and decodes to _OFFSET + _SPAN * y.
-_LOWER = np.array([[0.0], [-np.inf], [0.0]])
-_UPPER = np.array([[SEARCH_SCALE], [np.inf], [SEARCH_SCALE]])
-_SPAN = np.array([[2 * np.pi * AMP_MAX_HZ / SEARCH_SCALE], [2 * np.pi], [(DUR_MAX_S - DUR_MIN_S) / SEARCH_SCALE]])
+class MinimizeResult(NamedTuple):
+    """Where minimize stopped: the point, its value, evaluations, iterations and stop reason."""
+
+    x: np.ndarray
+    fun: float
+    nfev: int
+    nit: int
+    message: str
+
+
+def _cubic_min(a, fa, da, b, fb, db):
+    """Minimizer of the cubic through (a, fa) and (b, fb) with slopes da and db; NaN if it has none."""
+    d1 = da + db - 3 * (fa - fb) / (a - b)
+    root = d1 * d1 - da * db
+    if root < 0:
+        return np.nan
+    d2 = np.copysign(np.sqrt(root), b - a)
+    denom = db - da + 2 * d2
+    return b - (b - a) * (db + d2 - d1) / denom if denom else np.nan
+
+
+def _line_search(fg, x, f0, g0, p, step, budget):
+    """A step along the descent direction p from x meeting the strong-Wolfe conditions.
+
+    Brackets, then zooms with safeguarded cubic interpolation (Nocedal &
+    Wright, Alg. 3.5 and 3.6).  Spends at most budget evaluations of fg.
+    Returns (step, f, g, nfev, ok); when no strong-Wolfe step was found, ok is
+    False and the returned step is the lowest point that met the sufficient
+    decrease condition, or 0.
+    """
+    d0 = g0 @ p
+    lo = (0.0, f0, d0, g0)  # the best point so far that meets sufficient decrease
+    hi = None
+    nfev = 0
+    while nfev < budget:
+        if hi is not None:
+            width = hi[0] - lo[0]
+            if abs(width) * np.abs(p).max() <= 1e-14 * (1 + np.abs(x).max()):
+                break
+            step = _cubic_min(*lo[:3], *hi[:3])
+            # keep the trial in the middle 80% of the bracket, else bisect
+            if not abs(step - lo[0] - width / 2) <= 0.4 * abs(width):
+                step = lo[0] + width / 2
+        f, g = fg(x + step * p)
+        nfev += 1
+        d = g @ p
+        point = (step, f, d, g)
+        if f > f0 + WOLFE_C1 * step * d0 or f >= lo[1]:
+            hi = point
+        elif abs(d) <= -WOLFE_C2 * d0:
+            return step, f, g, nfev, True
+        else:
+            if d * (1.0 if hi is None else hi[0] - lo[0]) >= 0:  # the slope points back past lo
+                hi = lo
+            lo = point
+            if hi is None:
+                step *= 4  # still falling steeply: expand
+    return lo[0], lo[1], lo[3], nfev, False
+
+
+def minimize(fg, x0, max_eval: int) -> MinimizeResult:
+    """Minimize f by BFGS, where fg(x) returns (f(x), grad f(x)).
+
+    Keeps a dense inverse Hessian H, scaled to (s.y / y.y) 1 at the first
+    step pair (Nocedal & Wright eq. 6.20 and 6.17), and takes strong-Wolfe
+    steps from _line_search.  Stops on one of STOP_OBJECTIVE, STOP_GRADIENT,
+    STOP_CAP (after max_eval evaluations of fg, a cap that no line search
+    overruns) or STOP_LINE_SEARCH (the line search found no strong-Wolfe
+    step).  On those last two it returns the lowest point of the last line
+    search that met sufficient decrease, or the point it started from.
+    """
+    x = np.array(x0, dtype=float)
+    f, g = fg(x)
+    nfev, nit = 1, 0
+    h = None  # the inverse Hessian, from the first step pair on
+    while True:
+        if np.abs(g).max() <= GRADIENT_TOL:
+            message = STOP_GRADIENT
+            break
+        p = -g if h is None else -(h @ g)
+        # the first step, along -g with no curvature behind it, is at most unit length
+        step = 1.0 if h is not None else min(1.0, 1.0 / np.sqrt(g @ g))
+        step, f_new, g_new, used, ok = _line_search(fg, x, f, g, p, step, max_eval - nfev)
+        nfev += used
+        if not ok:  # keep the lowest point the search found, and stop
+            if step:
+                x, f, g = x + step * p, f_new, g_new
+            message = STOP_CAP if nfev >= max_eval else STOP_LINE_SEARCH
+            break
+        nit += 1
+        s, y = step * p, g_new - g
+        x, f_old, f, g = x + s, f, f_new, g_new
+        sy = s @ y
+        if sy > 0:  # always so at a strong-Wolfe step, barring rounding
+            if h is None:
+                h = np.eye(len(x)) * (sy / (y @ y))
+            hy = h @ y
+            h += (((sy + y @ hy) / sy) * np.outer(s, s) - np.outer(hy, s) - np.outer(s, hy)) / sy
+        if f_old - f <= OBJECTIVE_TOL * max(abs(f_old), abs(f), 1.0):
+            message = STOP_OBJECTIVE
+            break
+        if nfev >= max_eval:
+            message = STOP_CAP
+            break
+    return MinimizeResult(x, float(f), nfev, nit, message)
+
+
+# The search window, one row each for amplitude, phase and duration: the
+# amplitude and duration rows decode from their angle u to
+# _OFFSET + _SPAN (1 - cos u) / 2, and the phase row from turns to radians.
+_SPAN = np.array([[2 * np.pi * AMP_MAX_HZ], [2 * np.pi], [DUR_MAX_S - DUR_MIN_S]])
 _OFFSET = np.array([[0.0], [0.0], [DUR_MIN_S]])
+_PHASE = np.array([[False], [True], [False]])
 
 
 def _decode(y: np.ndarray) -> np.ndarray:
     """(3, n) rows of amplitudes (rad/s), phases (rad) and durations (s) from the search vector."""
-    return _OFFSET + _SPAN * np.minimum(np.maximum(y.reshape(3, -1), _LOWER), _UPPER)
+    u = y.reshape(3, -1)
+    return _OFFSET + _SPAN * np.where(_PHASE, u, np.sin(u / 2) ** 2)  # sin^2(u/2) = (1 - cos u) / 2
 
 
 def _objective(y: np.ndarray, sys: SpinSystem, target_h: np.ndarray):
     """1 - F for the search vector y and its exact gradient in y.
 
-    y holds n amplitudes, n phases and n durations, the rows of the search
-    window, and target_h is target^dag.  The value is bitwise
-    1 - gate_fidelity(target, U) with U the sequence_propagator of the decoded
-    train, because both come from the same forward pass.  Where
+    y holds n amplitude angles, n phases (in turns) and n duration angles,
+    the rows of the search window, and target_h is target^dag.  The value is
+    bitwise 1 - gate_fidelity(target, U) with U the sequence_propagator of
+    the decoded train, because both come from the same forward pass.  Where
     Tr(target^dag U) = 0 the gradient of its modulus is undefined and a zero
     gradient is returned.
     """
@@ -171,8 +290,9 @@ def _objective(y: np.ndarray, sys: SpinSystem, target_h: np.ndarray):
     grad = (np.conj(z) * dz).imag
     grad[:2] *= dur
 
-    # chain rule through _decode (its clip is the identity inside the window)
-    return value, (grad * (_SPAN / (-np.abs(z) * d))).ravel()
+    # chain rule through _decode: d/du sin^2(u/2) = sin(u) / 2
+    u = y.reshape(3, -1)
+    return value, (grad * np.where(_PHASE, _SPAN, _SPAN * np.sin(u) / 2) / (-np.abs(z) * d)).ravel()
 
 
 def smp_optimize(
@@ -182,10 +302,10 @@ def smp_optimize(
 ) -> SmpResult:
     """Synthesize a pulse train approximating the target unitary.
 
-    Runs up to config.restarts L-BFGS-B searches from seeded initial
-    guesses, stopping early once config.min_fidelity is reached.  Failure
-    to reach the threshold is reported through converged=False rather than
-    an exception, so callers can inspect the best attempt.  Each restart is
+    Runs up to config.restarts BFGS searches from seeded initial guesses,
+    stopping early once config.min_fidelity is reached.  Failure to reach
+    the threshold is reported through converged=False rather than an
+    exception, so callers can inspect the best attempt.  Each restart is
     recorded in SmpResult.history and logged at DEBUG level on the
     "quditcycle" logger.  A target that is not a unitary of the system's
     dimension, or a config that is neither an OptimizerConfig nor None,
@@ -199,41 +319,25 @@ def smp_optimize(
     target = validate_unitary(target)
     if target.shape != (sys.dim, sys.dim):
         raise ValueError(f"target shape {target.shape} does not match system dim {sys.dim}")
+    target_h = target.conj().T
 
-    bounds = Bounds(np.repeat(_LOWER, n), np.repeat(_UPPER, n))
+    def fg(y):
+        return _objective(y, sys, target_h)
 
     best_y: np.ndarray | None = None
     best_fid = -1.0
     history: list[RestartRecord] = []
     for k in range(cfg.restarts):
         # Seeding each restart independently keeps restart k's trajectory
-        # identical no matter how large the overall budget is.
+        # identical no matter how large the overall budget is.  Amplitude and
+        # duration start at a uniform 5 .. 95% of their window.
         rng = np.random.default_rng([cfg.seed, k])
-        y0 = np.concatenate(
-            [
-                rng.uniform(0.05, 0.95, n) * SEARCH_SCALE,
-                rng.uniform(0.0, 1.0, n),
-                rng.uniform(0.05, 0.95, n) * SEARCH_SCALE,
-            ]
-        )
+        amp, phase, dur = rng.uniform(0.05, 0.95, n), rng.uniform(0.0, 1.0, n), rng.uniform(0.05, 0.95, n)
+        y0 = np.concatenate([np.arccos(1 - 2 * amp), phase, np.arccos(1 - 2 * dur)])
         t0 = perf_counter()
-        res = minimize(
-            _objective,
-            y0,
-            args=(sys, target.conj().T),
-            jac=True,
-            method="L-BFGS-B",
-            bounds=bounds,
-            options={
-                "maxiter": cfg.max_iter,
-                "maxfun": cfg.max_iter,
-                "ftol": OBJECTIVE_TOL,
-                # one correction pair per parameter; scipy's default 10 leaves a slow tail
-                "maxcor": 3 * n,
-            },
-        )
-        fid = 1.0 - float(res.fun)
-        record = RestartRecord(fid, int(res.nfev), int(res.nit), str(res.message), perf_counter() - t0)
+        res = minimize(fg, y0, cfg.max_iter)  # looked up by name, so a replaced module attribute takes effect
+        fid = 1.0 - res.fun
+        record = RestartRecord(fid, res.nfev, res.nit, res.message, perf_counter() - t0)
         history.append(record)
         log.debug(
             "smp restart %d: fidelity %.9f, %d evaluations, %d iterations, %.3f s, %s",

@@ -668,3 +668,29 @@ def test_nmr_invalid_settings_exit_two_before_synthesis(flags, tmp_path, capsys)
     assert captured.out == ""
     assert len([line for line in captured.err.splitlines() if "error:" in line]) == 1
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["--segments", "20000", "--restarts", "1"], ["--segments", "1001"], ["--config", '{"segments": 1001}']],
+    ids=" ".join,
+)
+def test_nmr_too_many_segments_exit_two_before_synthesis(flags, tmp_path, capsys, monkeypatch):
+    # 20,000 segments reached the optimizer, which asked for a 349 GiB work
+    # array and ended in a traceback with exit 1; the search's dense inverse
+    # Hessian holds (3 * segments)^2 doubles, so segments stops at 1000
+    import quditcycle.protocol
+
+    def synthesis(*args):
+        raise AssertionError("synthesis started")
+
+    monkeypatch.setattr(quditcycle.protocol, "run_protocol", synthesis)
+    if flags[0] == "--config":
+        path = tmp_path / "cfg.json"
+        path.write_text(flags[1])
+        flags = ["--config", str(path)]
+    code, out, err = run_cli(capsys, "nmr", "--gate", "qft", "--out", str(tmp_path / "out"), *flags)
+    assert code == EXIT_BAD_PERMUTATION
+    assert out == "" and err.startswith("error: bad optimizer config: segments must be at most 1000")
+    assert len(err.splitlines()) == 1
+    assert not (tmp_path / "out").exists()

@@ -3,12 +3,12 @@
 Each case runs `quditcycle` in-process in an empty working directory and
 records the exit code, stdout, stderr and every file the command wrote.
 The run, verify and nmr recordings in tests/golden/ were made from the code
-before the design was shrunk; synth.json was recorded with the exact-gradient
-L-BFGS-B optimizer keeping one correction pair per parameter, on the pulse
-engine that diagonalizes a real matrix in the rf-phase frame.  Its pulses
-differ in their last bits, and so in the optimizer's path, from those of the
-complex-eigh engine, of scipy's default 10 pairs and of the Nelder-Mead search
-before them.  Any change to a byte of output shows up here.
+before the design was shrunk; synth.json was recorded with the package's own
+dense BFGS, searching amplitude and duration as angles of their window, on the
+pulse engine that diagonalizes a real matrix in the rf-phase frame.  Its
+pulses differ from those of scipy's L-BFGS-B in a box, of the complex-eigh
+engine and of the Nelder-Mead search before them.  Any change to a byte of
+output shows up here.
 
 Regenerate (only when an output change is intended, and say so in CHANGES.md):
 

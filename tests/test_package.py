@@ -45,6 +45,29 @@ with contextlib.redirect_stdout(io.StringIO()):
     assert proc.returncode == 0, proc.stderr
 
 
+def test_synthesis_runs_with_scipy_refused(tmp_path):
+    # the pulse search is the package's own BFGS; scipy is a benchmark extra
+    script = f"""
+import contextlib, io, sys
+
+class RefuseScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError(f"{{name}} is refused")
+
+sys.meta_path.insert(0, RefuseScipy())
+import quditcycle.cli as cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(["nmr", "--gate", "qft", "--seed", "0", "--out", {str(tmp_path)!r}])
+loaded = [name for name in sys.modules if name.split(".")[0] == "scipy"]
+assert code == 0 and not loaded, (code, loaded)
+"""
+    env = {**os.environ, "PYTHONPATH": str(Path(quditcycle.__file__).parent.parent)}
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "qft_pulses.json").exists()
+
+
 def test_a_failing_property_leaves_the_session_running(tmp_path):
     # with every warning an error, the hypothesis plugin's deprecation notice
     # used to end the session with an INTERNALERROR after the first failing property
