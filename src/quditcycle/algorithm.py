@@ -28,12 +28,15 @@ from .permutations import (
     Permutation,
     apply_oracle,
     check_cyclic_dim,
+    check_permutation,
     classify_cyclic,
     enumerate_cyclic,
 )
 
-# Fourier conventions by name: labels 1..d, or the d = 3 spin labels m = +1, 0, -1.
-FOURIER_VARIANTS = ("general", "qutrit")
+# Fourier conventions by name, each with the basis label the protocol starts
+# from: labels 1..d start in |2>, the d = 3 spin labels m = +1, 0, -1 in |1>.
+_START = {"general": 2, "qutrit": 1}
+FOURIER_VARIANTS = tuple(_START)
 
 
 class NotCyclicError(ValueError):
@@ -95,11 +98,10 @@ def _check_kind(d: int, kind: FourierKind | None) -> FourierKind:
     return kind
 
 
-def _check_permutation(p) -> Permutation:
-    """p if it is a Permutation; anything else is refused by type, unread."""
-    if not isinstance(p, Permutation):
-        raise ValueError(f"expected a Permutation, got {type(p).__name__}")
-    return p
+def _cyclic_dim(p) -> int:
+    """The size of a Permutation under the cyclic promise; Permutation already holds it in 1..MAX_DIM."""
+    d = check_permutation(p).dim
+    return d if d >= 3 else check_cyclic_dim(d)
 
 
 def qft(dim: int, kind: FourierKind | None = None) -> np.ndarray:
@@ -129,7 +131,7 @@ def qft(dim: int, kind: FourierKind | None = None) -> np.ndarray:
 
 def initial_index(kind: FourierKind | None = None) -> int:
     """Basis label the protocol starts from for a given Fourier convention."""
-    return 1 if _as_kind(kind).variant == "qutrit" else 2
+    return _START[_as_kind(kind).variant]
 
 
 @dataclass(eq=False)
@@ -186,21 +188,27 @@ def run_quantum(p: Permutation, kind: FourierKind | None = None) -> RunReport:
     p sigma), and the qutrit variant reorders the labels of d = 3.
 
     The query and the relabeling are one scatter, apply_oracle.  The
-    query is U_p applied to F|start>, the start column of the cached F.
-    The sigma scatter is not a query of p: apply_oracle(sigma, arange(d))
-    is sigma^-1 - 1, whose entries pick the rows of P_sigma F out of
-    F|start> and out of the cached conj(F), whose transpose is F^dag.  The
-    only d x d work is the F^dag product.
+    query is U_p applied to F|start>, read as the start row of the cached
+    F: both conventions build F from an outer product of the labels with
+    themselves, so F equals its transpose bit for bit and the row is the
+    start column in contiguous memory.  The sigma scatter is not a query
+    of p: apply_oracle(sigma, arange(d)) is sigma^-1 - 1, whose entries
+    pick the rows of P_sigma F out of F|start> and out of the cached
+    conj(F), whose transpose is F^dag.  The only d x d work is the F^dag
+    product.  The outcome comes from one pass of magnitudes: their argmax
+    is the measured level, and only its magnitude is squared for the
+    1 - 1e-9 test: a level above that bound leaves less than 1e-9 to all
+    the others, so no tie can move the argmax.
     """
-    d = check_cyclic_dim(_check_permutation(p).dim)
+    d = _cyclic_dim(p)
     kind = _check_kind(d, kind)
-    start = initial_index(kind)
+    start = _START[kind.variant]
     f, f_conj = _fourier(d, kind.variant)
-    column = f[:, start - 1]  # F|start>
+    ket = f[start - 1]  # F|start>, as a row of the symmetric F
     sigma = kind.relabeling
     if sigma is not None:
         rows = apply_oracle(sigma, np.arange(d))  # sigma^-1 - 1: the rows of P_sigma F
-        column = column.take(rows)
+        ket = ket.take(rows)
         f_conj = f_conj.take(rows, axis=0)
 
     queries = 0
@@ -210,12 +218,13 @@ def run_quantum(p: Permutation, kind: FourierKind | None = None) -> RunReport:
         queries += 1
         return apply_oracle(p, state)
 
-    psi = call_oracle(column)
+    psi = call_oracle(ket)
     psi = f_conj.T @ psi
 
-    probs = np.abs(psi) ** 2
-    idx = int(probs.argmax()) + 1
-    if probs[idx - 1] < 1.0 - 1e-9 or (idx != start and idx != d):
+    magnitudes = np.abs(psi)
+    idx = int(magnitudes.argmax()) + 1
+    top = magnitudes[idx - 1]
+    if top * top < 1.0 - 1e-9 or (idx != start and idx != d):
         raise NotCyclicError(
             f"permutation {p.image} is not cyclic in the requested labeling"
         )
@@ -239,14 +248,15 @@ def run_classical(p: Permutation) -> RunReport:
     be cyclic and the report says so.  Raises ValueError when p is not a
     Permutation or below dim 3.
     """
-    d = check_cyclic_dim(_check_permutation(p).dim)
+    d = _cyclic_dim(p)
+    image = p.image
 
     queries = 0
 
     def f(x: int) -> int:
         nonlocal queries
         queries += 1
-        return p(x)
+        return image[x - 1]
 
     y1 = f(1)
     y2 = f(2)
@@ -276,12 +286,25 @@ def one_query_insufficient(dim: int, classes=None) -> bool:
 
     classes, when given, is the list of (classify_cyclic(p).chirality,
     p.image) over enumerate_cyclic(dim), for a caller that has already
-    classed the family; by default the function builds it.
+    classed the family; by default the function builds it.  Anything but
+    (Chirality, image tuple) pairs, each image a bijection of 1..d, is
+    refused with ValueError.
     """
     d = check_cyclic_dim(dim)
+    labels = set(range(1, d + 1))
     if classes is None:
         classes = [(classify_cyclic(p).chirality, p.image) for p in enumerate_cyclic(d)]
-    labels = set(range(1, d + 1))
+    else:
+        try:
+            classes = [(chi, img) for chi, img in classes]
+            ok = all(
+                isinstance(chi, Chirality) and isinstance(img, tuple) and len(img) == d and set(img) == labels
+                for chi, img in classes
+            )
+        except (TypeError, ValueError):  # not an iterable of pairs, or unhashable labels
+            ok = False
+        if not ok:
+            raise ValueError(f"classes must be (Chirality, image) pairs over 1..{d}")
     return all(
         {img[x] for chi, img in classes if chi is chirality} == labels
         for chirality in (Chirality.POSITIVE, Chirality.NEGATIVE)

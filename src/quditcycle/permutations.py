@@ -62,7 +62,7 @@ class Permutation:
 
     def compose(self, other: "Permutation") -> "Permutation":
         """self after other: (self . other)(x) = self(other(x))."""
-        if self.dim != other.dim:
+        if self.dim != check_permutation(other).dim:
             raise ValueError(f"size mismatch: {self.dim} vs {other.dim}")
         return Permutation(tuple(self.image[y - 1] for y in other.image))
 
@@ -85,6 +85,17 @@ class Permutation:
         return {"dim": self.dim, "image": list(self.image)}
 
 
+def check_permutation(p) -> Permutation:
+    """p if it is a Permutation; anything else is refused by type, unread.
+
+    Every public function that takes a Permutation starts here, so a tuple
+    or a string gets this ValueError rather than an AttributeError.
+    """
+    if not isinstance(p, Permutation):
+        raise ValueError(f"expected a Permutation, got {type(p).__name__}")
+    return p
+
+
 @dataclass(frozen=True)
 class CyclicClass:
     chirality: Chirality
@@ -93,7 +104,7 @@ class CyclicClass:
 
 def parity(p: Permutation) -> int:
     """Sign (-1)^(d - number of cycles): +1 even, -1 odd, from one O(d) walk of the cycles."""
-    img = p.image
+    img = check_permutation(p).image
     seen = [False] * len(img)
     cycles = 0
     for start in range(len(img)):
@@ -139,8 +150,8 @@ def classify_cyclic(p: Permutation) -> CyclicClass:
     Rotations are tried first: at d = 2, (2, 1) is both a rotation and a
     reflection and counts as positive.
     """
-    d = p.dim
-    img = p.image
+    img = check_permutation(p).image
+    d = len(img)
     r = img[0] - 1
     if img == _rotation_image(d, r):
         return CyclicClass(Chirality.POSITIVE, r)
@@ -175,9 +186,10 @@ def apply_oracle(p: Permutation, a: np.ndarray) -> np.ndarray:
     -0.0 into +0.0.  Array-likes are taken through np.asarray.  The result
     is a new array; a is not written.
     """
+    d = check_permutation(p).dim
     a = np.asarray(a)
-    if a.shape[:1] != (p.dim,):
-        raise ValueError(f"size mismatch: {p.dim} vs shape {a.shape}")
+    if a.shape[:1] != (d,):
+        raise ValueError(f"size mismatch: {d} vs shape {a.shape}")
     out = np.empty_like(a)
     out[np.subtract(p.image, 1)] = a
     return out
@@ -189,7 +201,7 @@ def oracle_unitary(p: Permutation) -> np.ndarray:
     It is apply_oracle applied to the identity, so the matrix and the
     action cannot disagree.  run_quantum does not build it.
     """
-    return apply_oracle(p, np.eye(p.dim, dtype=complex))
+    return apply_oracle(p, np.eye(check_permutation(p).dim, dtype=complex))
 
 
 def relabel(p: Permutation, sigma: Permutation) -> Permutation:
@@ -204,7 +216,7 @@ def relabel(p: Permutation, sigma: Permutation) -> Permutation:
     rotation(d, r) is the base sequence rotated by r, which is the usual
     way relabeled families are tabulated.
     """
-    if p.dim != sigma.dim:
+    if check_permutation(p).dim != check_permutation(sigma).dim:
         raise ValueError(f"size mismatch: {sigma.dim} vs {p.dim}")
     moved = apply_oracle(sigma, p.image)
     return Permutation(np.take(sigma.image, moved - 1).tolist())

@@ -85,6 +85,16 @@ def test_qutrit_spin_matrix_frozen():
     assert np.max(np.abs(f[1] - 1 / np.sqrt(3))) < 1e-12
 
 
+@pytest.mark.parametrize(
+    "dim,kind", [(d, FourierKind()) for d in range(2, MAX_DIM + 1)] + [(3, FourierKind.qutrit_spin())], ids=repr
+)
+def test_qft_equals_its_transpose_byte_for_byte(dim, kind):
+    # run_quantum reads F|start> as the contiguous row F[start - 1]; that is
+    # the start column only while F is symmetric bit for bit
+    f = qft(dim, kind)
+    assert f.tobytes() == f.T.tobytes()
+
+
 def test_qft_unitarity():
     for d in range(2, 13):
         f = qft(d)
@@ -522,6 +532,34 @@ def test_one_query_insufficient_takes_integral_dims_only():
     for dim in (3.5, True, "3", None, float("nan"), 2.0, 65.0):
         with pytest.raises(ValueError):
             one_query_insufficient(dim)
+
+
+@pytest.mark.parametrize(
+    "classes",
+    [
+        [1],
+        5,
+        "ab",
+        [(Chirality.POSITIVE, (1, 2))],
+        [(Chirality.POSITIVE, [1, 2, 3])],
+        [(Chirality.POSITIVE, (1, 2, "a"))],
+        [(Chirality.POSITIVE, (1, 2, 2))],
+        [("positive-cyclic", (1, 2, 3))],
+        [(Chirality.POSITIVE, (1, 2, 3), 0)],
+    ],
+    ids=repr,
+)
+def test_one_query_insufficient_refuses_malformed_classes(classes):
+    # [1] and 5 used to raise TypeError, "ab" and the triple an unpacking
+    # ValueError, and the rest returned False, as if the claim had failed
+    with pytest.raises(ValueError, match=r"classes must be \(Chirality, image\) pairs over 1..3"):
+        one_query_insufficient(3, classes)
+
+
+def test_one_query_insufficient_reads_classes_once():
+    # a one-shot iterator used to be exhausted by the first label, so the scan said False
+    classes = [(classify_cyclic(p).chirality, p.image) for p in enumerate_cyclic(5)]
+    assert one_query_insufficient(5, iter(classes)) is one_query_insufficient(5, classes) is True
 
 
 def test_one_query_membership_detail():

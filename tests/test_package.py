@@ -83,7 +83,11 @@ def test_a_failing_property_leaves_the_session_running(tmp_path):
         "    pass\n"
     )
     config = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    # only the plugin under test is loaded: autoloading every installed plugin
+    # took about 1 s of this test and checks nothing here
     argv = [sys.executable, "-m", "pytest", "-q", "-c", str(config), "--rootdir", "."]
-    proc = subprocess.run([*argv, "test_probe.py"], cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    argv += ["-p", "hypothesis.extra.pytestplugin"]
+    env = {**os.environ, "PYTEST_DISABLE_PLUGIN_AUTOLOAD": "1"}
+    proc = subprocess.run([*argv, "test_probe.py"], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
     assert "INTERNALERROR" not in proc.stdout + proc.stderr
     assert "1 failed, 1 passed" in proc.stdout, proc.stdout

@@ -9,6 +9,7 @@ import pytest
 from quditcycle.permutations import (
     Chirality,
     Permutation,
+    apply_oracle,
     classify_cyclic,
     enumerate_cyclic,
     oracle_unitary,
@@ -281,6 +282,24 @@ def test_permutation_refusal_messages(image, message):
     with pytest.raises(ValueError) as err:
         Permutation(image)
     assert str(err.value) == message
+
+
+NOT_PERMUTATION_CALLS = {
+    "classify_cyclic": lambda: classify_cyclic((1, 2, 3)),
+    "parity": lambda: parity((1, 2, 3)),
+    "oracle_unitary": lambda: oracle_unitary((1, 2)),
+    "apply_oracle": lambda: apply_oracle((1, 2), [1, 2]),
+    "relabel_sigma": lambda: relabel(rotation(3, 1), "x"),
+    "relabel_p": lambda: relabel("x", rotation(3, 1)),
+    "compose": lambda: rotation(3, 1).compose("x"),
+}
+
+
+@pytest.mark.parametrize("call", NOT_PERMUTATION_CALLS.values(), ids=NOT_PERMUTATION_CALLS.keys())
+def test_what_is_not_a_permutation_is_refused_at_every_entry(call):
+    # each of these used to raise AttributeError on .image or .dim
+    with pytest.raises(ValueError, match="expected a Permutation, got (tuple|str)$"):
+        call()
 
 
 def test_rotation_reflection_constructors():
