@@ -26,11 +26,11 @@ from .linalg import check_dim, vector_to_json
 from .permutations import (
     Chirality,
     Permutation,
+    _reflection_image,
+    _rotation_image,
     apply_oracle,
     check_cyclic_dim,
     check_permutation,
-    classify_cyclic,
-    enumerate_cyclic,
 )
 
 # Fourier conventions by name, each with the basis label the protocol starts
@@ -274,41 +274,24 @@ def run_classical(p: Permutation) -> RunReport:
     )
 
 
-def one_query_insufficient(dim: int, classes=None) -> bool:
+def one_query_insufficient(dim: int) -> bool:
     """Exhaustive check that one classical value query cannot decide chirality.
 
     For every query x and every answer y, the cyclic permutations consistent
     with f(x) = y must include both chiralities, so one answer never fixes
-    the class.  The O(d^2) scan checks that, for each x, the images p(x) of
-    the positive and of the negative members (classed by classify_cyclic)
-    each cover 1..d.  It holds at every d >= 3: rotation(d, (y - x) mod d)
-    and reflection(d, (x + y - 1) mod d) both send x to y.
-
-    classes, when given, is the list of (classify_cyclic(p).chirality,
-    p.image) over enumerate_cyclic(dim), for a caller that has already
-    classed the family; by default the function builds it.  Anything but
-    (Chirality, image tuple) pairs, each image a bijection of 1..d, is
-    refused with ValueError.
+    the class.  The O(d^2) scan reads the images of the d rotations and of
+    the d reflections, the positive and the negative family, from the
+    builders behind rotation, reflection and classify_cyclic, and checks
+    that for each x the values p(x) of each family cover 1..d.  It holds at
+    every d >= 3: rotation(d, (y - x) mod d) and reflection(d, (x + y - 1)
+    mod d) both send x to y.
     """
     d = check_cyclic_dim(dim)
     labels = set(range(1, d + 1))
-    if classes is None:
-        classes = [(classify_cyclic(p).chirality, p.image) for p in enumerate_cyclic(d)]
-    else:
-        try:
-            classes = [(chi, img) for chi, img in classes]
-            ok = all(
-                isinstance(chi, Chirality) and isinstance(img, tuple) and len(img) == d and set(img) == labels
-                for chi, img in classes
-            )
-        except (TypeError, ValueError):  # not an iterable of pairs, or unhashable labels
-            ok = False
-        if not ok:
-            raise ValueError(f"classes must be (Chirality, image) pairs over 1..{d}")
     return all(
-        {img[x] for chi, img in classes if chi is chirality} == labels
-        for chirality in (Chirality.POSITIVE, Chirality.NEGATIVE)
-        for x in range(d)
+        set(column) == labels
+        for image in (_rotation_image, _reflection_image)
+        for column in zip(*(image(d, r) for r in range(d)))
     )
 
 

@@ -129,10 +129,8 @@ def cmd_verify(args) -> int:
     for d in range(3, args.dmax + 1):
         table = phase_table(d)
         class_ok = phase_ok = two_ok = True
-        classes = []
         for p in enumerate_cyclic(d):
             truth = classify_cyclic(p)
-            classes.append((truth.chirality, p.image))
             quantum = run_quantum(p)
             classical = run_classical(p)
             class_ok &= quantum.classification is truth.chirality
@@ -143,7 +141,7 @@ def cmd_verify(args) -> int:
         checks = {
             "classifications": class_ok,
             "phases": phase_ok,
-            "one_query_insufficient": one_query_insufficient(d, classes),
+            "one_query_insufficient": one_query_insufficient(d),
             "classical_two_queries": two_ok,
         }
         ok &= all(checks.values())

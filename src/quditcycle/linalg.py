@@ -6,8 +6,8 @@ Conventions used across the package:
   permutations act on.  Array indices are the labels minus one.
 - Dimensions are validated to 1 <= d <= 64.  Everything is dense complex128;
   at these sizes structure-exploiting representations buy nothing.
-- Comparison tolerances default to 1e-10 and are explicit parameters, so
-  layers with simulated readout noise can relax them without monkey-patching.
+- Comparisons hold to DEFAULT_TOL = 1e-10.  validate_unitary always uses
+  it; equal_up_to_global_phase takes it as the default of its tol.
 - NaN and Inf are rejected at every constructor or decoder boundary.
 """
 
@@ -83,11 +83,11 @@ def basis_state(dim: int, index: int) -> np.ndarray:
     return v
 
 
-def validate_unitary(u, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Check U U^dag = 1 within tol (max entrywise error) and return U."""
+def validate_unitary(u) -> np.ndarray:
+    """Check U U^dag = 1 within DEFAULT_TOL (max entrywise error) and return U."""
     a = _as_matrix(u)
     err = np.max(np.abs(a @ a.conj().T - np.eye(a.shape[0])))
-    if err > tol:
+    if err > DEFAULT_TOL:
         raise ValueError(f"matrix is not unitary: max |UU^dag - 1| = {err}")
     return a
 

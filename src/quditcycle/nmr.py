@@ -32,15 +32,15 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import _as_matrix, check_finite, check_int
+from .linalg import MAX_DIM, _as_matrix, check_finite, check_int
 
 
 def _twice_spin(s: float) -> int:
-    """2s for a positive half-integer spin s; anything else raises ValueError."""
+    """2s for a positive half-integer spin s of at most MAX_DIM levels; anything else raises ValueError."""
     check_finite(spin=s)  # round() would raise TypeError on a string and take True as 1
     twice = round(2 * s)
-    if abs(2 * s - twice) > 1e-9 or twice < 1:
-        raise ValueError(f"spin must be a positive half-integer, got {s}")
+    if abs(2 * s - twice) > 1e-9 or not 1 <= twice < MAX_DIM:
+        raise ValueError(f"spin must be a positive half-integer up to {(MAX_DIM - 1) / 2}, got {s}")
     return twice
 
 
@@ -100,8 +100,20 @@ class SpinSystem:
         return ops
 
 
+def check_spin_system(sys) -> SpinSystem:
+    """sys if it is a SpinSystem; anything else is refused by type, unread.
+
+    Every public function that takes a SpinSystem starts here, so None or a
+    number gets this ValueError rather than an AttributeError.
+    """
+    if not isinstance(sys, SpinSystem):
+        raise ValueError(f"expected a SpinSystem, got {type(sys).__name__}")
+    return sys
+
+
 def static_hamiltonian(sys: SpinSystem, frame: str = "rotating") -> np.ndarray:
     """Drift Hamiltonian in rad/s, in the lab or the on-resonance rotating frame."""
+    check_spin_system(sys)
     if frame not in ("lab", "rotating"):
         raise ValueError(f"frame must be 'lab' or 'rotating', got {frame!r}")
     s = (sys.dim - 1) / 2.0
@@ -162,11 +174,13 @@ def pulse_propagator(sys: SpinSystem, seg: PulseSegment) -> np.ndarray:
 def sequence_propagator(sys: SpinSystem, segments) -> np.ndarray:
     """Time-ordered product of segment propagators (first segment acts first).
 
-    segments is an iterable of PulseSegment; anything else raises ValueError.
+    sys is a SpinSystem and segments an iterable of PulseSegment; anything
+    else raises ValueError.
     All n Hamiltonians are built at once and exponentiated in one batched
     call; the product is folded left in time order (u = step @ u), the same
     association as a segment-by-segment product.
     """
+    check_spin_system(sys)
     segs = list(segments) if np.iterable(segments) else None
     if segs is None or not all(isinstance(s, PulseSegment) for s in segs):
         raise ValueError(f"segments must be an iterable of PulseSegment, got {segments!r}")

@@ -32,7 +32,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .linalg import check_finite, check_int, validate_unitary
-from .nmr import PulseSegment, SpinSystem, _forward
+from .nmr import PulseSegment, SpinSystem, _forward, check_spin_system
 
 log = logging.getLogger("quditcycle")
 
@@ -308,9 +308,10 @@ def smp_optimize(
     exception, so callers can inspect the best attempt.  Each restart is
     recorded in SmpResult.history and logged at DEBUG level on the
     "quditcycle" logger.  A target that is not a unitary of the system's
-    dimension, or a config that is neither an OptimizerConfig nor None,
-    raises ValueError.
+    dimension, a sys that is not a SpinSystem, or a config that is neither
+    an OptimizerConfig nor None, raises ValueError.
     """
+    check_spin_system(sys)
     if config is not None and not isinstance(config, OptimizerConfig):
         raise ValueError(f"config must be an OptimizerConfig or None, got {config!r}")
     cfg = OptimizerConfig() if config is None else config

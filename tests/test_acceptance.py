@@ -189,7 +189,7 @@ def test_criterion_7_spin_hamiltonian_and_propagators(report):
         ]
         u = sequence_propagator(sysm, segs)
         try:
-            validate_unitary(u, tol=1e-10)
+            validate_unitary(u)
             count += 1
         except ValueError:
             pass
@@ -237,7 +237,7 @@ def test_criterion_9_property_sweeps(report):
         img = tuple(int(v) + 1 for v in rng.permutation(d))
         u = oracle_unitary(Permutation(img)) @ (qft(d) if d >= 2 else np.eye(d))
         try:
-            validate_unitary(u, tol=1e-10)
+            validate_unitary(u)
         except ValueError:
             ok = False
 

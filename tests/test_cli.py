@@ -319,7 +319,6 @@ def test_verify_dmax_out_of_range_is_one_line(value, message, capsys):
 
 def test_verify_classes_each_dim_once(monkeypatch, capsys):
     # one_query_insufficient used to enumerate and class each d a second time
-    import quditcycle.algorithm
     import quditcycle.cli
 
     calls = Counter()
@@ -329,8 +328,7 @@ def test_verify_classes_each_dim_once(monkeypatch, capsys):
         calls[p.dim] += 1
         return classify(p)
 
-    for module in (quditcycle.algorithm, quditcycle.cli):
-        monkeypatch.setattr(module, "classify_cyclic", counting)
+    monkeypatch.setattr(quditcycle.cli, "classify_cyclic", counting)
     code, out, _ = run_cli(capsys, "verify", "--dmax", "12", "--json")
     assert code == EXIT_OK and json.loads(out)["ok"] is True
     assert calls == {d: 2 * d for d in range(3, 13)}

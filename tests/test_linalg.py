@@ -137,7 +137,15 @@ def test_unitarity_sweep():
     for _ in range(500):
         d = int(rng.integers(2, 9))
         u = haar_unitary(rng, d)
-        validate_unitary(u, 1e-10)
+        validate_unitary(u)
+
+
+def test_validate_unitary_takes_no_tolerance():
+    # a NaN tol made the comparison false, so a non-unitary matrix came back as unitary
+    with pytest.raises(TypeError):
+        validate_unitary(np.ones((2, 2)), tol=float("nan"))
+    with pytest.raises(ValueError, match="not unitary"):
+        validate_unitary(np.ones((2, 2)))
 
 
 def test_outer_examples():

@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quditcycle.linalg import basis_state, validate_unitary
-from quditcycle.smp import AMP_MAX_HZ, DUR_MAX_S, DUR_MIN_S
+from quditcycle.protocol import run_protocol
+from quditcycle.smp import AMP_MAX_HZ, DUR_MAX_S, DUR_MIN_S, OptimizerConfig, smp_optimize
 from quditcycle.nmr import (
     PulseSegment,
     SpinSystem,
@@ -96,11 +97,30 @@ def test_static_hamiltonian_is_the_operator_form_diagonal(s, freqs, frame):
     assert not h.imag.any() and not (h - np.diag(h.diagonal())).any()
 
 
-@pytest.mark.parametrize("s", ["a", None, True, np.inf, 1.2], ids=repr)
+@pytest.mark.parametrize("s", ["a", None, True, np.inf, 1.2, 32, 10**6], ids=repr)
 def test_spin_operators_refuse_what_is_not_a_half_integer(s):
-    # "a" and None used to raise TypeError from round(), and True was spin 1
+    # "a" and None used to raise TypeError from round(), True was spin 1, and
+    # spin 32 built 65 levels, past the 64 every other layer allows
     with pytest.raises(ValueError, match="spin must be a"):
         spin_operators(s)
+
+
+_SPIN_SYSTEM_CALLS = {
+    "static_hamiltonian": static_hamiltonian,
+    "transition_frequencies": transition_frequencies,
+    "sequence_propagator": lambda sys: sequence_propagator(sys, [PulseSegment(1.0, 0.0, 1e-6)]),
+    "pulse_propagator": lambda sys: pulse_propagator(sys, PulseSegment(1.0, 0.0, 1e-6)),
+    "smp_optimize": lambda sys: smp_optimize(sys, np.eye(4), OptimizerConfig(segments=1, restarts=1, max_iter=1)),
+    "run_protocol": lambda sys: run_protocol(sys, "positive", "full"),
+}
+
+
+@pytest.mark.parametrize("sys", [None, "x", 1.5, True, (1, 2)], ids=repr)
+@pytest.mark.parametrize("call", _SPIN_SYSTEM_CALLS.values(), ids=_SPIN_SYSTEM_CALLS.keys())
+def test_spin_system_functions_refuse_what_is_not_a_spin_system(call, sys):
+    # each of these used to raise AttributeError on sys.dim or sys.drive
+    with pytest.raises(ValueError, match="expected a SpinSystem"):
+        call(sys)
 
 
 @pytest.mark.parametrize("segments", [[1, 2], None, 5, "ab", [PulseSegment(1.0, 0.0, 1e-6), None]], ids=repr)
@@ -113,8 +133,12 @@ def test_sequence_propagator_refuses_what_is_not_pulse_segments(segments):
 def test_spin_system_validation():
     SpinSystem()  # defaults are self-consistent
     SpinSystem(spin=1.5, larmor_freq=TWO_PI * 1e6, quad_freq=0.0)
+    assert SpinSystem(spin=31.5).dim == spin_operators(31.5)[2].shape[0] == 64
     with pytest.raises(ValueError):
         SpinSystem(spin=1.2)
+    for spin in (32, 10**6):  # 65 and 2,000,001 levels; no drive is built
+        with pytest.raises(ValueError, match="spin must be a"):
+            SpinSystem(spin=spin)
     with pytest.raises(ValueError):
         SpinSystem(spin=1.5, larmor_freq=TWO_PI * 1e5, quad_freq=TWO_PI * 1e4)
 
@@ -188,7 +212,7 @@ def test_propagator_unitarity_sweep():
             for _ in range(rng.integers(1, 4))
         ]
         u = sequence_propagator(sys, segs)
-        validate_unitary(u, tol=1e-10)
+        validate_unitary(u)
         count += 1
     assert count == 500
 
