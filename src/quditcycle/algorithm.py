@@ -22,7 +22,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .linalg import check_dim, vector_to_json
+from .linalg import check_dim, check_type, vector_to_json
 from .permutations import (
     Chirality,
     Permutation,
@@ -30,7 +30,6 @@ from .permutations import (
     _rotation_image,
     apply_oracle,
     check_cyclic_dim,
-    check_permutation,
 )
 
 # Fourier conventions by name, each with the basis label the protocol starts
@@ -53,8 +52,8 @@ class FourierKind:
     def __post_init__(self):
         if self.variant not in FOURIER_VARIANTS:
             raise ValueError(f"Fourier variant must be one of {FOURIER_VARIANTS}, got {self.variant!r}")
-        if self.relabeling is not None and not isinstance(self.relabeling, Permutation):
-            raise ValueError(f"relabeling must be a Permutation or None, got {self.relabeling!r}")
+        if self.relabeling is not None:
+            check_type(self.relabeling, Permutation)
 
     @staticmethod
     def standard(relabeling: Permutation | None = None) -> "FourierKind":
@@ -80,11 +79,7 @@ def _fourier(d: int, variant: str) -> tuple[np.ndarray, np.ndarray]:
 
 def _as_kind(kind) -> FourierKind:
     """kind, or the default for None; anything that is not a FourierKind is refused by type."""
-    if kind is None:
-        return _DEFAULT_KIND
-    if not isinstance(kind, FourierKind):
-        raise ValueError(f"kind must be a FourierKind or None, got {kind!r}")
-    return kind
+    return _DEFAULT_KIND if kind is None else check_type(kind, FourierKind)
 
 
 def _check_kind(d: int, kind: FourierKind | None) -> FourierKind:
@@ -100,7 +95,7 @@ def _check_kind(d: int, kind: FourierKind | None) -> FourierKind:
 
 def _cyclic_dim(p) -> int:
     """The size of a Permutation under the cyclic promise; Permutation already holds it in 1..MAX_DIM."""
-    d = check_permutation(p).dim
+    d = check_type(p, Permutation).dim
     return d if d >= 3 else check_cyclic_dim(d)
 
 

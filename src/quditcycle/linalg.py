@@ -9,6 +9,9 @@ Conventions used across the package:
 - Comparisons hold to DEFAULT_TOL = 1e-10.  validate_unitary always uses
   it; equal_up_to_global_phase takes it as the default of its tol.
 - NaN and Inf are rejected at every constructor or decoder boundary.
+- Refusals live here.  A value of the wrong class goes through check_type,
+  an array through _as_array, and numbers through check_dim, check_int and
+  check_finite; each raises ValueError.
 """
 
 from __future__ import annotations
@@ -52,23 +55,24 @@ def check_finite(**values) -> None:
             raise ValueError(f"{name} must be a finite number, got {value!r}")
 
 
-def _as_vector(psi) -> np.ndarray:
-    v = np.asarray(psi, dtype=complex)
-    if v.ndim != 1:
-        raise ValueError(f"expected a 1-d state vector, got shape {v.shape}")
-    check_dim(v.shape[0])
-    if not np.all(np.isfinite(v)):
-        raise ValueError("state vector contains NaN or Inf")
-    return v
+def check_type(value, cls: type):
+    """value if it is a cls; anything else is refused by type, before any attribute is read."""
+    if not isinstance(value, cls):
+        raise ValueError(f"expected a {cls.__name__}, got {type(value).__name__}")
+    return value
 
 
-def _as_matrix(m) -> np.ndarray:
-    a = np.asarray(m, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
+def _as_array(x, ndim: int) -> np.ndarray:
+    """x as a finite complex vector (ndim 1) or square matrix (ndim 2) of a size check_dim takes."""
+    try:
+        a = np.asarray(x, dtype=complex)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"expected a numeric array, got {type(x).__name__}") from None
+    if a.ndim != ndim or a.shape[0] != a.shape[-1]:
+        raise ValueError(f"expected a {'vector' if ndim == 1 else 'square matrix'}, got shape {a.shape}")
     check_dim(a.shape[0])
     if not np.all(np.isfinite(a)):
-        raise ValueError("matrix contains NaN or Inf")
+        raise ValueError("array contains NaN or Inf")
     return a
 
 
@@ -85,9 +89,10 @@ def basis_state(dim: int, index: int) -> np.ndarray:
 
 def validate_unitary(u) -> np.ndarray:
     """Check U U^dag = 1 within DEFAULT_TOL (max entrywise error) and return U."""
-    a = _as_matrix(u)
-    err = np.max(np.abs(a @ a.conj().T - np.eye(a.shape[0])))
-    if err > DEFAULT_TOL:
+    a = _as_array(u, 2)
+    with np.errstate(over="ignore", invalid="ignore"):  # huge entries give an inf or NaN error, refused below
+        err = np.max(np.abs(a @ a.conj().T - np.eye(a.shape[0])))
+    if not err <= DEFAULT_TOL:
         raise ValueError(f"matrix is not unitary: max |UU^dag - 1| = {err}")
     return a
 
@@ -98,8 +103,8 @@ def equal_up_to_global_phase(a, b, tol: float = DEFAULT_TOL) -> bool:
     The candidate phase is read off the largest-magnitude component of b,
     which keeps the comparison stable when small components are pure noise.
     """
-    va = _as_vector(a)
-    vb = _as_vector(b)
+    va = _as_array(a, 1)
+    vb = _as_array(b, 1)
     if va.shape != vb.shape:
         raise ValueError(f"shape mismatch: {va.shape} vs {vb.shape}")
     j = int(np.argmax(np.abs(vb)))
@@ -115,8 +120,9 @@ def equal_up_to_global_phase(a, b, tol: float = DEFAULT_TOL) -> bool:
 
 def outer(psi) -> np.ndarray:
     """Rank-one density matrix |psi><psi| for a normalized pure state."""
-    v = _as_vector(psi)
-    n = np.linalg.norm(v)
+    v = _as_array(psi, 1)
+    with np.errstate(over="ignore", invalid="ignore"):  # huge entries give an inf norm, refused below
+        n = np.linalg.norm(v)
     if abs(n - 1.0) > 1e-8:
         raise ValueError(f"outer() requires a normalized state, got norm {n}")
     return np.outer(v, v.conj())
@@ -124,8 +130,8 @@ def outer(psi) -> np.ndarray:
 
 def fidelity(rho, target) -> float:
     """<target| rho |target> for a density matrix and a pure target state."""
-    a = _as_matrix(rho)
-    t = _as_vector(target)
+    a = _as_array(rho, 2)
+    t = _as_array(target, 1)
     if a.shape[0] != t.shape[0]:
         raise ValueError(f"dimension mismatch: rho {a.shape[0]}, target {t.shape[0]}")
     val = np.vdot(t, a @ t)
@@ -139,5 +145,5 @@ def fidelity(rho, target) -> float:
 
 
 def vector_to_json(psi) -> dict:
-    v = _as_vector(psi)
+    v = _as_array(psi, 1)
     return {"dim": int(v.shape[0]), "re": v.real.tolist(), "im": v.imag.tolist()}

@@ -32,7 +32,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import MAX_DIM, _as_matrix, check_finite, check_int
+from .linalg import MAX_DIM, _as_array, check_finite, check_int, check_type
 
 
 def _twice_spin(s: float) -> int:
@@ -100,20 +100,9 @@ class SpinSystem:
         return ops
 
 
-def check_spin_system(sys) -> SpinSystem:
-    """sys if it is a SpinSystem; anything else is refused by type, unread.
-
-    Every public function that takes a SpinSystem starts here, so None or a
-    number gets this ValueError rather than an AttributeError.
-    """
-    if not isinstance(sys, SpinSystem):
-        raise ValueError(f"expected a SpinSystem, got {type(sys).__name__}")
-    return sys
-
-
 def static_hamiltonian(sys: SpinSystem, frame: str = "rotating") -> np.ndarray:
     """Drift Hamiltonian in rad/s, in the lab or the on-resonance rotating frame."""
-    check_spin_system(sys)
+    check_type(sys, SpinSystem)
     if frame not in ("lab", "rotating"):
         raise ValueError(f"frame must be 'lab' or 'rotating', got {frame!r}")
     s = (sys.dim - 1) / 2.0
@@ -180,12 +169,18 @@ def sequence_propagator(sys: SpinSystem, segments) -> np.ndarray:
     call; the product is folded left in time order (u = step @ u), the same
     association as a segment-by-segment product.
     """
-    check_spin_system(sys)
-    segs = list(segments) if np.iterable(segments) else None
-    if segs is None or not all(isinstance(s, PulseSegment) for s in segs):
-        raise ValueError(f"segments must be an iterable of PulseSegment, got {segments!r}")
+    check_type(sys, SpinSystem)
+    segs = _as_segments(segments)
     rows = np.array([(s.amplitude, s.phase, s.duration) for s in segs], dtype=float).reshape(-1, 3)
     return _forward(sys, *rows.T)[0][-1]
+
+
+def _as_segments(segments) -> list[PulseSegment]:
+    """segments as a list if it is an iterable of PulseSegment; anything else raises ValueError."""
+    try:
+        return [check_type(s, PulseSegment) for s in segments]
+    except (TypeError, ValueError):  # not iterable, or an entry that is not a PulseSegment
+        raise ValueError(f"segments must be an iterable of PulseSegment, got {segments!r}") from None
 
 
 def _forward(sys: SpinSystem, amp: np.ndarray, phase: np.ndarray, dur: np.ndarray):
@@ -214,7 +209,7 @@ def pseudo_pure(pure: np.ndarray, epsilon: float) -> np.ndarray:
     its evolved form); the maximally mixed background is invisible to
     unitary evolution and deviation-matrix readout.
     """
-    pure = _as_matrix(pure)
+    pure = _as_array(pure, 2)
     check_finite(epsilon=epsilon)
     if not 0.0 <= epsilon <= 1.0:
         raise ValueError(f"epsilon must be in [0, 1], got {epsilon}")
@@ -246,7 +241,7 @@ def inject_readout_noise(rho: np.ndarray, sigma: float = 0.01, seed: int | None 
     Raises ValueError, without a floating-point warning, when sigma is so
     large that the perturbation or the noisy matrix overflows.
     """
-    a = _as_matrix(rho)
+    a = _as_array(rho, 2)
     check_finite(sigma=sigma)
     if sigma < 0:
         raise ValueError(f"sigma must be >= 0, got {sigma}")

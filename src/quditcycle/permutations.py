@@ -15,7 +15,7 @@ from enum import Enum
 
 import numpy as np
 
-from .linalg import MAX_DIM, check_dim, check_int
+from .linalg import MAX_DIM, check_dim, check_int, check_type
 
 
 class Chirality(Enum):
@@ -62,7 +62,7 @@ class Permutation:
 
     def compose(self, other: "Permutation") -> "Permutation":
         """self after other: (self . other)(x) = self(other(x))."""
-        if self.dim != check_permutation(other).dim:
+        if self.dim != check_type(other, Permutation).dim:
             raise ValueError(f"size mismatch: {self.dim} vs {other.dim}")
         return Permutation(tuple(self.image[y - 1] for y in other.image))
 
@@ -85,17 +85,6 @@ class Permutation:
         return {"dim": self.dim, "image": list(self.image)}
 
 
-def check_permutation(p) -> Permutation:
-    """p if it is a Permutation; anything else is refused by type, unread.
-
-    Every public function that takes a Permutation starts here, so a tuple
-    or a string gets this ValueError rather than an AttributeError.
-    """
-    if not isinstance(p, Permutation):
-        raise ValueError(f"expected a Permutation, got {type(p).__name__}")
-    return p
-
-
 @dataclass(frozen=True)
 class CyclicClass:
     chirality: Chirality
@@ -104,7 +93,7 @@ class CyclicClass:
 
 def parity(p: Permutation) -> int:
     """Sign (-1)^(d - number of cycles): +1 even, -1 odd, from one O(d) walk of the cycles."""
-    img = check_permutation(p).image
+    img = check_type(p, Permutation).image
     seen = [False] * len(img)
     cycles = 0
     for start in range(len(img)):
@@ -150,7 +139,7 @@ def classify_cyclic(p: Permutation) -> CyclicClass:
     Rotations are tried first: at d = 2, (2, 1) is both a rotation and a
     reflection and counts as positive.
     """
-    img = check_permutation(p).image
+    img = check_type(p, Permutation).image
     d = len(img)
     r = img[0] - 1
     if img == _rotation_image(d, r):
@@ -186,7 +175,7 @@ def apply_oracle(p: Permutation, a: np.ndarray) -> np.ndarray:
     -0.0 into +0.0.  Array-likes are taken through np.asarray.  The result
     is a new array; a is not written.
     """
-    d = check_permutation(p).dim
+    d = check_type(p, Permutation).dim
     a = np.asarray(a)
     if a.shape[:1] != (d,):
         raise ValueError(f"size mismatch: {d} vs shape {a.shape}")
@@ -201,7 +190,7 @@ def oracle_unitary(p: Permutation) -> np.ndarray:
     It is apply_oracle applied to the identity, so the matrix and the
     action cannot disagree.  run_quantum does not build it.
     """
-    return apply_oracle(p, np.eye(check_permutation(p).dim, dtype=complex))
+    return apply_oracle(p, np.eye(check_type(p, Permutation).dim, dtype=complex))
 
 
 def relabel(p: Permutation, sigma: Permutation) -> Permutation:
@@ -216,7 +205,7 @@ def relabel(p: Permutation, sigma: Permutation) -> Permutation:
     rotation(d, r) is the base sequence rotated by r, which is the usual
     way relabeled families are tabulated.
     """
-    if check_permutation(p).dim != check_permutation(sigma).dim:
+    if check_type(p, Permutation).dim != check_type(sigma, Permutation).dim:
         raise ValueError(f"size mismatch: {sigma.dim} vs {p.dim}")
     moved = apply_oracle(sigma, p.image)
     return Permutation(np.take(sigma.image, moved - 1).tolist())

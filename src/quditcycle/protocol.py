@@ -27,8 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algorithm import initial_index, qft
-from .linalg import basis_state, fidelity, outer
-from .nmr import SpinSystem, check_spin_system, sequence_propagator
+from .linalg import basis_state, check_type, fidelity, outer
+from .nmr import SpinSystem, sequence_propagator
 from .permutations import Permutation, oracle_unitary
 from .smp import OptimizerConfig, SmpResult, smp_optimize
 
@@ -81,7 +81,7 @@ class ProtocolResult:
 
 def run_protocol(sys: SpinSystem, oracle: str, stage: str, config: OptimizerConfig | None = None) -> ProtocolResult:
     """Evolve the pure part |2><2| through the circuit prefix: exact gates if config is None, else SMP pulses."""
-    if check_spin_system(sys).dim != 4:
+    if check_type(sys, SpinSystem).dim != 4:
         raise ValueError(f"the protocol runs on a four-level system, got dim {sys.dim}")
 
     target_u = stage_unitary(oracle, stage)

@@ -25,14 +25,15 @@ lands inside the hardware limits, and phases are free (in turns).
 from __future__ import annotations
 
 import logging
+from collections.abc import Mapping
 from dataclasses import dataclass
 from time import perf_counter
 from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import check_finite, check_int, validate_unitary
-from .nmr import PulseSegment, SpinSystem, _forward, check_spin_system
+from .linalg import _as_array, check_finite, check_int, check_type, validate_unitary
+from .nmr import PulseSegment, SpinSystem, _as_segments, _forward
 
 log = logging.getLogger("quditcycle")
 
@@ -98,10 +99,9 @@ class OptimizerConfig:
 
 def gate_fidelity(u: np.ndarray, v: np.ndarray) -> float:
     """|Tr(u^dag v)| / d, insensitive to a global phase between u and v."""
-    u = np.asarray(u, dtype=complex)
-    v = np.asarray(v, dtype=complex)
-    if u.shape != v.shape or u.ndim != 2 or u.shape[0] != u.shape[1]:
-        raise ValueError(f"need two square matrices of equal shape, got {u.shape} and {v.shape}")
+    u, v = _as_array(u, 2), _as_array(v, 2)
+    if u.shape != v.shape:
+        raise ValueError(f"need two matrices of equal shape, got {u.shape} and {v.shape}")
     return float(np.abs(np.trace(u.conj().T @ v)) / u.shape[0])
 
 
@@ -196,8 +196,17 @@ def minimize(fg, x0, max_eval: int) -> MinimizeResult:
     overruns) or STOP_LINE_SEARCH (the line search found no strong-Wolfe
     step).  On those last two it returns the lowest point of the last line
     search that met sufficient decrease, or the point it started from.
+    A non-callable fg, a max_eval that is not an integer >= 1 or an x0 that
+    is not a finite, non-empty real vector raises ValueError.
     """
-    x = np.array(x0, dtype=float)
+    if not callable(fg):
+        raise ValueError(f"fg must be callable, got {type(fg).__name__}")
+    if check_int(max_eval, "max_eval") < 1:
+        raise ValueError(f"max_eval must be >= 1, got {max_eval}")
+    x = np.asarray(x0)
+    if x.dtype.kind not in "iuf" or x.ndim != 1 or not x.size or not np.all(np.isfinite(x)):
+        raise ValueError(f"x0 must be a finite, non-empty real vector, got {x0!r}")
+    x = x.astype(float)
     f, g = fg(x)
     nfev, nit = 1, 0
     h = None  # the inverse Hessian, from the first step pair on
@@ -311,10 +320,8 @@ def smp_optimize(
     dimension, a sys that is not a SpinSystem, or a config that is neither
     an OptimizerConfig nor None, raises ValueError.
     """
-    check_spin_system(sys)
-    if config is not None and not isinstance(config, OptimizerConfig):
-        raise ValueError(f"config must be an OptimizerConfig or None, got {config!r}")
-    cfg = OptimizerConfig() if config is None else config
+    check_type(sys, SpinSystem)
+    cfg = OptimizerConfig() if config is None else check_type(config, OptimizerConfig)
     n = cfg.segments
 
     target = validate_unitary(target)
@@ -366,22 +373,24 @@ def smp_optimize(
 
 
 def segments_to_json(segments) -> list[dict]:
+    """The JSON layout of an iterable of PulseSegment; anything else raises ValueError."""
     return [
         {
             "amp_hz": seg.amplitude / (2 * np.pi),
             "phase_rad": seg.phase,
             "dur_s": seg.duration,
         }
-        for seg in segments
+        for seg in _as_segments(segments)
     ]
 
 
 def segments_from_json(items) -> list[PulseSegment]:
-    return [
-        PulseSegment(
-            amplitude=2 * np.pi * float(obj["amp_hz"]),
-            phase=float(obj["phase_rad"]),
-            duration=float(obj["dur_s"]),
-        )
-        for obj in items
-    ]
+    """Pulse segments from segments_to_json's layout: anything but an iterable of
+    mappings with numeric amp_hz, phase_rad and dur_s raises ValueError."""
+    segs = []
+    for obj in items if np.iterable(items) else [None]:
+        if not isinstance(obj, Mapping) or not {"amp_hz", "phase_rad", "dur_s"} <= obj.keys():
+            raise ValueError(f"pulses must be mappings with amp_hz, phase_rad and dur_s, got {items!r}")
+        check_finite(amp_hz=obj["amp_hz"], phase_rad=obj["phase_rad"], dur_s=obj["dur_s"])
+        segs.append(PulseSegment(2 * np.pi * float(obj["amp_hz"]), float(obj["phase_rad"]), float(obj["dur_s"])))
+    return segs

@@ -87,6 +87,33 @@ def test_nan_rejected():
         validate_unitary(np.array([[np.inf, 0], [0, 1]], dtype=complex))
 
 
+_HUGE = {
+    "validate_unitary-nan-error": lambda: validate_unitary(np.array([[1e300, 1e300], [1e300, -1e300]])),
+    "validate_unitary-inf-error": lambda: validate_unitary(np.full((3, 3), 1e200)),
+    "outer": lambda: outer(np.array([1e300, 0])),
+}
+
+
+@pytest.mark.parametrize("call", _HUGE.values(), ids=_HUGE.keys())
+def test_huge_finite_input_is_refused_without_a_warning(call):
+    # the products overflowed with a RuntimeWarning, which the warning filter
+    # turns into the error in place of this ValueError; a NaN error also
+    # compared false against the tolerance
+    with pytest.raises(ValueError, match="not unitary|normalized"):
+        call()
+
+
+_UNREADABLE = {"dict": {}, "ragged": [[1, 2], [3]], "huge-int": [10**400, 0], "str": "ab", "object": object()}
+
+
+@pytest.mark.parametrize("x", _UNREADABLE.values(), ids=_UNREADABLE.keys())
+def test_arrays_numpy_cannot_read_are_refused(x):
+    # a dict or an object raised TypeError, and an int past the float range OverflowError
+    for call in (outer, lambda x: fidelity(np.eye(2), x), lambda x: equal_up_to_global_phase(x, [1, 0])):
+        with pytest.raises(ValueError):
+            call(x)
+
+
 def test_equal_up_to_global_phase_examples():
     a = np.array([1, 0, 0], dtype=complex)
     assert equal_up_to_global_phase(a, 1j * a, 1e-10)

@@ -1,11 +1,17 @@
-"""The package root's namespace, and which modules each command loads."""
+"""The package root's namespace, which modules each command loads, and how
+every public callable refuses junk arguments."""
 
+import inspect
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import quditcycle
+import quditcycle.protocol
+import quditcycle.smp
 
 PULSE_LAYER = ("scipy.optimize", "quditcycle.smp", "quditcycle.protocol")
 
@@ -91,3 +97,43 @@ def test_a_failing_property_leaves_the_session_running(tmp_path):
     proc = subprocess.run([*argv, "test_probe.py"], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
     assert "INTERNALERROR" not in proc.stdout + proc.stderr
     assert "1 failed, 1 passed" in proc.stdout, proc.stdout
+
+
+def _public_callables() -> dict:
+    """The root's exports, and the public callables that protocol and smp define."""
+    found = {name: getattr(quditcycle, name) for name in quditcycle.__all__}
+    for module in (quditcycle.protocol, quditcycle.smp):
+        short = module.__name__.rsplit(".", 1)[1]
+        found.update(
+            (f"{short}.{name}", obj)
+            for name, obj in vars(module).items()
+            if not name.startswith("_") and callable(obj) and getattr(obj, "__module__", None) == module.__name__
+        )
+    return found
+
+
+def _required_positional(f) -> int:
+    """How many positional arguments a call of f needs; *args counts as one."""
+    try:
+        params = inspect.signature(f).parameters.values()
+    except ValueError:  # an exception class shows no signature; it takes *args
+        return 1
+    needed = sum(p.default is p.empty and p.kind in (p.POSITIONAL_ONLY, p.POSITIONAL_OR_KEYWORD) for p in params)
+    return needed + any(p.kind is p.VAR_POSITIONAL for p in params)
+
+
+PUBLIC = _public_callables()
+
+
+@pytest.mark.parametrize("junk", [None, "x", 1.5, True, (1, 2)], ids=repr)
+@pytest.mark.parametrize("name", sorted(PUBLIC))
+def test_public_callables_return_or_raise_value_error_on_junk(name, junk):
+    # every required positional argument gets the same junk value; any
+    # exception other than ValueError (TypeError, AttributeError, a warning
+    # turned error) fails the test.  minimize, segments_to_json and
+    # segments_from_json used to raise TypeError or AttributeError here
+    f = PUBLIC[name]
+    try:
+        f(*[junk] * _required_positional(f))
+    except ValueError:
+        pass

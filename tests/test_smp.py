@@ -42,6 +42,25 @@ def test_gate_fidelity_basics():
     swap_ends = np.eye(4)[[3, 1, 2, 0]]
     assert gate_fidelity(np.eye(4), swap_ends) == pytest.approx(0.5)
     assert gate_fidelity(np.eye(2), np.diag([1, -1])) == pytest.approx(0.0)
+    with pytest.raises(ValueError, match="equal shape"):
+        gate_fidelity(np.eye(2), np.eye(3))
+
+
+_NOT_FINITE_SQUARE = {
+    "nan": np.full((2, 2), np.nan),
+    "inf": [[1, np.inf], [0, 1]],
+    "not-square": np.ones((2, 3)),
+    "none": None,
+}
+
+
+@pytest.mark.parametrize("u", _NOT_FINITE_SQUARE.values(), ids=_NOT_FINITE_SQUARE.keys())
+def test_gate_fidelity_refuses_what_is_not_a_finite_square_matrix(u):
+    # a NaN or infinite matrix used to come back as a fidelity of nan
+    with pytest.raises(ValueError):
+        gate_fidelity(u, np.eye(2))
+    with pytest.raises(ValueError):
+        gate_fidelity(np.eye(2), u)
 
 
 def test_config_validation():
@@ -74,9 +93,9 @@ def test_config_validation():
 def test_only_an_optimizer_config_or_none_is_taken(config):
     # a dict, number or string raised AttributeError from smp_optimize, or an
     # empty one ran the default search; run_protocol reaches the same check
-    with pytest.raises(ValueError, match="config must be an OptimizerConfig or None"):
+    with pytest.raises(ValueError, match="expected a OptimizerConfig, got "):
         smp_optimize(SpinSystem(), qft(4), config=config)
-    with pytest.raises(ValueError, match="config must be an OptimizerConfig or None"):
+    with pytest.raises(ValueError, match="expected a OptimizerConfig, got "):
         run_protocol(SpinSystem(), "positive", "full", config)
 
 
@@ -176,6 +195,77 @@ def test_segment_json_round_trip():
         assert rt.amplitude == pytest.approx(orig.amplitude, rel=1e-15)
         assert rt.phase == orig.phase
         assert rt.duration == orig.duration
+
+
+@pytest.mark.parametrize("segments", [None, "x", 5, [1, 2], (PulseSegment(1.0, 0.0, 1e-6), None)], ids=repr)
+def test_segments_to_json_refuses_what_is_not_pulse_segments(segments):
+    # None or 5 raised TypeError, and "x" AttributeError; the check is
+    # sequence_propagator's, so the message is too
+    with pytest.raises(ValueError, match="iterable of PulseSegment"):
+        segments_to_json(segments)
+
+
+_SEGMENT_JSON = {"amp_hz": 1e3, "phase_rad": 0.5, "dur_s": 1e-6}
+
+
+@pytest.mark.parametrize(
+    "items",
+    [
+        None,
+        5,
+        (1, 2),
+        "x",
+        [None],
+        [{"amp_hz": 1e3, "phase_rad": 0.5}],
+        [{**_SEGMENT_JSON, "amp_hz": "1e3"}],
+        [{**_SEGMENT_JSON, "dur_s": None}],
+        [{**_SEGMENT_JSON, "phase_rad": True}],
+        [_SEGMENT_JSON, [1e3, 0.5, 1e-6]],
+    ],
+    ids=repr,
+)
+def test_segments_from_json_refuses_what_is_not_numeric_segment_mappings(items):
+    # None, 5 and (1, 2) raised TypeError, a missing key KeyError, and a
+    # string amplitude was read through float()
+    with pytest.raises(ValueError):
+        segments_from_json(items)
+
+
+def _bowl(x):
+    return x @ x, 2 * x
+
+
+_BAD_MINIMIZE_ARGS = {
+    "fg-none": (None, np.ones(2), 10),
+    "fg-str": ("x", np.ones(2), 10),
+    "max-eval-zero": (_bowl, np.ones(2), 0),
+    "max-eval-float": (_bowl, np.ones(2), 2.5),
+    "max-eval-bool": (_bowl, np.ones(2), True),
+    "max-eval-none": (_bowl, np.ones(2), None),
+    "x0-none": (_bowl, None, 10),
+    "x0-str": (_bowl, "x", 10),
+    "x0-dict": (_bowl, {}, 10),
+    "x0-empty": (_bowl, [], 10),
+    "x0-matrix": (_bowl, np.ones((2, 2)), 10),
+    "x0-nan": (_bowl, [1.0, np.nan], 10),
+    "x0-complex": (_bowl, [1.0, 1j], 10),
+    "x0-bool": (_bowl, [True, False], 10),
+}
+
+
+@pytest.mark.parametrize("args", _BAD_MINIMIZE_ARGS.values(), ids=_BAD_MINIMIZE_ARGS.keys())
+def test_minimize_refuses_bad_arguments(args):
+    # None as fg raised "'NoneType' object is not callable", a float or None
+    # max_eval a TypeError, and a dict x0 a TypeError
+    with pytest.raises(ValueError):
+        minimize(*args)
+
+
+def test_minimize_takes_integer_and_float32_starts():
+    a = minimize(_bowl, np.array([1.0, -2.0]), 50)
+    for x0, max_eval in (([1, -2], np.int64(50)), (np.array([1, -2], dtype=np.float32), 50)):
+        b = minimize(_bowl, x0, max_eval)
+        assert np.array_equal(b.x, a.x) and b[1:] == a[1:]
 
 
 def test_target_shape_checked():
