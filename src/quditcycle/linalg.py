@@ -108,14 +108,18 @@ def equal_up_to_global_phase(a, b, tol: float = DEFAULT_TOL) -> bool:
     if va.shape != vb.shape:
         raise ValueError(f"shape mismatch: {va.shape} vs {vb.shape}")
     j = int(np.argmax(np.abs(vb)))
-    if abs(vb[j]) == 0.0:
-        return bool(np.linalg.norm(va - vb) <= tol)
-    c = va[j] / vb[j]
-    mag = abs(c)
-    if mag < 1e-12:
-        return False
-    c /= mag
-    return bool(np.linalg.norm(va - c * vb) <= tol)
+    with np.errstate(over="ignore", invalid="ignore"):  # huge entries give an inf or NaN distance, refused below
+        if abs(vb[j]) == 0.0:
+            dist = np.linalg.norm(va - vb)
+        else:
+            c = va[j] / vb[j]
+            mag = abs(c)
+            if mag < 1e-12:
+                return False
+            dist = np.linalg.norm(va - c / mag * vb)
+    if not np.isfinite(dist):
+        raise ValueError(f"vectors too large to compare: their distance is {dist}")
+    return bool(dist <= tol)
 
 
 def outer(psi) -> np.ndarray:
@@ -134,8 +138,11 @@ def fidelity(rho, target) -> float:
     t = _as_array(target, 1)
     if a.shape[0] != t.shape[0]:
         raise ValueError(f"dimension mismatch: rho {a.shape[0]}, target {t.shape[0]}")
-    val = np.vdot(t, a @ t)
-    return float(val.real)
+    with np.errstate(over="ignore", invalid="ignore"):  # huge entries give an inf or NaN overlap, refused below
+        val = np.vdot(t, a @ t).real
+    if not np.isfinite(val):
+        raise ValueError(f"fidelity of input this large is not finite: {val}")
+    return float(val)
 
 
 # --- JSON codec -------------------------------------------------------------

@@ -675,8 +675,8 @@ def test_nmr_invalid_settings_exit_two_before_synthesis(flags, tmp_path, capsys)
 )
 def test_nmr_too_many_segments_exit_two_before_synthesis(flags, tmp_path, capsys, monkeypatch):
     # 20,000 segments reached the optimizer, which asked for a 349 GiB work
-    # array and ended in a traceback with exit 1; the search's dense inverse
-    # Hessian holds (3 * segments)^2 doubles, so segments stops at 1000
+    # array and ended in a traceback with exit 1; the search's dense normal
+    # matrix holds (3 * segments)^2 doubles, so segments stops at 1000
     import quditcycle.protocol
 
     def synthesis(*args):

@@ -17,6 +17,7 @@ from quditcycle.linalg import (
     vector_to_json,
 )
 from quditcycle.permutations import Permutation, oracle_unitary, rotation
+from quditcycle.smp import gate_fidelity
 
 from conftest import assert_density, haar_unitary, random_state
 
@@ -91,6 +92,9 @@ _HUGE = {
     "validate_unitary-nan-error": lambda: validate_unitary(np.array([[1e300, 1e300], [1e300, -1e300]])),
     "validate_unitary-inf-error": lambda: validate_unitary(np.full((3, 3), 1e200)),
     "outer": lambda: outer(np.array([1e300, 0])),
+    "fidelity": lambda: fidelity(np.full((2, 2), 1e300), [1e300, 1]),
+    "equal_up_to_global_phase": lambda: equal_up_to_global_phase([1e300, 1e300], [1e-300, 1]),
+    "gate_fidelity": lambda: gate_fidelity(np.full((2, 2), 1e300), np.full((2, 2), 1e300)),
 }
 
 
@@ -99,7 +103,7 @@ def test_huge_finite_input_is_refused_without_a_warning(call):
     # the products overflowed with a RuntimeWarning, which the warning filter
     # turns into the error in place of this ValueError; a NaN error also
     # compared false against the tolerance
-    with pytest.raises(ValueError, match="not unitary|normalized"):
+    with pytest.raises(ValueError, match="not unitary|normalized|not finite|too large"):
         call()
 
 

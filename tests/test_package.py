@@ -52,7 +52,7 @@ with contextlib.redirect_stdout(io.StringIO()):
 
 
 def test_synthesis_runs_with_scipy_refused(tmp_path):
-    # the pulse search is the package's own BFGS; scipy is a benchmark extra
+    # the pulse search is the package's own Levenberg-Marquardt; scipy is a benchmark extra
     script = f"""
 import contextlib, io, sys
 

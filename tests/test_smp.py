@@ -14,16 +14,16 @@ import quditcycle.smp as smp
 from quditcycle.smp import (
     DUR_MAX_S,
     DUR_MIN_S,
+    MAX_ITER,
+    MAX_RESTARTS,
     MAX_SEGMENTS,
     STOP_CAP,
     STOP_GRADIENT,
-    STOP_LINE_SEARCH,
     STOP_OBJECTIVE,
-    WOLFE_C1,
-    WOLFE_C2,
     OptimizerConfig,
     _decode,
     _objective,
+    _residual,
     gate_fidelity,
     minimize,
     segments_from_json,
@@ -232,7 +232,7 @@ def test_segments_from_json_refuses_what_is_not_numeric_segment_mappings(items):
 
 
 def _bowl(x):
-    return x @ x, 2 * x
+    return 0.5 * x @ x, x, lambda: np.eye(x.size)
 
 
 _BAD_MINIMIZE_ARGS = {
@@ -295,25 +295,23 @@ def seeded_train(rng, n):
 SPINS = {"spin-3/2": SpinSystem(), "spin-1/2": SPIN_HALF, "spin-1": SpinSystem(spin=1.0), "spin-5/2": SpinSystem(spin=2.5)}
 
 
-@pytest.mark.parametrize("sys", SPINS.values(), ids=SPINS.keys())
-@pytest.mark.parametrize("n", [1, 2, 6])
-def test_gradient_matches_finite_differences(sys, n):
-    # the search vector holds amplitude and duration angles and phases in
-    # turns; every angle decodes inside the window, so there is no edge and
-    # central differences apply everywhere
+def gradient(y, sys, target_h):
+    """The gradient of 1 - F = 1 - |z| / d from the Jacobian: -Re(conj(z) Tr dW) / (|z| d)."""
+    _, w, dw = _objective(y, sys, target_h)
+    z = w.trace()
+    return -(np.conj(z) * dw().trace(axis1=1, axis2=2)).real / (abs(z) * sys.dim)
+
+
+def check_at_seeded_trains(sys, n, check):
+    """check(x, target) at three seeded trains with rf off and both duration ends in
+    them, then with their pinned angles moved off 0 and pi."""
     rng = np.random.default_rng([7, n, sys.dim])
     for _ in range(3):
         x = seeded_train(rng, n)
         target = haar_unitary(rng, sys.dim)
-
-        def f(u):
-            return _objective(u, sys, target.conj().T)[0]
-
-        value, grad = _objective(x, sys, target.conj().T)
         segs = [PulseSegment(*row) for row in _decode(x).T.tolist()]
         assert segs[0].amplitude == 0.0 and segs[-1].duration == DUR_MAX_S and (n == 1 or segs[0].duration == DUR_MIN_S)
-        assert value == 1.0 - gate_fidelity(target, sequence_propagator(sys, segs))  # one forward pass
-        assert np.abs(grad - central_difference_gradient(f, x)).max() <= 1e-6
+        check(x, target)
         # at angles 0 and pi the chain factor sin(u) / 2 is zero, so those
         # entries compare zero with zero.  Check the amplitude angle near 0,
         # next to the degenerate drift, then every angle well inside, where
@@ -321,18 +319,74 @@ def test_gradient_matches_finite_differences(sys, n):
         pinned = [0, 2 * n, 3 * n - 1]
         for angles in ([1e-3, 0.0, np.pi], rng.uniform(0.3, 2.8, 3)):
             x[pinned] = angles
-            value, grad = _objective(x, sys, target.conj().T)
-            assert grad[0] != 0.0
-            assert np.abs(grad - central_difference_gradient(f, x)).max() <= 1e-6
+            check(x, target)
+            assert gradient(x, sys, target.conj().T)[0] != 0.0
 
 
-def test_zero_trace_gives_zero_gradient():
+@pytest.mark.parametrize("sys", SPINS.values(), ids=SPINS.keys())
+@pytest.mark.parametrize("n", [1, 2, 6])
+def test_gradient_matches_finite_differences(sys, n):
+    # the search vector holds amplitude and duration angles and phases in
+    # turns; every angle decodes inside the window, so there is no edge and
+    # central differences apply everywhere
+    def check(x, target):
+        def f(u):
+            return _objective(u, sys, target.conj().T)[0]
+
+        segs = [PulseSegment(*row) for row in _decode(x).T.tolist()]
+        assert f(x) == 1.0 - gate_fidelity(target, sequence_propagator(sys, segs))  # one forward pass
+        assert np.abs(gradient(x, sys, target.conj().T) - central_difference_gradient(f, x)).max() <= 1e-6
+
+    check_at_seeded_trains(sys, n, check)
+
+
+@pytest.mark.parametrize("sys", SPINS.values(), ids=SPINS.keys())
+@pytest.mark.parametrize("n", [1, 2, 6])
+def test_jacobian_matches_finite_differences(sys, n):
+    # the twin of the gradient test: every entry of dW/dy, with the same step and bound
+    def check(x, target):
+        _, w, dw = _objective(x, sys, target.conj().T)
+        jac = dw()
+        assert jac.shape == (3 * n, sys.dim, sys.dim)
+        for i in range(x.size):
+            e = np.zeros_like(x)
+            e[i] = 1e-7
+            fd = (_objective(x + e, sys, target.conj().T)[1] - _objective(x - e, sys, target.conj().T)[1]) / 2e-7
+            assert np.abs(jac[i] - fd).max() <= 1e-6
+
+    check_at_seeded_trains(sys, n, check)
+
+
+def test_residual_is_the_gate_error_in_least_squares_form():
+    # |r|^2 / 2 is 1 - F, J^T r is the gradient of 1 - F, and the phase
+    # direction -i 1 is projected out of every column of J
+    sys, rng = SpinSystem(), np.random.default_rng(11)
+    for _ in range(5):
+        y = seeded_train(rng, 6)
+        target_h = haar_unitary(rng, 4).conj().T
+        value, r, jac = _residual(y, sys, target_h)
+        j = jac()
+        assert value == _objective(y, sys, target_h)[0]
+        assert r.shape == (32,) and j.shape == (32, 18)
+        assert abs(0.5 * r @ r - value) <= 1e-14
+        assert np.abs(j.T @ r - gradient(y, sys, target_h)).max() <= 1e-14
+        phase = (-1j * np.eye(4)).reshape(-1).view(float)
+        assert np.abs(phase @ j).max() <= 1e-14
+
+
+def test_zero_trace_start_gives_a_finite_step():
     # rf off and no quadrupolar splitting: U is exactly the identity, and
-    # Tr(diag(1, -1)^dag U) = 0 exactly, where the modulus has no gradient
+    # Tr(diag(1, -1)^dag U) = 0 exactly, where the modulus has no gradient;
+    # the residual is defined there, with phase 0, and the search stops on
+    # a zero gradient where it started
     y = np.array([0.0, 0.0, 0.3, 1.2, 2.0, 7.0])
-    value, grad = _objective(y, SPIN_HALF, np.diag([1.0, -1.0]).astype(complex))
-    assert value == 1.0
-    assert np.all(np.isfinite(grad)) and not grad.any()
+    target_h = np.diag([1.0, -1.0]).astype(complex)
+    value, r, jac = _residual(y, SPIN_HALF, target_h)
+    assert value == 1.0 and 0.5 * r @ r == pytest.approx(1.0, abs=1e-15)
+    assert np.all(np.isfinite(r)) and np.all(np.isfinite(jac()))
+    res = minimize(lambda x: _residual(x, SPIN_HALF, target_h), y, 10)
+    assert res.message == STOP_GRADIENT and res.nit == 0
+    assert np.array_equal(res.x, y) and res.fun == 1.0
 
 
 def test_restart_history_is_recorded_and_logged(caplog):
@@ -353,9 +407,10 @@ def test_restart_history_is_recorded_and_logged(caplog):
 
 
 def test_criterion_8_restarts_stop_before_the_evaluation_cap():
-    # the dense BFGS needs 490 evaluations over the five gates at seed 0;
-    # scipy's L-BFGS-B in the [0, 10] box took 1,061 with one correction pair
-    # per parameter and 2,304 with its default 10
+    # Levenberg-Marquardt needs 148 forward passes over the five gates at
+    # seed 0; the dense BFGS before it took 490 evaluations, and scipy's
+    # L-BFGS-B in the [0, 10] box 1,061 with one correction pair per
+    # parameter and 2,304 with its default 10
     f = qft(4)
     targets = [
         f,
@@ -374,107 +429,108 @@ def test_criterion_8_restarts_stop_before_the_evaluation_cap():
     assert total <= 1600
 
 
-# --- the in-package BFGS ----------------------------------------------------
+# --- the in-package Levenberg-Marquardt -------------------------------------
 
-STOP_REASONS = {STOP_OBJECTIVE, STOP_GRADIENT, STOP_CAP, STOP_LINE_SEARCH}
+STOP_REASONS = {STOP_OBJECTIVE, STOP_GRADIENT, STOP_CAP}
 
 
 def quadratic(n=8, seed=3):
-    """A convex quadratic 0.5 x.A.x - b.x with condition number 100, and its minimizer."""
+    """A zero-residual linear least-squares problem r = A x - b with condition number 100, and its solution."""
     rng = np.random.default_rng(seed)
     q, _ = np.linalg.qr(rng.standard_normal((n, n)))
     a = q @ np.diag(np.geomspace(1.0, 100.0, n)) @ q.T
     b = rng.standard_normal(n)
-    return (lambda x: (0.5 * x @ a @ x - b @ x, a @ x - b)), np.linalg.solve(a, b)
+
+    def fun(x):
+        r = a @ x - b
+        return 0.5 * r @ r, r, lambda: a
+
+    return fun, np.linalg.solve(a, b)
 
 
 def rosenbrock(x):
-    f = 100 * (x[1] - x[0] ** 2) ** 2 + (1 - x[0]) ** 2
-    g = np.array([-400 * x[0] * (x[1] - x[0] ** 2) - 2 * (1 - x[0]), 200 * (x[1] - x[0] ** 2)])
-    return f, g
+    """Rosenbrock's function in residual form: r = (10 (x1 - x0^2), 1 - x0), zero at (1, 1)."""
+    r = np.array([10 * (x[1] - x[0] ** 2), 1 - x[0]])
+    return 0.5 * r @ r, r, lambda: np.array([[-20 * x[0], 10.0], [-1.0, 0.0]])
 
 
-def counted(fg):
+def counted(fun):
     calls = []
 
     def wrapper(x):
-        calls.append(x.copy())
-        return fg(x)
+        out = fun(x)
+        calls.append((x.copy(), out[0]))
+        return out
 
     return wrapper, calls
 
 
-def test_minimize_converges_on_a_convex_quadratic():
-    fg, x_star = quadratic()
-    res = minimize(fg, np.zeros_like(x_star), 500)
+def test_minimize_converges_on_a_zero_residual_quadratic():
+    fun, x_star = quadratic()
+    res = minimize(fun, np.zeros_like(x_star), 500)
     assert res.message in (STOP_GRADIENT, STOP_OBJECTIVE)
     assert np.abs(res.x - x_star).max() <= 1e-5
-    assert res.fun == fg(res.x)[0]
-    assert res.nit <= res.nfev < 100
+    assert res.fun == fun(res.x)[0] <= 1e-10
+    assert res.nit < res.nfev < 20
 
 
 def test_minimize_converges_on_rosenbrock():
-    fg, calls = counted(rosenbrock)
-    res = minimize(fg, np.array([-1.2, 1.0]), 1000)
+    fun, calls = counted(rosenbrock)
+    res = minimize(fun, np.array([-1.2, 1.0]), 1000)
     assert res.message in (STOP_GRADIENT, STOP_OBJECTIVE)
-    assert np.abs(res.x - 1.0).max() <= 1e-4
-    assert res.nfev == len(calls) < 200
+    assert np.abs(res.x - 1.0).max() <= 1e-6
+    assert res.nfev == len(calls) < 100
     assert isinstance(res.x, np.ndarray) and isinstance(res.fun, float)
 
 
-def test_minimize_never_exceeds_the_evaluation_cap(monkeypatch):
-    # every cap from 1 up to past convergence, so caps land inside line searches
-    searches = []
-    line_search = smp._line_search
+def test_every_trial_either_lowers_f_or_leaves_x():
+    # minimize returns the lowest point it evaluated; each accepted step is a
+    # new lowest point, and each rejected trial is a call of fun that was not
+    for fun, x0 in ((rosenbrock, np.array([-1.2, 1.0])), (quadratic()[0], np.zeros(8))):
+        wrapped, calls = counted(fun)
+        res = minimize(wrapped, x0, 1000)
+        lowest = [calls[0]]
+        for x, f in calls[1:]:
+            if f < lowest[-1][1]:
+                lowest.append((x, f))
+        assert res.fun == lowest[-1][1] and np.array_equal(res.x, lowest[-1][0])
+        assert res.nit == len(lowest) - 1 < res.nfev == len(calls)
 
-    def recording(fg, x, f0, g0, p, step, budget):
-        out = line_search(fg, x, f0, g0, p, step, budget)
-        searches.append((budget, out[3], out[4]))
-        return out
 
-    monkeypatch.setattr(smp, "_line_search", recording)
+def test_minimize_never_exceeds_the_evaluation_cap():
+    # every cap from 1 up to past convergence, so caps land after accepted
+    # steps and inside runs of rejected trials
     full = minimize(rosenbrock, np.array([-1.2, 1.0]), 1000).nfev
-    mid_search = []
+    capped_after_a_rejection = []
     for max_eval in range(1, full + 2):
-        searches.clear()
-        fg, calls = counted(rosenbrock)
-        res = minimize(fg, np.array([-1.2, 1.0]), max_eval)
+        fun, calls = counted(rosenbrock)
+        res = minimize(fun, np.array([-1.2, 1.0]), max_eval)
         assert res.nfev == len(calls) <= max_eval
         assert res.fun == rosenbrock(res.x)[0] <= rosenbrock(np.array([-1.2, 1.0]))[0]
         assert (res.message == STOP_CAP) == (max_eval < full)
-        mid_search.append(any(0 < used == budget and not ok for budget, used, ok in searches))
-    assert any(mid_search)
+        capped_after_a_rejection.append(res.message == STOP_CAP and not np.array_equal(calls[-1][0], res.x))
+    assert any(capped_after_a_rejection)
 
 
-def test_every_accepted_step_meets_the_strong_wolfe_conditions(monkeypatch):
-    accepted = []
-    line_search = smp._line_search
+def test_a_zero_column_keeps_its_parameter():
+    # x1 does not enter the residual, so J has a zero column and J^T J a zero
+    # row; the damping of that column is then 1, not 0, and the step is finite
+    def fun(x):
+        r = np.array([x[0] - 3.0])
+        return 0.5 * r @ r, r, lambda: np.array([[1.0, 0.0]])
 
-    def checked(fg, x, f0, g0, p, step, budget):
-        out = line_search(fg, x, f0, g0, p, step, budget)
-        step, f, g, _, ok = out
-        if ok:
-            assert step > 0
-            assert f <= f0 + WOLFE_C1 * step * (g0 @ p)
-            assert abs(g @ p) <= WOLFE_C2 * abs(g0 @ p)
-            accepted.append(step)
-        return out
-
-    monkeypatch.setattr(smp, "_line_search", checked)
-    minimize(rosenbrock, np.array([-1.2, 1.0]), 1000)
-    minimize(quadratic()[0], np.zeros(8), 500)
-    smp_optimize(SpinSystem(), qft(4), OptimizerConfig(seed=0, restarts=1))
-    assert len(accepted) > 100
+    res = minimize(fun, np.array([0.0, 5.0]), 50)
+    assert res.message in (STOP_GRADIENT, STOP_OBJECTIVE)
+    assert res.x[0] == pytest.approx(3.0, abs=1e-5) and res.x[1] == 5.0
 
 
 def test_each_stop_reason_is_reported():
-    fg, _ = quadratic()
-    assert minimize(fg, np.zeros(8), 3).message == STOP_CAP
+    assert minimize(rosenbrock, np.array([-1.2, 1.0]), 3).message == STOP_CAP
     assert minimize(rosenbrock, np.ones(2), 10).message == STOP_GRADIENT  # the minimizer itself
-    assert minimize(rosenbrock, np.array([-1.2, 1.0]), 1000).message in STOP_REASONS
-    # a gradient of the wrong sign leaves no descent step at all
-    res = minimize(lambda x: (x @ x, -x), np.ones(3), 100)
-    assert res.message == STOP_LINE_SEARCH
+    assert minimize(rosenbrock, np.array([-1.2, 1.0]), 1000).message == STOP_OBJECTIVE
+    # a Jacobian of the wrong sign makes every trial an ascent, and every trial is rejected
+    res = minimize(lambda x: (0.5 * x @ x, x, lambda: -np.eye(3)), np.ones(3), 100)
+    assert res.message == STOP_CAP and res.nfev == 100
     assert np.array_equal(res.x, np.ones(3)) and res.nit == 0
     cfg = OptimizerConfig(segments=2, restarts=3, seed=0, min_fidelity=0.999999, max_iter=300)
     assert {rec.message for rec in smp_optimize(SpinSystem(), qft(4), cfg).history} <= STOP_REASONS
@@ -498,9 +554,19 @@ def test_smp_optimize_calls_minimize_by_name_once_per_restart(monkeypatch):
         assert rec.message == out.message
 
 
-def test_segments_are_capped_before_the_dense_hessian_grows():
+def test_segments_are_capped_before_the_dense_normal_matrix_grows():
     # 20,000 segments reached scipy, which asked for a 349 GiB work array
     assert OptimizerConfig(segments=MAX_SEGMENTS).segments == 1000
     for segments in (MAX_SEGMENTS + 1, 20_000):
         with pytest.raises(ValueError, match="segments must be at most 1000"):
             OptimizerConfig(segments=segments)
+
+
+@pytest.mark.parametrize("name, cap", [("restarts", MAX_RESTARTS), ("max_iter", MAX_ITER)])
+def test_restarts_and_max_iter_are_capped(name, cap):
+    # restarts=10**9 and max_iter=10**12 were accepted: a synthesis that
+    # could not finish, so gave no answer at all
+    assert getattr(OptimizerConfig(**{name: cap}), name) == cap
+    for value in (cap + 1, 10**12):
+        with pytest.raises(ValueError, match=f"{name} must be in 1..{cap}, got {value}"):
+            OptimizerConfig(**{name: value})
