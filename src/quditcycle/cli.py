@@ -71,11 +71,15 @@ def _write(path: str, text: str) -> None:
     behind /dev/stdout cannot be truncated.
     """
     data = text.encode()
-    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
-        fh.write(data)
-        fh.flush()
-        if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
-            os.ftruncate(fh.fileno(), len(data))
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        view = memoryview(data)
+        while view:  # a write may take fewer bytes than it was given
+            view = view[os.write(fd, view) :]
+        if stat.S_ISREG(os.fstat(fd).st_mode):
+            os.ftruncate(fd, len(data))
+    finally:
+        os.close(fd)
 
 
 def _error(message, code: int = EXIT_BAD_PERMUTATION) -> int:
@@ -128,24 +132,48 @@ def cmd_verify(args) -> int:
     t0 = time.perf_counter()
     for d in range(3, args.dmax + 1):
         table = phase_table(d)
-        class_ok = phase_ok = two_ok = True
+        witnesses = {}  # failing check -> its first witness; stays empty on a passing row
         for p in enumerate_cyclic(d):
             truth = classify_cyclic(p)
             quantum = run_quantum(p)
             classical = run_classical(p)
-            class_ok &= quantum.classification is truth.chirality
-            phase_ok &= abs(quantum.phase - table[(truth.chirality, truth.shift)]) <= 1e-10
-            two_ok &= classical.classification is truth.chirality and classical.oracle_queries == 2
+            phase = table[(truth.chirality, truth.shift)]
+            class_ok = quantum.classification is truth.chirality
+            phase_ok = abs(quantum.phase - phase) <= 1e-10
+            two_ok = classical.classification is truth.chirality and classical.oracle_queries == 2
+            if not (class_ok and phase_ok and two_ok):
+                for check, passed, expected, observed in (
+                    ("classifications", class_ok, truth.chirality.value, quantum.classification.value),
+                    ("phases", phase_ok, _complex_json(phase), _complex_json(quantum.phase)),
+                    (
+                        "classical_two_queries",
+                        two_ok,
+                        {"classification": truth.chirality.value, "oracle_queries": 2},
+                        {"classification": classical.classification.value, "oracle_queries": classical.oracle_queries},
+                    ),
+                ):
+                    if not passed and check not in witnesses:
+                        witnesses[check] = {
+                            "dim": d,
+                            "permutation": list(p.image),
+                            "expected": expected,
+                            "observed": observed,
+                        }
             if d == 3:
                 parity_matches &= (truth.chirality is Chirality.POSITIVE) == (parity(p) == 1)
         checks = {
-            "classifications": class_ok,
-            "phases": phase_ok,
+            "classifications": "classifications" not in witnesses,
+            "phases": "phases" not in witnesses,
             "one_query_insufficient": one_query_insufficient(d),
-            "classical_two_queries": two_ok,
+            "classical_two_queries": "classical_two_queries" not in witnesses,
         }
+        if not checks["one_query_insufficient"]:
+            witnesses["one_query_insufficient"] = {"dim": d}
         ok &= all(checks.values())
-        rows.append({"dim": d, **checks})
+        row = {"dim": d, **checks}
+        if witnesses:
+            row["witnesses"] = witnesses
+        rows.append(row)
     elapsed = time.perf_counter() - t0
     ok &= parity_matches
 
@@ -153,15 +181,22 @@ def cmd_verify(args) -> int:
         print(_dumps({"rows": rows, "parity_is_chirality_at_dim3": parity_matches, "ok": ok}))
     else:
         for row in rows:
-            marks = "  ".join(f"{key}={_mark(val)}" for key, val in row.items() if key != "dim")
+            marks = "  ".join(f"{key}={_mark(val)}" for key, val in row.items() if key not in ("dim", "witnesses"))
             print(f"d={row['dim']:2d}  {marks}")
+            for check, witness in row.get("witnesses", {}).items():
+                print(f"      {check} witness: {json.dumps(witness, sort_keys=True)}")
         print(f"d= 3  chirality coincides with even/odd parity: {_mark(parity_matches)}")
         print(f"{'all checks passed' if ok else 'FAILURES detected'} in {elapsed:.2f}s")
     return EXIT_OK if ok else EXIT_VERIFY_FAILED
 
 
+def _complex_json(z: complex) -> dict:
+    return {"re": float(z.real), "im": float(z.imag)}
+
+
 def _write_csv(path: str, data: np.ndarray) -> None:
-    rows = (f"{i + 1},{j + 1},{float(v)!r}\n" for (i, j), v in np.ndenumerate(data))
+    # tolist() gives Python floats, whose repr is that of the numpy scalars
+    rows = [f"{i},{j},{v!r}\n" for i, row in enumerate(data.tolist(), 1) for j, v in enumerate(row, 1)]
     _write(path, "i,j,value\n" + "".join(rows))
 
 

@@ -249,7 +249,8 @@ def inject_readout_noise(rho: np.ndarray, sigma: float = 0.01, seed: int | None 
     rng = np.random.default_rng(None if seed is None else check_int(seed, "seed"))
     with np.errstate(over="ignore", invalid="ignore"):
         scale = sigma * float(np.max(np.abs(a)))
-        g = rng.normal(0.0, scale, a.shape) + 1j * rng.normal(0.0, scale, a.shape)
+        real, imag = rng.normal(0.0, scale, (2, *a.shape))  # the stream of two calls, real part first
+        g = real + 1j * imag
         pert = (g + g.conj().T) / 2
         pert -= (np.trace(pert).real / d) * np.eye(d)
         noisy = a + pert

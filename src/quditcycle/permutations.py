@@ -161,7 +161,9 @@ def check_cyclic_dim(dim: int) -> int:
 def enumerate_cyclic(dim: int) -> list[Permutation]:
     """All 2d cyclic permutations: d positive (r = 0..d-1), then d negative."""
     d = check_cyclic_dim(dim)
-    return [rotation(d, r) for r in range(d)] + [reflection(d, r) for r in range(d)]
+    return [Permutation(_rotation_image(d, r)) for r in range(d)] + [
+        Permutation(_reflection_image(d, r)) for r in range(d)
+    ]
 
 
 def apply_oracle(p: Permutation, a: np.ndarray) -> np.ndarray:

@@ -1,6 +1,9 @@
 """End-to-end CLI behavior: exit codes, stdout JSON, exported artifacts."""
 
+import contextlib
 import csv
+import dataclasses
+import io
 import json
 import os
 import subprocess
@@ -11,8 +14,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import quditcycle
+import quditcycle.cli as cli
 from quditcycle.cli import (
     EXIT_BAD_PERMUTATION,
     EXIT_BROKEN_PIPE,
@@ -25,6 +31,7 @@ from quditcycle.cli import (
 )
 from quditcycle.linalg import MAX_DIM
 from quditcycle.nmr import PulseSegment, SpinSystem, sequence_propagator
+from quditcycle.permutations import Chirality, reflection, rotation
 from quditcycle.protocol import theory_state
 
 
@@ -340,6 +347,94 @@ def test_verify_human_table(capsys):
     assert "d= 3" in out and "all checks passed" in out
 
 
+def _wrong_phase(monkeypatch):
+    # the phases of reflection(4, 2) and reflection(4, 3) flip sign; the first is the witness
+    table = cli.phase_table
+
+    def mutant(d):
+        entries = dict(table(d))
+        if d == 4:
+            for r in (2, 3):
+                entries[(Chirality.NEGATIVE, r)] *= -1
+        return entries
+
+    monkeypatch.setattr(cli, "phase_table", mutant)
+    expected = -table(4)[(Chirality.NEGATIVE, 2)]
+    observed = cli.run_quantum(reflection(4, 2)).phase
+    return "phases", {
+        "dim": 4,
+        "permutation": [2, 1, 4, 3],
+        "expected": {"re": expected.real, "im": expected.imag},
+        "observed": {"re": observed.real, "im": observed.imag},
+    }
+
+
+def _wrong_class(monkeypatch):
+    run = cli.run_quantum
+
+    def mutant(p):
+        report = run(p)
+        if p.dim == 4 and report.classification is Chirality.NEGATIVE:
+            return dataclasses.replace(report, classification=Chirality.POSITIVE)
+        return report
+
+    monkeypatch.setattr(cli, "run_quantum", mutant)
+    return "classifications", {
+        "dim": 4,
+        "permutation": list(reflection(4, 0).image),
+        "expected": "negative-cyclic",
+        "observed": "positive-cyclic",
+    }
+
+
+def _three_queries(monkeypatch):
+    run = cli.run_classical
+
+    def mutant(p):
+        report = run(p)
+        return dataclasses.replace(report, oracle_queries=3) if p.dim == 4 and p.image[0] > 2 else report
+
+    monkeypatch.setattr(cli, "run_classical", mutant)
+    return "classical_two_queries", {
+        "dim": 4,
+        "permutation": list(rotation(4, 2).image),
+        "expected": {"classification": "positive-cyclic", "oracle_queries": 2},
+        "observed": {"classification": "positive-cyclic", "oracle_queries": 3},
+    }
+
+
+def _insufficient_fails(monkeypatch):
+    monkeypatch.setattr(cli, "one_query_insufficient", lambda d: d != 4)
+    return "one_query_insufficient", {"dim": 4}
+
+
+@pytest.mark.parametrize("mutate", [_wrong_phase, _wrong_class, _three_queries, _insufficient_fails])
+def test_a_failing_verify_check_names_its_first_witness(mutate, monkeypatch, capsys):
+    check, witness = mutate(monkeypatch)
+    code, out, err = run_cli(capsys, "verify", "--dmax", "4", "--json")
+    blob = json.loads(out)
+    assert code == EXIT_VERIFY_FAILED and blob["ok"] is False and err == ""
+    row3, row4 = blob["rows"]
+    assert "witnesses" not in row3 and all(row3.values())
+    assert row4.pop("witnesses") == {check: witness}
+    assert row4 == {
+        "dim": 4,
+        "classifications": True,
+        "phases": True,
+        "one_query_insufficient": True,
+        "classical_two_queries": True,
+        check: False,
+    }
+
+    code, out, _ = run_cli(capsys, "verify", "--dmax", "4")
+    assert code == EXIT_VERIFY_FAILED
+    lines = out.splitlines()
+    at = lines.index(next(line for line in lines if line.startswith("d= 4")))
+    assert f"{check}=FAIL" in lines[at]
+    assert lines[at + 1] == f"      {check} witness: {json.dumps(witness, sort_keys=True)}"
+    assert lines[at + 2].startswith("d= 3  chirality") and "FAILURES detected" in lines[-1]
+
+
 def test_nmr_ideal_qft_artifacts(tmp_path, capsys):
     code, out, _ = run_cli(
         capsys, "nmr", "--gate", "qft", "--ideal", "--out", str(tmp_path), "--json"
@@ -481,6 +576,36 @@ def test_nmr_rewrite_never_truncates_to_zero(tmp_path, capsys, monkeypatch):
     assert not any(flags & os.O_TRUNC for _, flags in opened)
     assert sorted(truncated) == [(path, path.stat().st_size) for path in artifacts]
     assert all(length > 0 for _, length in truncated)
+
+
+def test_csv_is_the_repr_of_each_element_at_float_edges(tmp_path):
+    # the goldens hold only typical values: signed zero, the smallest
+    # subnormal, a tiny and the largest finite magnitude, inexact fractions
+    edges = np.array([-0.0, 5e-324, 1e-300, 0.1, -1 / 3, 1.7976931348623157e308])
+    z = np.concatenate([edges, -edges[::-1]]).reshape(3, 4)
+    z = z + 1j * z[::-1]
+    path = tmp_path / "m.csv"
+    for data in (z.real, z.imag, edges.reshape(2, 3)):  # the strided views cmd_nmr passes, and a plain array
+        cli._write_csv(str(path), data)
+        want = "i,j,value\n" + "".join(f"{i + 1},{j + 1},{float(v)!r}\n" for (i, j), v in np.ndenumerate(data))
+        assert path.read_bytes() == want.encode()
+
+
+def test_write_finishes_after_short_writes(tmp_path, monkeypatch):
+    # os.write may take fewer bytes than it is given: one byte a call here
+    real_write, calls = os.write, []
+
+    def one_byte(fd, data):
+        calls.append(fd)
+        return real_write(fd, bytes(data[:1]))
+
+    path = tmp_path / "short.txt"
+    path.write_bytes(b"x" * 500)  # longer than the text, so the tail must go too
+    text = "i,j,value\n1,1,-0.0\n\u03c8\n"
+    monkeypatch.setattr(os, "write", one_byte)
+    cli._write(str(path), text)
+    monkeypatch.undo()
+    assert path.read_bytes() == text.encode() and len(calls) == len(text.encode())
 
 
 def test_nmr_smp_deterministic_artifacts(tmp_path, capsys):
@@ -692,3 +817,93 @@ def test_nmr_too_many_segments_exit_two_before_synthesis(flags, tmp_path, capsys
     assert out == "" and err.startswith("error: bad optimizer config: segments must be at most 1000")
     assert len(err.splitlines()) == 1
     assert not (tmp_path / "out").exists()
+
+
+# The regression net over argv: every command line gets a documented exit
+# code, never a traceback, and one "error:" line on stderr when it fails.
+DOCUMENTED_EXITS = {
+    EXIT_OK,
+    EXIT_VERIFY_FAILED,
+    EXIT_BAD_PERMUTATION,
+    EXIT_NOT_CYCLIC,
+    EXIT_UNCONVERGED,
+    EXIT_BROKEN_PIPE,
+}
+_PERMS = ["2,3,1", "2,3,4,1", "3,2,1,4", "1,3,2,4", "1,3,5,2,4", "2,1", "1", "", "1,1,2", "0,1,2", "2,3,1,", "a,b"]
+_PERMS += [" 2, 3 ,1", ",".join(map(str, range(65, 0, -1)))]
+_INTS = ["3", "4", "8", "2", "65", "-1", "0", "x", "", "1e3", "99999999999999999999"]
+_FLOATS = ["0", "1e-5", "0.01", "1", "-1", "nan", "inf", "1e308", "x", ""]
+_JUNK = [["--bogus"], ["--help"], ["--"], ["extra"]]
+
+
+def _pick(*pieces):
+    """Up to four of the option pieces, then at most one junk piece, as one token list."""
+    chosen = st.tuples(st.lists(st.sampled_from([*pieces, ["--json"]]), max_size=4), st.sampled_from([[]] * 6 + _JUNK))
+    return chosen.map(lambda parts: [tok for piece in (*parts[0], parts[1]) for tok in piece])
+
+
+def _option(flag, values):
+    return [[flag, value] for value in values]
+
+
+def _argv(where):
+    outs = [str(where / "out.json"), str(where / "nmr"), str(where / "a_file"), str(where), "", os.devnull]
+    configs = [str(where / "cfg.json"), str(where / "list.json"), str(where / "missing.json"), str(where), ""]
+    run = st.tuples(
+        st.just(["run"]),
+        st.sampled_from([[], *_option("--perm", _PERMS)]),
+        _pick(
+            *_option("--dim", _INTS),
+            *_option("--mode", ["quantum", "classical", "x"]),
+            *_option("--fourier", ["general", "qutrit", "x"]),
+            *_option("--relabel", _PERMS),
+            *_option("--out", outs),
+        ),
+    )
+    verify = st.tuples(st.just(["verify"]), _pick(*_option("--dmax", _INTS)))
+    nmr = st.tuples(
+        st.just(["nmr", "--ideal"]),
+        st.sampled_from([[], *_option("--gate", ["qft", "pos", "neg", "fullpos", "fullneg", "x"])]),
+        _pick(
+            *_option("--epsilon", _FLOATS),
+            *_option("--noise-sigma", _FLOATS),
+            *_option("--noise-seed", _INTS),
+            *_option("--seed", _INTS),
+            *_option("--segments", _INTS),
+            *_option("--restarts", _INTS),
+            *_option("--min-fidelity", _FLOATS),
+            *_option("--config", configs),
+            *_option("--out", outs),
+        ),
+    )
+    return st.one_of(run, verify, nmr).map(lambda parts: [tok for part in parts for tok in part])
+
+
+@settings(
+    max_examples=100,
+    derandomize=True,
+    database=None,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(data=st.data())
+def test_every_argv_gets_a_documented_exit_and_one_error_line(data, tmp_path, monkeypatch):
+    # the files stay from one example to the next; each example overwrites what it writes
+    monkeypatch.setenv("QUDITCYCLE_OUTDIR", str(tmp_path / "default"))
+    (tmp_path / "a_file").write_text("not a directory\n")
+    (tmp_path / "cfg.json").write_text('{"segments": 2}')
+    (tmp_path / "list.json").write_text("[]")
+    argv = data.draw(_argv(tmp_path), label="argv")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse: a usage error or --help
+            code = exc.code
+    out, err = out.getvalue(), err.getvalue()
+    assert code in DOCUMENTED_EXITS and "Traceback" not in out + err
+    errors = [line for line in err.splitlines() if "error:" in line]  # as CI's grep -c counts them
+    if code == EXIT_VERIFY_FAILED:  # the verification report is on stdout
+        assert argv[0] == "verify" and ("FAIL" in out or '"ok": false' in out)
+    else:
+        assert len(errors) == (code != EXIT_OK), (argv, err)

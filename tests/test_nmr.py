@@ -405,6 +405,23 @@ def test_readout_noise_properties():
             inject_readout_noise(bad, seed=0)
 
 
+@pytest.mark.parametrize("n", [1, 2, 4, 7])
+def test_readout_noise_is_the_stream_of_two_draws(n):
+    # the real and imaginary parts come from one draw of shape (2, n, n); a
+    # draw of the real parts, then one of the imaginary parts, is the reference
+    rng = np.random.default_rng(n)
+    rho = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    rho += rho.conj().T
+    for seed in (0, 1, 7, 2**40):
+        for sigma in (0.0, 0.01, 3.5):
+            ref = np.random.default_rng(seed)
+            scale = sigma * float(np.max(np.abs(rho)))
+            g = ref.normal(0.0, scale, rho.shape) + 1j * ref.normal(0.0, scale, rho.shape)
+            pert = (g + g.conj().T) / 2
+            pert -= (np.trace(pert).real / n) * np.eye(n)
+            assert inject_readout_noise(rho, sigma, seed).tobytes() == (rho + pert).tobytes()
+
+
 def test_readout_noise_refuses_an_overflowing_perturbation():
     # sigma = 1e308 used to warn and return a NaN matrix, which pseudo_pure
     # then refused with a traceback

@@ -334,6 +334,12 @@ def test_enumerate_cyclic_structure():
         enumerate_cyclic(65)
 
 
+def test_enumerate_cyclic_is_the_rotations_then_the_reflections():
+    # the family is built from the images directly; the public builders are the reference
+    for d in range(3, 65):
+        assert enumerate_cyclic(d) == [rotation(d, r) for r in range(d)] + [reflection(d, r) for r in range(d)]
+
+
 def test_chirality_equals_parity_only_at_dim3():
     for p in enumerate_cyclic(3):
         c = classify_cyclic(p)
