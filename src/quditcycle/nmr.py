@@ -28,7 +28,7 @@ Hamiltonians at once, one stacked real eigh, then the time-ordered product.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -164,15 +164,26 @@ def sequence_propagator(sys: SpinSystem, segments) -> np.ndarray:
     """Time-ordered product of segment propagators (first segment acts first).
 
     sys is a SpinSystem and segments an iterable of PulseSegment; anything
-    else raises ValueError.
+    else raises ValueError, and so does a train whose propagator overflows
+    (say an amplitude and a duration of 1e200 each), without a floating-point
+    warning.
     All n Hamiltonians are built at once and exponentiated in one batched
     call; the product is folded left in time order (u = step @ u), the same
     association as a segment-by-segment product.
     """
     check_type(sys, SpinSystem)
     segs = _as_segments(segments)
-    rows = np.array([(s.amplitude, s.phase, s.duration) for s in segs], dtype=float).reshape(-1, 3)
-    return _forward(sys, *rows.T)[0][-1]
+    if not segs:
+        return np.eye(sys.dim, dtype=complex)
+    rows = np.array([(s.amplitude, s.phase, s.duration) for s in segs], dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow leaves a product that is not finite
+        try:
+            u = _forward(sys, *rows.T)[0][-1]
+        except np.linalg.LinAlgError:  # eigh's, on a Hamiltonian with an infinite entry
+            u = None
+    if u is None or not np.isfinite(u).all():
+        raise ValueError("the propagator of this pulse train is not finite: its amplitudes, phases or durations are too large")
+    return u
 
 
 def _as_segments(segments) -> list[PulseSegment]:
@@ -188,18 +199,25 @@ def _forward(sys: SpinSystem, amp: np.ndarray, phase: np.ndarray, dur: np.ndarra
 
     Segment k has the Hamiltonian Z_k (h0 + amp_k I_x) Z_k^dag with
     Z_k = exp(-i phase_k I_z).  Returns (prefix, evals, W, D V^dag, evals t / 2)
-    with the parts from _propagator and the prefix products
-    prefix[k] = S_k .. S_1 of the first k steps: prefix[0] = 1 and prefix[n]
-    is the train's propagator.
+    with the parts from _propagator and the list of prefix products
+    prefix[k] = S_k .. S_1 of the first k steps: prefix[0] = 1, shared and
+    read-only, and prefix[n] is the train's propagator.
     """
     h0, ops, m = sys.drive
     frame = np.exp(-1j * phase[:, None] * m)
     steps, *parts = _propagator(h0 + amp[:, None, None] * ops[0], dur, frame)
-    prefix = np.empty((len(steps) + 1, sys.dim, sys.dim), dtype=complex)
-    prefix[0] = np.eye(sys.dim)
-    for k in range(len(steps)):  # np.dot costs less per call than np.matmul at these sizes
-        np.dot(steps[k], prefix[k], out=prefix[k + 1])
+    prefix = [_identity(len(m))]
+    for step in steps:  # ndarray.dot costs less per call than np.dot or np.matmul at these sizes
+        prefix.append(step.dot(prefix[-1]))
     return prefix, *parts
+
+
+@lru_cache
+def _identity(d: int) -> np.ndarray:
+    """The complex d x d identity, built once and read-only."""
+    eye = np.eye(d, dtype=complex)
+    eye.flags.writeable = False
+    return eye
 
 
 def pseudo_pure(pure: np.ndarray, epsilon: float) -> np.ndarray:

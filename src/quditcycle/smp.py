@@ -26,6 +26,7 @@ lands inside the hardware limits, and phases are free (in turns).
 from __future__ import annotations
 
 import logging
+import math
 from collections.abc import Mapping
 from dataclasses import dataclass
 from time import perf_counter
@@ -189,9 +190,13 @@ def minimize(fun, x0, max_eval: int) -> MinimizeResult:
         # D only grows, so a column that fades as its angle nears a window edge keeps its damping
         scale = np.maximum(scale, a.diagonal())
         # a zero column of J leaves a zero row in a and g, so its step is 0 at any damping
-        damping = np.diag(np.where(scale > 0, scale, 1.0))
+        damping = np.where(scale > 0, scale, 1.0)
+        descent = -g
         while nfev < max_eval:
-            trial = x + np.linalg.solve(a + lam * damping, -g)
+            # a + lam diag(damping), bit for bit: lam D adds +0.0 off the diagonal
+            damped = a + 0.0
+            damped.reshape(-1)[:: x.size + 1] += lam * damping
+            trial = x + np.linalg.solve(damped, descent)
             f_new, r_new, jac_new = fun(trial)
             nfev += 1
             if f_new < f:
@@ -218,17 +223,21 @@ def minimize(fun, x0, max_eval: int) -> MinimizeResult:
 # _OFFSET + _SPAN (1 - cos u) / 2, and the phase row from turns to radians.
 _SPAN = np.array([[2 * np.pi * AMP_MAX_HZ], [2 * np.pi], [DUR_MAX_S - DUR_MIN_S]])
 _OFFSET = np.array([[0.0], [0.0], [DUR_MIN_S]])
-_PHASE = np.array([[False], [True], [False]])
 
 
 def _decode(y: np.ndarray) -> np.ndarray:
     """(3, n) rows of amplitudes (rad/s), phases (rad) and durations (s) from the search vector."""
     u = y.reshape(3, -1)
-    return _OFFSET + _SPAN * np.where(_PHASE, u, np.sin(u / 2) ** 2)  # sin^2(u/2) = (1 - cos u) / 2
+    rows = np.sin(u / 2)
+    rows *= rows  # sin^2(u/2) = (1 - cos u) / 2
+    rows[1] = u[1]
+    rows *= _SPAN
+    rows += _OFFSET
+    return rows
 
 
 def _objective(y: np.ndarray, sys: SpinSystem, target_h: np.ndarray):
-    """(1 - F, W, dw) for the search vector y, where dw() gives dW/dy as a stack (3n, d, d).
+    """(1 - F, W, Tr W, dw) for the search vector y, where dw() gives dW/dy as a stack (3n, d, d).
 
     y holds n amplitude angles, n phases (in turns) and n duration angles,
     the rows of the search window; target_h is target^dag and
@@ -237,11 +246,12 @@ def _objective(y: np.ndarray, sys: SpinSystem, target_h: np.ndarray):
     the same forward pass, and dw reuses that pass.
     """
     d = sys.dim
-    amp, _, dur = rows = _decode(y)
+    amp, phase, dur = _decode(y)
     # prefix[k] = R_k = S_k .. S_1, so R_{k-1} precedes step k and R_n = U
-    prefix, evals, real_vecs, half_vecs_h, angle = _forward(sys, *rows)
-    w = target_h @ prefix[-1]
-    value = 1.0 - float(np.abs(w.trace()) / d)
+    prefix, evals, real_vecs, half_vecs_h, angle = _forward(sys, amp, phase, dur)
+    w = target_h.dot(prefix[-1])
+    tr = w.trace()
+    value = 1.0 - float(np.abs(tr) / d)
 
     def dw():
         # dW = T^dag L_k dS_k R_{k-1} with the suffix product L_k = S_n .. S_{k+1}
@@ -253,7 +263,7 @@ def _objective(y: np.ndarray, sys: SpinSystem, target_h: np.ndarray):
         # difference of exp(-i lambda t) in a form that is exact and tends to 1
         # as x -> 0, which covers the degenerate drift at amplitude 0.  For
         # duration X = -i Lambda, because dS/dt = -i H S.
-        a = half_vecs_h @ prefix[:-1]
+        a = half_vecs_h @ np.array(prefix[:-1])
         x = angle[:, :, None] - angle[:, None, :]
         x = np.where(x, x, 1e-300)  # sin(x) / x is then exactly 1 where x = 0
         # Z^dag dH Z is I_x per unit amplitude and amp I_y per unit phase, because
@@ -264,13 +274,19 @@ def _objective(y: np.ndarray, sys: SpinSystem, target_h: np.ndarray):
         np.matmul(rotated * (np.sin(x) / x), a, out=xa[:2])
         np.multiply(evals[:, :, None], a, out=xa[2])
         # -i t, -i t (i amp) and -i, times the chain rule through _decode:
-        # d/du sin^2(u/2) = sin(u) / 2
-        u = y.reshape(3, -1)
-        coef = np.where(_PHASE, _SPAN, _SPAN * np.sin(u) / 2) * np.stack([-1j * dur, dur * amp, np.full(len(amp), -1j)])
+        # d/du sin^2(u/2) = sin(u) / 2, and the phase row's span
+        chain = _SPAN * np.sin(y.reshape(3, -1))
+        chain /= 2
+        chain[1] = _SPAN[1]
+        coef = np.empty(chain.shape, dtype=complex)
+        np.multiply(-1j, dur, out=coef[0])
+        np.multiply(dur, amp, out=coef[1])
+        coef[2] = -1j
+        coef *= chain
         xa *= coef[:, :, None, None]
         return (w @ a.conj().swapaxes(-1, -2) @ xa).reshape(-1, d, d)
 
-    return value, w, dw
+    return value, w, tr, dw
 
 
 def _residual(y: np.ndarray, sys: SpinSystem, target_h: np.ndarray):
@@ -284,16 +300,17 @@ def _residual(y: np.ndarray, sys: SpinSystem, target_h: np.ndarray):
     that direction, so minimize's step is the Gauss-Newton step in y and phi
     together, and J^T r is the gradient of 1 - F.
     """
-    value, w, dw = _objective(y, sys, target_h)
+    value, w, tr, dw = _objective(y, sys, target_h)
     d = len(w)
-    turn = np.exp(-1j * np.angle(w.trace())) / np.sqrt(d)
+    root = math.sqrt(d)
+    turn = np.exp(-1j * np.arctan2(tr.imag, tr.real)) / root  # arctan2 is np.angle without its wrapper
     r = (turn * w).reshape(-1)
-    r[:: d + 1] -= 1 / np.sqrt(d)  # the diagonal
+    r[:: d + 1] -= 1 / root  # the diagonal
 
     def jac():
         j = (turn * dw()).reshape(-1, d * d)
         diag = j[:, :: d + 1]
-        diag -= (1j / d) * diag.sum(axis=1).imag[:, None]
+        diag -= (1j / d) * np.add.reduce(diag, axis=1).imag[:, None]  # diag.sum(axis=1) without its wrapper
         return j.view(float).T
 
     return value, r.view(float), jac

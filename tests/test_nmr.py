@@ -9,7 +9,15 @@ from hypothesis import strategies as st
 
 from quditcycle.linalg import basis_state, validate_unitary
 from quditcycle.protocol import run_protocol
-from quditcycle.smp import AMP_MAX_HZ, DUR_MAX_S, DUR_MIN_S, OptimizerConfig, smp_optimize
+from quditcycle.smp import (
+    AMP_MAX_HZ,
+    DUR_MAX_S,
+    DUR_MIN_S,
+    OptimizerConfig,
+    segments_from_json,
+    segments_to_json,
+    smp_optimize,
+)
 from quditcycle.nmr import (
     PulseSegment,
     SpinSystem,
@@ -313,7 +321,44 @@ def test_segment_hamiltonian_factors_through_the_phase_frame(spin):
 
 def test_empty_train_is_identity():
     sys = SpinSystem()
+    u = sequence_propagator(sys, [])
+    assert np.array_equal(u, np.eye(4))
+    u[0, 0] = 2.0  # the caller owns it
     assert np.array_equal(sequence_propagator(sys, []), np.eye(4))
+
+
+_OVERFLOWING_TRAINS = {
+    "amp-and-duration": (1.5, [PulseSegment(1e200, 0.0, 1e200)]),
+    "eigenvalues": (1.5, [PulseSegment(1.7e308, 1.0, 1e-6)]),
+    "phase": (1.5, [PulseSegment(TWO_PI * 1e4, 1.7e308, 1e-6)]),
+    "second-segment": (1.5, [PulseSegment(TWO_PI * 1e4, 0.0, 1e-6), PulseSegment(1e200, 0.0, 1e200)]),
+    "infinite-hamiltonian": (4.5, [PulseSegment(1.7e308, 1.0, 1e-6)]),  # eigh fails on it
+}
+
+
+@pytest.mark.parametrize("spin, segments", _OVERFLOWING_TRAINS.values(), ids=_OVERFLOWING_TRAINS.keys())
+def test_an_overflowing_train_is_refused_without_a_warning(spin, segments):
+    # PulseSegment(1e200, 0, 1e200) used to give an all-NaN "unitary" with
+    # three RuntimeWarnings, from pulse_propagator and from trains loaded by
+    # segments_from_json alike
+    sys = SpinSystem(spin=spin)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="not finite"):
+            sequence_propagator(sys, segments)
+        with pytest.raises(ValueError, match="not finite"):
+            sequence_propagator(sys, segments_from_json(segments_to_json(segments)))
+        if len(segments) == 1:
+            with pytest.raises(ValueError, match="not finite"):
+                pulse_propagator(sys, segments[0])
+
+
+def test_a_huge_but_finite_train_gives_a_unitary():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for seg in (PulseSegment(1e308, 0.0, 1e-6), PulseSegment(TWO_PI * 1e4, 0.0, 1e300)):
+            u = sequence_propagator(SpinSystem(), [seg])
+            assert np.all(np.isfinite(u)) and np.abs(u.conj().T @ u - np.eye(4)).max() <= 1e-12
 
 
 def test_drive_is_built_once_per_system():

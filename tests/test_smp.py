@@ -7,9 +7,11 @@ import pytest
 from conftest import haar_unitary
 
 from quditcycle.algorithm import qft
+from quditcycle.cli import GATE_MAP
 from quditcycle.nmr import PulseSegment, SpinSystem, sequence_propagator, spin_operators
 from quditcycle.permutations import oracle_unitary
 from quditcycle.protocol import ORACLES, run_protocol, stage_unitary
+import quditcycle.nmr as nmr
 import quditcycle.smp as smp
 from quditcycle.smp import (
     DUR_MAX_S,
@@ -297,7 +299,7 @@ SPINS = {"spin-3/2": SpinSystem(), "spin-1/2": SPIN_HALF, "spin-1": SpinSystem(s
 
 def gradient(y, sys, target_h):
     """The gradient of 1 - F = 1 - |z| / d from the Jacobian: -Re(conj(z) Tr dW) / (|z| d)."""
-    _, w, dw = _objective(y, sys, target_h)
+    _, w, _, dw = _objective(y, sys, target_h)
     z = w.trace()
     return -(np.conj(z) * dw().trace(axis1=1, axis2=2)).real / (abs(z) * sys.dim)
 
@@ -345,7 +347,7 @@ def test_gradient_matches_finite_differences(sys, n):
 def test_jacobian_matches_finite_differences(sys, n):
     # the twin of the gradient test: every entry of dW/dy, with the same step and bound
     def check(x, target):
-        _, w, dw = _objective(x, sys, target.conj().T)
+        _, w, _, dw = _objective(x, sys, target.conj().T)
         jac = dw()
         assert jac.shape == (3 * n, sys.dim, sys.dim)
         for i in range(x.size):
@@ -552,6 +554,49 @@ def test_smp_optimize_calls_minimize_by_name_once_per_restart(monkeypatch):
     for out, rec in zip(results, res.history):
         assert rec.fidelity == 1.0 - out.fun and rec.nfev == out.nfev <= cfg.max_iter
         assert rec.message == out.message
+
+
+# The benchmark's pulse-synth job set: the five criterion-8 gates at the
+# default OptimizerConfig(), optimizer seed 0.  Each converges in its first
+# restart with these (forward passes, accepted steps).
+SEED_0_PASSES = {"qft": (25, 16), "pos": (13, 10), "neg": (17, 12), "fullpos": (79, 47), "fullneg": (14, 10)}
+
+
+def criterion_8_targets():
+    return {gate: stage_unitary(*GATE_MAP[gate]) for gate in SEED_0_PASSES}
+
+
+def test_seed_0_trajectory_is_pinned_at_the_default_config():
+    # synth.json pins pulses at c.json's settings only; a rework of the pass
+    # that keeps every floating-point operation keeps these counts too
+    for gate, target in criterion_8_targets().items():
+        res = smp_optimize(SpinSystem(), target)
+        assert [(r.nfev, r.nit, r.message) for r in res.history] == [(*SEED_0_PASSES[gate], STOP_OBJECTIVE)], gate
+        assert res.converged
+
+
+def test_the_pass_keeps_the_call_edges_the_benchmark_traces(monkeypatch):
+    # the benchmark's spans wrap nmr._propagator and smp._decode by name:
+    # _forward calls _propagator once per forward pass, and _objective calls
+    # _decode once per pass, plus once for the final segments
+    calls = {"_propagator": 0, "_decode": 0}
+
+    def counting(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counting(nmr, "_propagator")
+    counting(smp, "_decode")
+    for gate, target in criterion_8_targets().items():
+        calls.update(_propagator=0, _decode=0)
+        passes = sum(r.nfev for r in smp_optimize(SpinSystem(), target).history)
+        assert passes == SEED_0_PASSES[gate][0]
+        assert calls == {"_propagator": passes, "_decode": passes + 1}, gate
 
 
 def test_segments_are_capped_before_the_dense_normal_matrix_grows():
