@@ -22,7 +22,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .linalg import check_dim, check_type, vector_to_json
+from .linalg import check_dim, check_type, complex_to_json, vector_to_json
 from .permutations import (
     Chirality,
     Permutation,
@@ -156,9 +156,7 @@ class RunReport:
             "oracle_queries": self.oracle_queries,
             "classification": self.classification.value,
             "measured_index": self.measured_index,
-            "phase": None
-            if self.phase is None
-            else {"re": float(self.phase.real), "im": float(self.phase.imag)},
+            "phase": None if self.phase is None else complex_to_json(self.phase),
             "final_state": None
             if self.final_state is None
             else vector_to_json(self.final_state),

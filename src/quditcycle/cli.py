@@ -38,7 +38,7 @@ from .algorithm import (
     run_classical,
     run_quantum,
 )
-from .linalg import MAX_DIM
+from .linalg import MAX_DIM, complex_to_json
 from .nmr import SpinSystem, inject_readout_noise, pseudo_pure
 from .permutations import Chirality, Permutation, classify_cyclic, enumerate_cyclic, parity
 
@@ -144,7 +144,7 @@ def cmd_verify(args) -> int:
             if not (class_ok and phase_ok and two_ok):
                 for check, passed, expected, observed in (
                     ("classifications", class_ok, truth.chirality.value, quantum.classification.value),
-                    ("phases", phase_ok, _complex_json(phase), _complex_json(quantum.phase)),
+                    ("phases", phase_ok, complex_to_json(phase), complex_to_json(quantum.phase)),
                     (
                         "classical_two_queries",
                         two_ok,
@@ -188,10 +188,6 @@ def cmd_verify(args) -> int:
         print(f"d= 3  chirality coincides with even/odd parity: {_mark(parity_matches)}")
         print(f"{'all checks passed' if ok else 'FAILURES detected'} in {elapsed:.2f}s")
     return EXIT_OK if ok else EXIT_VERIFY_FAILED
-
-
-def _complex_json(z: complex) -> dict:
-    return {"re": float(z.real), "im": float(z.imag)}
 
 
 def _write_csv(path: str, data: np.ndarray) -> None:

@@ -102,7 +102,11 @@ def equal_up_to_global_phase(a, b, tol: float = DEFAULT_TOL) -> bool:
 
     The candidate phase is read off the largest-magnitude component of b,
     which keeps the comparison stable when small components are pure noise.
+    A tol that is not a finite number >= 0 raises ValueError.
     """
+    check_finite(tol=tol)
+    if tol < 0:
+        raise ValueError(f"tol must be >= 0, got {tol!r}")
     va = _as_array(a, 1)
     vb = _as_array(b, 1)
     if va.shape != vb.shape:
@@ -147,8 +151,12 @@ def fidelity(rho, target) -> float:
 
 # --- JSON codec -------------------------------------------------------------
 #
-# Vectors: {"dim": d, "re": [...], "im": [...]}
+# Vectors: {"dim": d, "re": [...], "im": [...]}; complex numbers: {"re": x, "im": y}
 # Split real/imag arrays keep the files readable and language-neutral.
+
+
+def complex_to_json(z: complex) -> dict:
+    return {"re": float(z.real), "im": float(z.imag)}
 
 
 def vector_to_json(psi) -> dict:

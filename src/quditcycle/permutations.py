@@ -54,20 +54,14 @@ class Permutation:
     def dim(self) -> int:
         return len(self.image)
 
-    def __call__(self, x: int) -> int:
-        x = check_int(x, "label")
-        if not 1 <= x <= self.dim:
-            raise ValueError(f"argument must be in 1..{self.dim}, got {x}")
-        return self.image[x - 1]
-
     def compose(self, other: "Permutation") -> "Permutation":
-        """self after other: (self . other)(x) = self(other(x))."""
+        """self after other: x goes to self.image[other.image[x - 1] - 1]."""
         if self.dim != check_type(other, Permutation).dim:
             raise ValueError(f"size mismatch: {self.dim} vs {other.dim}")
         return Permutation(tuple(self.image[y - 1] for y in other.image))
 
     def inverse(self) -> "Permutation":
-        """self^-1: the labels 1..d scattered by self, so entry self(x) holds x."""
+        """self^-1: the labels 1..d scattered by self, so entry self.image[x - 1] holds x."""
         return Permutation(apply_oracle(self, np.arange(1, self.dim + 1)).tolist())
 
     @staticmethod

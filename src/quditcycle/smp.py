@@ -236,14 +236,22 @@ def _decode(y: np.ndarray) -> np.ndarray:
     return rows
 
 
-def _objective(y: np.ndarray, sys: SpinSystem, target_h: np.ndarray):
-    """(1 - F, W, Tr W, dw) for the search vector y, where dw() gives dW/dy as a stack (3n, d, d).
+def _residual(y: np.ndarray, sys: SpinSystem, target_h: np.ndarray):
+    """The gate error in minimize's form: (1 - F, r, jac) with |r|^2 / 2 = 1 - F.
 
     y holds n amplitude angles, n phases (in turns) and n duration angles,
     the rows of the search window; target_h is target^dag and
     W = target^dag U.  The value is bitwise 1 - gate_fidelity(target, U) with
     U the sequence_propagator of the decoded train, because both come from
-    the same forward pass, and dw reuses that pass.
+    the same forward pass, and jac reuses that pass.
+
+    r = (e^{-i phi} W - 1) / sqrt(d) at the best global phase phi = arg Tr W,
+    its real and imaginary parts interleaved, so |r|^2 = 2 (d - |Tr W|) / d.
+    Where Tr W = 0 every phase is best and phi = 0.  jac() is the Jacobian in
+    y at fixed phi with the phase direction -i 1 / sqrt(d) projected out
+    (Kaufman's variable projection).  At the best phase r is orthogonal to
+    that direction, so minimize's step is the Gauss-Newton step in y and phi
+    together, and J^T r is the gradient of 1 - F.
     """
     d = sys.dim
     amp, phase, dur = _decode(y)
@@ -252,8 +260,12 @@ def _objective(y: np.ndarray, sys: SpinSystem, target_h: np.ndarray):
     w = target_h.dot(prefix[-1])
     tr = w.trace()
     value = 1.0 - float(np.abs(tr) / d)
+    root = math.sqrt(d)
+    turn = np.exp(-1j * np.arctan2(tr.imag, tr.real)) / root  # arctan2 is np.angle without its wrapper
+    r = (turn * w).reshape(-1)
+    r[:: d + 1] -= 1 / root  # the diagonal
 
-    def dw():
+    def jac():
         # dW = T^dag L_k dS_k R_{k-1} with the suffix product L_k = S_n .. S_{k+1}
         # = U R_k^dag, so dW = W R_{k-1}^dag S_k^dag dS_k R_{k-1}.  In the
         # eigenbasis V = Z W of step k, S_k^dag dS_k = V D^dag X D V^dag, so
@@ -284,31 +296,8 @@ def _objective(y: np.ndarray, sys: SpinSystem, target_h: np.ndarray):
         coef[2] = -1j
         coef *= chain
         xa *= coef[:, :, None, None]
-        return (w @ a.conj().swapaxes(-1, -2) @ xa).reshape(-1, d, d)
-
-    return value, w, tr, dw
-
-
-def _residual(y: np.ndarray, sys: SpinSystem, target_h: np.ndarray):
-    """The gate error in minimize's form: (1 - F, r, jac) with |r|^2 / 2 = 1 - F.
-
-    r = (e^{-i phi} W - 1) / sqrt(d) at the best global phase phi = arg Tr W,
-    its real and imaginary parts interleaved, so |r|^2 = 2 (d - |Tr W|) / d.
-    Where Tr W = 0 every phase is best and phi = 0.  jac() is the Jacobian in
-    y at fixed phi with the phase direction -i 1 / sqrt(d) projected out
-    (Kaufman's variable projection).  At the best phase r is orthogonal to
-    that direction, so minimize's step is the Gauss-Newton step in y and phi
-    together, and J^T r is the gradient of 1 - F.
-    """
-    value, w, tr, dw = _objective(y, sys, target_h)
-    d = len(w)
-    root = math.sqrt(d)
-    turn = np.exp(-1j * np.arctan2(tr.imag, tr.real)) / root  # arctan2 is np.angle without its wrapper
-    r = (turn * w).reshape(-1)
-    r[:: d + 1] -= 1 / root  # the diagonal
-
-    def jac():
-        j = (turn * dw()).reshape(-1, d * d)
+        # e^{-i phi} dW / sqrt(d), one row per entry of y, with the phase direction projected out
+        j = (turn * (w @ a.conj().swapaxes(-1, -2) @ xa)).reshape(-1, d * d)
         diag = j[:, :: d + 1]
         diag -= (1j / d) * np.add.reduce(diag, axis=1).imag[:, None]  # diag.sum(axis=1) without its wrapper
         return j.view(float).T

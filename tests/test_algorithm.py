@@ -515,7 +515,7 @@ def _one_query_insufficient_by_pairs(dim):
     classes = {p: classify_cyclic(p).chirality for p in family}
     for x in range(1, dim + 1):
         for y in range(1, dim + 1):
-            seen = {classes[p] for p in family if p(x) == y}
+            seen = {classes[p] for p in family if p.image[x - 1] == y}
             if not {Chirality.POSITIVE, Chirality.NEGATIVE} <= seen:
                 return False
     return True
@@ -543,7 +543,7 @@ def test_one_query_membership_detail():
         fam = enumerate_cyclic(d)
         for x in range(1, d + 1):
             for y in range(1, d + 1):
-                hits = [p for p in fam if p(x) == y]
+                hits = [p for p in fam if p.image[x - 1] == y]
                 chis = {classify_cyclic(p).chirality for p in hits}
                 assert len(hits) == 2
                 assert chis == {Chirality.POSITIVE, Chirality.NEGATIVE}

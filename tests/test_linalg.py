@@ -10,6 +10,7 @@ from quditcycle.linalg import (
     MAX_DIM,
     basis_state,
     check_dim,
+    check_int,
     equal_up_to_global_phase,
     fidelity,
     outer,
@@ -68,6 +69,17 @@ def test_basis_state_takes_numpy_integer_indices():
     assert np.array_equal(basis_state(3, np.int64(2)), basis_state(3, 2))
 
 
+@pytest.mark.parametrize("value", [True, False, np.True_, 2.0, 1.5, "2", None], ids=repr)
+def test_check_int_refuses_values_that_are_not_integers(value):
+    # the one rule for labels, offsets and seeds: booleans are not 1 and 0, 2.0 is not 2
+    with pytest.raises(ValueError, match="label must be an integer"):
+        check_int(value, "label")
+
+
+def test_check_int_takes_numpy_integers_as_ints():
+    assert check_int(np.int64(1), "label") == 1 and type(check_int(np.int64(1), "label")) is int
+
+
 def test_dimension_cap():
     with pytest.raises(ValueError):
         basis_state(MAX_DIM + 1, 1)
@@ -124,6 +136,19 @@ def test_equal_up_to_global_phase_examples():
     assert equal_up_to_global_phase(a, a, 1e-10)
     b = np.array([0, 1, 0], dtype=complex)
     assert not equal_up_to_global_phase(a, b, 1e-10)
+
+
+@pytest.mark.parametrize("tol", ["x", None, float("nan"), float("inf"), -1, True], ids=repr)
+def test_equal_up_to_global_phase_refuses_a_tol_that_is_not_a_finite_number_at_least_0(tol):
+    # "x" leaked numpy's UFuncTypeError and None a TypeError; NaN and -1
+    # called two equal vectors different, and inf and True were taken as tolerances
+    with pytest.raises(ValueError, match="tol must be"):
+        equal_up_to_global_phase([1, 0], [1, 0], tol=tol)
+
+
+def test_equal_up_to_global_phase_takes_the_default_and_zero_tol():
+    assert equal_up_to_global_phase([1, 0], [1j, 0]) and equal_up_to_global_phase([1, 0], [1, 0], tol=0)
+    assert not equal_up_to_global_phase([1, 0], [0, 1], tol=0)
 
 
 def test_equal_up_to_global_phase_distinct_fourier_columns():

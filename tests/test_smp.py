@@ -24,7 +24,6 @@ from quditcycle.smp import (
     STOP_OBJECTIVE,
     OptimizerConfig,
     _decode,
-    _objective,
     _residual,
     gate_fidelity,
     minimize,
@@ -298,10 +297,9 @@ SPINS = {"spin-3/2": SpinSystem(), "spin-1/2": SPIN_HALF, "spin-1": SpinSystem(s
 
 
 def gradient(y, sys, target_h):
-    """The gradient of 1 - F = 1 - |z| / d from the Jacobian: -Re(conj(z) Tr dW) / (|z| d)."""
-    _, w, _, dw = _objective(y, sys, target_h)
-    z = w.trace()
-    return -(np.conj(z) * dw().trace(axis1=1, axis2=2)).real / (abs(z) * sys.dim)
+    """The gradient of 1 - F = |r|^2 / 2 from the Jacobian: J^T r."""
+    _, r, jac = _residual(y, sys, target_h)
+    return jac().T @ r
 
 
 def check_at_seeded_trains(sys, n, check):
@@ -333,7 +331,7 @@ def test_gradient_matches_finite_differences(sys, n):
     # central differences apply everywhere
     def check(x, target):
         def f(u):
-            return _objective(u, sys, target.conj().T)[0]
+            return _residual(u, sys, target.conj().T)[0]
 
         segs = [PulseSegment(*row) for row in _decode(x).T.tolist()]
         assert f(x) == 1.0 - gate_fidelity(target, sequence_propagator(sys, segs))  # one forward pass
@@ -342,36 +340,46 @@ def test_gradient_matches_finite_differences(sys, n):
     check_at_seeded_trains(sys, n, check)
 
 
+def fixed_phase_residual(u, sys, target, turn):
+    """turn W / sqrt(d) with W = target^dag U and U the sequence_propagator of the train u decodes to."""
+    segs = [PulseSegment(*row) for row in _decode(u).T.tolist()]
+    return turn * (target.conj().T @ sequence_propagator(sys, segs)) / np.sqrt(sys.dim)
+
+
 @pytest.mark.parametrize("sys", SPINS.values(), ids=SPINS.keys())
 @pytest.mark.parametrize("n", [1, 2, 6])
 def test_jacobian_matches_finite_differences(sys, n):
-    # the twin of the gradient test: every entry of dW/dy, with the same step and bound
+    # the twin of the gradient test: every column of J, with the same step and
+    # bound, against the residual at the phase of x with -i 1 projected out
+    d = sys.dim
+
     def check(x, target):
-        _, w, _, dw = _objective(x, sys, target.conj().T)
-        jac = dw()
-        assert jac.shape == (3 * n, sys.dim, sys.dim)
+        _, _, jac = _residual(x, sys, target.conj().T)
+        j = jac()
+        assert j.shape == (2 * d * d, 3 * n)
+        tr = np.trace(fixed_phase_residual(x, sys, target, 1.0))
+        turn = np.exp(-1j * np.angle(tr))
         for i in range(x.size):
             e = np.zeros_like(x)
             e[i] = 1e-7
-            fd = (_objective(x + e, sys, target.conj().T)[1] - _objective(x - e, sys, target.conj().T)[1]) / 2e-7
-            assert np.abs(jac[i] - fd).max() <= 1e-6
+            fd = (fixed_phase_residual(x + e, sys, target, turn) - fixed_phase_residual(x - e, sys, target, turn)) / 2e-7
+            fd -= (1j / d) * np.trace(fd).imag * np.eye(d)
+            assert np.abs(j[:, i] - fd.reshape(-1).view(float)).max() <= 1e-6
 
     check_at_seeded_trains(sys, n, check)
 
 
 def test_residual_is_the_gate_error_in_least_squares_form():
-    # |r|^2 / 2 is 1 - F, J^T r is the gradient of 1 - F, and the phase
-    # direction -i 1 is projected out of every column of J
+    # |r|^2 / 2 is 1 - F, and the phase direction -i 1 is projected out of
+    # every column of J; the gradient test checks J^T r against 1 - F
     sys, rng = SpinSystem(), np.random.default_rng(11)
     for _ in range(5):
         y = seeded_train(rng, 6)
         target_h = haar_unitary(rng, 4).conj().T
         value, r, jac = _residual(y, sys, target_h)
         j = jac()
-        assert value == _objective(y, sys, target_h)[0]
         assert r.shape == (32,) and j.shape == (32, 18)
         assert abs(0.5 * r @ r - value) <= 1e-14
-        assert np.abs(j.T @ r - gradient(y, sys, target_h)).max() <= 1e-14
         phase = (-1j * np.eye(4)).reshape(-1).view(float)
         assert np.abs(phase @ j).max() <= 1e-14
 
@@ -577,7 +585,7 @@ def test_seed_0_trajectory_is_pinned_at_the_default_config():
 
 def test_the_pass_keeps_the_call_edges_the_benchmark_traces(monkeypatch):
     # the benchmark's spans wrap nmr._propagator and smp._decode by name:
-    # _forward calls _propagator once per forward pass, and _objective calls
+    # _forward calls _propagator once per forward pass, and _residual calls
     # _decode once per pass, plus once for the final segments
     calls = {"_propagator": 0, "_decode": 0}
 
