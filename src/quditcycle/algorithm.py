@@ -17,6 +17,7 @@ claims rather than assumed.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -212,7 +213,7 @@ def run_quantum(p: Permutation, kind: FourierKind | None = None) -> RunReport:
         return apply_oracle(p, state)
 
     psi = call_oracle(ket)
-    psi = f_conj.T @ psi
+    psi = f_conj.T.dot(psi)  # the same zgemv as @, with less dispatch
 
     magnitudes = np.abs(psi)
     idx = int(magnitudes.argmax()) + 1
@@ -299,7 +300,7 @@ def phase_table(dim: int) -> dict[tuple[Chirality, int], complex]:
     d = check_cyclic_dim(dim)
     table: dict[tuple[Chirality, int], complex] = {}
     for r in range(d):
-        table[(Chirality.POSITIVE, r)] = complex(np.exp(-2j * np.pi * r / d))
-        table[(Chirality.NEGATIVE, r)] = complex(np.exp(2j * np.pi * (r - 1) / d))
+        table[(Chirality.POSITIVE, r)] = cmath.exp(-2j * cmath.pi * r / d)
+        table[(Chirality.NEGATIVE, r)] = cmath.exp(2j * cmath.pi * (r - 1) / d)
     return table
 

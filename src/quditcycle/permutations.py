@@ -169,15 +169,19 @@ def apply_oracle(p: Permutation, a: np.ndarray) -> np.ndarray:
     sigma^-1 (Permutation.inverse, run_quantum) and relabel.  For finite a
     it equals oracle_unitary(p) @ a, except that the product may turn a
     -0.0 into +0.0.  Array-likes are taken through np.asarray.  The result
-    is a new array; a is not written.
+    is a new C-ordered array, whatever the layout of a; a is not written.
+
+    The labels 1..d index rows 1..d of a buffer with one spare row, so the
+    image is read once, straight into an index array, and no label - 1
+    array is made on each call; nothing is cached on the Permutation.
     """
     d = check_type(p, Permutation).dim
     a = np.asarray(a)
     if a.shape[:1] != (d,):
         raise ValueError(f"size mismatch: {d} vs shape {a.shape}")
-    out = np.empty_like(a)
-    out[np.subtract(p.image, 1)] = a
-    return out
+    out = np.empty((d + 1, *a.shape[1:]), a.dtype)
+    out[np.fromiter(p.image, np.intp, d)] = a
+    return out[1:]
 
 
 def oracle_unitary(p: Permutation) -> np.ndarray:

@@ -471,6 +471,18 @@ def test_phase_table_frozen_values():
         phase_table(2)
 
 
+def test_phase_table_entries_have_the_bytes_of_np_exp():
+    for d in range(3, MAX_DIM + 1):
+        table = phase_table(d)
+        for r in range(d):
+            for key, want in (
+                ((Chirality.POSITIVE, r), complex(np.exp(-2j * np.pi * r / d))),
+                ((Chirality.NEGATIVE, r), complex(np.exp(2j * np.pi * (r - 1) / d))),
+            ):
+                assert type(table[key]) is complex
+                assert np.array([table[key]]).tobytes() == np.array([want]).tobytes()
+
+
 def test_run_classical_examples():
     rep = run_classical(Permutation((2, 3, 4, 1)))
     assert rep.classification is Chirality.POSITIVE
@@ -634,6 +646,16 @@ def test_run_quantum_bitwise_matches_dense_circuit_up_to_max_dim():
     f = _dense_qft(3, kind)
     for img in QUTRIT_FAMILY:
         _assert_run_matches_dense_circuit(Permutation(img), kind, f, f.conj().T)
+
+
+def test_run_quantum_bitwise_matches_dense_circuit_on_relabeled_qutrits():
+    # every relabeling sigma of the spin labels, on each of the six inputs relabeled by it
+    for sigma in map(Permutation, QUTRIT_FAMILY):
+        kind = FourierKind.qutrit_spin(sigma)
+        f = _dense_qft(3, kind)
+        for img in QUTRIT_FAMILY:
+            _assert_run_matches_dense_circuit(relabel(Permutation(img), sigma), kind, f, f.conj().T)
+        assert qft(3, kind).tobytes() == (oracle_unitary(sigma) @ qft(3, FourierKind.qutrit_spin())).tobytes()
 
 
 def test_qft_returns_arrays_the_caller_owns():

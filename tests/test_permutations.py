@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from quditcycle.linalg import MAX_DIM
 from quditcycle.permutations import (
     Chirality,
     Permutation,
@@ -372,6 +373,55 @@ def test_oracle_homomorphism_sweep():
         left = oracle_unitary(p.compose(q))
         right = oracle_unitary(p) @ oracle_unitary(q)
         assert np.array_equal(left, right)
+
+
+def _scatter_by_empty_like(p, a):
+    """Reference scatter: a buffer shaped like a, filled at the labels minus one."""
+    a = np.asarray(a)
+    out = np.empty_like(a)
+    out[np.subtract(p.image, 1)] = a
+    return out
+
+
+def _scatter_inputs(rng, d, shape, dtype):
+    """An array of the given shape and dtype in C, F, reversed and strided layouts."""
+    def draw(shape):
+        if dtype is bool:
+            return rng.integers(0, 2, size=shape).astype(bool)
+        if dtype is int:
+            return rng.integers(-1000, 1000, size=shape)
+        x = rng.normal(size=shape)
+        if dtype is complex:
+            x = x + 1j * rng.normal(size=shape)
+        flat = x.reshape(-1)  # signed zeros and NaN, whose bytes must survive
+        flat[::3] = -0.0
+        flat[1::5] = np.nan
+        if dtype is complex:
+            flat[2::7] = complex(-0.0, np.nan)
+        return x
+
+    a = draw(shape)
+    wide = draw((d, 2 * shape[1]) if len(shape) == 2 else (2 * d,))
+    return [a, np.asfortranarray(a), a[::-1], wide[:, ::2] if len(shape) == 2 else wide[::2]]
+
+
+@pytest.mark.parametrize("dtype", [complex, float, int, bool], ids=lambda t: t.__name__)
+def test_apply_oracle_matches_the_empty_like_scatter_bit_for_bit(dtype):
+    rng = np.random.default_rng(30)
+    for d in range(1, MAX_DIM + 1):
+        p = Permutation(random_permutation_image(rng, d))
+        for shape in ((d,), (d, 1), (d, 3), (d, d)):
+            inputs = _scatter_inputs(rng, d, shape, dtype)
+            inputs += [inputs[0].tolist(), tuple(map(tuple, inputs[0])) if len(shape) == 2 else tuple(inputs[0])]
+            for a in inputs:
+                kept = np.array(a, copy=True)
+                want = _scatter_by_empty_like(p, a)
+                got = apply_oracle(p, a)
+                assert got.shape == want.shape and got.dtype == want.dtype
+                assert got.tobytes() == want.tobytes()
+                assert got.flags.c_contiguous and got.flags.writeable
+                assert not np.shares_memory(got, a)
+                assert np.asarray(a).tobytes() == kept.tobytes()  # the input is not written
 
 
 def test_relabel_identity_and_inverse():
