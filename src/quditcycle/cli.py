@@ -38,7 +38,7 @@ from .algorithm import (
     run_classical,
     run_quantum,
 )
-from .linalg import MAX_DIM, complex_to_json
+from .linalg import DEFAULT_TOL, MAX_DIM, complex_to_json
 from .nmr import SpinSystem, inject_readout_noise, pseudo_pure
 from .permutations import Chirality, Permutation, classify_cyclic, enumerate_cyclic, parity
 
@@ -139,7 +139,7 @@ def cmd_verify(args) -> int:
             classical = run_classical(p)
             phase = table[(truth.chirality, truth.shift)]
             class_ok = quantum.classification is truth.chirality
-            phase_ok = abs(quantum.phase - phase) <= 1e-10
+            phase_ok = abs(quantum.phase - phase) <= DEFAULT_TOL
             two_ok = classical.classification is truth.chirality and classical.oracle_queries == 2
             if not (class_ok and phase_ok and two_ok):
                 for check, passed, expected, observed in (

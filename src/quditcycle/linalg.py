@@ -6,8 +6,8 @@ Conventions used across the package:
   permutations act on.  Array indices are the labels minus one.
 - Dimensions are validated to 1 <= d <= 64.  Everything is dense complex128;
   at these sizes structure-exploiting representations buy nothing.
-- Comparisons hold to DEFAULT_TOL = 1e-10.  validate_unitary always uses
-  it; equal_up_to_global_phase takes it as the default of its tol.
+- Comparisons hold to DEFAULT_TOL = 1e-10 (validate_unitary, verify's phases,
+  the default tol of equal_up_to_global_phase, symmetric in its arguments).
 - NaN and Inf are rejected at every constructor or decoder boundary.
 - Refusals live here.  A value of the wrong class goes through check_type,
   an array through _as_array, and numbers through check_dim, check_int and
@@ -98,11 +98,11 @@ def validate_unitary(u) -> np.ndarray:
 
 
 def equal_up_to_global_phase(a, b, tol: float = DEFAULT_TOL) -> bool:
-    """True when a = c*b for some unit-modulus scalar c, within tol.
+    """True when ||a - c*b|| <= tol for some unit-modulus scalar c.
 
-    The candidate phase is read off the largest-magnitude component of b,
-    which keeps the comparison stable when small components are pure noise.
-    A tol that is not a finite number >= 0 raises ValueError.
+    The c that minimizes that distance is the phase of <b|a> (1 when <b|a> = 0),
+    so the relation is symmetric in a and b. Shapes that differ, a tol that is
+    not a finite number >= 0 and a distance that overflows raise ValueError.
     """
     check_finite(tol=tol)
     if tol < 0:
@@ -111,16 +111,12 @@ def equal_up_to_global_phase(a, b, tol: float = DEFAULT_TOL) -> bool:
     vb = _as_array(b, 1)
     if va.shape != vb.shape:
         raise ValueError(f"shape mismatch: {va.shape} vs {vb.shape}")
-    j = int(np.argmax(np.abs(vb)))
     with np.errstate(over="ignore", invalid="ignore"):  # huge entries give an inf or NaN distance, refused below
-        if abs(vb[j]) == 0.0:
-            dist = np.linalg.norm(va - vb)
-        else:
-            c = va[j] / vb[j]
-            mag = abs(c)
-            if mag < 1e-12:
-                return False
-            dist = np.linalg.norm(va - c / mag * vb)
+        # <b|a> of copies scaled to a largest magnitude of 1 (the floor keeps 1/scale finite), so it
+        # neither overflows nor underflows; Python's complex division stays finite at a subnormal |c|
+        sa, sb = (v / max(np.max(np.abs(v)), np.finfo(float).tiny) for v in (va, vb))
+        c = complex(np.vdot(sb, sa))
+        dist = np.linalg.norm(va - (c / abs(c) if c else 1.0) * vb)
     if not np.isfinite(dist):
         raise ValueError(f"vectors too large to compare: their distance is {dist}")
     return bool(dist <= tol)

@@ -106,6 +106,7 @@ _HUGE = {
     "outer": lambda: outer(np.array([1e300, 0])),
     "fidelity": lambda: fidelity(np.full((2, 2), 1e300), [1e300, 1]),
     "equal_up_to_global_phase": lambda: equal_up_to_global_phase([1e300, 1e300], [1e-300, 1]),
+    "equal_up_to_global_phase-reversed": lambda: equal_up_to_global_phase([1e-300, 1], [1e300, 1e300]),
     "gate_fidelity": lambda: gate_fidelity(np.full((2, 2), 1e300), np.full((2, 2), 1e300)),
 }
 
@@ -136,6 +137,30 @@ def test_equal_up_to_global_phase_examples():
     assert equal_up_to_global_phase(a, a, 1e-10)
     b = np.array([0, 1, 0], dtype=complex)
     assert not equal_up_to_global_phase(a, b, 1e-10)
+    with pytest.raises(ValueError, match=r"^shape mismatch: \(3,\) vs \(2,\)$"):
+        equal_up_to_global_phase(a, [1, 0])
+
+
+# (a, b, answer) at tol 1e-10; each pair is asked in both orders
+_PHASE_EDGES = {
+    "zero-vs-tiny": ([0, 0], [1e-11, 0], True),
+    "tiny-orthogonal": ([0, 1e-11], [1e-11, 0], True),
+    "unit-orthogonal": ([1, 0], [0, 1], False),
+    "subnormal-overlap": ([1, 0], [1e-310, 1], False),
+    "1e200-self": ([1e200, 0], [1e200, 0], True),
+    "1e307-self": ([1e307, 1e307], [1e307, 1e307], True),
+    "subnormal-orthogonal": ([1e-320, 0], [0, 1e-320], True),
+}
+
+
+@pytest.mark.parametrize("a, b, want", _PHASE_EDGES.values(), ids=_PHASE_EDGES.keys())
+def test_equal_up_to_global_phase_is_symmetric_at_every_norm(a, b, want):
+    # the phase came from b's largest component, with a zero b and a ratio below
+    # 1e-12 special-cased: (0, 0) vs (1e-11, 0) was False one way and True the
+    # other, two vectors 1.4e-11 apart were called different in both orders,
+    # and subnormal vectors were refused as too large to compare
+    assert equal_up_to_global_phase(a, b, 1e-10) is want
+    assert equal_up_to_global_phase(b, a, 1e-10) is want
 
 
 @pytest.mark.parametrize("tol", ["x", None, float("nan"), float("inf"), -1, True], ids=repr)
@@ -227,6 +252,8 @@ def test_fidelity_examples():
     assert fidelity(outer(basis_state(4, 4)), t) == pytest.approx(0.0, abs=1e-12)
     mixed = 0.99 * outer(basis_state(4, 2)) + 0.01 * outer(basis_state(4, 4))
     assert fidelity(mixed, t) == pytest.approx(0.99, abs=1e-12)
+    with pytest.raises(ValueError, match="^dimension mismatch: rho 4, target 3$"):
+        fidelity(outer(t), basis_state(3, 2))
 
 
 def test_fidelity_pure_state_sweep():

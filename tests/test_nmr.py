@@ -179,6 +179,13 @@ def test_lab_frame_transition_triplet():
     assert np.max(np.abs(np.sort(rot) - TWO_PI * np.array([0, 10e3, 10e3]))) < 1e-6
 
 
+@pytest.mark.parametrize("frame", ["Lab", "interaction", None], ids=repr)
+def test_a_frame_other_than_lab_or_rotating_is_refused(frame):
+    for call in (static_hamiltonian, transition_frequencies):
+        with pytest.raises(ValueError, match=f"^frame must be 'lab' or 'rotating', got {frame!r}$"):
+            call(SpinSystem(), frame)
+
+
 def test_pulse_segment_validation():
     PulseSegment(amplitude=TWO_PI * 20e3, phase=0.3, duration=10e-6)
     with pytest.raises(ValueError):

@@ -126,6 +126,8 @@ def test_compose_and_inverse():
     assert pq.image == tuple(p.image[q.image[x - 1] - 1] for x in range(1, 5))
     assert p.compose(p.inverse()).image == (1, 2, 3, 4)
     assert p.inverse().compose(p).image == (1, 2, 3, 4)
+    with pytest.raises(ValueError, match="^size mismatch: 4 vs 3$"):
+        p.compose(Permutation((2, 3, 1)))
 
 
 def test_parity_examples():
