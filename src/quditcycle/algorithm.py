@@ -96,7 +96,7 @@ def _check_kind(d: int, kind: FourierKind | None) -> FourierKind:
 
 def _cyclic_dim(p) -> int:
     """The size of a Permutation under the cyclic promise; Permutation already holds it in 1..MAX_DIM."""
-    d = check_type(p, Permutation).dim
+    d = len(check_type(p, Permutation).image)
     return d if d >= 3 else check_cyclic_dim(d)
 
 
@@ -217,21 +217,15 @@ def run_quantum(p: Permutation, kind: FourierKind | None = None) -> RunReport:
 
     magnitudes = np.abs(psi)
     idx = int(magnitudes.argmax()) + 1
-    top = magnitudes[idx - 1]
+    top = magnitudes.item(idx - 1)
     if top * top < 1.0 - 1e-9 or (idx != start and idx != d):
         raise NotCyclicError(
             f"permutation {p.image} is not cyclic in the requested labeling"
         )
     amp = psi[idx - 1]
 
-    return RunReport(
-        permutation=p,
-        oracle_queries=queries,
-        classification=Chirality.POSITIVE if idx == start else Chirality.NEGATIVE,
-        measured_index=idx,
-        phase=complex(amp / abs(amp)),
-        final_state=psi,
-    )
+    chirality = Chirality.POSITIVE if idx == start else Chirality.NEGATIVE
+    return RunReport(p, queries, chirality, idx, complex(amp / abs(amp)), psi)
 
 
 def run_classical(p: Permutation) -> RunReport:
@@ -261,11 +255,7 @@ def run_classical(p: Permutation) -> RunReport:
     else:
         chi = Chirality.NOT_CYCLIC
 
-    return RunReport(
-        permutation=p,
-        oracle_queries=queries,
-        classification=chi,
-    )
+    return RunReport(p, queries, chi)
 
 
 def one_query_insufficient(dim: int) -> bool:

@@ -26,6 +26,7 @@ import os
 import stat
 import sys as _sys
 import time
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -59,8 +60,45 @@ GATE_MAP = {
 }
 
 
-def _dumps(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True)
+def _dumps(obj, indent: str = "\n") -> str:
+    """json.dumps(obj, indent=2, sort_keys=True), byte for byte.
+
+    json's indent takes its pure-Python encoder; this writer uses the same
+    pieces: the C string escaper, float.__repr__ with NaN and +-Infinity,
+    sorted str keys, "[]" and "{}" for empty containers, and ",\\n" with two
+    more spaces a level.  Values of any other type, and keys that are not
+    str, raise TypeError.
+    """
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        if obj != obj:
+            return "NaN"
+        if obj == math.inf:
+            return "Infinity"
+        if obj == -math.inf:
+            return "-Infinity"
+        return float.__repr__(obj)
+    inner = indent + "  "
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        return "[" + inner + ("," + inner).join([_dumps(v, inner) for v in obj]) + indent + "]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        # a key that is not a str fails the sort or the escaper with a TypeError
+        items = [encode_basestring_ascii(k) + ": " + _dumps(obj[k], inner) for k in sorted(obj)]
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def _write(path: str, text: str) -> None:
@@ -225,7 +263,8 @@ def cmd_nmr(args) -> int:
 
     outdir = args.out if args.out is not None else os.environ.get("QUDITCYCLE_OUTDIR") or "."
     try:
-        os.makedirs(outdir, exist_ok=True)
+        if not os.path.isdir(outdir):  # one stat where makedirs makes three calls and raises inside
+            os.makedirs(outdir, exist_ok=True)
     except OSError as exc:
         return _error(f"cannot write output: {exc}")
 

@@ -71,7 +71,7 @@ def _as_array(x, ndim: int) -> np.ndarray:
     if a.ndim != ndim or a.shape[0] != a.shape[-1]:
         raise ValueError(f"expected a {'vector' if ndim == 1 else 'square matrix'}, got shape {a.shape}")
     check_dim(a.shape[0])
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise ValueError("array contains NaN or Inf")
     return a
 
@@ -91,7 +91,7 @@ def validate_unitary(u) -> np.ndarray:
     """Check U U^dag = 1 within DEFAULT_TOL (max entrywise error) and return U."""
     a = _as_array(u, 2)
     with np.errstate(over="ignore", invalid="ignore"):  # huge entries give an inf or NaN error, refused below
-        err = np.max(np.abs(a @ a.conj().T - np.eye(a.shape[0])))
+        err = np.abs(a @ a.conj().T - np.eye(a.shape[0])).max()
     if not err <= DEFAULT_TOL:
         raise ValueError(f"matrix is not unitary: max |UU^dag - 1| = {err}")
     return a
@@ -114,10 +114,11 @@ def equal_up_to_global_phase(a, b, tol: float = DEFAULT_TOL) -> bool:
     with np.errstate(over="ignore", invalid="ignore"):  # huge entries give an inf or NaN distance, refused below
         # <b|a> of copies scaled to a largest magnitude of 1 (the floor keeps 1/scale finite), so it
         # neither overflows nor underflows; Python's complex division stays finite at a subnormal |c|
-        sa, sb = (v / max(np.max(np.abs(v)), np.finfo(float).tiny) for v in (va, vb))
+        sa, sb = (v / max(np.abs(v).max(), np.finfo(float).tiny) for v in (va, vb))
         c = complex(np.vdot(sb, sa))
-        dist = np.linalg.norm(va - (c / abs(c) if c else 1.0) * vb)
-    if not np.isfinite(dist):
+        # hypot folds the magnitudes without squaring them, so only a distance past the float range is inf
+        dist = np.hypot.reduce(np.abs(va - (c / abs(c) if c else 1.0) * vb))
+    if not math.isfinite(dist):
         raise ValueError(f"vectors too large to compare: their distance is {dist}")
     return bool(dist <= tol)
 
@@ -140,7 +141,7 @@ def fidelity(rho, target) -> float:
         raise ValueError(f"dimension mismatch: rho {a.shape[0]}, target {t.shape[0]}")
     with np.errstate(over="ignore", invalid="ignore"):  # huge entries give an inf or NaN overlap, refused below
         val = np.vdot(t, a @ t).real
-    if not np.isfinite(val):
+    if not math.isfinite(val):
         raise ValueError(f"fidelity of input this large is not finite: {val}")
     return float(val)
 

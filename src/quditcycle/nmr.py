@@ -266,12 +266,12 @@ def inject_readout_noise(rho: np.ndarray, sigma: float = 0.01, seed: int | None 
     d = a.shape[0]
     rng = np.random.default_rng(None if seed is None else check_int(seed, "seed"))
     with np.errstate(over="ignore", invalid="ignore"):
-        scale = sigma * float(np.max(np.abs(a)))
+        scale = sigma * float(np.abs(a).max())
         real, imag = rng.normal(0.0, scale, (2, *a.shape))  # the stream of two calls, real part first
         g = real + 1j * imag
         pert = (g + g.conj().T) / 2
-        pert -= (np.trace(pert).real / d) * np.eye(d)
+        pert -= (pert.trace().real / d) * np.eye(d)
         noisy = a + pert
-    if not np.all(np.isfinite(noisy)):
+    if not np.isfinite(noisy).all():
         raise ValueError(f"readout noise with sigma {sigma!r} overflows: the perturbed matrix is not finite")
     return noisy

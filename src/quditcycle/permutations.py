@@ -31,19 +31,19 @@ class Permutation:
     image: tuple[int, ...]
 
     def __post_init__(self):
-        try:
-            img = tuple(self.image)
-        except TypeError:  # not iterable: None, a bare int
-            raise ValueError(f"permutation image must be an iterable of integers, got {self.image!r}") from None
-        types = set(map(type, img))
-        if types != {int}:  # numpy integers become ints; booleans are not labels
+        img = self.image
+        if type(img) is not tuple or set(map(type, img)) != {int}:  # a tuple of ints is stored as given
             try:
-                if bool in types:
+                img = tuple(img)
+            except TypeError:  # not iterable: None, a bare int
+                raise ValueError(f"permutation image must be an iterable of integers, got {img!r}") from None
+            try:
+                if bool in set(map(type, img)):  # numpy integers become ints; booleans are not labels
                     raise TypeError
                 img = tuple(map(operator.index, img))
             except TypeError:
                 raise ValueError(f"permutation entries must be integers, got {img!r}") from None
-        object.__setattr__(self, "image", img)
+            object.__setattr__(self, "image", img)
         d = len(img)
         if d < 1 or d > MAX_DIM:
             raise ValueError(f"permutation size must be in [1, {MAX_DIM}], got {d}")
@@ -175,12 +175,13 @@ def apply_oracle(p: Permutation, a: np.ndarray) -> np.ndarray:
     image is read once, straight into an index array, and no label - 1
     array is made on each call; nothing is cached on the Permutation.
     """
-    d = check_type(p, Permutation).dim
+    image = check_type(p, Permutation).image
+    d = len(image)
     a = np.asarray(a)
     if a.shape[:1] != (d,):
         raise ValueError(f"size mismatch: {d} vs shape {a.shape}")
-    out = np.empty((d + 1, *a.shape[1:]), a.dtype)
-    out[np.fromiter(p.image, np.intp, d)] = a
+    out = np.empty((d + 1,) + a.shape[1:], a.dtype)
+    out[np.fromiter(image, np.intp, d)] = a
     return out[1:]
 
 

@@ -76,7 +76,7 @@ class ProtocolResult:
     @property
     def dominant_index(self) -> int:
         """1-based basis label carrying the largest pure-part population."""
-        return int(np.argmax(np.diag(self.pure_part).real)) + 1
+        return int(self.pure_part.diagonal().real.argmax()) + 1
 
 
 def run_protocol(sys: SpinSystem, oracle: str, stage: str, config: OptimizerConfig | None = None) -> ProtocolResult:
@@ -92,8 +92,4 @@ def run_protocol(sys: SpinSystem, oracle: str, stage: str, config: OptimizerConf
 
     start = basis_state(4, initial_index())
     pure = u @ outer(start) @ u.conj().T
-    return ProtocolResult(
-        pure_part=pure,
-        fidelity=fidelity(pure, target_u @ start),
-        smp=smp_result,
-    )
+    return ProtocolResult(pure, fidelity(pure, target_u @ start), smp_result)

@@ -174,7 +174,7 @@ def minimize(fun, x0, max_eval: int) -> MinimizeResult:
     if check_int(max_eval, "max_eval") < 1:
         raise ValueError(f"max_eval must be >= 1, got {max_eval}")
     x = np.asarray(x0)
-    if x.dtype.kind not in "iuf" or x.ndim != 1 or not x.size or not np.all(np.isfinite(x)):
+    if x.dtype.kind not in "iuf" or x.ndim != 1 or not x.size or not np.isfinite(x).all():
         raise ValueError(f"x0 must be a finite, non-empty real vector, got {x0!r}")
     x = x.astype(float)
     f, r, jac = fun(x)

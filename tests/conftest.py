@@ -28,3 +28,16 @@ def random_permutation_image(rng: np.random.Generator, dim: int) -> tuple:
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+def outcome(call):
+    """call()'s value, or the exact type and message of what it raised: the two sides of a bit-for-bit pin."""
+    try:
+        return call()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def array_bits(a):
+    """What must match bit for bit in an array: dtype, shape and every byte."""
+    return a.dtype.str, a.shape, a.tobytes()

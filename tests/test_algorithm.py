@@ -7,7 +7,10 @@ import numpy as np
 import pytest
 
 from quditcycle.algorithm import (
+    _START,
     FourierKind,
+    RunReport,
+    _fourier,
     NotCyclicError,
     initial_index,
     one_query_insufficient,
@@ -16,11 +19,12 @@ from quditcycle.algorithm import (
     run_classical,
     run_quantum,
 )
-from quditcycle.linalg import MAX_DIM, basis_state, equal_up_to_global_phase
+from quditcycle.linalg import MAX_DIM, basis_state, check_type, equal_up_to_global_phase
 from quditcycle.permutations import (
     Chirality,
     Permutation,
     apply_oracle,
+    check_cyclic_dim,
     classify_cyclic,
     enumerate_cyclic,
     oracle_unitary,
@@ -28,6 +32,8 @@ from quditcycle.permutations import (
     relabel,
     rotation,
 )
+
+from conftest import array_bits, outcome
 
 W3 = np.exp(2j * np.pi / 3)
 
@@ -696,3 +702,108 @@ def test_report_json_shape():
     cl = run_classical(Permutation((2, 3, 4, 1))).to_json()
     assert cl["measured_index"] is None and cl["phase"] is None and cl["final_state"] is None
 
+
+
+def _cyclic_dim_reference(p):
+    d = check_type(p, Permutation).dim
+    return d if d >= 3 else check_cyclic_dim(d)
+
+
+def _run_quantum_reference(p, kind=None):
+    """run_quantum and the kind checks it calls, with keyword RunReport construction: the reference."""
+    d = _cyclic_dim_reference(p)
+    kind = FourierKind() if kind is None else check_type(kind, FourierKind)
+    if kind.variant == "qutrit" and d != 3:
+        raise ValueError("the qutrit spin variant is only defined for dim 3")
+    sigma = kind.relabeling
+    if sigma is not None and sigma.dim != d:
+        raise ValueError(f"size mismatch: {sigma.dim} vs {d}")
+    start = _START[kind.variant]
+    f, f_conj = _fourier(d, kind.variant)
+    ket = f[start - 1]
+    if sigma is not None:
+        rows = apply_oracle(sigma, np.arange(d))
+        ket = ket.take(rows)
+        f_conj = f_conj.take(rows, axis=0)
+    queries = 0
+
+    def call_oracle(state):
+        nonlocal queries
+        queries += 1
+        return apply_oracle(p, state)
+
+    psi = f_conj.T.dot(call_oracle(ket))
+    magnitudes = np.abs(psi)
+    idx = int(magnitudes.argmax()) + 1
+    top = magnitudes[idx - 1]
+    if top * top < 1.0 - 1e-9 or (idx != start and idx != d):
+        raise NotCyclicError(f"permutation {p.image} is not cyclic in the requested labeling")
+    amp = psi[idx - 1]
+    return RunReport(
+        permutation=p,
+        oracle_queries=queries,
+        classification=Chirality.POSITIVE if idx == start else Chirality.NEGATIVE,
+        measured_index=idx,
+        phase=complex(amp / abs(amp)),
+        final_state=psi,
+    )
+
+
+def _run_classical_reference(p):
+    d = _cyclic_dim_reference(p)
+    image = p.image
+    queries = 0
+
+    def f(x):
+        nonlocal queries
+        queries += 1
+        return image[x - 1]
+
+    y1 = f(1)
+    y2 = f(2)
+    if y2 == (y1 % d) + 1:
+        chi = Chirality.POSITIVE
+    elif y2 == ((y1 - 2) % d) + 1:
+        chi = Chirality.NEGATIVE
+    else:
+        chi = Chirality.NOT_CYCLIC
+    return RunReport(permutation=p, oracle_queries=queries, classification=chi)
+
+
+def _report_bits(rep):
+    """Every field of a RunReport bit for bit, or the refusal's exact type and message."""
+    if not isinstance(rep, RunReport):
+        return rep
+    phase = None if rep.phase is None else (type(rep.phase), rep.phase.real.hex(), rep.phase.imag.hex())
+    state = None if rep.final_state is None else array_bits(rep.final_state)
+    return rep.permutation, rep.oracle_queries, rep.classification, rep.measured_index, phase, state
+
+
+def test_runs_bitwise_match_the_reference_at_every_cyclic_input():
+    # every cyclic input at d = 3..MAX_DIM, unrelabeled and under a seeded relabeling,
+    # the qutrit kinds, and inputs each runner refuses
+    rng = np.random.default_rng(32)
+    cases = [(Permutation(img), kind) for img in QUTRIT_FAMILY for kind in (FourierKind.qutrit_spin(), None)]
+    cases += [
+        (relabel(Permutation(img), Permutation(sigma)), FourierKind.qutrit_spin(Permutation(sigma)))
+        for img in QUTRIT_FAMILY
+        for sigma in QUTRIT_FAMILY
+    ]
+    for d in range(3, MAX_DIM + 1):
+        sigma = Permutation(tuple(rng.permutation(d) + 1))
+        for p in enumerate_cyclic(d):
+            cases += [(p, None), (relabel(p, sigma), FourierKind.standard(sigma)), (p, FourierKind.standard(sigma))]
+        cases.append((Permutation((2, 1, *range(3, d + 1))), None))  # not cyclic
+    cases += [
+        (Permutation((2, 1)), None),
+        (Permutation((1,)), None),
+        ((1, 2, 3), None),
+        (rotation(4, 1), FourierKind.qutrit_spin()),
+        (rotation(4, 1), FourierKind.standard(rotation(5, 1))),
+        (rotation(4, 1), "general"),
+    ]
+    for p, kind in cases:
+        want = _report_bits(outcome(lambda: _run_quantum_reference(p, kind)))
+        assert _report_bits(outcome(lambda: run_quantum(p, kind))) == want
+        want = _report_bits(outcome(lambda: _run_classical_reference(p)))
+        assert _report_bits(outcome(lambda: run_classical(p))) == want

@@ -591,6 +591,90 @@ def test_csv_is_the_repr_of_each_element_at_float_edges(tmp_path):
         assert path.read_bytes() == want.encode()
 
 
+def _json_dumps(obj):
+    """The layout every report, pulse file and --json output is written in."""
+    return json.dumps(obj, indent=2, sort_keys=True)
+
+
+_FLOAT_EDGES = [-0.0, 0.0, 5e-324, 1e16, 1e-7, 0.1, 1.7976931348623157e308, float("nan"), float("inf"), float("-inf")]
+# non-ASCII, control characters and lone surrogates, which the escaper writes as \uXXXX
+_TEXT = st.text(st.characters(exclude_categories=()), max_size=6)
+_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.sampled_from(_FLOAT_EDGES)
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | _TEXT
+)
+
+
+def _nested(depth):
+    values = _SCALARS
+    for _ in range(depth):
+        kids = values
+        values = (
+            _SCALARS
+            | st.lists(kids, max_size=4)
+            | st.lists(kids, max_size=4).map(tuple)
+            | st.dictionaries(_TEXT, kids, max_size=4)
+        )
+    return values
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(_nested(4))
+def test_dumps_is_json_dumps_bitwise(obj):
+    # json's indent took its pure-Python encoder; the writer must keep every byte
+    assert cli._dumps(obj) == _json_dumps(obj)
+
+
+def _sub_objects(obj, documents):
+    """obj and everything it holds; the JSON documents held in its strings (stdout, files) go to documents too."""
+    yield obj
+    if isinstance(obj, dict):
+        children = list(obj.values())
+    elif isinstance(obj, list):
+        children = obj
+    else:
+        children = []
+        if isinstance(obj, str) and obj.lstrip()[:1] in ("{", "["):
+            try:
+                children = [json.loads(obj)]
+            except ValueError:
+                pass
+            documents.extend(children)
+    for child in children:
+        yield from _sub_objects(child, documents)
+
+
+@pytest.mark.parametrize("name", ["nmr", "run", "synth", "verify"])
+def test_dumps_matches_json_dumps_on_every_golden_sub_object_bitwise(name):
+    documents = []
+    for obj in _sub_objects(json.loads((Path(__file__).resolve().parent / "golden" / f"{name}.json").read_text()), documents):
+        assert cli._dumps(obj) == _json_dumps(obj), obj
+    assert documents  # the reports recorded as stdout and file text were walked too
+
+
+_NOT_JSON = {
+    "numpy-int": np.int64(1),
+    "set": {1, 2},
+    "object": object(),
+    "int-key": {1: "a"},
+    "mixed-keys": {"a": 1, 2: "b"},
+    "tuple-key": {(1,): 2},
+    "nested-numpy-float": [{"ok": np.float32(1)}],
+    "bytes": b"x",
+}
+
+
+@pytest.mark.parametrize("obj", _NOT_JSON.values(), ids=_NOT_JSON.keys())
+def test_dumps_refuses_what_is_not_json_bitwise(obj):
+    # json.dumps refuses these too, except the int key, which it writes as "1"
+    with pytest.raises(TypeError):
+        cli._dumps(obj)
+
+
 def test_write_finishes_after_short_writes(tmp_path, monkeypatch):
     # os.write may take fewer bytes than it is given: one byte a call here
     real_write, calls = os.write, []

@@ -8,6 +8,7 @@ import pytest
 from quditcycle.algorithm import qft
 from quditcycle.linalg import (
     MAX_DIM,
+    _as_array,
     basis_state,
     check_dim,
     check_int,
@@ -20,7 +21,7 @@ from quditcycle.linalg import (
 from quditcycle.permutations import Permutation, oracle_unitary, rotation
 from quditcycle.smp import gate_fidelity
 
-from conftest import assert_density, haar_unitary, random_state
+from conftest import array_bits, assert_density, haar_unitary, outcome, random_state
 
 # Shift-by-one permutation matrix on four labels and the Fourier column it
 # fixes; the product was checked by hand (amplitude at x comes from x - 1).
@@ -105,8 +106,9 @@ _HUGE = {
     "validate_unitary-inf-error": lambda: validate_unitary(np.full((3, 3), 1e200)),
     "outer": lambda: outer(np.array([1e300, 0])),
     "fidelity": lambda: fidelity(np.full((2, 2), 1e300), [1e300, 1]),
-    "equal_up_to_global_phase": lambda: equal_up_to_global_phase([1e300, 1e300], [1e-300, 1]),
-    "equal_up_to_global_phase-reversed": lambda: equal_up_to_global_phase([1e-300, 1], [1e300, 1e300]),
+    # 1.5e308 sqrt(2) apart: a distance past the float range
+    "equal_up_to_global_phase": lambda: equal_up_to_global_phase([1.5e308, 0], [0, 1.5e308]),
+    "equal_up_to_global_phase-reversed": lambda: equal_up_to_global_phase([0, 1.5e308], [1.5e308, 0]),
     "gate_fidelity": lambda: gate_fidelity(np.full((2, 2), 1e300), np.full((2, 2), 1e300)),
 }
 
@@ -131,6 +133,52 @@ def test_arrays_numpy_cannot_read_are_refused(x):
             call(x)
 
 
+def _as_array_reference(x, ndim):
+    """_as_array through np.all(np.isfinite(a)): the bit-for-bit reference."""
+    try:
+        a = np.asarray(x, dtype=complex)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"expected a numeric array, got {type(x).__name__}") from None
+    if a.ndim != ndim or a.shape[0] != a.shape[-1]:
+        raise ValueError(f"expected a {'vector' if ndim == 1 else 'square matrix'}, got shape {a.shape}")
+    check_dim(a.shape[0])
+    if not np.all(np.isfinite(a)):
+        raise ValueError("array contains NaN or Inf")
+    return a
+
+
+_AS_ARRAY_INPUTS = {
+    "eye4": np.eye(4, dtype=complex),
+    "real": np.arange(9.0).reshape(3, 3),
+    "ints": [[1, 2], [3, 4]],
+    "bools": np.eye(2, dtype=bool),
+    "signed-zeros": np.full((2, 2), complex(-0.0, -0.0)),
+    "vector": [1, -0.0, 1j],
+    "scalar": 3.0,
+    "empty-vector": np.zeros(0),
+    "empty-matrix": np.zeros((0, 0)),
+    "size-64": np.eye(64),
+    "size-65": np.eye(65),
+    "vector-65": np.zeros(65),
+    "non-square": np.zeros((3, 4)),
+    "three-d": np.zeros((2, 2, 2)),
+    "nan": [[np.nan, 0], [0, 1]],
+    "inf-vector": [np.inf, 0],
+    "huge": np.full((2, 2), 1e308),
+    **_UNREADABLE,
+}
+
+
+@pytest.mark.parametrize("x", _AS_ARRAY_INPUTS.values(), ids=_AS_ARRAY_INPUTS.keys())
+def test_as_array_bitwise_matches_the_reference(x):
+    for ndim in (1, 2):
+        want, got = outcome(lambda: _as_array_reference(x, ndim)), outcome(lambda: _as_array(x, ndim))
+        if isinstance(want, np.ndarray):
+            assert array_bits(got) == array_bits(want)
+        else:
+            assert got == want
+
+
 def test_equal_up_to_global_phase_examples():
     a = np.array([1, 0, 0], dtype=complex)
     assert equal_up_to_global_phase(a, 1j * a, 1e-10)
@@ -150,6 +198,7 @@ _PHASE_EDGES = {
     "1e200-self": ([1e200, 0], [1e200, 0], True),
     "1e307-self": ([1e307, 1e307], [1e307, 1e307], True),
     "subnormal-orthogonal": ([1e-320, 0], [0, 1e-320], True),
+    "1e300-apart": ([1e300, 1e300], [1e-300, 1], False),
 }
 
 
@@ -158,7 +207,8 @@ def test_equal_up_to_global_phase_is_symmetric_at_every_norm(a, b, want):
     # the phase came from b's largest component, with a zero b and a ratio below
     # 1e-12 special-cased: (0, 0) vs (1e-11, 0) was False one way and True the
     # other, two vectors 1.4e-11 apart were called different in both orders,
-    # and subnormal vectors were refused as too large to compare
+    # and subnormal vectors were refused as too large to compare; a sum of
+    # squares read the finite distance 1.41e300 as inf and refused it too
     assert equal_up_to_global_phase(a, b, 1e-10) is want
     assert equal_up_to_global_phase(b, a, 1e-10) is want
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quditcycle.linalg import basis_state, validate_unitary
+from quditcycle.linalg import _as_array, basis_state, check_finite, check_int, validate_unitary
 from quditcycle.protocol import run_protocol
 from quditcycle.smp import (
     AMP_MAX_HZ,
@@ -30,7 +30,7 @@ from quditcycle.nmr import (
     transition_frequencies,
 )
 
-from conftest import assert_density
+from conftest import array_bits, assert_density, outcome
 
 TWO_PI = 2 * np.pi
 
@@ -483,3 +483,38 @@ def test_readout_noise_refuses_an_overflowing_perturbation():
             inject_readout_noise(ket_bra(4, 4), 1e308, 0)
         big = inject_readout_noise(ket_bra(4, 4), 1e300, 0)
     assert np.all(np.isfinite(big)) and np.max(np.abs(big)) > 1e299
+
+
+def _readout_noise_reference(rho, sigma=0.01, seed=None):
+    """inject_readout_noise through numpy's module-level np.max, np.trace and np.all: the reference."""
+    a = _as_array(rho, 2)
+    check_finite(sigma=sigma)
+    if sigma < 0:
+        raise ValueError(f"sigma must be >= 0, got {sigma}")
+    d = a.shape[0]
+    rng = np.random.default_rng(None if seed is None else check_int(seed, "seed"))
+    with np.errstate(over="ignore", invalid="ignore"):
+        scale = sigma * float(np.max(np.abs(a)))
+        real, imag = rng.normal(0.0, scale, (2, *a.shape))  # the stream of two calls, real part first
+        g = real + 1j * imag
+        pert = (g + g.conj().T) / 2
+        pert -= (np.trace(pert).real / d) * np.eye(d)
+        noisy = a + pert
+    if not np.all(np.isfinite(noisy)):
+        raise ValueError(f"readout noise with sigma {sigma!r} overflows: the perturbed matrix is not finite")
+    return noisy
+
+
+def test_readout_noise_bitwise_matches_the_reference():
+    signed_zeros = ket_bra(4, 2)
+    signed_zeros[0, 1] = signed_zeros[3, 3] = complex(-0.0, -0.0)
+    rhos = [pseudo_pure(ket_bra(4, 2), 1e-5), pseudo_pure(ket_bra(3, 1), 0.3), signed_zeros, np.full((3, 3), -0.0j)]
+    for rho in rhos:
+        for sigma in (0.0, 1e-3, 0.01, 1.0):
+            for seed in range(200):
+                want = _readout_noise_reference(rho, sigma, seed)
+                assert array_bits(inject_readout_noise(rho, sigma, seed)) == array_bits(want)
+    # the refusals: an overflow, a bad sigma, a non-finite or non-square rho
+    for args in ((ket_bra(4, 4), 1e308, 0), (rhos[0], -1.0, 0), (np.full((2, 2), np.nan), 0.01, 0), (np.ones((2, 3)), 0.01, 0)):
+        want = outcome(lambda: _readout_noise_reference(*args))
+        assert isinstance(want, tuple) and outcome(lambda: inject_readout_noise(*args)) == want

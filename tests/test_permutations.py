@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import operator
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from quditcycle.permutations import (
     rotation,
 )
 
-from conftest import random_permutation_image
+from conftest import outcome, random_permutation_image
 
 
 def cycle_parity(p: Permutation) -> int:
@@ -271,6 +272,57 @@ def test_permutation_refusal_messages(image, message):
     with pytest.raises(ValueError) as err:
         Permutation(image)
     assert str(err.value) == message
+
+
+def _labels_reference(image):
+    """The image Permutation stores, or its refusal, with every image copied through tuple(): the reference."""
+    try:
+        img = tuple(image)
+    except TypeError:
+        raise ValueError(f"permutation image must be an iterable of integers, got {image!r}") from None
+    types = set(map(type, img))
+    if types != {int}:
+        try:
+            if bool in types:
+                raise TypeError
+            img = tuple(map(operator.index, img))
+        except TypeError:
+            raise ValueError(f"permutation entries must be integers, got {img!r}") from None
+    d = len(img)
+    if d < 1 or d > MAX_DIM:
+        raise ValueError(f"permutation size must be in [1, {MAX_DIM}], got {d}")
+    if sorted(img) != list(range(1, d + 1)):
+        raise ValueError(f"image {img} is not a bijection of 1..{d}")
+    return img
+
+
+_REFUSED_IMAGES = [
+    (2.7, 1.2), (2.0, 1.0), (True, 2), (np.True_, 2), (np.float64(1), 2), ("1", "2"), 5, None, 2.5,
+    (2, np.True_), (2.0, 1), (1, 1, 2), (0, 1, 2), (1, 2, 4), (np.int64(1), 3), (), tuple(range(1, 66)),
+    "231", [1, 1],
+]  # fmt: skip
+_TAKEN_IMAGES = [
+    (2, 3, 1), [2, 3, 1], np.array([2, 3, 1]), (np.int64(2), np.int32(3), np.uint8(1)), [2, np.int16(3), 1],
+    range(1, 65), tuple(range(64, 0, -1)),
+]  # fmt: skip
+
+
+_IMAGE_CASES = [(image, False) for image in _REFUSED_IMAGES + _TAKEN_IMAGES] + [
+    (image, True) for image in _REFUSED_IMAGES + _TAKEN_IMAGES if hasattr(image, "__iter__")
+]
+
+
+@pytest.mark.parametrize(
+    "image, one_pass", _IMAGE_CASES, ids=[f"{'iter ' if one_pass else ''}{image!r}" for image, one_pass in _IMAGE_CASES]
+)
+def test_permutation_bitwise_matches_the_reference(image, one_pass):
+    # one_pass hands each side a fresh iterator over the image
+    arg = (lambda: iter(image)) if one_pass else (lambda: image)
+    want = outcome(lambda: _labels_reference(arg()))
+    got = outcome(lambda: Permutation(arg()).image)
+    assert got == want and type(got) is type(want)
+    if isinstance(want, tuple) and want and not isinstance(want[0], type):
+        assert list(map(type, got)) == list(map(type, want))
 
 
 NOT_PERMUTATION_CALLS = {

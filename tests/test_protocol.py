@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from quditcycle.algorithm import qft
-from quditcycle.linalg import basis_state, equal_up_to_global_phase
+from quditcycle.algorithm import initial_index, qft
+from quditcycle.cli import GATE_MAP
+from quditcycle.linalg import _as_array, basis_state, equal_up_to_global_phase, outer
 from quditcycle.nmr import SpinSystem, pseudo_pure
 from quditcycle.permutations import oracle_unitary
 from quditcycle.protocol import (
@@ -16,7 +17,7 @@ from quditcycle.protocol import (
 )
 from quditcycle.smp import OptimizerConfig
 
-from conftest import assert_density
+from conftest import array_bits, assert_density
 
 
 def test_stage_unitaries_compose_the_circuit():
@@ -92,3 +93,26 @@ def test_smp_source_plumbs_through_and_flags_convergence():
     starved = OptimizerConfig(segments=1, restarts=1, seed=0, min_fidelity=0.9999, max_iter=30)
     res = run_protocol(sys, "negative", "full", config=starved)
     assert res.converged is False
+
+
+def _ideal_run_reference(oracle, stage):
+    """run_protocol with config None, with keyword construction, np.isfinite on the overlap
+    and np.argmax(np.diag(...)) for the dominant level: the reference."""
+    target_u = stage_unitary(oracle, stage)
+    start = basis_state(4, initial_index())
+    pure = target_u @ outer(start) @ target_u.conj().T
+    a, t = _as_array(pure, 2), _as_array(target_u @ start, 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        val = np.vdot(t, a @ t).real
+    assert np.isfinite(val)
+    return pure, float(val), int(np.argmax(np.diag(pure).real)) + 1
+
+
+@pytest.mark.parametrize("gate", sorted(GATE_MAP))
+def test_ideal_run_bitwise_matches_the_reference(gate):
+    oracle, stage = GATE_MAP[gate]
+    pure, fid, dominant = _ideal_run_reference(oracle, stage)
+    got = run_protocol(SpinSystem(), oracle, stage)
+    assert array_bits(got.pure_part) == array_bits(pure)
+    assert float.hex(got.fidelity) == float.hex(fid) and type(got.fidelity) is float
+    assert got.dominant_index == dominant and got.smp is None and got.converged
