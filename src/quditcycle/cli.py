@@ -160,13 +160,22 @@ def cmd_run(args) -> int:
     return EXIT_OK
 
 
+# verify's per-dimension columns, in the order both outputs give them
+VERIFY_COLUMNS = ("classifications", "phases", "one_query_insufficient", "classical_two_queries")
+
+
 def _mark(check: bool) -> str:
     return "ok" if check else "FAIL"
 
 
+def _witness(witnesses: dict, check: str, d: int, p: Permutation, expected, observed) -> None:
+    """Keep the first failing permutation of a check; a later failure of it adds nothing."""
+    witnesses.setdefault(check, {"dim": d, "permutation": list(p.image), "expected": expected, "observed": observed})
+
+
 def cmd_verify(args) -> int:
     rows = []
-    ok = parity_matches = True
+    parity_matches = True
     t0 = time.perf_counter()
     for d in range(3, args.dmax + 1):
         table = phase_table(d)
@@ -176,50 +185,30 @@ def cmd_verify(args) -> int:
             quantum = run_quantum(p)
             classical = run_classical(p)
             phase = table[(truth.chirality, truth.shift)]
-            class_ok = quantum.classification is truth.chirality
-            phase_ok = abs(quantum.phase - phase) <= DEFAULT_TOL
-            two_ok = classical.classification is truth.chirality and classical.oracle_queries == 2
-            if not (class_ok and phase_ok and two_ok):
-                for check, passed, expected, observed in (
-                    ("classifications", class_ok, truth.chirality.value, quantum.classification.value),
-                    ("phases", phase_ok, complex_to_json(phase), complex_to_json(quantum.phase)),
-                    (
-                        "classical_two_queries",
-                        two_ok,
-                        {"classification": truth.chirality.value, "oracle_queries": 2},
-                        {"classification": classical.classification.value, "oracle_queries": classical.oracle_queries},
-                    ),
-                ):
-                    if not passed and check not in witnesses:
-                        witnesses[check] = {
-                            "dim": d,
-                            "permutation": list(p.image),
-                            "expected": expected,
-                            "observed": observed,
-                        }
+            if quantum.classification is not truth.chirality:
+                _witness(witnesses, "classifications", d, p, truth.chirality.value, quantum.classification.value)
+            if not abs(quantum.phase - phase) <= DEFAULT_TOL:  # a NaN phase fails
+                _witness(witnesses, "phases", d, p, complex_to_json(phase), complex_to_json(quantum.phase))
+            if classical.classification is not truth.chirality or classical.oracle_queries != 2:
+                want = {"classification": truth.chirality.value, "oracle_queries": 2}
+                got = {"classification": classical.classification.value, "oracle_queries": classical.oracle_queries}
+                _witness(witnesses, "classical_two_queries", d, p, want, got)
             if d == 3:
                 parity_matches &= (truth.chirality is Chirality.POSITIVE) == (parity(p) == 1)
-        checks = {
-            "classifications": "classifications" not in witnesses,
-            "phases": "phases" not in witnesses,
-            "one_query_insufficient": one_query_insufficient(d),
-            "classical_two_queries": "classical_two_queries" not in witnesses,
-        }
-        if not checks["one_query_insufficient"]:
+        if not one_query_insufficient(d):
             witnesses["one_query_insufficient"] = {"dim": d}
-        ok &= all(checks.values())
-        row = {"dim": d, **checks}
+        row = {"dim": d, **{column: column not in witnesses for column in VERIFY_COLUMNS}}
         if witnesses:
             row["witnesses"] = witnesses
         rows.append(row)
     elapsed = time.perf_counter() - t0
-    ok &= parity_matches
+    ok = parity_matches and not any("witnesses" in row for row in rows)
 
     if args.json:
         print(_dumps({"rows": rows, "parity_is_chirality_at_dim3": parity_matches, "ok": ok}))
     else:
         for row in rows:
-            marks = "  ".join(f"{key}={_mark(val)}" for key, val in row.items() if key not in ("dim", "witnesses"))
+            marks = "  ".join(f"{column}={_mark(row[column])}" for column in VERIFY_COLUMNS)
             print(f"d={row['dim']:2d}  {marks}")
             for check, witness in row.get("witnesses", {}).items():
                 print(f"      {check} witness: {json.dumps(witness, sort_keys=True)}")

@@ -165,8 +165,8 @@ def apply_oracle(p: Permutation, a: np.ndarray) -> np.ndarray:
 
     Row x-1 of a moves to row p(x)-1 with its bits unchanged: a scatter of
     the d rows, O(d) for a vector, with no d x d matrix built.  This one
-    scatter is every relabeling in the package: U_p, P_sigma F (qft),
-    sigma^-1 (Permutation.inverse, run_quantum) and relabel.  For finite a
+    scatter is every relabeling in the package: U_p, P_sigma F (qft)
+    and sigma^-1 (Permutation.inverse, so relabel, and run_quantum).  For finite a
     it equals oracle_unitary(p) @ a, except that the product may turn a
     -0.0 into +0.0.  Array-likes are taken through np.asarray.  The result
     is a new C-ordered array, whatever the layout of a; a is not written.
@@ -197,16 +197,12 @@ def oracle_unitary(p: Permutation) -> np.ndarray:
 def relabel(p: Permutation, sigma: Permutation) -> Permutation:
     """Conjugate p by a relabeling sigma: returns sigma . p . sigma^-1.
 
-    It scatters p.image by sigma (apply_oracle puts p(x) at position
-    sigma(x)) and reads the result through sigma, so position sigma(x)
-    holds sigma(p(x)).  The result acts on sigma-relabeled values exactly as p
-    acts on the original ones, so its cyclic class under sigma-relabeled
-    indices equals classify_cyclic(p).  Note: written as a value sequence
-    over the base order (sigma(1), ..., sigma(d)), the conjugate of
-    rotation(d, r) is the base sequence rotated by r, which is the usual
-    way relabeled families are tabulated.
+    The result acts on sigma-relabeled values exactly as p acts on the
+    original ones, so its cyclic class under sigma-relabeled indices equals
+    classify_cyclic(p).  Note: written as a value sequence over the base
+    order (sigma(1), ..., sigma(d)), the conjugate of rotation(d, r) is the
+    base sequence rotated by r, which is the usual way relabeled families
+    are tabulated.
     """
-    if check_type(p, Permutation).dim != check_type(sigma, Permutation).dim:
-        raise ValueError(f"size mismatch: {sigma.dim} vs {p.dim}")
-    moved = apply_oracle(sigma, p.image)
-    return Permutation(np.take(sigma.image, moved - 1).tolist())
+    check_type(p, Permutation)
+    return check_type(sigma, Permutation).compose(p).compose(sigma.inverse())

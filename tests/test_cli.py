@@ -6,6 +6,7 @@ import dataclasses
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -346,6 +347,13 @@ def test_verify_human_table(capsys):
     assert code == EXIT_OK
     assert "d= 3" in out and "all checks passed" in out
 
+    code, out, _ = run_cli(capsys, "verify", "--dmax", "4")
+    assert code == EXIT_OK
+    *lines, last = out.splitlines()
+    marks = "classifications=ok  phases=ok  one_query_insufficient=ok  classical_two_queries=ok"
+    assert lines == [f"d= 3  {marks}", f"d= 4  {marks}", "d= 3  chirality coincides with even/odd parity: ok"]
+    assert re.fullmatch(r"all checks passed in \d+\.\d\ds", last)
+
 
 def _wrong_phase(monkeypatch):
     # the phases of reflection(4, 2) and reflection(4, 3) flip sign; the first is the witness
@@ -433,6 +441,58 @@ def test_a_failing_verify_check_names_its_first_witness(mutate, monkeypatch, cap
     assert f"{check}=FAIL" in lines[at]
     assert lines[at + 1] == f"      {check} witness: {json.dumps(witness, sort_keys=True)}"
     assert lines[at + 2].startswith("d= 3  chirality") and "FAILURES detected" in lines[-1]
+
+
+def test_two_checks_failing_in_one_row_name_their_own_first_witnesses(monkeypatch, capsys):
+    # rotation(4, 2) is the third permutation enumerated, reflection(4, 0) the fifth
+    class_check, class_witness = _wrong_class(monkeypatch)
+    two_check, two_witness = _three_queries(monkeypatch)
+    code, out, _ = run_cli(capsys, "verify", "--dmax", "4", "--json")
+    blob = json.loads(out)
+    assert code == EXIT_VERIFY_FAILED and blob["ok"] is False
+    row4 = blob["rows"][1]
+    assert row4.pop("witnesses") == {class_check: class_witness, two_check: two_witness}
+    assert row4 == {
+        "dim": 4,
+        "classifications": False,
+        "phases": True,
+        "one_query_insufficient": True,
+        "classical_two_queries": False,
+    }
+
+    code, out, _ = run_cli(capsys, "verify", "--dmax", "4")
+    assert code == EXIT_VERIFY_FAILED
+    lines = out.splitlines()
+    assert lines[1].startswith("d= 4  classifications=FAIL  phases=ok")
+    assert lines[2:4] == [
+        f"      {check} witness: {json.dumps(witness, sort_keys=True)}"
+        for check, witness in ((two_check, two_witness), (class_check, class_witness))
+    ]
+    assert "FAILURES detected" in lines[-1]
+
+
+def test_verify_parity_column_fails_on_its_own(monkeypatch, capsys):
+    parity = cli.parity
+    monkeypatch.setattr(cli, "parity", lambda p: -parity(p) if p.dim == 3 else parity(p))
+    code, out, err = run_cli(capsys, "verify", "--dmax", "3", "--json")
+    blob = json.loads(out)
+    assert code == EXIT_VERIFY_FAILED and err == ""
+    assert blob["ok"] is False and blob["parity_is_chirality_at_dim3"] is False
+    assert blob["rows"] == [
+        {
+            "dim": 3,
+            "classifications": True,
+            "phases": True,
+            "one_query_insufficient": True,
+            "classical_two_queries": True,
+        }
+    ]
+
+    code, out, _ = run_cli(capsys, "verify", "--dmax", "3")
+    assert code == EXIT_VERIFY_FAILED
+    lines = out.splitlines()
+    assert lines[-2] == "d= 3  chirality coincides with even/odd parity: FAIL"
+    assert lines[-1].startswith("FAILURES detected in ")
 
 
 def test_nmr_ideal_qft_artifacts(tmp_path, capsys):

@@ -478,6 +478,11 @@ def test_apply_oracle_matches_the_empty_like_scatter_bit_for_bit(dtype):
                 assert np.asarray(a).tobytes() == kept.tobytes()  # the input is not written
 
 
+def _relabel_by_scatter(p: Permutation, sigma: Permutation) -> Permutation:
+    """sigma . p . sigma^-1 as one scatter: p(x) goes to position sigma(x), then is read through sigma."""
+    return Permutation(np.take(sigma.image, apply_oracle(sigma, p.image) - 1).tolist())
+
+
 def test_relabel_identity_and_inverse():
     sigma = Permutation((1, 3, 2, 4))
     assert relabel(rotation(4, 0), sigma).image == (1, 2, 3, 4)
@@ -487,8 +492,13 @@ def test_relabel_identity_and_inverse():
         p = Permutation(random_permutation_image(rng, d))
         s = Permutation(random_permutation_image(rng, d))
         assert relabel(relabel(p, s), s.inverse()).image == p.image
+    for d in range(1, MAX_DIM + 1):
+        for _ in range(5):
+            p = Permutation(random_permutation_image(rng, d))
+            s = Permutation(random_permutation_image(rng, d))
+            assert relabel(p, s).image == _relabel_by_scatter(p, s).image
     for p in (Permutation((2, 3, 1)), rotation(5, 1)):  # p smaller and larger than sigma
-        with pytest.raises(ValueError, match="size mismatch"):
+        with pytest.raises(ValueError, match=f"^size mismatch: 4 vs {p.dim}$"):
             relabel(p, sigma)
 
 
