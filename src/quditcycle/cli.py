@@ -397,7 +397,3 @@ def main(argv=None) -> int:
     if isinstance(code, SystemExit):
         raise code
     return code
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

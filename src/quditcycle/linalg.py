@@ -49,9 +49,14 @@ def check_int(value, name: str) -> int:
 
 
 def check_finite(**values) -> None:
-    """Raise ValueError unless each keyword value is a finite real number; bools are refused."""
+    """Raise ValueError unless each keyword value is a finite real number; bools are refused,
+    and so is an int or Fraction too large for a float."""
     for name, value in values.items():
-        if isinstance(value, bool) or not isinstance(value, Real) or not math.isfinite(value):
+        try:
+            finite = not isinstance(value, bool) and isinstance(value, Real) and math.isfinite(value)
+        except OverflowError:  # math.isfinite converts to float first
+            finite = False
+        if not finite:
             raise ValueError(f"{name} must be a finite number, got {value!r}")
 
 

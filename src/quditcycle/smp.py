@@ -79,8 +79,8 @@ class OptimizerConfig:
     because the search keeps a dense J^T J of (3 * segments)^2 doubles:
     72 MB at the cap, where 20,000 segments would need 29 GB.  restarts is
     at most MAX_RESTARTS = 100 and max_iter at most MAX_ITER = 6000, so a
-    synthesis makes at most 600,000 passes: about 4 min at 6 segments, and
-    4 days at 1000, where one step takes about 0.6 s.  Six segments carry
+    synthesis makes at most 600,000 passes; the README gives what that costs
+    in time on one host.  Six segments carry
     18 parameters, comfortably over the 15 a four-level gate needs, so
     random restarts land above min_fidelity within a try or two.
     """

@@ -915,6 +915,8 @@ def test_nmr_deeply_nested_config_exits_two(tmp_path, capsys):
         ["--config", '{"restarts": true}'],
         ["--config", '{"min_fidelity": true}'],
         ["--config="],  # was tested for truthiness and ran with the default settings
+        # an OverflowError traceback with exit 1 from the float conversion of a 401-digit int
+        pytest.param(["--config", '{"min_fidelity": 1%s}' % ("0" * 400)], id="--config=min_fidelity-10**400"),
     ],
     ids="=".join,
 )

@@ -1,6 +1,7 @@
 """Vector/matrix helpers: frozen examples plus seeded property sweeps."""
 
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -213,10 +214,18 @@ def test_equal_up_to_global_phase_is_symmetric_at_every_norm(a, b, want):
     assert equal_up_to_global_phase(b, a, 1e-10) is want
 
 
-@pytest.mark.parametrize("tol", ["x", None, float("nan"), float("inf"), -1, True], ids=repr)
+@pytest.mark.parametrize(
+    "tol",
+    [
+        "x", None, float("nan"), float("inf"), -1, True,
+        pytest.param(10**400, id="10**400"), pytest.param(Fraction(10**400, 3), id="Fraction(10**400, 3)"),
+    ],
+    ids=repr,
+)  # fmt: skip
 def test_equal_up_to_global_phase_refuses_a_tol_that_is_not_a_finite_number_at_least_0(tol):
     # "x" leaked numpy's UFuncTypeError and None a TypeError; NaN and -1
-    # called two equal vectors different, and inf and True were taken as tolerances
+    # called two equal vectors different, inf and True were taken as tolerances,
+    # and an int or Fraction too large for a float raised OverflowError
     with pytest.raises(ValueError, match="tol must be"):
         equal_up_to_global_phase([1, 0], [1, 0], tol=tol)
 

@@ -151,12 +151,12 @@ def test_spin_system_validation():
         SpinSystem(spin=1.5, larmor_freq=TWO_PI * 1e5, quad_freq=TWO_PI * 1e4)
 
 
-@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, True], ids=repr)
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, True, pytest.param(10**400, id="10**400")], ids=repr)
 @pytest.mark.parametrize("name", ["spin", "larmor_freq", "quad_freq"])
 def test_spin_system_rejects_a_non_finite_or_boolean_field(name, value):
     # NaN slips past the Zeeman-dominance test and kills the eigensolver in the
-    # first propagator, an infinite Larmor frequency passes it, and spin=True
-    # would be taken as spin 1.
+    # first propagator, an infinite Larmor frequency passes it, spin=True
+    # would be taken as spin 1, and 10**400 raised OverflowError.
     with pytest.raises(ValueError, match=name):
         SpinSystem(**{name: value})
 
@@ -414,12 +414,17 @@ def test_pseudo_pure_composition():
         lambda rho: pseudo_pure([[1.0, 0.0]], 0.5),
         lambda rho: inject_readout_noise(rho, sigma=True),
         lambda rho: inject_readout_noise(rho, seed=1.5),
+        lambda rho: pseudo_pure(rho, 10**400),
+        lambda rho: inject_readout_noise(rho, sigma=10**400),
     ],
-    ids=["epsilon-bool", "pure-1d-list", "pure-nonsquare-list", "sigma-bool", "seed-float"],
+    ids=[
+        "epsilon-bool", "pure-1d-list", "pure-nonsquare-list", "sigma-bool", "seed-float",
+        "epsilon-10**400", "sigma-10**400",
+    ],  # fmt: skip
 )
 def test_mixture_and_noise_refuse_bad_arguments(call):
-    # True used to run as 1, a list as pure raised AttributeError and a
-    # fractional seed raised numpy's TypeError
+    # True used to run as 1, a list as pure raised AttributeError, a
+    # fractional seed raised numpy's TypeError and 10**400 an OverflowError
     with pytest.raises(ValueError):
         call(ket_bra(4, 2))
 

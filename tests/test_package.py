@@ -125,13 +125,14 @@ def _required_positional(f) -> int:
 PUBLIC = _public_callables()
 
 
-@pytest.mark.parametrize("junk", [None, "x", 1.5, True, (1, 2)], ids=repr)
+@pytest.mark.parametrize("junk", [None, "x", 1.5, True, (1, 2), pytest.param(10**400, id="10**400")], ids=repr)
 @pytest.mark.parametrize("name", sorted(PUBLIC))
 def test_public_callables_return_or_raise_value_error_on_junk(name, junk):
     # every required positional argument gets the same junk value; any
     # exception other than ValueError (TypeError, AttributeError, a warning
     # turned error) fails the test.  minimize, segments_to_json and
-    # segments_from_json used to raise TypeError or AttributeError here
+    # segments_from_json used to raise TypeError or AttributeError here, and
+    # PulseSegment and spin_operators an OverflowError on 10**400
     f = PUBLIC[name]
     try:
         f(*[junk] * _required_positional(f))

@@ -85,9 +85,11 @@ def test_config_validation():
         for value in (2.5, 2.0, True, np.True_, "2", None):
             with pytest.raises(ValueError, match=name):
                 OptimizerConfig(**{name: value})
-    # True compared as 1.0 and was taken as a fidelity target
-    with pytest.raises(ValueError, match="min_fidelity"):
-        OptimizerConfig(min_fidelity=True)
+    # True compared as 1.0 and was taken as a fidelity target, and 10**400
+    # raised OverflowError
+    for value in (True, 10**400):
+        with pytest.raises(ValueError, match="min_fidelity"):
+            OptimizerConfig(min_fidelity=value)
 
 
 @pytest.mark.parametrize("config", [{"seed": 1}, {}, 5, 0, "x", False], ids=repr)
@@ -222,12 +224,13 @@ _SEGMENT_JSON = {"amp_hz": 1e3, "phase_rad": 0.5, "dur_s": 1e-6}
         [{**_SEGMENT_JSON, "dur_s": None}],
         [{**_SEGMENT_JSON, "phase_rad": True}],
         [_SEGMENT_JSON, [1e3, 0.5, 1e-6]],
+        pytest.param([{**_SEGMENT_JSON, "dur_s": 10**400}], id="dur_s-10**400"),
     ],
     ids=repr,
 )
 def test_segments_from_json_refuses_what_is_not_numeric_segment_mappings(items):
-    # None, 5 and (1, 2) raised TypeError, a missing key KeyError, and a
-    # string amplitude was read through float()
+    # None, 5 and (1, 2) raised TypeError, a missing key KeyError, a string
+    # amplitude was read through float(), and 10**400 raised OverflowError
     with pytest.raises(ValueError):
         segments_from_json(items)
 
