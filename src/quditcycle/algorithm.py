@@ -23,7 +23,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .linalg import check_dim, check_type, complex_to_json, vector_to_json
+from .linalg import check_dim, check_type, complex_to_json, shown, vector_to_json
 from .permutations import (
     Chirality,
     Permutation,
@@ -52,7 +52,7 @@ class FourierKind:
 
     def __post_init__(self):
         if self.variant not in FOURIER_VARIANTS:
-            raise ValueError(f"Fourier variant must be one of {FOURIER_VARIANTS}, got {self.variant!r}")
+            raise ValueError(f"Fourier variant must be one of {FOURIER_VARIANTS}, got {shown(self.variant)}")
         if self.relabeling is not None:
             check_type(self.relabeling, Permutation)
 

@@ -11,19 +11,30 @@ Conventions used across the package:
 - NaN and Inf are rejected at every constructor or decoder boundary.
 - Refusals live here.  A value of the wrong class goes through check_type,
   an array through _as_array, and numbers through check_dim, check_int and
-  check_finite; each raises ValueError.
+  check_finite; each raises ValueError.  A refused value is quoted through
+  shown, which stays within Python's limit on int-to-str digits.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+import sys
 from numbers import Real
 
 import numpy as np
 
 MAX_DIM = 64
 DEFAULT_TOL = 1e-10
+
+
+def shown(value) -> str:
+    """repr(value), or a placeholder naming its type where repr would pass Python's limit on int-to-str digits."""
+    try:
+        return repr(value)
+    except ValueError:  # an int of more digits than the limit, or a value holding one
+        holder = "" if isinstance(value, int) else f"{type(value).__name__} holding an "
+        return f"<{holder}int of more than {sys.get_int_max_str_digits()} digits>"
 
 
 def check_dim(dim: int) -> int:
@@ -37,14 +48,14 @@ def check_dim(dim: int) -> int:
     except (TypeError, ValueError, OverflowError):
         d = None
     if isinstance(dim, (bool, np.bool_)) or d is None or d != dim or not 1 <= d <= MAX_DIM:
-        raise ValueError(f"dimension must be an integer in [1, {MAX_DIM}], got {dim!r}")
+        raise ValueError(f"dimension must be an integer in [1, {MAX_DIM}], got {shown(dim)}")
     return d
 
 
 def check_int(value, name: str) -> int:
     """Return a Python or numpy integer as an int; booleans, floats, strings and None raise ValueError."""
     if isinstance(value, (bool, np.bool_)) or not hasattr(type(value), "__index__"):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
+        raise ValueError(f"{name} must be an integer, got {shown(value)}")
     return operator.index(value)
 
 
@@ -57,7 +68,7 @@ def check_finite(**values) -> None:
         except OverflowError:  # math.isfinite converts to float first
             finite = False
         if not finite:
-            raise ValueError(f"{name} must be a finite number, got {value!r}")
+            raise ValueError(f"{name} must be a finite number, got {shown(value)}")
 
 
 def check_type(value, cls: type):
@@ -86,7 +97,7 @@ def basis_state(dim: int, index: int) -> np.ndarray:
     d = check_dim(dim)
     index = check_int(index, "basis index")
     if not 1 <= index <= d:
-        raise ValueError(f"basis index must be in 1..{d}, got {index}")
+        raise ValueError(f"basis index must be in 1..{d}, got {shown(index)}")
     v = np.zeros(d, dtype=complex)
     v[index - 1] = 1.0
     return v

@@ -28,11 +28,11 @@ Hamiltonians at once, one stacked real eigh, then the time-ordered product.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
-from .linalg import MAX_DIM, _as_array, check_finite, check_int, check_type
+from .linalg import MAX_DIM, _as_array, check_finite, check_int, check_type, shown
 
 
 def _twice_spin(s: float) -> int:
@@ -172,13 +172,11 @@ def sequence_propagator(sys: SpinSystem, segments) -> np.ndarray:
     association as a segment-by-segment product.
     """
     check_type(sys, SpinSystem)
-    segs = _as_segments(segments)
-    if not segs:
-        return np.eye(sys.dim, dtype=complex)
-    rows = np.array([(s.amplitude, s.phase, s.duration) for s in segs], dtype=float)
+    rows = np.array([(s.amplitude, s.phase, s.duration) for s in _as_segments(segments)], dtype=float).reshape(-1, 3)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow leaves a product that is not finite
         try:
-            u = _forward(sys, *rows.T)[0][-1]
+            # a copy, so the returned propagator does not keep the whole prefix buffer alive
+            u = _forward(sys, *rows.T)[0][-1].copy()
         except np.linalg.LinAlgError:  # eigh's, on a Hamiltonian with an infinite entry
             u = None
     if u is None or not np.isfinite(u).all():
@@ -191,7 +189,7 @@ def _as_segments(segments) -> list[PulseSegment]:
     try:
         return [check_type(s, PulseSegment) for s in segments]
     except (TypeError, ValueError):  # not iterable, or an entry that is not a PulseSegment
-        raise ValueError(f"segments must be an iterable of PulseSegment, got {segments!r}") from None
+        raise ValueError(f"segments must be an iterable of PulseSegment, got {shown(segments)}") from None
 
 
 def _forward(sys: SpinSystem, amp: np.ndarray, phase: np.ndarray, dur: np.ndarray):
@@ -199,25 +197,18 @@ def _forward(sys: SpinSystem, amp: np.ndarray, phase: np.ndarray, dur: np.ndarra
 
     Segment k has the Hamiltonian Z_k (h0 + amp_k I_x) Z_k^dag with
     Z_k = exp(-i phase_k I_z).  Returns (prefix, evals, W, D V^dag, evals t / 2)
-    with the parts from _propagator and the list of prefix products
-    prefix[k] = S_k .. S_1 of the first k steps: prefix[0] = 1, shared and
-    read-only, and prefix[n] is the train's propagator.
+    with the parts from _propagator and the (n + 1, d, d) array of prefix products
+    prefix[k] = S_k .. S_1 of the first k steps: prefix[0] = 1, and prefix[n]
+    is the train's propagator.
     """
     h0, ops, m = sys.drive
     frame = np.exp(-1j * phase[:, None] * m)
     steps, *parts = _propagator(h0 + amp[:, None, None] * ops[0], dur, frame)
-    prefix = [_identity(len(m))]
-    for step in steps:  # ndarray.dot costs less per call than np.dot or np.matmul at these sizes
-        prefix.append(step.dot(prefix[-1]))
+    prefix = np.empty((len(steps) + 1, len(m), len(m)), dtype=complex)
+    prefix[0] = np.eye(len(m))
+    for k, step in enumerate(steps):  # ndarray.dot costs less per call than np.dot or np.matmul at these sizes
+        step.dot(prefix[k], out=prefix[k + 1])
     return prefix, *parts
-
-
-@lru_cache
-def _identity(d: int) -> np.ndarray:
-    """The complex d x d identity, built once and read-only."""
-    eye = np.eye(d, dtype=complex)
-    eye.flags.writeable = False
-    return eye
 
 
 def pseudo_pure(pure: np.ndarray, epsilon: float) -> np.ndarray:

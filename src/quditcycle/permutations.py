@@ -15,7 +15,7 @@ from enum import Enum
 
 import numpy as np
 
-from .linalg import MAX_DIM, check_dim, check_int, check_type
+from .linalg import MAX_DIM, check_dim, check_int, check_type, shown
 
 
 class Chirality(Enum):
@@ -36,19 +36,19 @@ class Permutation:
             try:
                 img = tuple(img)
             except TypeError:  # not iterable: None, a bare int
-                raise ValueError(f"permutation image must be an iterable of integers, got {img!r}") from None
+                raise ValueError(f"permutation image must be an iterable of integers, got {shown(img)}") from None
             try:
                 if bool in set(map(type, img)):  # numpy integers become ints; booleans are not labels
                     raise TypeError
                 img = tuple(map(operator.index, img))
             except TypeError:
-                raise ValueError(f"permutation entries must be integers, got {img!r}") from None
+                raise ValueError(f"permutation entries must be integers, got {shown(img)}") from None
             object.__setattr__(self, "image", img)
         d = len(img)
         if d < 1 or d > MAX_DIM:
             raise ValueError(f"permutation size must be in [1, {MAX_DIM}], got {d}")
         if sorted(img) != list(range(1, d + 1)):
-            raise ValueError(f"image {img} is not a bijection of 1..{d}")
+            raise ValueError(f"image {shown(img)} is not a bijection of 1..{d}")
 
     @property
     def dim(self) -> int:
@@ -68,7 +68,7 @@ class Permutation:
     def from_string(text: str) -> "Permutation":
         """Parse "2,3,4,1" (whitespace tolerated)."""
         if not isinstance(text, str):
-            raise ValueError(f"permutation string must be a str, got {text!r}")
+            raise ValueError(f"permutation string must be a str, got {shown(text)}")
         try:
             img = tuple(int(s) for s in text.split(","))
         except ValueError as exc:

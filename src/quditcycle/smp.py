@@ -34,7 +34,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import _as_array, check_finite, check_int, check_type, validate_unitary
+from .linalg import _as_array, check_finite, check_int, check_type, shown, validate_unitary
 from .nmr import PulseSegment, SpinSystem, _as_segments, _forward
 
 log = logging.getLogger("quditcycle")
@@ -100,15 +100,15 @@ class OptimizerConfig:
         if self.segments < 1:
             raise ValueError("need at least one segment")
         if self.segments > MAX_SEGMENTS:
-            raise ValueError(f"segments must be at most {MAX_SEGMENTS}, got {self.segments}")
+            raise ValueError(f"segments must be at most {MAX_SEGMENTS}, got {shown(self.segments)}")
         if not 1 <= self.restarts <= MAX_RESTARTS:
-            raise ValueError(f"restarts must be in 1..{MAX_RESTARTS}, got {self.restarts}")
+            raise ValueError(f"restarts must be in 1..{MAX_RESTARTS}, got {shown(self.restarts)}")
         if not 0 < self.min_fidelity <= 1:
             raise ValueError("min_fidelity must be in (0, 1]")
         if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+            raise ValueError(f"seed must be >= 0, got {shown(self.seed)}")
         if not 1 <= self.max_iter <= MAX_ITER:
-            raise ValueError(f"max_iter must be in 1..{MAX_ITER}, got {self.max_iter}")
+            raise ValueError(f"max_iter must be in 1..{MAX_ITER}, got {shown(self.max_iter)}")
 
 
 def gate_fidelity(u: np.ndarray, v: np.ndarray) -> float:
@@ -171,11 +171,12 @@ def minimize(fun, x0, max_eval: int) -> MinimizeResult:
     """
     if not callable(fun):
         raise ValueError(f"fun must be callable, got {type(fun).__name__}")
-    if check_int(max_eval, "max_eval") < 1:
-        raise ValueError(f"max_eval must be >= 1, got {max_eval}")
+    max_eval = check_int(max_eval, "max_eval")
+    if max_eval < 1:
+        raise ValueError(f"max_eval must be >= 1, got {shown(max_eval)}")
     x = np.asarray(x0)
     if x.dtype.kind not in "iuf" or x.ndim != 1 or not x.size or not np.isfinite(x).all():
-        raise ValueError(f"x0 must be a finite, non-empty real vector, got {x0!r}")
+        raise ValueError(f"x0 must be a finite, non-empty real vector, got {shown(x0)}")
     x = x.astype(float)
     f, r, jac = fun(x)
     nfev, nit, lam = 1, 0, LAMBDA_START
@@ -275,7 +276,7 @@ def _residual(y: np.ndarray, sys: SpinSystem, target_h: np.ndarray):
         # difference of exp(-i lambda t) in a form that is exact and tends to 1
         # as x -> 0, which covers the degenerate drift at amplitude 0.  For
         # duration X = -i Lambda, because dS/dt = -i H S.
-        a = half_vecs_h @ np.array(prefix[:-1])
+        a = half_vecs_h @ prefix[:-1]
         x = angle[:, :, None] - angle[:, None, :]
         x = np.where(x, x, 1e-300)  # sin(x) / x is then exactly 1 where x = 0
         # Z^dag dH Z is I_x per unit amplitude and amp I_y per unit phase, because
@@ -391,7 +392,7 @@ def segments_from_json(items) -> list[PulseSegment]:
     segs = []
     for obj in items if np.iterable(items) else [None]:
         if not isinstance(obj, Mapping) or not {"amp_hz", "phase_rad", "dur_s"} <= obj.keys():
-            raise ValueError(f"pulses must be mappings with amp_hz, phase_rad and dur_s, got {items!r}")
+            raise ValueError(f"pulses must be mappings with amp_hz, phase_rad and dur_s, got {shown(items)}")
         check_finite(amp_hz=obj["amp_hz"], phase_rad=obj["phase_rad"], dur_s=obj["dur_s"])
         segs.append(PulseSegment(2 * np.pi * float(obj["amp_hz"]), float(obj["phase_rad"]), float(obj["dur_s"])))
     return segs

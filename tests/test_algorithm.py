@@ -367,7 +367,8 @@ def test_run_quantum_never_builds_the_dense_oracle(monkeypatch):
             run_quantum(p, kind)
 
 
-def _oracle_by_entries(p):
+def _dense_permutation_matrix(p):
+    """U[p(x)-1, x-1] = 1, written out entry by entry."""
     u = np.zeros((p.dim, p.dim), dtype=complex)
     for x in range(p.dim):
         u[p.image[x] - 1, x] = 1.0
@@ -379,7 +380,7 @@ def test_oracle_unitary_is_the_entry_by_entry_matrix():
     for d in range(1, MAX_DIM + 1):
         for _ in range(3):
             p = Permutation(tuple(int(v) + 1 for v in rng.permutation(d)))
-            assert oracle_unitary(p).tobytes() == _oracle_by_entries(p).tobytes()
+            assert oracle_unitary(p).tobytes() == _dense_permutation_matrix(p).tobytes()
 
 
 def test_apply_oracle_is_the_matrix_product():
@@ -597,14 +598,6 @@ def test_relabeled_family_tabulation_matches_convention():
     assert pos_seqs == [(1, 3, 2, 4), (3, 2, 4, 1), (2, 4, 1, 3), (4, 1, 3, 2)]
     neg_seqs = {tuple(relabel(reflection(4, r), sigma).compose(sigma).image) for r in range(4)}
     assert {(4, 2, 3, 1), (2, 3, 1, 4), (3, 1, 4, 2)} <= neg_seqs
-
-
-def _dense_permutation_matrix(p):
-    """U[p(x)-1, x-1] = 1, written out entry by entry."""
-    u = np.zeros((p.dim, p.dim), dtype=complex)
-    for x in range(p.dim):
-        u[p.image[x] - 1, x] = 1.0
-    return u
 
 
 def _dense_qft(d, kind):

@@ -58,6 +58,9 @@ def test_basis_state_labels_are_one_based():
         basis_state(2, 0)
     with pytest.raises(ValueError):
         basis_state(2, 3)
+    # an index past Python's limit on int-to-str digits raised that limit's error, which names no argument
+    with pytest.raises(ValueError, match="basis index must be in 1..2, got <int of more than"):
+        basis_state(2, 10**5000)
 
 
 @pytest.mark.parametrize("index", [True, False, np.True_, 2.0, 1.5, "2", None], ids=repr)
@@ -90,7 +93,7 @@ def test_dimension_cap():
 
 def test_check_dim_takes_integral_values_only():
     assert check_dim(3) == check_dim(3.0) == check_dim(np.int64(3)) == 3
-    for dim in (0, MAX_DIM + 1, 2.5, True, np.True_, "3", None, float("nan"), float("inf")):
+    for dim in (0, MAX_DIM + 1, 2.5, True, np.True_, "3", None, float("nan"), float("inf"), 10**5000):
         with pytest.raises(ValueError, match="dimension"):
             check_dim(dim)
 
@@ -219,13 +222,15 @@ def test_equal_up_to_global_phase_is_symmetric_at_every_norm(a, b, want):
     [
         "x", None, float("nan"), float("inf"), -1, True,
         pytest.param(10**400, id="10**400"), pytest.param(Fraction(10**400, 3), id="Fraction(10**400, 3)"),
+        pytest.param(10**5000, id="10**5000"),
     ],
     ids=repr,
 )  # fmt: skip
 def test_equal_up_to_global_phase_refuses_a_tol_that_is_not_a_finite_number_at_least_0(tol):
     # "x" leaked numpy's UFuncTypeError and None a TypeError; NaN and -1
     # called two equal vectors different, inf and True were taken as tolerances,
-    # and an int or Fraction too large for a float raised OverflowError
+    # an int or Fraction too large for a float raised OverflowError, and
+    # 10**5000 the error of Python's limit on int-to-str digits, which names no argument
     with pytest.raises(ValueError, match="tol must be"):
         equal_up_to_global_phase([1, 0], [1, 0], tol=tol)
 

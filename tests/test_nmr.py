@@ -18,6 +18,7 @@ from quditcycle.smp import (
     segments_to_json,
     smp_optimize,
 )
+import quditcycle.nmr as nmr
 from quditcycle.nmr import (
     PulseSegment,
     SpinSystem,
@@ -332,6 +333,32 @@ def test_empty_train_is_identity():
     assert np.array_equal(u, np.eye(4))
     u[0, 0] = 2.0  # the caller owns it
     assert np.array_equal(sequence_propagator(sys, []), np.eye(4))
+
+
+@pytest.mark.parametrize("n", [0, 1, 1000])
+def test_the_propagator_owns_its_memory(n):
+    # a view into the forward pass's (n + 1, d, d) prefix buffer would keep
+    # all of it alive: 65 MB at spin 31.5 and 1,000 segments
+    u = sequence_propagator(SpinSystem(), [PulseSegment(TWO_PI * 1e4, 0.3, 1e-5)] * n)
+    assert u.shape == (4, 4) and u.base is None and u.flags.writeable and u.flags.c_contiguous
+
+
+@pytest.mark.parametrize("spin", SPINS.values(), ids=SPINS.keys())
+def test_forward_prefix_bitwise_matches_the_list_fold(spin):
+    # the prefix products are written in place into one array: the same
+    # products, in the same order, as a list folded from a fresh identity
+    sys = SpinSystem(spin=spin)
+    h0, ops, m = sys.drive
+    rng = np.random.default_rng([37, sys.dim])
+    for n in (0, 1, 2, 7, 50):
+        amp = TWO_PI * AMP_MAX_HZ * rng.random(n)
+        phase = TWO_PI * rng.uniform(-2, 2, n)
+        dur = rng.uniform(DUR_MIN_S, DUR_MAX_S, n)
+        steps = nmr._propagator(h0 + amp[:, None, None] * ops[0], dur, np.exp(-1j * phase[:, None] * m))[0]
+        want = [np.eye(sys.dim, dtype=complex)]
+        for step in steps:
+            want.append(step.dot(want[-1]))
+        assert array_bits(nmr._forward(sys, amp, phase, dur)[0]) == array_bits(np.array(want)), n
 
 
 _OVERFLOWING_TRAINS = {

@@ -5,6 +5,7 @@ import inspect
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -12,6 +13,11 @@ import pytest
 import quditcycle
 import quditcycle.protocol
 import quditcycle.smp
+from quditcycle.algorithm import FourierKind
+from quditcycle.nmr import SpinSystem, sequence_propagator
+from quditcycle.permutations import Permutation
+from quditcycle.protocol import stage_unitary
+from quditcycle.smp import OptimizerConfig, minimize, segments_from_json
 
 PULSE_LAYER = ("scipy.optimize", "quditcycle.smp", "quditcycle.protocol")
 
@@ -125,16 +131,58 @@ def _required_positional(f) -> int:
 PUBLIC = _public_callables()
 
 
-@pytest.mark.parametrize("junk", [None, "x", 1.5, True, (1, 2), pytest.param(10**400, id="10**400")], ids=repr)
+@pytest.mark.parametrize("junk", [None, "x", 1.5, True, (1, 2), pytest.param(10**400, id="10**400"), []], ids=repr)
 @pytest.mark.parametrize("name", sorted(PUBLIC))
 def test_public_callables_return_or_raise_value_error_on_junk(name, junk):
     # every required positional argument gets the same junk value; any
     # exception other than ValueError (TypeError, AttributeError, a warning
     # turned error) fails the test.  minimize, segments_to_json and
-    # segments_from_json used to raise TypeError or AttributeError here, and
-    # PulseSegment and spin_operators an OverflowError on 10**400
+    # segments_from_json used to raise TypeError or AttributeError here,
+    # PulseSegment and spin_operators an OverflowError on 10**400, and
+    # stage_unitary and theory_state a TypeError on [], which they hashed
     f = PUBLIC[name]
     try:
         f(*[junk] * _required_positional(f))
     except ValueError:
         pass
+
+
+_LONG = f"int of more than {sys.get_int_max_str_digits()} digits"
+_LONG_INT_REFUSALS = {
+    "OptimizerConfig-seed": (
+        lambda: OptimizerConfig(seed=Fraction(10**5000, 3)),
+        f"seed must be an integer, got <Fraction holding an {_LONG}>",
+    ),
+    "from_string": (lambda: Permutation.from_string(10**5000), f"permutation string must be a str, got <{_LONG}>"),
+    "FourierKind": (lambda: FourierKind(10**5000), f"Fourier variant must be one of ('general', 'qutrit'), got <{_LONG}>"),
+    "minimize-max_eval": (lambda: minimize(lambda y: y, [1.0], -(10**5000)), f"max_eval must be >= 1, got <{_LONG}>"),
+    "minimize-x0": (
+        lambda: minimize(lambda y: y, [10**5000], 1),
+        f"x0 must be a finite, non-empty real vector, got <list holding an {_LONG}>",
+    ),
+    "segments_from_json": (
+        lambda: segments_from_json([10**5000]),
+        f"pulses must be mappings with amp_hz, phase_rad and dur_s, got <list holding an {_LONG}>",
+    ),
+    "sequence_propagator": (
+        lambda: sequence_propagator(SpinSystem(), [10**5000]),
+        f"segments must be an iterable of PulseSegment, got <list holding an {_LONG}>",
+    ),
+    "stage_unitary-oracle": (
+        lambda: stage_unitary(10**5000, "full"),
+        f"oracle must be one of ['negative', 'positive'], got <{_LONG}>",
+    ),
+    "stage_unitary-stage": (
+        lambda: stage_unitary("positive", 10**5000),
+        f"stage must be one of ('after_qft', 'after_oracle', 'full'), got <{_LONG}>",
+    ),
+}  # fmt: skip
+
+
+@pytest.mark.parametrize("call, message", _LONG_INT_REFUSALS.values(), ids=_LONG_INT_REFUSALS.keys())
+def test_a_refusal_quotes_an_int_too_long_to_print_by_its_type(call, message):
+    # each raised the error of Python's limit on int-to-str digits, from
+    # formatting the refused value, so the message named no argument
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == message

@@ -3,6 +3,8 @@
 import itertools
 import json
 import operator
+import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -265,6 +267,17 @@ def test_permutation_stores_plain_ints():
         ((np.int64(1), 3), "image (1, 3) is not a bijection of 1..2"),
         ((), "permutation size must be in [1, 64], got 0"),
         (tuple(range(1, 66)), "permutation size must be in [1, 64], got 65"),
+        # printing these images raised the error of Python's limit on int-to-str digits
+        pytest.param(
+            (10**5000,),
+            f"image <tuple holding an int of more than {sys.get_int_max_str_digits()} digits> is not a bijection of 1..1",
+            id="(10**5000,)",
+        ),
+        pytest.param(
+            [Fraction(10**5000, 3)],
+            f"permutation entries must be integers, got <tuple holding an int of more than {sys.get_int_max_str_digits()} digits>",
+            id="[Fraction(10**5000, 3)]",
+        ),
     ],
     ids=repr,
 )

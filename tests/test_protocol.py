@@ -77,6 +77,9 @@ def test_run_protocol_validation():
         run_protocol(SpinSystem(), "positive", "full", "smp")
     with pytest.raises(ValueError):
         run_protocol(SpinSystem(), "positive", "nowhere")
+    # an unhashable oracle raised TypeError from the lookup in ORACLES
+    with pytest.raises(ValueError, match=r"^oracle must be one of \['negative', 'positive'\], got \[\]$"):
+        run_protocol(SpinSystem(), [], "full")
     assert set(STAGES) == {"after_qft", "after_oracle", "full"}
 
 
