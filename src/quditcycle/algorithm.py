@@ -23,12 +23,13 @@ from functools import lru_cache
 
 import numpy as np
 
-from .linalg import check_dim, check_type, complex_to_json, shown, vector_to_json
+from .linalg import MAX_DIM, check_dim, check_type, complex_to_json, shown, vector_to_json
 from .permutations import (
     Chirality,
     Permutation,
     _reflection_image,
     _rotation_image,
+    _scatter,
     apply_oracle,
     check_cyclic_dim,
 )
@@ -51,7 +52,7 @@ class FourierKind:
     relabeling: Permutation | None = None
 
     def __post_init__(self):
-        if self.variant not in FOURIER_VARIANTS:
+        if not isinstance(self.variant, str) or self.variant not in FOURIER_VARIANTS:  # an array compares entrywise
             raise ValueError(f"Fourier variant must be one of {FOURIER_VARIANTS}, got {shown(self.variant)}")
         if self.relabeling is not None:
             check_type(self.relabeling, Permutation)
@@ -66,6 +67,9 @@ class FourierKind:
 
 
 _DEFAULT_KIND = FourierKind()  # frozen, so one instance serves every call
+
+_ROWS = np.arange(MAX_DIM)  # the row indices 0..d-1 of every d, as the read-only window _ROWS[:d]
+_ROWS.flags.writeable = False
 
 
 @lru_cache(maxsize=None)
@@ -181,18 +185,21 @@ def run_quantum(p: Permutation, kind: FourierKind | None = None) -> RunReport:
     A relabeling reduces to this, as P_sigma^dag U_p P_sigma = U_(sigma^-1
     p sigma), and the qutrit variant reorders the labels of d = 3.
 
-    The query and the relabeling are one scatter, apply_oracle.  The
-    query is U_p applied to F|start>, read as the start row of the cached
-    F: both conventions build F from an outer product of the labels with
-    themselves, so F equals its transpose bit for bit and the row is the
-    start column in contiguous memory.  The sigma scatter is not a query
-    of p: apply_oracle(sigma, arange(d)) is sigma^-1 - 1, whose entries
-    pick the rows of P_sigma F out of F|start> and out of the cached
-    conj(F), whose transpose is F^dag.  The only d x d work is the F^dag
-    product.  The outcome comes from one pass of magnitudes: their argmax
-    is the measured level, and only its magnitude is squared for the
-    1 - 1e-9 test: a level above that bound leaves less than 1e-9 to all
-    the others, so no tie can move the argmax.
+    The query and the relabeling are one scatter each, permutations._scatter,
+    called straight once p and the kind have passed the checks above, so
+    apply_oracle's checks are not made twice; the query count is the 1
+    written beside the scatter of p.  The query is U_p applied to F|start>,
+    read as the start row of the cached F: both conventions build F from an
+    outer product of the labels with themselves, so F equals its transpose
+    bit for bit and the row is the start column in contiguous memory.  The
+    sigma scatter is not a query of p: it scatters the shared read-only
+    row indices _ROWS[:d] into sigma^-1 - 1, whose entries pick the rows of
+    P_sigma F out of F|start> and out of the cached conj(F), whose
+    transpose is F^dag.  The only d x d work is the F^dag product.  The
+    outcome comes from one pass of magnitudes: their argmax is the measured
+    level, and only its magnitude is squared for the 1 - 1e-9 test: a level
+    above that bound leaves less than 1e-9 to all the others, so no tie can
+    move the argmax.
     """
     d = _cyclic_dim(p)
     kind = _check_kind(d, kind)
@@ -201,18 +208,11 @@ def run_quantum(p: Permutation, kind: FourierKind | None = None) -> RunReport:
     ket = f[start - 1]  # F|start>, as a row of the symmetric F
     sigma = kind.relabeling
     if sigma is not None:
-        rows = apply_oracle(sigma, np.arange(d))  # sigma^-1 - 1: the rows of P_sigma F
+        rows = _scatter(sigma.image, _ROWS[:d])  # sigma^-1 - 1: the rows of P_sigma F
         ket = ket.take(rows)
         f_conj = f_conj.take(rows, axis=0)
 
-    queries = 0
-
-    def call_oracle(state: np.ndarray) -> np.ndarray:
-        nonlocal queries
-        queries += 1
-        return apply_oracle(p, state)
-
-    psi = call_oracle(ket)
+    psi, queries = _scatter(p.image, ket), 1  # the one oracle query: U_p F|start>
     psi = f_conj.T.dot(psi)  # the same zgemv as @, with less dispatch
 
     magnitudes = np.abs(psi)

@@ -53,10 +53,14 @@ def check_dim(dim: int) -> int:
 
 
 def check_int(value, name: str) -> int:
-    """Return a Python or numpy integer as an int; booleans, floats, strings and None raise ValueError."""
-    if isinstance(value, (bool, np.bool_)) or not hasattr(type(value), "__index__"):
-        raise ValueError(f"{name} must be an integer, got {shown(value)}")
-    return operator.index(value)
+    """Return a Python or numpy integer, or a 0-d integer array, as an int; booleans, floats,
+    strings, None and other arrays raise ValueError."""
+    if not isinstance(value, (bool, np.bool_)):
+        try:
+            return operator.index(value)
+        except TypeError:  # no __index__, or an array that is not an integer scalar
+            pass
+    raise ValueError(f"{name} must be an integer, got {shown(value)}")
 
 
 def check_finite(**values) -> None:

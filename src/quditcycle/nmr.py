@@ -103,8 +103,8 @@ class SpinSystem:
 def static_hamiltonian(sys: SpinSystem, frame: str = "rotating") -> np.ndarray:
     """Drift Hamiltonian in rad/s, in the lab or the on-resonance rotating frame."""
     check_type(sys, SpinSystem)
-    if frame not in ("lab", "rotating"):
-        raise ValueError(f"frame must be 'lab' or 'rotating', got {frame!r}")
+    if not isinstance(frame, str) or frame not in ("lab", "rotating"):  # `in` compares an array entrywise
+        raise ValueError(f"frame must be 'lab' or 'rotating', got {shown(frame)}")
     s = (sys.dim - 1) / 2.0
     m = s - np.arange(sys.dim)
     energies = (sys.quad_freq / 6.0) * (3 * m * m - s * (s + 1))

@@ -12,6 +12,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 
 import numpy as np
 
@@ -101,16 +102,23 @@ def parity(p: Permutation) -> int:
     return 1 if (len(img) - cycles) % 2 == 0 else -1
 
 
+@lru_cache(maxsize=MAX_DIM)
+def _doubled_labels(d: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(1..d, 1..d) and (d..1, d..1): every rotation and reflection image of size d is a window of d."""
+    up = tuple(range(1, d + 1))
+    return up + up, up[::-1] * 2
+
+
 def _rotation_image(d: int, r: int) -> tuple[int, ...]:
     """Image of x -> ((x - 1 + r) mod d) + 1: r+1..d, then 1..r (r taken mod d)."""
     r %= d
-    return (*range(r + 1, d + 1), *range(1, r + 1))
+    return _doubled_labels(d)[0][r : r + d]
 
 
 def _reflection_image(d: int, r: int) -> tuple[int, ...]:
     """Image of x -> ((r - x) mod d) + 1: r..1, then d..r+1 (r taken mod d)."""
     r %= d
-    return (*range(r, 0, -1), *range(d, r, -1))
+    return _doubled_labels(d)[1][d - r : 2 * d - r]
 
 
 def rotation(dim: int, r: int) -> Permutation:
@@ -165,21 +173,28 @@ def apply_oracle(p: Permutation, a: np.ndarray) -> np.ndarray:
 
     Row x-1 of a moves to row p(x)-1 with its bits unchanged: a scatter of
     the d rows, O(d) for a vector, with no d x d matrix built.  This one
-    scatter is every relabeling in the package: U_p, P_sigma F (qft)
-    and sigma^-1 (Permutation.inverse, so relabel, and run_quantum).  For finite a
-    it equals oracle_unitary(p) @ a, except that the product may turn a
-    -0.0 into +0.0.  Array-likes are taken through np.asarray.  The result
-    is a new C-ordered array, whatever the layout of a; a is not written.
+    scatter, _scatter, is every relabeling in the package: U_p, P_sigma F
+    (qft) and sigma^-1 (Permutation.inverse, so relabel); run_quantum calls
+    _scatter itself after its own checks.  For finite a it equals
+    oracle_unitary(p) @ a, except that the product may turn a -0.0 into
+    +0.0.  Array-likes are taken through np.asarray.  The result is a new
+    C-ordered array, whatever the layout of a; a is not written.
+    """
+    image = check_type(p, Permutation).image
+    a = np.asarray(a)
+    if a.shape[:1] != (len(image),):
+        raise ValueError(f"size mismatch: {len(image)} vs shape {a.shape}")
+    return _scatter(image, a)
+
+
+def _scatter(image: tuple[int, ...], a: np.ndarray) -> np.ndarray:
+    """apply_oracle without its checks: image is a Permutation's, a an ndarray of len(image) rows.
 
     The labels 1..d index rows 1..d of a buffer with one spare row, so the
     image is read once, straight into an index array, and no label - 1
     array is made on each call; nothing is cached on the Permutation.
     """
-    image = check_type(p, Permutation).image
     d = len(image)
-    a = np.asarray(a)
-    if a.shape[:1] != (d,):
-        raise ValueError(f"size mismatch: {d} vs shape {a.shape}")
     out = np.empty((d + 1,) + a.shape[1:], a.dtype)
     out[np.fromiter(image, np.intp, d)] = a
     return out[1:]

@@ -44,7 +44,7 @@ def stage_unitary(oracle: str, stage: str) -> np.ndarray:
     """Composite unitary implemented by the pulse of the given stage."""
     if not isinstance(oracle, str) or oracle not in ORACLES:  # `in` would hash a list and raise TypeError
         raise ValueError(f"oracle must be one of {sorted(ORACLES)}, got {shown(oracle)}")
-    if stage not in STAGES:
+    if not isinstance(stage, str) or stage not in STAGES:  # `in` compares an array entrywise
         raise ValueError(f"stage must be one of {STAGES}, got {shown(stage)}")
     f = qft(4)
     if stage == "after_qft":

@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from quditcycle import algorithm
 from quditcycle.algorithm import (
     _START,
     FourierKind,
@@ -337,6 +338,42 @@ def test_run_quantum_inverts_sigma_once_and_never_copies_f(monkeypatch):
     run_quantum(rotation(7, 3))
     run_quantum(Permutation((3, 2, 1)), FourierKind.qutrit_spin())
     assert inversions == []
+
+
+def test_run_quantum_scatters_p_once_and_sigma_once(monkeypatch):
+    # run_quantum calls the scatter kernel straight, after its own checks:
+    # one scatter of p is the one query, and a relabeling adds one of sigma
+    def no_apply_oracle(*args, **kwargs):
+        raise AssertionError("run_quantum went through apply_oracle's checks")
+
+    scattered = []
+
+    def counting_scatter(image, a):
+        scattered.append(image)
+        return scatter(image, a)
+
+    scatter = algorithm._scatter
+    monkeypatch.setattr(algorithm, "_scatter", counting_scatter)
+    monkeypatch.setattr(algorithm, "apply_oracle", no_apply_oracle)
+    sigma = Permutation((3, 1, 4, 2, 5))
+    for p, kind, images in [
+        (rotation(7, 3), None, []),
+        (reflection(64, 5), None, []),
+        (Permutation((3, 2, 1)), FourierKind.qutrit_spin(), []),
+        (relabel(reflection(5, 2), sigma), FourierKind.standard(sigma), [sigma.image]),
+        (Permutation((1, 3, 2)), FourierKind.qutrit_spin(Permutation((2, 3, 1))), [(2, 3, 1)]),
+    ]:
+        scattered.clear()
+        assert run_quantum(p, kind).oracle_queries == 1
+        assert scattered == [*images, p.image]
+    for p, kind, images in [
+        (Permutation((1, 3, 5, 2, 4)), None, []),
+        (Permutation((1, 3, 2, 4, 5)), FourierKind.standard(sigma), [sigma.image]),
+    ]:
+        scattered.clear()
+        with pytest.raises(NotCyclicError):
+            run_quantum(p, kind)
+        assert scattered == [*images, p.image]
 
 
 def test_run_quantum_never_builds_the_dense_oracle(monkeypatch):
@@ -787,6 +824,8 @@ def test_runs_bitwise_match_the_reference_at_every_cyclic_input():
         for p in enumerate_cyclic(d):
             cases += [(p, None), (relabel(p, sigma), FourierKind.standard(sigma)), (p, FourierKind.standard(sigma))]
         cases.append((Permutation((2, 1, *range(3, d + 1))), None))  # not cyclic
+        if d >= 4:  # not cyclic in sigma's labels either, refused on the sigma path
+            cases.append((relabel(Permutation((2, 1, *range(3, d + 1))), sigma), FourierKind.standard(sigma)))
     cases += [
         (Permutation((2, 1)), None),
         (Permutation((1,)), None),

@@ -8,16 +8,20 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import quditcycle
 import quditcycle.protocol
 import quditcycle.smp
 from quditcycle.algorithm import FourierKind
-from quditcycle.nmr import SpinSystem, sequence_propagator
-from quditcycle.permutations import Permutation
+from quditcycle.linalg import basis_state
+from quditcycle.nmr import SpinSystem, inject_readout_noise, sequence_propagator, static_hamiltonian, transition_frequencies
+from quditcycle.permutations import Permutation, reflection, rotation
 from quditcycle.protocol import stage_unitary
 from quditcycle.smp import OptimizerConfig, minimize, segments_from_json
+
+from conftest import array_bits
 
 PULSE_LAYER = ("scipy.optimize", "quditcycle.smp", "quditcycle.protocol")
 
@@ -176,6 +180,10 @@ _LONG_INT_REFUSALS = {
         lambda: stage_unitary("positive", 10**5000),
         f"stage must be one of ('after_qft', 'after_oracle', 'full'), got <{_LONG}>",
     ),
+    "static_hamiltonian-frame": (
+        lambda: static_hamiltonian(SpinSystem(), 10**5000),
+        f"frame must be 'lab' or 'rotating', got <{_LONG}>",
+    ),
 }  # fmt: skip
 
 
@@ -186,3 +194,53 @@ def test_a_refusal_quotes_an_int_too_long_to_print_by_its_type(call, message):
     with pytest.raises(ValueError) as err:
         call()
     assert str(err.value) == message
+
+
+_ARRAYS = [np.zeros(3), np.zeros((2, 2)), []]
+_STRING_CHOICES = {
+    "FourierKind": (FourierKind, "Fourier variant must be one of ('general', 'qutrit'), got "),
+    "stage_unitary-stage": (
+        lambda x: stage_unitary("positive", x),
+        "stage must be one of ('after_qft', 'after_oracle', 'full'), got ",
+    ),
+    "static_hamiltonian-frame": (lambda x: static_hamiltonian(SpinSystem(), x), "frame must be 'lab' or 'rotating', got "),
+    "transition_frequencies-frame": (
+        lambda x: transition_frequencies(SpinSystem(), x),
+        "frame must be 'lab' or 'rotating', got ",
+    ),
+}  # fmt: skip
+
+
+@pytest.mark.parametrize("junk", _ARRAYS, ids=["zeros(3)", "zeros(2,2)", "[]"])
+@pytest.mark.parametrize("call, prefix", _STRING_CHOICES.values(), ids=_STRING_CHOICES.keys())
+def test_a_string_choice_refuses_what_is_not_a_str_by_its_own_message(call, prefix, junk):
+    # `in` compared an array with each choice, and numpy raised "The truth
+    # value of an array with more than one element is ambiguous"
+    with pytest.raises(ValueError) as err:
+        call(junk)
+    assert str(err.value) == prefix + repr(junk)
+
+
+_INT_SLOTS = {
+    "rotation-offset": (lambda v: rotation(5, v), "offset"),
+    "reflection-offset": (lambda v: reflection(5, v), "offset"),
+    "basis_state-index": (lambda v: basis_state(4, v), "basis index"),
+    "inject_readout_noise-seed": (lambda v: inject_readout_noise(np.eye(2) / 2, 0.01, v), "seed"),
+    **{f"OptimizerConfig-{name}": (lambda v, name=name: OptimizerConfig(**{name: v}), name)
+       for name in ("segments", "restarts", "seed", "max_iter")},
+}  # fmt: skip
+
+
+@pytest.mark.parametrize("junk", [np.zeros(3), np.zeros((2, 2)), np.array([1])], ids=["zeros(3)", "zeros(2,2)", "[1]"])
+@pytest.mark.parametrize("call, name", _INT_SLOTS.values(), ids=_INT_SLOTS.keys())
+def test_an_int_slot_refuses_an_array_that_is_not_an_integer_scalar(call, name, junk):
+    # check_int raised numpy's TypeError "only integer scalar arrays can be
+    # converted to a scalar index"; a 0-d integer array is still an int
+    with pytest.raises(ValueError) as err:
+        call(junk)
+    assert str(err.value) == f"{name} must be an integer, got {junk!r}"
+    got, want = call(np.array(2)), call(2)
+    if isinstance(want, np.ndarray):
+        assert array_bits(got) == array_bits(want)
+    else:
+        assert repr(got) == repr(want)
