@@ -27,8 +27,7 @@ from .linalg import MAX_DIM, check_dim, check_type, complex_to_json, shown, vect
 from .permutations import (
     Chirality,
     Permutation,
-    _reflection_image,
-    _rotation_image,
+    _doubled_labels,
     _scatter,
     apply_oracle,
     check_cyclic_dim,
@@ -234,20 +233,12 @@ def run_classical(p: Permutation) -> RunReport:
     f(1) pins down one positive and one negative cyclic candidate; f(2)
     decides between them.  If neither candidate matches, the oracle cannot
     be cyclic and the report says so.  Raises ValueError when p is not a
-    Permutation or below dim 3.
+    Permutation or below dim 3.  The two queries are the two reads of
+    p.image, once p has passed those checks, and the query count is the 2
+    written beside them.
     """
     d = _cyclic_dim(p)
-    image = p.image
-
-    queries = 0
-
-    def f(x: int) -> int:
-        nonlocal queries
-        queries += 1
-        return image[x - 1]
-
-    y1 = f(1)
-    y2 = f(2)
+    y1, y2, queries = p.image[0], p.image[1], 2  # the two value queries f(1) and f(2)
     if y2 == (y1 % d) + 1:
         chi = Chirality.POSITIVE
     elif y2 == ((y1 - 2) % d) + 1:
@@ -263,20 +254,19 @@ def one_query_insufficient(dim: int) -> bool:
 
     For every query x and every answer y, the cyclic permutations consistent
     with f(x) = y must include both chiralities, so one answer never fixes
-    the class.  The O(d^2) scan reads the images of the d rotations and of
-    the d reflections, the positive and the negative family, from the
-    builders behind rotation, reflection and classify_cyclic, and checks
-    that for each x the values p(x) of each family cover 1..d.  It holds at
-    every d >= 3: rotation(d, (y - x) mod d) and reflection(d, (x + y - 1)
-    mod d) both send x to y.
+    the class.  The O(d^2) scan checks that for each x the values p(x) of
+    each family, the d rotations and the d reflections, cover 1..d.  It
+    reads them from _doubled_labels(d), the tuples whose windows are the
+    images rotation, reflection and enumerate_cyclic hold: column x of the
+    rotations is the window up[x - 1 : x - 1 + d], and column x of the
+    reflections is down[x : x + d] in reverse order, so no image is built
+    and no column transposed.  It holds at every d >= 3: rotation(d,
+    (y - x) mod d) and reflection(d, (x + y - 1) mod d) both send x to y.
     """
     d = check_cyclic_dim(dim)
     labels = set(range(1, d + 1))
-    return all(
-        set(column) == labels
-        for image in (_rotation_image, _reflection_image)
-        for column in zip(*(image(d, r) for r in range(d)))
-    )
+    up, down = _doubled_labels(d)
+    return all(set(up[x - 1 : x - 1 + d]) == labels and set(down[x : x + d]) == labels for x in range(1, d + 1))
 
 
 def phase_table(dim: int) -> dict[tuple[Chirality, int], complex]:

@@ -255,7 +255,10 @@ def inject_readout_noise(rho: np.ndarray, sigma: float = 0.01, seed: int | None 
     if sigma < 0:
         raise ValueError(f"sigma must be >= 0, got {sigma}")
     d = a.shape[0]
-    rng = np.random.default_rng(None if seed is None else check_int(seed, "seed"))
+    seed = None if seed is None else check_int(seed, "seed")
+    if seed is not None and seed < 0:  # numpy's own refusal names no argument
+        raise ValueError(f"seed must be >= 0, got {shown(seed)}")
+    rng = np.random.default_rng(seed)
     with np.errstate(over="ignore", invalid="ignore"):
         scale = sigma * float(np.abs(a).max())
         real, imag = rng.normal(0.0, scale, (2, *a.shape))  # the stream of two calls, real part first

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from enum import Enum
+from enum import Enum, EnumMeta
 from functools import lru_cache
 
 import numpy as np
@@ -19,7 +19,16 @@ import numpy as np
 from .linalg import MAX_DIM, check_dim, check_int, check_type, shown
 
 
-class Chirality(Enum):
+class _ByValue(EnumMeta):
+    """Chirality(value) takes a member or its str value; anything else is refused before Enum compares it with each value."""
+
+    def __call__(cls, value):
+        if isinstance(value, cls) or (isinstance(value, str) and value in cls._value2member_map_):
+            return super().__call__(value)
+        raise ValueError(f"chirality must be one of {tuple(cls._value2member_map_)}, got {shown(value)}")
+
+
+class Chirality(Enum, metaclass=_ByValue):
     POSITIVE = "positive-cyclic"
     NEGATIVE = "negative-cyclic"
     NOT_CYCLIC = "not-cyclic"
@@ -80,6 +89,13 @@ class Permutation:
         return {"dim": self.dim, "image": list(self.image)}
 
 
+def _window(image: tuple[int, ...]) -> Permutation:
+    """Permutation(image) without __post_init__'s checks, for a window of _doubled_labels: a bijection of ints as built."""
+    p = object.__new__(Permutation)
+    object.__setattr__(p, "image", image)
+    return p
+
+
 @dataclass(frozen=True)
 class CyclicClass:
     chirality: Chirality
@@ -124,13 +140,13 @@ def _reflection_image(d: int, r: int) -> tuple[int, ...]:
 def rotation(dim: int, r: int) -> Permutation:
     """Positive cyclic permutation x -> ((x - 1 + r) mod d) + 1."""
     d, r = check_dim(dim), check_int(r, "offset")
-    return Permutation(_rotation_image(d, r))
+    return _window(_rotation_image(d, r))
 
 
 def reflection(dim: int, r: int) -> Permutation:
     """Negative cyclic permutation x -> ((r - x) mod d) + 1."""
     d, r = check_dim(dim), check_int(r, "offset")
-    return Permutation(_reflection_image(d, r))
+    return _window(_reflection_image(d, r))
 
 
 def classify_cyclic(p: Permutation) -> CyclicClass:
@@ -161,11 +177,13 @@ def check_cyclic_dim(dim: int) -> int:
 
 
 def enumerate_cyclic(dim: int) -> list[Permutation]:
-    """All 2d cyclic permutations: d positive (r = 0..d-1), then d negative."""
+    """All 2d cyclic permutations: d positive (r = 0..d-1), then d negative.
+
+    Each is the window of _doubled_labels(d) that rotation(d, r) or
+    reflection(d, r) holds, wrapped by _window without a second check.
+    """
     d = check_cyclic_dim(dim)
-    return [Permutation(_rotation_image(d, r)) for r in range(d)] + [
-        Permutation(_reflection_image(d, r)) for r in range(d)
-    ]
+    return [_window(_rotation_image(d, r)) for r in range(d)] + [_window(_reflection_image(d, r)) for r in range(d)]
 
 
 def apply_oracle(p: Permutation, a: np.ndarray) -> np.ndarray:

@@ -582,6 +582,27 @@ def test_one_query_scan_agrees_with_pairwise_definition():
         assert one_query_insufficient(d) is _one_query_insufficient_by_pairs(d) is True
 
 
+def test_one_query_scan_reads_both_families(monkeypatch):
+    # a family with a label repeated in one window is not a family of
+    # bijections, and the scan must say so: one that stopped reading the
+    # families, a theorem at every d, would still answer True
+    from quditcycle import permutations
+
+    doubled = permutations._doubled_labels
+    for d in (3, 4, 12, MAX_DIM):
+        up, down = doubled(d)
+        # up is read at 0..2d-2 and down at 1..2d-1; entry k takes the label of entry k + 1
+        for family, k in [(0, 0), (0, d - 1), (0, 2 * d - 3), (1, 1), (1, d), (1, 2 * d - 2)]:
+            labels = [list(up), list(down)]
+            labels[family][k] = labels[family][k + 1]
+            corrupt = tuple(map(tuple, labels))
+            for module in (algorithm, permutations):
+                monkeypatch.setattr(module, "_doubled_labels", lambda n, corrupt=corrupt: corrupt)
+            assert one_query_insufficient(d) is False, (d, family, k)
+        monkeypatch.undo()
+        assert one_query_insufficient(d) is True
+
+
 def test_one_query_insufficient_takes_integral_dims_only():
     assert one_query_insufficient(3.0) is True and one_query_insufficient(np.int64(8)) is True
     assert one_query_insufficient(9.0) is True

@@ -128,7 +128,7 @@ def run_cases() -> dict[str, list[str]]:
 
 
 def verify_cases() -> dict[str, list[str]]:
-    cases = {f"dmax{d}": ["verify", "--dmax", str(d), "--json"] for d in (3, 12)}
+    cases = {f"dmax{d}": ["verify", "--dmax", str(d), "--json"] for d in (3, 12, 64)}
     cases["error-dmax"] = ["verify", "--dmax", "65"]
     return cases
 

@@ -1,10 +1,12 @@
 """The package root's namespace, which modules each command loads, and how
 every public callable refuses junk arguments."""
 
+import ast
 import inspect
 import os
 import subprocess
 import sys
+from enum import Enum
 from fractions import Fraction
 from pathlib import Path
 
@@ -15,9 +17,9 @@ import quditcycle
 import quditcycle.protocol
 import quditcycle.smp
 from quditcycle.algorithm import FourierKind
-from quditcycle.linalg import basis_state
-from quditcycle.nmr import SpinSystem, inject_readout_noise, sequence_propagator, static_hamiltonian, transition_frequencies
-from quditcycle.permutations import Permutation, reflection, rotation
+from quditcycle.linalg import basis_state, shown
+from quditcycle.nmr import PulseSegment, SpinSystem, inject_readout_noise, sequence_propagator, static_hamiltonian, transition_frequencies
+from quditcycle.permutations import Chirality, Permutation, reflection, rotation
 from quditcycle.protocol import stage_unitary
 from quditcycle.smp import OptimizerConfig, minimize, segments_from_json
 
@@ -244,3 +246,129 @@ def test_an_int_slot_refuses_an_array_that_is_not_an_integer_scalar(call, name, 
         assert array_bits(got) == array_bits(want)
     else:
         assert repr(got) == repr(want)
+
+
+def test_chirality_and_the_noise_seed_refuse_by_their_own_messages():
+    # Enum's lookup compared an array with each value and numpy raised "The
+    # truth value ... is ambiguous"; any other value got Enum's message, and
+    # default_rng refused a negative seed with "expected non-negative integer"
+    choices = "('positive-cyclic', 'negative-cyclic', 'not-cyclic')"
+    for junk in (np.zeros(3), "x", None, []):
+        with pytest.raises(ValueError) as err:
+            Chirality(junk)
+        assert str(err.value) == f"chirality must be one of {choices}, got {junk!r}"
+    assert Chirality("negative-cyclic") is Chirality(Chirality.NEGATIVE) is Chirality.NEGATIVE
+    with pytest.raises(ValueError) as err:
+        inject_readout_noise(np.eye(2) / 2, 0.01, -1)
+    assert str(err.value) == "seed must be >= 0, got -1"
+
+
+def _raise_lines(path: Path) -> frozenset:
+    """The source lines of every raise statement in one module."""
+    tree = ast.parse(path.read_text())
+    return frozenset(
+        line for node in ast.walk(tree) if isinstance(node, ast.Raise) for line in range(node.lineno, node.end_lineno + 1)
+    )
+
+
+_PACKAGE_DIR = Path(quditcycle.__file__).parent
+_RAISES = {path: _raise_lines(path) for path in _PACKAGE_DIR.glob("*.py")}
+
+
+def _raised_by_the_package(err: ValueError) -> bool:
+    """Whether the innermost frame of err is a raise statement in the package's own source."""
+    tb = err.__traceback__
+    while tb.tb_next is not None:
+        tb = tb.tb_next
+    return tb.tb_lineno in _RAISES.get(Path(tb.tb_frame.f_code.co_filename), ())
+
+
+def _residual(y):
+    """f, r and the Jacobian of r(y) = y, for minimize."""
+    return 0.5 * float(y @ y), y, lambda: np.eye(len(y))
+
+
+_P, _SYS, _SEG = Permutation((2, 3, 1)), SpinSystem(), PulseSegment(1e4, 0.5, 2e-5)
+_SMALL = OptimizerConfig(segments=2, restarts=1, max_iter=3)
+# one valid call per public callable, with a value for every parameter, required or optional
+_VALID_CALLS = {
+    "Chirality": ("positive-cyclic",),
+    "CyclicClass": (Chirality.POSITIVE, 0),
+    "FourierKind": ("general", Permutation((1, 3, 2))),
+    "NotCyclicError": ("message",),
+    "Permutation": ((2, 3, 1),),
+    "PulseSegment": (1e4, 0.5, 2e-5),
+    "RunReport": (_P, 1, Chirality.POSITIVE, 2, 1j, np.zeros(3)),
+    "SpinSystem": (1.5, 6.6e8, 6.3e4),
+    "apply_oracle": (_P, np.arange(3.0)),
+    "basis_state": (3, 1),
+    "classify_cyclic": (_P,),
+    "enumerate_cyclic": (3,),
+    "equal_up_to_global_phase": (np.ones(2), np.ones(2), 1e-10),
+    "fidelity": (np.eye(2) / 2, np.array([1.0, 0.0])),
+    "initial_index": (FourierKind(),),
+    "inject_readout_noise": (np.eye(2) / 2, 0.01, 7),
+    "one_query_insufficient": (3,),
+    "oracle_unitary": (_P,),
+    "outer": (np.array([1.0, 0.0]),),
+    "parity": (_P,),
+    "phase_table": (3,),
+    "protocol.ProtocolResult": (np.eye(4) / 4, 1.0, None),
+    "protocol.run_protocol": (_SYS, "positive", "full", None),
+    "protocol.stage_unitary": ("positive", "full"),
+    "protocol.theory_state": ("negative", "after_oracle"),
+    "pseudo_pure": (np.eye(4) / 4, 0.5),
+    "pulse_propagator": (_SYS, _SEG),
+    "qft": (3, FourierKind()),
+    "reflection": (3, 1),
+    "relabel": (_P, Permutation((1, 3, 2))),
+    "rotation": (3, 1),
+    "run_classical": (_P,),
+    "run_quantum": (_P, FourierKind()),
+    "sequence_propagator": (_SYS, [_SEG]),
+    "smp.MinimizeResult": (np.zeros(1), 0.0, 1, 1, "message"),
+    "smp.OptimizerConfig": (6, 32, 0, 0.995, 120),
+    "smp.RestartRecord": (0.9, 1, 1, "message", 0.1),
+    "smp.SmpResult": ([_SEG], 0.9, True, []),
+    "smp.gate_fidelity": (np.eye(4), np.eye(4)),
+    "smp.minimize": (_residual, [1.0], 5),
+    "smp.segments_from_json": ([{"amp_hz": 1e3, "phase_rad": 0.5, "dur_s": 2e-5}],),
+    "smp.segments_to_json": ([_SEG],),
+    "smp.smp_optimize": (_SYS, np.eye(4), _SMALL),
+    "spin_operators": (1.5,),
+    "static_hamiltonian": (_SYS, "rotating"),
+    "transition_frequencies": (_SYS, "lab"),
+}  # fmt: skip
+_SLOT_JUNK = [None, "x", 1.5, True, (1, 2), 10**400, [], np.zeros(3), np.zeros((2, 2)), float("nan"), float("inf"), 1j, {},
+              object(), np.int64(2), -1, 0]  # fmt: skip
+
+
+def _parameter_count(f) -> int:
+    """How many parameters a call of f can take by position; an Enum's lookup and an exception take one."""
+    if isinstance(f, type) and issubclass(f, (Enum, BaseException)):
+        return 1
+    params = inspect.signature(f).parameters.values()
+    return sum(p.kind in (p.POSITIONAL_ONLY, p.POSITIONAL_OR_KEYWORD) for p in params)
+
+
+def test_every_argument_slot_returns_or_raises_the_packages_own_value_error():
+    # one argument at a time takes each junk value, the others keep a valid
+    # value; a refusal must come from a raise statement in the package, not
+    # from numpy or Python inside it
+    assert sorted(_VALID_CALLS) == sorted(PUBLIC)
+    failures = []
+    for name, valid in _VALID_CALLS.items():
+        f = PUBLIC[name]
+        assert len(valid) == _parameter_count(f), name
+        f(*valid)
+        for slot in range(len(valid)):
+            for junk in _SLOT_JUNK:
+                args = valid[:slot] + (junk,) + valid[slot + 1 :]
+                try:
+                    f(*args)
+                except ValueError as err:
+                    if not _raised_by_the_package(err):
+                        failures.append((name, slot, shown(junk), f"ValueError: {err}"))
+                except Exception as err:
+                    failures.append((name, slot, shown(junk), f"{type(err).__name__}: {err}"))
+    assert not failures, "\n".join(map(str, failures))

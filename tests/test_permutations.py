@@ -233,6 +233,29 @@ def test_range_built_images_match_modulo_formulas():
             assert reflection(d, r).image == tuple((r - x - 1) % d + 1 for x in range(d))
 
 
+def _assert_same_as_checked(got, image):
+    """got is the Permutation the checked constructor builds from the image, down to its hash and plain ints."""
+    want = Permutation(tuple(image))
+    assert got == want and hash(got) == hash(want)
+    assert type(got.image) is tuple and set(map(type, got.image)) == {int}
+
+
+def test_window_built_permutations_equal_checked_ones():
+    # enumerate_cyclic, rotation and reflection build their windows of the
+    # doubled labels without the constructor's type and bijection checks
+    for d in range(3, MAX_DIM + 1):
+        got = enumerate_cyclic(d)
+        images = [[(x + r) % d + 1 for x in range(d)] for r in range(d)]
+        images += [[(r - x - 1) % d + 1 for x in range(d)] for r in range(d)]
+        assert len(got) == len(images)
+        for p, image in zip(got, images):
+            _assert_same_as_checked(p, image)
+    for d in range(1, MAX_DIM + 1):
+        for r in range(-2 * d, 2 * d + 1):
+            _assert_same_as_checked(rotation(d, r), [(x + r) % d + 1 for x in range(d)])
+            _assert_same_as_checked(reflection(d, r), [(r - x - 1) % d + 1 for x in range(d)])
+
+
 def test_classify_matches_modulo_scan():
     rng = np.random.default_rng(141)
     for d in range(2, 65):
