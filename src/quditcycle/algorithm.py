@@ -40,7 +40,25 @@ FOURIER_VARIANTS = tuple(_START)
 
 
 class NotCyclicError(ValueError):
-    """Raised when the quantum runner is handed a non-cyclic permutation."""
+    """Raised when the quantum runner is handed a non-cyclic permutation.
+
+    NotCyclicError(p) takes the refused Permutation as its only argument,
+    refuses anything else, and holds p as .permutation and as args == (p,).
+    The message, "permutation <p.image> is not cyclic in the requested
+    labeling", is built by __str__ only when it is read: a caller that
+    catches the refusal and moves on pays nothing for the text.  pickle and
+    copy rebuild the error from args, so both keep p and the message.
+    """
+
+    def __init__(self, permutation: Permutation):
+        super().__init__(check_type(permutation, Permutation))
+
+    @property
+    def permutation(self) -> Permutation:
+        return self.args[0]
+
+    def __str__(self) -> str:
+        return f"permutation {self.permutation.image} is not cyclic in the requested labeling"
 
 
 @dataclass(frozen=True)
@@ -133,13 +151,14 @@ def initial_index(kind: FourierKind | None = None) -> int:
     return _START[_as_kind(kind).variant]
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class RunReport:
     """Outcome of one classification run (quantum or classical).
 
     Quantum-only fields (measured_index, phase, final_state) are None for
     classical runs.  phase is the global phase of the final state relative
-    to the bare basis state |measured_index>.
+    to the bare basis state |measured_index>.  The six fields live in slots,
+    so a report has no __dict__ and takes no attribute beyond them.
     """
 
     permutation: Permutation
@@ -172,8 +191,8 @@ def run_quantum(p: Permutation, kind: FourierKind | None = None) -> RunReport:
 
     Raises ValueError when p is not a Permutation, below dim 3, where
     rotations and reflections coincide, or when the kind does not fit the
-    size, and NotCyclicError for permutations outside the promise (in the
-    kind's labeling).
+    size, and NotCyclicError(p) for permutations outside the promise (in the
+    kind's labeling), which holds p and formats its message only when read.
 
     p is read only through its one application of U_p, and the outcome
     alone refuses non-cyclic inputs.  F^dag U_p F |2> is a phase times |m>
@@ -218,9 +237,7 @@ def run_quantum(p: Permutation, kind: FourierKind | None = None) -> RunReport:
     idx = int(magnitudes.argmax()) + 1
     top = magnitudes.item(idx - 1)
     if top * top < 1.0 - 1e-9 or (idx != start and idx != d):
-        raise NotCyclicError(
-            f"permutation {p.image} is not cyclic in the requested labeling"
-        )
+        raise NotCyclicError(p)
     amp = psi[idx - 1]
 
     chirality = Chirality.POSITIVE if idx == start else Chirality.NEGATIVE

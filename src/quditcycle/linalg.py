@@ -126,7 +126,7 @@ def equal_up_to_global_phase(a, b, tol: float = DEFAULT_TOL) -> bool:
     """
     check_finite(tol=tol)
     if tol < 0:
-        raise ValueError(f"tol must be >= 0, got {tol!r}")
+        raise ValueError(f"tol must be >= 0, got {shown(tol)}")
     va = _as_array(a, 1)
     vb = _as_array(b, 1)
     if va.shape != vb.shape:

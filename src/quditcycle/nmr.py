@@ -40,7 +40,7 @@ def _twice_spin(s: float) -> int:
     check_finite(spin=s)  # round() would raise TypeError on a string and take True as 1
     twice = round(2 * s)
     if abs(2 * s - twice) > 1e-9 or not 1 <= twice < MAX_DIM:
-        raise ValueError(f"spin must be a positive half-integer up to {(MAX_DIM - 1) / 2}, got {s}")
+        raise ValueError(f"spin must be a positive half-integer up to {(MAX_DIM - 1) / 2}, got {shown(s)}")
     return twice
 
 
@@ -129,9 +129,9 @@ class PulseSegment:
     def __post_init__(self):
         check_finite(amplitude=self.amplitude, phase=self.phase, duration=self.duration)
         if self.amplitude < 0:
-            raise ValueError(f"amplitude must be >= 0, got {self.amplitude}")
+            raise ValueError(f"amplitude must be >= 0, got {shown(self.amplitude)}")
         if self.duration <= 0:
-            raise ValueError(f"duration must be > 0, got {self.duration}")
+            raise ValueError(f"duration must be > 0, got {shown(self.duration)}")
 
 
 def _propagator(h: np.ndarray, t: np.ndarray, frame: np.ndarray):
@@ -221,7 +221,7 @@ def pseudo_pure(pure: np.ndarray, epsilon: float) -> np.ndarray:
     pure = _as_array(pure, 2)
     check_finite(epsilon=epsilon)
     if not 0.0 <= epsilon <= 1.0:
-        raise ValueError(f"epsilon must be in [0, 1], got {epsilon}")
+        raise ValueError(f"epsilon must be in [0, 1], got {shown(epsilon)}")
     d = pure.shape[0]
     return (1.0 - epsilon) / d * np.eye(d, dtype=complex) + epsilon * pure
 
@@ -253,7 +253,7 @@ def inject_readout_noise(rho: np.ndarray, sigma: float = 0.01, seed: int | None 
     a = _as_array(rho, 2)
     check_finite(sigma=sigma)
     if sigma < 0:
-        raise ValueError(f"sigma must be >= 0, got {sigma}")
+        raise ValueError(f"sigma must be >= 0, got {shown(sigma)}")
     d = a.shape[0]
     seed = None if seed is None else check_int(seed, "seed")
     if seed is not None and seed < 0:  # numpy's own refusal names no argument
@@ -267,5 +267,5 @@ def inject_readout_noise(rho: np.ndarray, sigma: float = 0.01, seed: int | None 
         pert -= (pert.trace().real / d) * np.eye(d)
         noisy = a + pert
     if not np.isfinite(noisy).all():
-        raise ValueError(f"readout noise with sigma {sigma!r} overflows: the perturbed matrix is not finite")
+        raise ValueError(f"readout noise with sigma {shown(sigma)} overflows: the perturbed matrix is not finite")
     return noisy

@@ -1,7 +1,10 @@
 """The one-query classifier: Fourier matrices, runs, phases, query counts."""
 
+import copy
+import dataclasses
 import itertools
 import json
+import pickle
 
 import numpy as np
 import pytest
@@ -252,6 +255,55 @@ def test_run_quantum_refuses_near_cyclic_inputs_at_max_dim():
                 perms.append(Permutation(tuple(img)))
     bad, refused = _outcome_mismatches(perms, FourierKind())
     assert not bad and refused == len(perms)
+
+
+def test_run_quantum_refusal_text_at_every_dim():
+    # the text is built when str() reads it; _quantum_class compares it with
+    # the message the refusal carried before, for plain and relabeled inputs
+    rng = np.random.default_rng(38)
+    for d in range(4, MAX_DIM + 1):
+        swap = Permutation((2, 1, *range(3, d + 1)))
+        sigma = Permutation(tuple(rng.permutation(d) + 1))
+        for p, kind in ((swap, FourierKind()), (relabel(swap, sigma), FourierKind.standard(sigma))):
+            bad, refused = _outcome_mismatches([p], kind)
+            assert not bad and refused == 1
+
+
+def _refusal(p, kind=None):
+    with pytest.raises(NotCyclicError) as err:
+        run_quantum(p, kind)
+    return err.value
+
+
+def test_not_cyclic_error_holds_the_refused_permutation_and_no_text():
+    sigma = Permutation((3, 1, 4, 2, 5))
+    for p, kind in ((Permutation((2, 1, 3, 4)), None), (Permutation((1, 3, 2, 4, 5)), FourierKind.standard(sigma))):
+        exc = _refusal(p, kind)
+        assert exc.permutation is p and exc.args == (p,)
+        assert str(exc) == f"permutation {p.image} is not cyclic in the requested labeling"
+        with pytest.raises(ValueError, match="expected a Permutation") as err:
+            NotCyclicError(str(exc))  # the old call, with the text, is refused
+        assert not isinstance(err.value, NotCyclicError)
+
+
+def test_not_cyclic_error_survives_pickle_and_copy():
+    p = Permutation((1, 3, 5, 2, 4))
+    exc = _refusal(p)
+    clones = [pickle.loads(pickle.dumps(exc, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for clone in [*clones, copy.copy(exc), copy.deepcopy(exc)]:
+        assert type(clone) is NotCyclicError and clone.args == (p,) and clone.permutation == p
+        assert str(clone) == str(exc)
+
+
+def test_run_report_is_slotted_and_keeps_every_field():
+    sigma = Permutation((3, 1, 4, 2, 5))
+    reports = [run_quantum(rotation(5, 2)), run_quantum(reflection(5, 3), FourierKind.standard(sigma)), run_classical(rotation(5, 2))]
+    for rep in reports:
+        assert not hasattr(rep, "__dict__")
+        with pytest.raises(AttributeError):
+            rep.extra = 1
+        for clone in (dataclasses.replace(rep), pickle.loads(pickle.dumps(rep)), copy.deepcopy(rep)):
+            assert type(clone) is RunReport and _report_bits(clone) == _report_bits(rep)
 
 
 def test_run_quantum_reads_p_only_through_the_oracle(monkeypatch):
@@ -788,7 +840,7 @@ def _run_quantum_reference(p, kind=None):
     idx = int(magnitudes.argmax()) + 1
     top = magnitudes[idx - 1]
     if top * top < 1.0 - 1e-9 or (idx != start and idx != d):
-        raise NotCyclicError(f"permutation {p.image} is not cyclic in the requested labeling")
+        raise NotCyclicError(p)
     amp = psi[idx - 1]
     return RunReport(
         permutation=p,

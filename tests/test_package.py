@@ -295,7 +295,7 @@ _VALID_CALLS = {
     "Chirality": ("positive-cyclic",),
     "CyclicClass": (Chirality.POSITIVE, 0),
     "FourierKind": ("general", Permutation((1, 3, 2))),
-    "NotCyclicError": ("message",),
+    "NotCyclicError": (_P,),
     "Permutation": ((2, 3, 1),),
     "PulseSegment": (1e4, 0.5, 2e-5),
     "RunReport": (_P, 1, Chirality.POSITIVE, 2, 1j, np.zeros(3)),
@@ -340,7 +340,8 @@ _VALID_CALLS = {
     "transition_frequencies": (_SYS, "lab"),
 }  # fmt: skip
 _SLOT_JUNK = [None, "x", 1.5, True, (1, 2), 10**400, [], np.zeros(3), np.zeros((2, 2)), float("nan"), float("inf"), 1j, {},
-              object(), np.int64(2), -1, 0]  # fmt: skip
+              object(), np.int64(2), -1, 0, Fraction(10**5000 + 1, 10**5000), -Fraction(10**5000 + 1, 10**5000),
+              Fraction(10**5000 + 1, 3 * 10**5000)]  # fmt: skip
 
 
 def _parameter_count(f) -> int:
