@@ -41,13 +41,17 @@ def check_dim(dim: int) -> int:
     """Validate a Hilbert-space dimension and return it as an int.
 
     Integral values of any numeric type pass (3, numpy 3, 3.0); booleans,
-    fractions, strings, None, NaN and Inf raise ValueError.
+    boolean arrays, complex values, non-integral values, strings, None, NaN
+    and Inf raise ValueError.
     """
-    try:
-        d = int(dim)
-    except (TypeError, ValueError, OverflowError):
-        d = None
-    if isinstance(dim, (bool, np.bool_)) or d is None or d != dim or not 1 <= d <= MAX_DIM:
+    d = None
+    # int() takes a numpy bool or complex (the latter with a ComplexWarning)
+    if not isinstance(dim, bool) and getattr(getattr(dim, "dtype", None), "kind", None) not in ("b", "c"):
+        try:
+            d = int(dim)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    if d is None or d != dim or not 1 <= d <= MAX_DIM:
         raise ValueError(f"dimension must be an integer in [1, {MAX_DIM}], got {shown(dim)}")
     return d
 

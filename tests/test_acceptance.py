@@ -61,7 +61,7 @@ def report(capsys):
 
 def test_criterion_1_qutrit_exhaustive(report):
     t0 = time.perf_counter()
-    kind = FourierKind.qutrit_spin()
+    kind = FourierKind("qutrit")
     ok = initial_index(kind) == 1
     for img in [(1, 2, 3), (2, 3, 1), (3, 1, 2), (3, 2, 1), (2, 1, 3), (1, 3, 2)]:
         p = Permutation(img)
@@ -142,7 +142,7 @@ def test_criterion_5_fourier_matrices(report):
     hadamard = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
     ok = ok and np.max(np.abs(qft(2) - hadamard)) <= 1e-12
 
-    spin = qft(3, FourierKind.qutrit_spin())
+    spin = qft(3, FourierKind("qutrit"))
     std = qft(3)
     matched = []
     for k in range(3):
@@ -155,7 +155,7 @@ def test_criterion_5_fourier_matrices(report):
 
 def test_criterion_6_relabeled_convention(report):
     sigma = Permutation((1, 3, 2, 4))
-    kind = FourierKind.standard(relabeling=sigma)
+    kind = FourierKind("general", sigma)
     init = qft(4, kind) @ basis_state(4, initial_index(kind))
     ok = np.max(np.abs(init - np.array([1, -1, 1j, -1j]) / 2)) <= 1e-12
 

@@ -1,6 +1,7 @@
 """Vector/matrix helpers: frozen examples plus seeded property sweeps."""
 
 import json
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -92,8 +93,11 @@ def test_dimension_cap():
 
 
 def test_check_dim_takes_integral_values_only():
-    assert check_dim(3) == check_dim(3.0) == check_dim(np.int64(3)) == 3
-    for dim in (0, MAX_DIM + 1, 2.5, True, np.True_, "3", None, float("nan"), float("inf"), 10**5000):
+    accepted = (3, 3.0, np.int64(3), np.float32(3), np.array(3), np.array(3.0), Fraction(3), Decimal(3))
+    assert [check_dim(dim) for dim in accepted] == [3] * len(accepted)
+    # a boolean array passed as 1, and a numpy complex as its real part with a ComplexWarning
+    refused = (np.array(True), np.array(False), np.complex128(3), np.complex64(4))
+    for dim in (0, MAX_DIM + 1, 2.5, True, np.True_, "3", None, float("nan"), float("inf"), 10**5000, *refused):
         with pytest.raises(ValueError, match="dimension"):
             check_dim(dim)
 

@@ -137,22 +137,6 @@ def _required_positional(f) -> int:
 PUBLIC = _public_callables()
 
 
-@pytest.mark.parametrize("junk", [None, "x", 1.5, True, (1, 2), pytest.param(10**400, id="10**400"), []], ids=repr)
-@pytest.mark.parametrize("name", sorted(PUBLIC))
-def test_public_callables_return_or_raise_value_error_on_junk(name, junk):
-    # every required positional argument gets the same junk value; any
-    # exception other than ValueError (TypeError, AttributeError, a warning
-    # turned error) fails the test.  minimize, segments_to_json and
-    # segments_from_json used to raise TypeError or AttributeError here,
-    # PulseSegment and spin_operators an OverflowError on 10**400, and
-    # stage_unitary and theory_state a TypeError on [], which they hashed
-    f = PUBLIC[name]
-    try:
-        f(*[junk] * _required_positional(f))
-    except ValueError:
-        pass
-
-
 _LONG = f"int of more than {sys.get_int_max_str_digits()} digits"
 _LONG_INT_REFUSALS = {
     "OptimizerConfig-seed": (
@@ -341,7 +325,7 @@ _VALID_CALLS = {
 }  # fmt: skip
 _SLOT_JUNK = [None, "x", 1.5, True, (1, 2), 10**400, [], np.zeros(3), np.zeros((2, 2)), float("nan"), float("inf"), 1j, {},
               object(), np.int64(2), -1, 0, Fraction(10**5000 + 1, 10**5000), -Fraction(10**5000 + 1, 10**5000),
-              Fraction(10**5000 + 1, 3 * 10**5000)]  # fmt: skip
+              Fraction(10**5000 + 1, 3 * 10**5000), np.complex128(3)]  # fmt: skip
 
 
 def _parameter_count(f) -> int:
@@ -352,24 +336,37 @@ def _parameter_count(f) -> int:
     return sum(p.kind in (p.POSITIONAL_ONLY, p.POSITIONAL_OR_KEYWORD) for p in params)
 
 
-def test_every_argument_slot_returns_or_raises_the_packages_own_value_error():
-    # one argument at a time takes each junk value, the others keep a valid
-    # value; a refusal must come from a raise statement in the package, not
-    # from numpy or Python inside it
+def test_valid_calls_cover_every_public_callable():
+    # the sweep below swaps junk into these calls, so each must pass a value
+    # for every parameter and succeed as written
     assert sorted(_VALID_CALLS) == sorted(PUBLIC)
-    failures = []
     for name, valid in _VALID_CALLS.items():
         f = PUBLIC[name]
         assert len(valid) == _parameter_count(f), name
         f(*valid)
-        for slot in range(len(valid)):
-            for junk in _SLOT_JUNK:
-                args = valid[:slot] + (junk,) + valid[slot + 1 :]
-                try:
-                    f(*args)
-                except ValueError as err:
-                    if not _raised_by_the_package(err):
-                        failures.append((name, slot, shown(junk), f"ValueError: {err}"))
-                except Exception as err:
-                    failures.append((name, slot, shown(junk), f"{type(err).__name__}: {err}"))
-    assert not failures, "\n".join(map(str, failures))
+
+
+@pytest.mark.parametrize("junk", _SLOT_JUNK, ids=[f"{i}-{type(junk).__name__}" for i, junk in enumerate(_SLOT_JUNK)])
+@pytest.mark.parametrize("name", sorted(PUBLIC))
+def test_every_argument_slot_returns_or_raises_the_packages_own_value_error(name, junk):
+    # one argument at a time takes the junk value, the others keep their
+    # valid value; then every required positional argument takes it at once
+    # (slot "all").  A refusal must come from a raise statement in the
+    # package, not from numpy or Python inside it.  On all-junk calls
+    # minimize, segments_to_json and segments_from_json used to raise
+    # TypeError or AttributeError, PulseSegment and spin_operators an
+    # OverflowError on 10**400, and stage_unitary and theory_state a
+    # TypeError on [], which they hashed
+    f, valid = PUBLIC[name], _VALID_CALLS[name]
+    calls = [(slot, valid[:slot] + (junk,) + valid[slot + 1 :]) for slot in range(len(valid))]
+    calls.append(("all", (junk,) * _required_positional(f)))
+    failures = []
+    for slot, args in calls:
+        try:
+            f(*args)
+        except ValueError as err:
+            if not _raised_by_the_package(err):
+                failures.append((slot, f"ValueError: {err}"))
+        except Exception as err:
+            failures.append((slot, f"{type(err).__name__}: {err}"))
+    assert not failures, f"{name} on {shown(junk)}:\n" + "\n".join(map(str, failures))

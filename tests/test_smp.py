@@ -9,8 +9,7 @@ from conftest import haar_unitary
 from quditcycle.algorithm import qft
 from quditcycle.cli import GATE_MAP
 from quditcycle.nmr import PulseSegment, SpinSystem, sequence_propagator, spin_operators
-from quditcycle.permutations import oracle_unitary
-from quditcycle.protocol import ORACLES, run_protocol, stage_unitary
+from quditcycle.protocol import run_protocol, stage_unitary
 import quditcycle.nmr as nmr
 import quditcycle.smp as smp
 from quditcycle.smp import (
@@ -424,29 +423,6 @@ def test_restart_history_is_recorded_and_logged(caplog):
     assert lines[1].getMessage().startswith("smp restart 1: fidelity")
 
 
-def test_criterion_8_restarts_stop_before_the_evaluation_cap():
-    # Levenberg-Marquardt needs 148 forward passes over the five gates at
-    # seed 0; the dense BFGS before it took 490 evaluations, and scipy's
-    # L-BFGS-B in the [0, 10] box 1,061 with one correction pair per
-    # parameter and 2,304 with its default 10
-    f = qft(4)
-    targets = [
-        f,
-        oracle_unitary(ORACLES["positive"]) @ f,
-        oracle_unitary(ORACLES["negative"]) @ f,
-        stage_unitary("positive", "full"),
-        stage_unitary("negative", "full"),
-    ]
-    cfg = OptimizerConfig(seed=0)
-    total = 0
-    for target in targets:
-        res = smp_optimize(SpinSystem(), target, config=cfg)
-        assert res.converged
-        assert all(rec.nfev < cfg.max_iter for rec in res.history)
-        total += sum(rec.nfev for rec in res.history)
-    assert total <= 1600
-
-
 # --- the in-package Levenberg-Marquardt -------------------------------------
 
 STOP_REASONS = {STOP_OBJECTIVE, STOP_GRADIENT, STOP_CAP}
@@ -572,31 +548,16 @@ def test_smp_optimize_calls_minimize_by_name_once_per_restart(monkeypatch):
         assert rec.message == out.message
 
 
-# The benchmark's pulse-synth job set: the five criterion-8 gates at the
-# default OptimizerConfig(), optimizer seed 0.  Each converges in its first
-# restart with these (forward passes, accepted steps).
-SEED_0_PASSES = {"qft": (25, 16), "pos": (13, 10), "neg": (17, 12), "fullpos": (79, 47), "fullneg": (14, 10)}
+GATES = ("qft", "pos", "neg", "fullpos", "fullneg")
 
-
-def criterion_8_targets():
-    return {gate: stage_unitary(*GATE_MAP[gate]) for gate in SEED_0_PASSES}
-
-
-def test_seed_0_trajectory_is_pinned_at_the_default_config():
-    # synth.json pins pulses at c.json's settings only; a rework of the pass
-    # that keeps every floating-point operation keeps these counts too
-    for gate, target in criterion_8_targets().items():
-        res = smp_optimize(SpinSystem(), target)
-        assert [(r.nfev, r.nit, r.message) for r in res.history] == [(*SEED_0_PASSES[gate], STOP_OBJECTIVE)], gate
-        assert res.converged
-
-
-# Seeds 1-23 at the default OptimizerConfig(): per gate, in SEED_0_PASSES's
-# order, each restart's (forward passes, accepted steps, stop reason).  With
-# seed 0 that is 131 restarts and 6,754 passes, the sweep that measured the
-# Levenberg-Marquardt search and each rework of its forward pass.
+# Per optimizer seed at the default OptimizerConfig(): per gate, in GATES
+# order, each restart's (forward passes, accepted steps, stop reason).  Row 0
+# is the benchmark's pulse-synth job set, each gate converging in its first
+# restart.  That is 131 restarts and 6,754 passes, the sweep that measured
+# the Levenberg-Marquardt search and each rework of its forward pass.
 O, G, C = STOP_OBJECTIVE, STOP_GRADIENT, STOP_CAP
 SEED_TRAJECTORIES = {
+    0: ([(25, 16, O)], [(13, 10, O)], [(17, 12, O)], [(79, 47, O)], [(14, 10, O)]),
     1: ([(25, 17, O)], [(69, 41, O)], [(21, 14, O)], [(37, 24, O)], [(120, 65, C)]),
     2: ([(17, 12, G)], [(24, 16, O)], [(51, 31, O)], [(30, 19, O)], [(35, 22, O)]),
     3: ([(19, 13, O)], [(25, 16, G)], [(15, 11, O)], [(16, 12, O)], [(13, 9, G)]),
@@ -624,15 +585,10 @@ SEED_TRAJECTORIES = {
 
 
 @pytest.mark.parametrize("seed", SEED_TRAJECTORIES)
-def test_seeds_1_to_23_trajectories_are_pinned_at_the_default_config(seed):
-    for (gate, target), want in zip(criterion_8_targets().items(), SEED_TRAJECTORIES[seed]):
-        res = smp_optimize(SpinSystem(), target, OptimizerConfig(seed=seed))
-        assert [(r.nfev, r.nit, r.message) for r in res.history] == want, gate
-        assert res.converged
-
-
-def test_the_pass_keeps_the_call_edges_the_benchmark_traces(monkeypatch):
-    # the benchmark's spans wrap nmr._propagator and smp._decode by name:
+def test_seeds_0_to_23_trajectories_are_pinned_at_the_default_config(seed, monkeypatch):
+    # synth.json pins pulses at c.json's settings only; a rework of the pass
+    # that keeps every floating-point operation keeps these counts too.
+    # The benchmark's spans wrap nmr._propagator and smp._decode by name:
     # _forward calls _propagator once per forward pass, and _residual calls
     # _decode once per pass, plus once for the final segments
     calls = {"_propagator": 0, "_decode": 0}
@@ -648,11 +604,20 @@ def test_the_pass_keeps_the_call_edges_the_benchmark_traces(monkeypatch):
 
     counting(nmr, "_propagator")
     counting(smp, "_decode")
-    for gate, target in criterion_8_targets().items():
+    total = 0
+    for gate, want in zip(GATES, SEED_TRAJECTORIES[seed]):
         calls.update(_propagator=0, _decode=0)
-        passes = sum(r.nfev for r in smp_optimize(SpinSystem(), target).history)
-        assert passes == SEED_0_PASSES[gate][0]
+        res = smp_optimize(SpinSystem(), stage_unitary(*GATE_MAP[gate]), OptimizerConfig(seed=seed))
+        assert [(r.nfev, r.nit, r.message) for r in res.history] == want, gate
+        assert res.converged
+        passes = sum(r.nfev for r in res.history)
         assert calls == {"_propagator": passes, "_decode": passes + 1}, gate
+        total += passes
+    # Levenberg-Marquardt needs 148 forward passes over the five gates at
+    # seed 0; the dense BFGS before it took 490 evaluations, and scipy's
+    # L-BFGS-B in the [0, 10] box 1,061 with one correction pair per
+    # parameter and 2,304 with its default 10
+    assert total <= 1600
 
 
 def test_segments_are_capped_before_the_dense_normal_matrix_grows():
