@@ -41,7 +41,7 @@ from .algorithm import (
 )
 from .linalg import DEFAULT_TOL, MAX_DIM, complex_to_json
 from .nmr import SpinSystem, inject_readout_noise, pseudo_pure
-from .permutations import Chirality, Permutation, classify_cyclic, enumerate_cyclic, parity
+from .permutations import Chirality, Permutation, enumerate_cyclic, parity
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -180,21 +180,22 @@ def cmd_verify(args) -> int:
     for d in range(3, args.dmax + 1):
         table = phase_table(d)
         witnesses = {}  # failing check -> its first witness; stays empty on a passing row
-        for p in enumerate_cyclic(d):
-            truth = classify_cyclic(p)
+        for i, p in enumerate(enumerate_cyclic(d)):
+            # the enumeration's order is its labels: rotation(d, i), then reflection(d, i - d)
+            chirality, shift = (Chirality.POSITIVE, i) if i < d else (Chirality.NEGATIVE, i - d)
             quantum = run_quantum(p)
             classical = run_classical(p)
-            phase = table[(truth.chirality, truth.shift)]
-            if quantum.classification is not truth.chirality:
-                _witness(witnesses, "classifications", d, p, truth.chirality.value, quantum.classification.value)
+            phase = table[(chirality, shift)]
+            if quantum.classification is not chirality:
+                _witness(witnesses, "classifications", d, p, chirality.value, quantum.classification.value)
             if not abs(quantum.phase - phase) <= DEFAULT_TOL:  # a NaN phase fails
                 _witness(witnesses, "phases", d, p, complex_to_json(phase), complex_to_json(quantum.phase))
-            if classical.classification is not truth.chirality or classical.oracle_queries != 2:
-                want = {"classification": truth.chirality.value, "oracle_queries": 2}
+            if classical.classification is not chirality or classical.oracle_queries != 2:
+                want = {"classification": chirality.value, "oracle_queries": 2}
                 got = {"classification": classical.classification.value, "oracle_queries": classical.oracle_queries}
                 _witness(witnesses, "classical_two_queries", d, p, want, got)
             if d == 3:
-                parity_matches &= (truth.chirality is Chirality.POSITIVE) == (parity(p) == 1)
+                parity_matches &= (chirality is Chirality.POSITIVE) == (parity(p) == 1)
         if not one_query_insufficient(d):
             witnesses["one_query_insufficient"] = {"dim": d}
         row = {"dim": d, **{column: column not in witnesses for column in VERIFY_COLUMNS}}
@@ -217,9 +218,17 @@ def cmd_verify(args) -> int:
     return EXIT_OK if ok else EXIT_VERIFY_FAILED
 
 
+@functools.lru_cache(maxsize=8)
+def _csv_labels(shape: tuple[int, int]) -> tuple[str, ...]:
+    """The "i,j," that starts each row of a CSV of this shape, in C order, built once per shape."""
+    rows, cols = shape
+    return tuple(f"{i},{j}," for i in range(1, rows + 1) for j in range(1, cols + 1))
+
+
 def _write_csv(path: str, data: np.ndarray) -> None:
-    # tolist() gives Python floats, whose repr is that of the numpy scalars
-    rows = [f"{i},{j},{v!r}\n" for i, row in enumerate(data.tolist(), 1) for j, v in enumerate(row, 1)]
+    # tolist() gives Python floats, whose repr is that of the numpy scalars;
+    # ravel() reads a strided .real or .imag view in C order, as the labels run
+    rows = [f"{label}{v!r}\n" for label, v in zip(_csv_labels(data.shape), data.ravel().tolist())]
     _write(path, "i,j,value\n" + "".join(rows))
 
 

@@ -41,12 +41,13 @@ def check_dim(dim: int) -> int:
     """Validate a Hilbert-space dimension and return it as an int.
 
     Integral values of any numeric type pass (3, numpy 3, 3.0); booleans,
-    boolean arrays, complex values, non-integral values, strings, None, NaN
-    and Inf raise ValueError.
+    boolean, complex and object arrays, complex values, non-integral values,
+    strings, None, NaN and Inf raise ValueError.
     """
     d = None
-    # int() takes a numpy bool or complex (the latter with a ComplexWarning)
-    if not isinstance(dim, bool) and getattr(getattr(dim, "dtype", None), "kind", None) not in ("b", "c"):
+    # int() takes a numpy bool or complex (the latter with a ComplexWarning),
+    # and an object array's bool as 1
+    if not isinstance(dim, bool) and getattr(getattr(dim, "dtype", None), "kind", None) not in ("b", "c", "O"):
         try:
             d = int(dim)
         except (TypeError, ValueError, OverflowError):

@@ -10,7 +10,6 @@ import re
 import subprocess
 import sys
 import warnings
-from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -326,20 +325,35 @@ def test_verify_dmax_out_of_range_is_one_line(value, message, capsys):
 
 
 def test_verify_classes_each_dim_once(monkeypatch, capsys):
-    # one_query_insufficient used to enumerate and class each d a second time
-    import quditcycle.cli
+    # one_query_insufficient used to enumerate and class each d a second
+    # time, and verify called classify_cyclic on each permutation it had
+    # built; it now reads each class from the enumeration's order
+    def refuse(p):
+        raise AssertionError(f"classify_cyclic({p}) was called")
 
-    calls = Counter()
-    classify = quditcycle.cli.classify_cyclic
-
-    def counting(p):
-        calls[p.dim] += 1
-        return classify(p)
-
-    monkeypatch.setattr(quditcycle.cli, "classify_cyclic", counting)
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "quditcycle" and hasattr(module, "classify_cyclic"):
+            monkeypatch.setattr(module, "classify_cyclic", refuse)
+    monkeypatch.setattr(cli, "classify_cyclic", refuse, raising=False)
     code, out, _ = run_cli(capsys, "verify", "--dmax", "12", "--json")
     assert code == EXIT_OK and json.loads(out)["ok"] is True
-    assert calls == {d: 2 * d for d in range(3, 13)}
+
+
+def test_verify_labels_carry_weight(monkeypatch, capsys):
+    # each permutation's class is its position in enumerate_cyclic(d); an
+    # enumeration that lists the reflections first must fail every row
+    enumerate_cyclic = cli.enumerate_cyclic
+    monkeypatch.setattr(cli, "enumerate_cyclic", lambda d: enumerate_cyclic(d)[d:] + enumerate_cyclic(d)[:d])
+    code, out, _ = run_cli(capsys, "verify", "--dmax", "4", "--json")
+    blob = json.loads(out)
+    assert code == EXIT_VERIFY_FAILED and blob["ok"] is False
+    assert [row["classifications"] for row in blob["rows"]] == [False, False]
+    assert blob["rows"][0]["witnesses"]["classifications"] == {
+        "dim": 3,
+        "permutation": list(reflection(3, 0).image),
+        "expected": "positive-cyclic",
+        "observed": "negative-cyclic",
+    }
 
 
 def test_verify_human_table(capsys):
@@ -640,15 +654,21 @@ def test_nmr_rewrite_never_truncates_to_zero(tmp_path, capsys, monkeypatch):
 
 def test_csv_is_the_repr_of_each_element_at_float_edges(tmp_path):
     # the goldens hold only typical values: signed zero, the smallest
-    # subnormal, a tiny and the largest finite magnitude, inexact fractions
-    edges = np.array([-0.0, 5e-324, 1e-300, 0.1, -1 / 3, 1.7976931348623157e308])
-    z = np.concatenate([edges, -edges[::-1]]).reshape(3, 4)
-    z = z + 1j * z[::-1]
+    # subnormal, tiny, large and the largest finite magnitudes, inexact fractions
+    def reference(data):  # the writer's body before its row labels were built once per shape
+        rows = [f"{i},{j},{v!r}\n" for i, row in enumerate(data.tolist(), 1) for j, v in enumerate(row, 1)]
+        return "i,j,value\n" + "".join(rows)
+
+    edges = np.array([-0.0, 5e-324, 1e16, 0.1 + 0.2, -1e-300, 1 / 3, 1e-300, 0.1, 1.7976931348623157e308])
+    edges = np.concatenate([edges, -edges[::-1]])
     path = tmp_path / "m.csv"
-    for data in (z.real, z.imag, edges.reshape(2, 3)):  # the strided views cmd_nmr passes, and a plain array
-        cli._write_csv(str(path), data)
-        want = "i,j,value\n" + "".join(f"{i + 1},{j + 1},{float(v)!r}\n" for (i, j), v in np.ndenumerate(data))
-        assert path.read_bytes() == want.encode()
+    for shape in ((1, 1), (4, 4), (3, 5)):
+        n = shape[0] * shape[1]
+        x = np.resize(edges, n).reshape(shape)
+        z = x + 1j * np.resize(edges[::-1], n).reshape(shape)
+        for data in (x, z.real, z.imag):  # a plain array, and the strided views cmd_nmr passes
+            cli._write_csv(str(path), data)
+            assert path.read_bytes() == reference(data).encode()
 
 
 def _json_dumps(obj):

@@ -95,11 +95,17 @@ def test_dimension_cap():
 def test_check_dim_takes_integral_values_only():
     accepted = (3, 3.0, np.int64(3), np.float32(3), np.array(3), np.array(3.0), Fraction(3), Decimal(3))
     assert [check_dim(dim) for dim in accepted] == [3] * len(accepted)
-    # a boolean array passed as 1, and a numpy complex as its real part with a ComplexWarning
+    # a boolean array passed as 1, a numpy complex as its real part with a
+    # ComplexWarning, and a bool in an object array as 1; an object array is
+    # refused whatever it holds, as check_int refuses it
     refused = (np.array(True), np.array(False), np.complex128(3), np.complex64(4))
+    refused += (np.array(True, dtype=object), np.array(3, dtype=object))
     for dim in (0, MAX_DIM + 1, 2.5, True, np.True_, "3", None, float("nan"), float("inf"), 10**5000, *refused):
         with pytest.raises(ValueError, match="dimension"):
             check_dim(dim)
+    # its callers took the object-array bool as d = 1
+    with pytest.raises(ValueError, match="dimension"):
+        basis_state(np.array(True, dtype=object), 1)
 
 
 def test_nan_rejected():

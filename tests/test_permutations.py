@@ -250,6 +250,9 @@ def test_window_built_permutations_equal_checked_ones():
         assert len(got) == len(images)
         for p, image in zip(got, images):
             _assert_same_as_checked(p, image)
+        # verify reads each class from this order: rotation(d, i), then reflection(d, i - d)
+        labels = [(Chirality.POSITIVE, r) for r in range(d)] + [(Chirality.NEGATIVE, r) for r in range(d)]
+        assert [(c.chirality, c.shift) for c in map(classify_cyclic, got)] == labels
     for d in range(1, MAX_DIM + 1):
         for r in range(-2 * d, 2 * d + 1):
             _assert_same_as_checked(rotation(d, r), [(x + r) % d + 1 for x in range(d)])
