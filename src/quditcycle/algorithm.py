@@ -27,10 +27,10 @@ from .linalg import MAX_DIM, check_dim, check_type, complex_to_json, shown, vect
 from .permutations import (
     Chirality,
     Permutation,
-    _doubled_labels,
     _scatter,
     apply_oracle,
     check_cyclic_dim,
+    enumerate_cyclic,
 )
 
 # Fourier conventions by name, each with the basis label the protocol starts
@@ -197,9 +197,11 @@ def run_quantum(p: Permutation, kind: FourierKind | None = None) -> RunReport:
     p is read only through its one application of U_p, and the outcome
     alone refuses non-cyclic inputs.  F^dag U_p F |2> is a phase times |m>
     exactly when x = (m - 1) p(x) + b mod d for all x: rotations land on
-    |2>, reflections on |d>, other unit multipliers elsewhere.  Any other
-    bijection breaks that relation at two x or more, so no probability
-    exceeds |d - 2 + 2 exp(2 pi i / d)|^2 / d^2 < 1 - 1e-9 for d <= 64.
+    |2>, reflections on |d>, other unit multipliers elsewhere.  Level m's
+    amplitude is the mean of exp(2 pi i e_x / d), e_x = (x - 1) - (m - 1) *
+    (p(x) - 1) mod d.  Any other bijection has N >= 4(d - 2) ordered pairs
+    with e_x != e_y, so no probability exceeds 1 - N (1 - cos(2 pi / d)) / d^2
+    <= |d - 2 + 2 exp(2 pi i / d)|^2 / d^2 < 1 - 1e-9 at every d <= 64.
     A relabeling reduces to this, as P_sigma^dag U_p P_sigma = U_(sigma^-1
     p sigma), and the qutrit variant reorders the labels of d = 3.
 
@@ -271,19 +273,15 @@ def one_query_insufficient(dim: int) -> bool:
 
     For every query x and every answer y, the cyclic permutations consistent
     with f(x) = y must include both chiralities, so one answer never fixes
-    the class.  The O(d^2) scan checks that for each x the values p(x) of
-    each family, the d rotations and the d reflections, cover 1..d.  It
-    reads them from _doubled_labels(d), the tuples whose windows are the
-    images rotation, reflection and enumerate_cyclic hold: column x of the
-    rotations is the window up[x - 1 : x - 1 + d], and column x of the
-    reflections is down[x : x + d] in reverse order, so no image is built
-    and no column transposed.  It holds at every d >= 3: rotation(d,
-    (y - x) mod d) and reflection(d, (x + y - 1) mod d) both send x to y.
+    the class.  The O(d^2) scan checks that each half of column x of
+    enumerate_cyclic(d), the d rotations and then the d reflections, covers
+    1..d.  It holds at every d >= 3: rotation(d, (y - x) mod d) and
+    reflection(d, (x + y - 1) mod d) both send x to y.
     """
     d = check_cyclic_dim(dim)
     labels = set(range(1, d + 1))
-    up, down = _doubled_labels(d)
-    return all(set(up[x - 1 : x - 1 + d]) == labels and set(down[x : x + d]) == labels for x in range(1, d + 1))
+    columns = zip(*(p.image for p in enumerate_cyclic(d)))
+    return all(set(col[:d]) == labels and set(col[d:]) == labels for col in columns)
 
 
 def phase_table(dim: int) -> dict[tuple[Chirality, int], complex]:

@@ -90,7 +90,7 @@ class Permutation:
 
 
 def _window(image: tuple[int, ...]) -> Permutation:
-    """Permutation(image) without __post_init__'s checks, for a window of _doubled_labels: a bijection of ints as built."""
+    """Permutation(image) without __post_init__'s checks, for a member of _family: a bijection of ints as built."""
     p = object.__new__(Permutation)
     object.__setattr__(p, "image", image)
     return p
@@ -119,34 +119,28 @@ def parity(p: Permutation) -> int:
 
 
 @lru_cache(maxsize=MAX_DIM)
-def _doubled_labels(d: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """(1..d, 1..d) and (d..1, d..1): every rotation and reflection image of size d is a window of d."""
-    up = tuple(range(1, d + 1))
-    return up + up, up[::-1] * 2
+def _family(d: int) -> tuple[Permutation, ...]:
+    """rotation(d, r) for r = 0..d-1, then reflection(d, r): the 2d cyclic permutations, built once per size.
 
-
-def _rotation_image(d: int, r: int) -> tuple[int, ...]:
-    """Image of x -> ((x - 1 + r) mod d) + 1: r+1..d, then 1..r (r taken mod d)."""
-    r %= d
-    return _doubled_labels(d)[0][r : r + d]
-
-
-def _reflection_image(d: int, r: int) -> tuple[int, ...]:
-    """Image of x -> ((r - x) mod d) + 1: r..1, then d..r+1 (r taken mod d)."""
-    r %= d
-    return _doubled_labels(d)[1][d - r : 2 * d - r]
+    Rotation r is the window up[r : r + d] of up = (1..d, 1..d), and
+    reflection r is that window reversed: ((r - x) mod d) + 1 at x is
+    ((x - 1 + r) mod d) + 1 at d + 1 - x.  Each is wrapped by _window.
+    """
+    up = tuple(range(1, d + 1)) * 2
+    windows = [up[r : r + d] for r in range(d)]
+    return tuple(map(_window, windows + [w[::-1] for w in windows]))
 
 
 def rotation(dim: int, r: int) -> Permutation:
     """Positive cyclic permutation x -> ((x - 1 + r) mod d) + 1."""
     d, r = check_dim(dim), check_int(r, "offset")
-    return _window(_rotation_image(d, r))
+    return _family(d)[r % d]
 
 
 def reflection(dim: int, r: int) -> Permutation:
     """Negative cyclic permutation x -> ((r - x) mod d) + 1."""
     d, r = check_dim(dim), check_int(r, "offset")
-    return _window(_reflection_image(d, r))
+    return _family(d)[d + r % d]
 
 
 def classify_cyclic(p: Permutation) -> CyclicClass:
@@ -159,11 +153,12 @@ def classify_cyclic(p: Permutation) -> CyclicClass:
     """
     img = check_type(p, Permutation).image
     d = len(img)
+    family = _family(d)
     r = img[0] - 1
-    if img == _rotation_image(d, r):
+    if img == family[r].image:
         return CyclicClass(Chirality.POSITIVE, r)
     r = img[0] % d
-    if img == _reflection_image(d, r):
+    if img == family[d + r].image:
         return CyclicClass(Chirality.NEGATIVE, r)
     return CyclicClass(Chirality.NOT_CYCLIC, None)
 
@@ -177,13 +172,8 @@ def check_cyclic_dim(dim: int) -> int:
 
 
 def enumerate_cyclic(dim: int) -> list[Permutation]:
-    """All 2d cyclic permutations: d positive (r = 0..d-1), then d negative.
-
-    Each is the window of _doubled_labels(d) that rotation(d, r) or
-    reflection(d, r) holds, wrapped by _window without a second check.
-    """
-    d = check_cyclic_dim(dim)
-    return [_window(_rotation_image(d, r)) for r in range(d)] + [_window(_reflection_image(d, r)) for r in range(d)]
+    """All 2d cyclic permutations, d positive (r = 0..d-1) then d negative: a new list of _family's shared members."""
+    return list(_family(check_cyclic_dim(dim)))
 
 
 def apply_oracle(p: Permutation, a: np.ndarray) -> np.ndarray:

@@ -27,6 +27,7 @@ from quditcycle.linalg import MAX_DIM, basis_state, check_type, equal_up_to_glob
 from quditcycle.permutations import (
     Chirality,
     Permutation,
+    _window,
     apply_oracle,
     check_cyclic_dim,
     classify_cyclic,
@@ -255,6 +256,48 @@ def test_run_quantum_refuses_near_cyclic_inputs_at_max_dim():
                 perms.append(Permutation(tuple(img)))
     bad, refused = _outcome_mismatches(perms, FourierKind())
     assert not bad and refused == len(perms)
+
+
+def test_run_quantum_refusal_bound_at_every_dim():
+    # Level m's amplitude is (1/d) sum_x w^e_x with w = exp(2 pi i / d) and
+    # e_x = (x - 1) - (m - 1)(p(x) - 1) mod d; every e_x is equal exactly for
+    # the affine maps with multiplier (m - 1)^-1.  One x cannot differ from all
+    # the rest: the other d - 1 values (m - 1)(p(x) - 1) would be distinct, so
+    # m - 1 would be a unit by (b), and p affine on d - 1 points, so everywhere.
+    # So two x or more differ from the most common e_x, N >= 4(d - 2) ordered
+    # pairs have e_x != e_y, and |sum_x w^e_x|^2 = sum_xy cos(2 pi (e_x - e_y) / d)
+    # <= d^2 - N (1 - cos(2 pi / d)), which is the bound (a) checks.
+    # The margin is a few ulps per term of a length-d inner product
+    # (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., ch. 3).
+    eps = np.finfo(float).eps
+    bounds = {}
+    for d in range(3, MAX_DIM + 1):
+        # (a) the bound in both forms, plus the margin, below run_quantum's threshold
+        c = np.cos(2 * np.pi / d)
+        bound = bounds[d] = abs(d - 2 + 2 * np.exp(2j * np.pi / d)) ** 2 / d**2
+        assert abs(bound - (1 - 4 * (d - 2) * (1 - c) / d**2)) < 1e-15
+        assert bound + 8 * d * eps < 1 - 1e-9
+        # (b) a non-unit multiplier maps 0..d-1 onto at most d / 2 residues
+        for a in range(d):
+            if np.gcd(a, d) > 1:
+                assert 2 * len({a * x % d for x in range(d)}) <= d, (d, a)
+        # (c) the adjacent swap reaches |2> with ((d - 2 + 2 cos(2 pi / d)) / d)^2 on the dense circuit
+        swap = Permutation((2, 1, *range(3, d + 1)))
+        f = _dense_qft(d, FourierKind())
+        level2 = abs((f.conj().T @ (_dense_permutation_matrix(swap) @ f[:, 1]))[1]) ** 2
+        assert abs(level2 - ((d - 2 + 2 * c) / d) ** 2) < 1e-13
+        assert level2 < bound
+        if d > 3:  # at d = 3 the swap is reflection(3, 2)
+            with pytest.raises(NotCyclicError):
+                run_quantum(swap)
+    assert max(bounds, key=bounds.get) == MAX_DIM and round(bounds[MAX_DIM], 6) == 0.999708
+    assert round(level2, 5) == 0.99970
+    # (d) at d = 4 the bound is 1/2, and the 16 non-cyclic inputs reach it
+    f = _dense_qft(4, FourierKind())
+    cyclic = {p.image for p in enumerate_cyclic(4)}
+    others = [Permutation(img) for img in itertools.permutations(range(1, 5)) if img not in cyclic]
+    top = max(np.max(np.abs(f.conj().T @ (_dense_permutation_matrix(p) @ f[:, 1])) ** 2) for p in others)
+    assert len(others) == 16 and abs(top - 0.5) < 1e-15 and abs(bounds[4] - 0.5) < 1e-15
 
 
 def test_run_quantum_refusal_text_at_every_dim():
@@ -635,22 +678,18 @@ def test_one_query_scan_agrees_with_pairwise_definition():
 
 
 def test_one_query_scan_reads_both_families(monkeypatch):
-    # a family with a label repeated in one window is not a family of
+    # a family with a label repeated in one column is not a family of
     # bijections, and the scan must say so: one that stopped reading the
     # families, a theorem at every d, would still answer True
-    from quditcycle import permutations
-
-    doubled = permutations._doubled_labels
     for d in (3, 4, 12, MAX_DIM):
-        up, down = doubled(d)
-        # up is read at 0..2d-2 and down at 1..2d-1; entry k takes the label of entry k + 1
-        for family, k in [(0, 0), (0, d - 1), (0, 2 * d - 3), (1, 1), (1, d), (1, 2 * d - 2)]:
-            labels = [list(up), list(down)]
-            labels[family][k] = labels[family][k + 1]
-            corrupt = tuple(map(tuple, labels))
-            for module in (algorithm, permutations):
-                monkeypatch.setattr(module, "_doubled_labels", lambda n, corrupt=corrupt: corrupt)
-            assert one_query_insufficient(d) is False, (d, family, k)
+        family = enumerate_cyclic(d)
+        # the first, a middle and the last rotation, then reflection; entry k takes its neighbour's label
+        for i, k in [(0, 0), (d // 2, d // 2), (d - 1, d - 1), (d, 0), (d + d // 2, d // 2), (2 * d - 1, d - 1)]:
+            image = list(family[i].image)
+            image[k] = image[k - 1 if k == d - 1 else k + 1]
+            corrupt = family[:i] + [_window(tuple(image))] + family[i + 1 :]
+            monkeypatch.setattr(algorithm, "enumerate_cyclic", lambda n, corrupt=corrupt: corrupt)
+            assert one_query_insufficient(d) is False, (d, i, k)
         monkeypatch.undo()
         assert one_query_insufficient(d) is True
 

@@ -4,15 +4,18 @@ import itertools
 import json
 import operator
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from quditcycle.algorithm import one_query_insufficient
 from quditcycle.linalg import MAX_DIM
 from quditcycle.permutations import (
     Chirality,
     Permutation,
+    _family,
     apply_oracle,
     classify_cyclic,
     enumerate_cyclic,
@@ -24,21 +27,6 @@ from quditcycle.permutations import (
 )
 
 from conftest import outcome, random_permutation_image
-
-
-def cycle_parity(p: Permutation) -> int:
-    """Independent parity oracle: (-1)^(d - number of cycles)."""
-    seen = [False] * p.dim
-    cycles = 0
-    for start in range(1, p.dim + 1):
-        if seen[start - 1]:
-            continue
-        cycles += 1
-        x = start
-        while not seen[x - 1]:
-            seen[x - 1] = True
-            x = p.image[x - 1]
-    return 1 if (p.dim - cycles) % 2 == 0 else -1
 
 
 def inversion_parity(p: Permutation) -> int:
@@ -140,12 +128,12 @@ def test_parity_examples():
     assert parity(Permutation((2, 3, 4, 1))) == -1
 
 
-def test_parity_against_cycle_decomposition():
+def test_parity_against_inversion_count_at_small_sizes():
     rng = np.random.default_rng(101)
     for _ in range(300):
         d = int(rng.integers(2, 10))
         p = Permutation(random_permutation_image(rng, d))
-        assert parity(p) == cycle_parity(p)
+        assert parity(p) == inversion_parity(p)
 
 
 def test_parity_matches_inversion_count():
@@ -191,12 +179,13 @@ def test_classify_against_brute_force():
 
 
 def search_class(p: Permutation):
-    """Reference classifier: search every rotation, then every reflection."""
-    for r in range(p.dim):
-        if p.image == rotation(p.dim, r).image:
+    """Reference classifier: search every rotation, then every reflection, each from its modulo formula."""
+    d = p.dim
+    for r in range(d):
+        if p.image == tuple((x + r) % d + 1 for x in range(d)):
             return Chirality.POSITIVE, r
-    for r in range(p.dim):
-        if p.image == reflection(p.dim, r).image:
+    for r in range(d):
+        if p.image == tuple((r - x - 1) % d + 1 for x in range(d)):
             return Chirality.NEGATIVE, r
     return Chirality.NOT_CYCLIC, None
 
@@ -209,7 +198,7 @@ def test_classify_matches_rotation_search():
     for p in perms:
         c = classify_cyclic(p)
         assert (c.chirality, c.shift) == search_class(p)
-        assert parity(p) == cycle_parity(p)
+        assert parity(p) == inversion_parity(p)
     # d = 2: (2, 1) is both a rotation and a reflection and counts as positive
     assert classify_cyclic(Permutation((2, 1))).chirality is Chirality.POSITIVE
 
@@ -241,8 +230,8 @@ def _assert_same_as_checked(got, image):
 
 
 def test_window_built_permutations_equal_checked_ones():
-    # enumerate_cyclic, rotation and reflection build their windows of the
-    # doubled labels without the constructor's type and bijection checks
+    # the members of _family skip the constructor's type and bijection checks;
+    # the checked constructor on the modulo formulas is the reference
     for d in range(3, MAX_DIM + 1):
         got = enumerate_cyclic(d)
         images = [[(x + r) % d + 1 for x in range(d)] for r in range(d)]
@@ -415,9 +404,47 @@ def test_enumerate_cyclic_structure():
 
 
 def test_enumerate_cyclic_is_the_rotations_then_the_reflections():
-    # the family is built from the images directly; the public builders are the reference
-    for d in range(3, 65):
+    # the very objects rotation and reflection return, in a new list on each call;
+    # test_window_built_permutations_equal_checked_ones checks their images
+    for d in range(3, MAX_DIM + 1):
+        family = enumerate_cyclic(d)
+        for r in range(-d, 2 * d):
+            assert rotation(d, r) is family[r % d] and reflection(d, r) is family[d + r % d]
+        family.clear()
         assert enumerate_cyclic(d) == [rotation(d, r) for r in range(d)] + [reflection(d, r) for r in range(d)]
+
+
+def test_family_is_built_once_per_size_without_the_checked_constructor(monkeypatch):
+    # the traced benchmark counts Permutation.__post_init__ runs, and its two passes must
+    # count alike, so neither the call that fills the cache nor a later one may run it
+    inputs = [Permutation(img) for img in [(2, 3, 1), (1, 3, 2, 4), (3, 2, 1, 4), tuple(range(MAX_DIM, 0, -1))]]
+    _family.cache_clear()
+
+    def refuse(self):
+        raise AssertionError("Permutation.__post_init__ ran")
+
+    monkeypatch.setattr(Permutation, "__post_init__", refuse)
+    for _ in range(2):
+        for d in (3, 4, 12, MAX_DIM):
+            assert rotation(d, 1).dim == reflection(d, 1).dim == len(enumerate_cyclic(d)) // 2 == d
+            assert one_query_insufficient(d) is True
+        assert [classify_cyclic(p).chirality for p in inputs] == [
+            Chirality.POSITIVE,
+            Chirality.NOT_CYCLIC,
+            Chirality.NEGATIVE,
+            Chirality.NEGATIVE,
+        ]
+    monkeypatch.undo()
+    # the cache keeps every size it builds: all of them together stay small
+    _family.cache_clear()
+    tracemalloc.start()
+    try:
+        for d in range(1, MAX_DIM + 1):
+            _family(d)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held < 2.5e6
 
 
 def test_chirality_equals_parity_only_at_dim3():
