@@ -378,7 +378,25 @@ def build_parser() -> argparse.ArgumentParser:
     nmr_p.add_argument("--out", default=None, help="output directory (default $QUDITCYCLE_OUTDIR)")
     nmr_p.add_argument("--json", action="store_true")
 
+    ap.commands = sub.choices  # command name -> its subparser, for _parse
     return ap
+
+
+def _parse(argv) -> argparse.Namespace:
+    """build_parser().parse_args(argv), with a command's arguments parsed once, by its own subparser.
+
+    The top-level parser would match every token and then hand the same tokens
+    to that subparser. Any other argv (help, no command or an unknown one, a
+    "--"), and one the subparser leaves unrecognized, goes to the top-level
+    parser, so help, usage and error lines are argparse's own.
+    """
+    ap = build_parser()
+    argv = _sys.argv[1:] if argv is None else list(argv)
+    if argv and argv[0] in ap.commands and "--" not in argv:
+        args, extras = ap.commands[argv[0]].parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+        if not extras:
+            return args
+    return ap.parse_args(argv)
 
 
 def main(argv=None) -> int:
@@ -387,7 +405,7 @@ def main(argv=None) -> int:
     held = io.StringIO()
     with contextlib.redirect_stdout(held):
         try:
-            args = build_parser().parse_args(argv)
+            args = _parse(argv)
         except SystemExit as exc:  # raised again once the held text is out
             code = exc
         else:

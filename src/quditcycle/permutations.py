@@ -33,6 +33,10 @@ class Chirality(Enum, metaclass=_ByValue):
     NEGATIVE = "negative-cyclic"
     NOT_CYCLIC = "not-cyclic"
 
+    # members are singletons that pickle and copy give back as themselves, so
+    # identity is equality; Enum's own hash runs hash(self._name_) in Python
+    __hash__ = object.__hash__
+
 
 @dataclass(frozen=True)
 class Permutation:

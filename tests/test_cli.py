@@ -1073,3 +1073,61 @@ def test_every_argv_gets_a_documented_exit_and_one_error_line(data, tmp_path, mo
         assert argv[0] == "verify" and ("FAIL" in out or '"ok": false' in out)
     else:
         assert len(errors) == (code != EXIT_OK), (argv, err)
+
+
+# argvs that reach each route of main's parse: a command's own subparser, the
+# top-level parser, and the hand-back of what the subparser leaves unrecognized
+_EDGE_ARGVS = [
+    ["nmr", "--gate", "qft", "--bogus"],
+    ["nmr", "--gat", "qft", "--ideal"],
+    ["nmr", "--gate=neg", "--ideal"],
+    ["verify", "--dmax", "3", "--dmax", "5", "--json", "--json"],
+    ["run", "--perm", "2,3,1", "stray"],
+    ["-h"],
+    ["verify", "-h"],
+    ["nmr", "--gate", "qft", "--h"],
+    [],
+    ["bogus"],
+    ["--bogus", "verify"],
+    ["--", "verify"],
+    ["verify", "--", "--json"],
+    ["run", "--perm", "--", "2,3,1"],
+]
+
+
+def _parse_outcome(parse, argv):
+    """(the parsed namespace's repr or the SystemExit code, stdout, stderr) of parse(argv)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            got = parse(list(argv))
+        except SystemExit as exc:
+            got = ("SystemExit", exc.code)
+    return got, out.getvalue(), err.getvalue()
+
+
+def assert_main_parses_as_the_top_level_parser(argv, monkeypatch):
+    # main parses a command's arguments once, by that command's subparser; the
+    # namespace (by repr, so NaN matches NaN), exit code and every line must be
+    # what the top-level parser's two passes give
+    for command in build_parser().commands:
+        monkeypatch.setattr(f"quditcycle.cli.cmd_{command}", repr)
+    want = _parse_outcome(lambda a: repr(build_parser().parse_args(a)), argv)
+    assert _parse_outcome(main, argv) == want, argv
+
+
+@pytest.mark.parametrize("argv", _EDGE_ARGVS, ids=lambda argv: " ".join(argv) or "no-argv")
+def test_main_parses_edge_argvs_as_the_top_level_parser(argv, monkeypatch):
+    assert_main_parses_as_the_top_level_parser(argv, monkeypatch)
+
+
+@settings(
+    max_examples=300,
+    derandomize=True,
+    database=None,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(data=st.data())
+def test_main_parses_every_argv_as_the_top_level_parser(data, tmp_path, monkeypatch):
+    assert_main_parses_as_the_top_level_parser(data.draw(_argv(tmp_path), label="argv"), monkeypatch)

@@ -73,7 +73,7 @@ def loop_ladder(s):
     return raising
 
 
-HALF_SPINS = [0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5]
+HALF_SPINS = [0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 7.5, 15.5, 31.5]
 
 
 @pytest.mark.parametrize("s", HALF_SPINS)

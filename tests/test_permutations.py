@@ -1,8 +1,10 @@
 """Permutation algebra, chirality classification, and oracle matrices."""
 
+import copy
 import itertools
 import json
 import operator
+import pickle
 import sys
 import tracemalloc
 from fractions import Fraction
@@ -10,7 +12,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from quditcycle.algorithm import one_query_insufficient
+from quditcycle.algorithm import one_query_insufficient, phase_table
 from quditcycle.linalg import MAX_DIM
 from quditcycle.permutations import (
     Chirality,
@@ -457,6 +459,18 @@ def test_chirality_equals_parity_only_at_dim3():
     # so chirality and parity split: (2,3,4,1) is odd but positive
     p = Permutation((2, 3, 4, 1))
     assert classify_cyclic(p).chirality is Chirality.POSITIVE and parity(p) == -1
+
+
+@pytest.mark.parametrize("m", list(Chirality), ids=lambda m: m.name)
+def test_chirality_hashes_by_identity_and_every_copy_is_the_member(m):
+    # a member hashes as the object it is, which is sound only while every
+    # route back to a member gives that same object
+    assert hash(m) == object.__hash__(m)
+    backs = [pickle.loads(pickle.dumps(m)), copy.copy(m), copy.deepcopy(m), Chirality(m.value), Chirality(m)]
+    assert all(back is m for back in backs)
+    table = phase_table(5)  # keyed by (chirality, shift) for the two cyclic classes
+    for back in backs:
+        assert [(back, r) in table for r in range(5)] == [m is not Chirality.NOT_CYCLIC] * 5
 
 
 def test_oracle_matrix_examples():

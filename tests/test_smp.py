@@ -301,6 +301,11 @@ def seeded_train(rng, n):
 
 
 SPINS = {"spin-3/2": SpinSystem(), "spin-1/2": SPIN_HALF, "spin-1": SpinSystem(spin=1.0), "spin-5/2": SpinSystem(spin=2.5)}
+SPINS |= {f"spin-{round(2 * s)}/2": SpinSystem(spin=s) for s in (3.5, 7.5, 15.5, 31.5)}  # up to the largest SpinSystem takes
+# trains of 1, 2 and 6 segments at each spin up to d = 16, and of 1 and 2 at d = 32 and 64
+TRAINS = [
+    pytest.param(sys, n, id=f"{n}-{name}") for n in (1, 2, 6) for name, sys in SPINS.items() if n < 6 or sys.dim <= 16
+]
 
 
 def gradient(y, sys, target_h):
@@ -330,8 +335,7 @@ def check_at_seeded_trains(sys, n, check):
             assert gradient(x, sys, target.conj().T)[0] != 0.0
 
 
-@pytest.mark.parametrize("sys", SPINS.values(), ids=SPINS.keys())
-@pytest.mark.parametrize("n", [1, 2, 6])
+@pytest.mark.parametrize("sys, n", TRAINS)
 def test_gradient_matches_finite_differences(sys, n):
     # the search vector holds amplitude and duration angles and phases in
     # turns; every angle decodes inside the window, so there is no edge and
@@ -353,8 +357,7 @@ def fixed_phase_residual(u, sys, target, turn):
     return turn * (target.conj().T @ sequence_propagator(sys, segs)) / np.sqrt(sys.dim)
 
 
-@pytest.mark.parametrize("sys", SPINS.values(), ids=SPINS.keys())
-@pytest.mark.parametrize("n", [1, 2, 6])
+@pytest.mark.parametrize("sys, n", TRAINS)
 def test_jacobian_matches_finite_differences(sys, n):
     # the twin of the gradient test: every column of J, with the same step and
     # bound, against the residual at the phase of x with -i 1 projected out
