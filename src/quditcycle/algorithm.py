@@ -19,11 +19,11 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache
 
 import numpy as np
 
-from .linalg import MAX_DIM, check_dim, check_type, complex_to_json, shown, vector_to_json
+from .linalg import MAX_DIM, check_choice, check_dim, check_type, complex_to_json, vector_to_json
 from .permutations import (
     Chirality,
     Permutation,
@@ -69,8 +69,7 @@ class FourierKind:
     relabeling: Permutation | None = None
 
     def __post_init__(self):
-        if not isinstance(self.variant, str) or self.variant not in FOURIER_VARIANTS:  # an array compares entrywise
-            raise ValueError(f"Fourier variant must be one of {FOURIER_VARIANTS}, got {shown(self.variant)}")
+        check_choice(self.variant, FOURIER_VARIANTS, "Fourier variant")
         if self.relabeling is not None:
             check_type(self.relabeling, Permutation)
 
@@ -89,7 +88,7 @@ _ROWS = np.arange(MAX_DIM)  # the row indices 0..d-1 of every d, as the read-onl
 _ROWS.flags.writeable = False
 
 
-@lru_cache(maxsize=None)
+@cache
 def _fourier(d: int, variant: str) -> tuple[np.ndarray, np.ndarray]:
     """Read-only unrelabeled F and conj(F), whose transpose is F^dag; one entry per (d, variant)."""
     labels = np.array([1, 0, -1]) if variant == "qutrit" else np.arange(d)

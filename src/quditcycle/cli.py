@@ -218,7 +218,7 @@ def cmd_verify(args) -> int:
     return EXIT_OK if ok else EXIT_VERIFY_FAILED
 
 
-@functools.lru_cache(maxsize=8)
+@functools.cache
 def _csv_labels(shape: tuple[int, int]) -> tuple[str, ...]:
     """The "i,j," that starts each row of a CSV of this shape, in C order, built once per shape."""
     rows, cols = shape

@@ -9,10 +9,8 @@ Conventions used across the package:
 - Comparisons hold to DEFAULT_TOL = 1e-10 (validate_unitary, verify's phases,
   the default tol of equal_up_to_global_phase, symmetric in its arguments).
 - NaN and Inf are rejected at every constructor or decoder boundary.
-- Refusals live here.  A value of the wrong class goes through check_type,
-  an array through _as_array, and numbers through check_dim, check_int and
-  check_finite; each raises ValueError.  A refused value is quoted through
-  shown, which stays within Python's limit on int-to-str digits.
+- Refusals live here: check_type, check_choice, _as_array, check_dim,
+  check_int and check_finite raise ValueError, quoting the value via shown.
 """
 
 from __future__ import annotations
@@ -85,6 +83,13 @@ def check_type(value, cls: type):
     if not isinstance(value, cls):
         raise ValueError(f"expected a {cls.__name__}, got {type(value).__name__}")
     return value
+
+
+def check_choice(value, choices, name: str):
+    """value if it is a str in choices; anything else is refused before `in` could hash it or compare an array entrywise."""
+    if isinstance(value, str) and value in choices:
+        return value
+    raise ValueError(f"{name} must be one of {choices}, got {shown(value)}")
 
 
 def _as_array(x, ndim: int) -> np.ndarray:

@@ -32,7 +32,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import MAX_DIM, _as_array, check_finite, check_int, check_type, shown
+from .linalg import MAX_DIM, _as_array, check_choice, check_finite, check_int, check_type, shown
 
 
 def _twice_spin(s: float) -> int:
@@ -103,8 +103,7 @@ class SpinSystem:
 def static_hamiltonian(sys: SpinSystem, frame: str = "rotating") -> np.ndarray:
     """Drift Hamiltonian in rad/s, in the lab or the on-resonance rotating frame."""
     check_type(sys, SpinSystem)
-    if not isinstance(frame, str) or frame not in ("lab", "rotating"):  # `in` compares an array entrywise
-        raise ValueError(f"frame must be 'lab' or 'rotating', got {shown(frame)}")
+    check_choice(frame, ("lab", "rotating"), "frame")
     s = (sys.dim - 1) / 2.0
     m = s - np.arange(sys.dim)
     energies = (sys.quad_freq / 6.0) * (3 * m * m - s * (s + 1))

@@ -12,20 +12,19 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from enum import Enum, EnumMeta
-from functools import lru_cache
+from functools import cache
 
 import numpy as np
 
-from .linalg import MAX_DIM, check_dim, check_int, check_type, shown
+from .linalg import MAX_DIM, check_choice, check_dim, check_int, check_type, shown
 
 
 class _ByValue(EnumMeta):
     """Chirality(value) takes a member or its str value; anything else is refused before Enum compares it with each value."""
 
     def __call__(cls, value):
-        if isinstance(value, cls) or (isinstance(value, str) and value in cls._value2member_map_):
-            return super().__call__(value)
-        raise ValueError(f"chirality must be one of {tuple(cls._value2member_map_)}, got {shown(value)}")
+        choices = tuple(cls._value2member_map_)
+        return super().__call__(value if isinstance(value, cls) else check_choice(value, choices, "chirality"))
 
 
 class Chirality(Enum, metaclass=_ByValue):
@@ -122,7 +121,7 @@ def parity(p: Permutation) -> int:
     return 1 if (len(img) - cycles) % 2 == 0 else -1
 
 
-@lru_cache(maxsize=MAX_DIM)
+@cache
 def _family(d: int) -> tuple[Permutation, ...]:
     """rotation(d, r) for r = 0..d-1, then reflection(d, r): the 2d cyclic permutations, built once per size.
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algorithm import initial_index, qft
-from .linalg import basis_state, check_type, fidelity, outer, shown
+from .linalg import basis_state, check_choice, check_type, fidelity, outer
 from .nmr import SpinSystem, sequence_propagator
 from .permutations import Permutation, oracle_unitary
 from .smp import OptimizerConfig, SmpResult, smp_optimize
@@ -42,10 +42,8 @@ ORACLES = {
 
 def stage_unitary(oracle: str, stage: str) -> np.ndarray:
     """Composite unitary implemented by the pulse of the given stage."""
-    if not isinstance(oracle, str) or oracle not in ORACLES:  # `in` would hash a list and raise TypeError
-        raise ValueError(f"oracle must be one of {sorted(ORACLES)}, got {shown(oracle)}")
-    if not isinstance(stage, str) or stage not in STAGES:  # `in` compares an array entrywise
-        raise ValueError(f"stage must be one of {STAGES}, got {shown(stage)}")
+    check_choice(oracle, sorted(ORACLES), "oracle")
+    check_choice(stage, STAGES, "stage")
     f = qft(4)
     if stage == "after_qft":
         return f

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
 
+TWO_PI = 2 * np.pi
+GATES = ("qft", "pos", "neg", "fullpos", "fullneg")  # the five protocol gates of `quditcycle nmr --gate`
+
 
 def haar_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
     """Haar-random unitary via QR of a complex Gaussian matrix."""

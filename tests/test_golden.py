@@ -2,15 +2,10 @@
 
 Each case runs `quditcycle` in-process in an empty working directory and
 records the exit code, stdout, stderr and every file the command wrote.
-The run, verify and nmr recordings in tests/golden/ were made from the code
-before the design was shrunk, and nmr.json's echoed config has since taken
-the max_iter default of 120; synth.json was recorded with the package's own
-Levenberg-Marquardt on the gate residual, searching amplitude and duration as
-angles of their window, on the pulse engine that diagonalizes a real matrix in
-the rf-phase frame.  Its pulses differ from those of the dense BFGS, of
-scipy's L-BFGS-B in a box, of the complex-eigh engine and of the Nelder-Mead
-search before them.  Any change to a byte of
-output shows up here.
+synth.json was recorded with the package's own Levenberg-Marquardt on the
+gate residual, searching amplitude and duration as angles of their window, on
+the pulse engine that diagonalizes a real matrix in the rf-phase frame.  Any
+change to a byte of output shows up here.
 
 Regenerate (only when an output change is intended, and say so in CHANGES.md):
 
@@ -31,8 +26,9 @@ from pathlib import Path
 
 import pytest
 
+from conftest import GATES
+
 GOLDEN_DIR = Path(__file__).parent / "golden"
-GATES = ("qft", "pos", "neg", "fullpos", "fullneg")
 
 # Files some cases place in the working directory before running.
 SETUP_FILES = {

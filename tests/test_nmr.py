@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quditcycle.linalg import _as_array, basis_state, check_finite, check_int, validate_unitary
+from quditcycle.linalg import _as_array, basis_state, check_finite, check_int
 from quditcycle.protocol import run_protocol
 from quditcycle.smp import (
     AMP_MAX_HZ,
@@ -31,9 +31,7 @@ from quditcycle.nmr import (
     transition_frequencies,
 )
 
-from conftest import array_bits, assert_density, outcome
-
-TWO_PI = 2 * np.pi
+from conftest import TWO_PI, array_bits, assert_density, outcome
 
 
 def test_spin_half_operators_are_half_paulis():
@@ -180,13 +178,6 @@ def test_lab_frame_transition_triplet():
     assert np.max(np.abs(np.sort(rot) - TWO_PI * np.array([0, 10e3, 10e3]))) < 1e-6
 
 
-@pytest.mark.parametrize("frame", ["Lab", "interaction", None], ids=repr)
-def test_a_frame_other_than_lab_or_rotating_is_refused(frame):
-    for call in (static_hamiltonian, transition_frequencies):
-        with pytest.raises(ValueError, match=f"^frame must be 'lab' or 'rotating', got {frame!r}$"):
-            call(SpinSystem(), frame)
-
-
 def test_pulse_segment_validation():
     PulseSegment(amplitude=TWO_PI * 20e3, phase=0.3, duration=10e-6)
     with pytest.raises(ValueError):
@@ -212,25 +203,6 @@ def test_spin_half_pi_pulse_closed_form():
     half = pulse_propagator(sys, PulseSegment(w1, 0.0, np.pi / (2 * w1)))
     got = half @ up
     assert abs(abs(got[0]) ** 2 - 0.5) < 1e-12
-
-
-def test_propagator_unitarity_sweep():
-    sys = SpinSystem()
-    count = 0
-    for case in range(500):
-        rng = np.random.default_rng(6000 + case)
-        segs = [
-            PulseSegment(
-                amplitude=TWO_PI * 50e3 * rng.random(),
-                phase=TWO_PI * rng.random(),
-                duration=1e-6 + 199e-6 * rng.random(),
-            )
-            for _ in range(rng.integers(1, 4))
-        ]
-        u = sequence_propagator(sys, segs)
-        validate_unitary(u)
-        count += 1
-    assert count == 500
 
 
 def test_sequence_order_matters_and_composes():

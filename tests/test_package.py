@@ -168,7 +168,7 @@ _LONG_INT_REFUSALS = {
     ),
     "static_hamiltonian-frame": (
         lambda: static_hamiltonian(SpinSystem(), 10**5000),
-        f"frame must be 'lab' or 'rotating', got <{_LONG}>",
+        f"frame must be one of ('lab', 'rotating'), got <{_LONG}>",
     ),
 }  # fmt: skip
 
@@ -182,29 +182,45 @@ def test_a_refusal_quotes_an_int_too_long_to_print_by_its_type(call, message):
     assert str(err.value) == message
 
 
-_ARRAYS = [np.zeros(3), np.zeros((2, 2)), []]
+# each string choice, the strs it refuses, and the start of its refusal
 _STRING_CHOICES = {
-    "FourierKind": (FourierKind, "Fourier variant must be one of ('general', 'qutrit'), got "),
+    "FourierKind": (FourierKind, ["spin"], "Fourier variant must be one of ('general', 'qutrit'), got "),
+    "stage_unitary-oracle": (
+        lambda x: stage_unitary(x, "full"), ["mystery"], "oracle must be one of ['negative', 'positive'], got ",
+    ),
     "stage_unitary-stage": (
         lambda x: stage_unitary("positive", x),
+        ["sideways"],
         "stage must be one of ('after_qft', 'after_oracle', 'full'), got ",
     ),
-    "static_hamiltonian-frame": (lambda x: static_hamiltonian(SpinSystem(), x), "frame must be 'lab' or 'rotating', got "),
+    "static_hamiltonian-frame": (
+        lambda x: static_hamiltonian(SpinSystem(), x), ["Lab", "interaction"], "frame must be one of ('lab', 'rotating'), got ",
+    ),
     "transition_frequencies-frame": (
         lambda x: transition_frequencies(SpinSystem(), x),
-        "frame must be 'lab' or 'rotating', got ",
+        ["Lab", "interaction"],
+        "frame must be one of ('lab', 'rotating'), got ",
     ),
+    "Chirality": (Chirality, ["x"], "chirality must be one of ('positive-cyclic', 'negative-cyclic', 'not-cyclic'), got "),
 }  # fmt: skip
 
 
-@pytest.mark.parametrize("junk", _ARRAYS, ids=["zeros(3)", "zeros(2,2)", "[]"])
-@pytest.mark.parametrize("call, prefix", _STRING_CHOICES.values(), ids=_STRING_CHOICES.keys())
-def test_a_string_choice_refuses_what_is_not_a_str_by_its_own_message(call, prefix, junk):
+_NOT_STRS = {"zeros(3)": np.zeros(3), "zeros(2,2)": np.zeros((2, 2)), "[]": [], "None": None}
+_CHOICE_REFUSALS = [
+    pytest.param(call, value, prefix, id=f"{choice}-{label}")
+    for choice, (call, wrong, prefix) in _STRING_CHOICES.items()
+    for label, value in [*((w, w) for w in wrong), *_NOT_STRS.items()]
+]
+
+
+@pytest.mark.parametrize("call, value, prefix", _CHOICE_REFUSALS)
+def test_a_string_choice_refuses_what_is_not_one_of_its_strs_by_its_own_message(call, value, prefix):
     # `in` compared an array with each choice, and numpy raised "The truth
-    # value of an array with more than one element is ambiguous"
+    # value of an array with more than one element is ambiguous"; a list
+    # raised TypeError from a hash lookup, and Enum gave its own message
     with pytest.raises(ValueError) as err:
-        call(junk)
-    assert str(err.value) == prefix + repr(junk)
+        call(value)
+    assert str(err.value) == prefix + repr(value)
 
 
 _INT_SLOTS = {
@@ -232,16 +248,8 @@ def test_an_int_slot_refuses_an_array_that_is_not_an_integer_scalar(call, name, 
         assert repr(got) == repr(want)
 
 
-def test_chirality_and_the_noise_seed_refuse_by_their_own_messages():
-    # Enum's lookup compared an array with each value and numpy raised "The
-    # truth value ... is ambiguous"; any other value got Enum's message, and
+def test_a_negative_noise_seed_is_refused_by_its_own_message():
     # default_rng refused a negative seed with "expected non-negative integer"
-    choices = "('positive-cyclic', 'negative-cyclic', 'not-cyclic')"
-    for junk in (np.zeros(3), "x", None, []):
-        with pytest.raises(ValueError) as err:
-            Chirality(junk)
-        assert str(err.value) == f"chirality must be one of {choices}, got {junk!r}"
-    assert Chirality("negative-cyclic") is Chirality(Chirality.NEGATIVE) is Chirality.NEGATIVE
     with pytest.raises(ValueError) as err:
         inject_readout_noise(np.eye(2) / 2, 0.01, -1)
     assert str(err.value) == "seed must be >= 0, got -1"

@@ -1,6 +1,7 @@
 """Permutation algebra, chirality classification, and oracle matrices."""
 
 import copy
+import functools
 import itertools
 import json
 import operator
@@ -36,18 +37,6 @@ def inversion_parity(p: Permutation) -> int:
     img = p.image
     inv = sum(1 for i in range(len(img)) for j in range(i + 1, len(img)) if img[i] > img[j])
     return 1 if inv % 2 == 0 else -1
-
-
-def brute_chirality(p: Permutation) -> Chirality:
-    """Independent chirality oracle via explicit rotation tables."""
-    base = list(range(1, p.dim + 1))
-    forwards = {tuple(np.roll(base, -r)) for r in range(p.dim)}
-    backwards = {tuple(np.roll(base[::-1], r)) for r in range(p.dim)}
-    if p.image in forwards:
-        return Chirality.POSITIVE
-    if p.image in backwards:
-        return Chirality.NEGATIVE
-    return Chirality.NOT_CYCLIC
 
 
 def test_permutation_validation():
@@ -130,32 +119,13 @@ def test_parity_examples():
     assert parity(Permutation((2, 3, 4, 1))) == -1
 
 
-def test_parity_against_inversion_count_at_small_sizes():
-    rng = np.random.default_rng(101)
-    for _ in range(300):
-        d = int(rng.integers(2, 10))
-        p = Permutation(random_permutation_image(rng, d))
-        assert parity(p) == inversion_parity(p)
-
-
 def test_parity_matches_inversion_count():
-    for d in range(1, 8):
-        for img in itertools.permutations(range(1, d + 1)):
-            p = Permutation(img)
-            assert parity(p) == inversion_parity(p)
+    perms = [Permutation(img) for d in range(1, 8) for img in itertools.permutations(range(1, d + 1))]
+    perms += enumerate_cyclic(MAX_DIM)
     rng = np.random.default_rng(103)
-    for _ in range(300):
-        p = Permutation(random_permutation_image(rng, int(rng.integers(8, 65))))
+    perms += [Permutation(random_permutation_image(rng, int(rng.integers(8, 65)))) for _ in range(300)]
+    for p in perms:
         assert parity(p) == inversion_parity(p)
-
-
-def test_parity_homomorphism_sweep():
-    rng = np.random.default_rng(102)
-    for _ in range(500):
-        d = int(rng.integers(3, 9))
-        p = Permutation(random_permutation_image(rng, d))
-        q = Permutation(random_permutation_image(rng, d))
-        assert parity(p.compose(q)) == parity(p) * parity(q)
 
 
 def test_classify_examples():
@@ -172,56 +142,40 @@ def test_classify_examples():
     assert c.chirality is Chirality.POSITIVE and c.shift == 0
 
 
-def test_classify_against_brute_force():
-    rng = np.random.default_rng(103)
-    for _ in range(500):
-        d = int(rng.integers(3, 9))
-        p = Permutation(random_permutation_image(rng, d))
-        assert classify_cyclic(p).chirality is brute_chirality(p)
+@functools.cache
+def _formula_images(d: int) -> tuple[list, list]:
+    """The images of the d rotations and of the d reflections of size d, by offset, each from its modulo formula."""
+    rotations = [tuple((x + r) % d + 1 for x in range(d)) for r in range(d)]
+    reflections = [tuple((r - x - 1) % d + 1 for x in range(d)) for r in range(d)]
+    return rotations, reflections
 
 
 def search_class(p: Permutation):
-    """Reference classifier: search every rotation, then every reflection, each from its modulo formula."""
-    d = p.dim
-    for r in range(d):
-        if p.image == tuple((x + r) % d + 1 for x in range(d)):
-            return Chirality.POSITIVE, r
-    for r in range(d):
-        if p.image == tuple((r - x - 1) % d + 1 for x in range(d)):
-            return Chirality.NEGATIVE, r
+    """Reference classifier: search every rotation, then every reflection, for p's image."""
+    for chirality, images in zip((Chirality.POSITIVE, Chirality.NEGATIVE), _formula_images(p.dim)):
+        if p.image in images:
+            return chirality, images.index(p.image)
     return Chirality.NOT_CYCLIC, None
 
 
 def test_classify_matches_rotation_search():
     perms = [Permutation(img) for d in range(1, 7) for img in itertools.permutations(range(1, d + 1))]
-    perms += enumerate_cyclic(64)
     rng = np.random.default_rng(107)
     perms += [Permutation(random_permutation_image(rng, int(rng.integers(7, 65)))) for _ in range(300)]
+    for d in range(2, MAX_DIM + 1):
+        perms += [rotation(d, r) for r in range(d)] + [reflection(d, r) for r in range(d)]
+        perms += [Permutation(random_permutation_image(rng, d)) for _ in range(20)]
+        # a rotation or a reflection with two images swapped: right p(1), wrong tail
+        for family in (rotation, reflection):
+            img = list(family(d, int(rng.integers(d))).image)
+            i, j = sorted(rng.choice(d, size=2, replace=False))
+            img[i], img[j] = img[j], img[i]
+            perms.append(Permutation(tuple(img)))
     for p in perms:
         c = classify_cyclic(p)
         assert (c.chirality, c.shift) == search_class(p)
-        assert parity(p) == inversion_parity(p)
     # d = 2: (2, 1) is both a rotation and a reflection and counts as positive
     assert classify_cyclic(Permutation((2, 1))).chirality is Chirality.POSITIVE
-
-
-def _old_classify(p: Permutation):
-    """The modulo scan classify_cyclic made before it compared against range-built images."""
-    d, img = p.dim, p.image
-    r = img[0] - 1
-    if all(y == (x + r) % d + 1 for x, y in enumerate(img)):
-        return Chirality.POSITIVE, r
-    r = img[0] % d
-    if all(y == (r - x - 1) % d + 1 for x, y in enumerate(img)):
-        return Chirality.NEGATIVE, r
-    return Chirality.NOT_CYCLIC, None
-
-
-def test_range_built_images_match_modulo_formulas():
-    for d in range(1, 65):
-        for r in range(-2 * d, 2 * d + 1):
-            assert rotation(d, r).image == tuple((x + r) % d + 1 for x in range(d))
-            assert reflection(d, r).image == tuple((r - x - 1) % d + 1 for x in range(d))
 
 
 def _assert_same_as_checked(got, image):
@@ -236,8 +190,8 @@ def test_window_built_permutations_equal_checked_ones():
     # the checked constructor on the modulo formulas is the reference
     for d in range(3, MAX_DIM + 1):
         got = enumerate_cyclic(d)
-        images = [[(x + r) % d + 1 for x in range(d)] for r in range(d)]
-        images += [[(r - x - 1) % d + 1 for x in range(d)] for r in range(d)]
+        rotations, reflections = _formula_images(d)
+        images = rotations + reflections
         assert len(got) == len(images)
         for p, image in zip(got, images):
             _assert_same_as_checked(p, image)
@@ -248,22 +202,6 @@ def test_window_built_permutations_equal_checked_ones():
         for r in range(-2 * d, 2 * d + 1):
             _assert_same_as_checked(rotation(d, r), [(x + r) % d + 1 for x in range(d)])
             _assert_same_as_checked(reflection(d, r), [(r - x - 1) % d + 1 for x in range(d)])
-
-
-def test_classify_matches_modulo_scan():
-    rng = np.random.default_rng(141)
-    for d in range(2, 65):
-        perms = [rotation(d, r) for r in range(d)] + [reflection(d, r) for r in range(d)]
-        perms += [Permutation(random_permutation_image(rng, d)) for _ in range(20)]
-        # a rotation or a reflection with two images swapped: right p(1), wrong tail
-        for family in (rotation, reflection):
-            img = list(family(d, int(rng.integers(d))).image)
-            i, j = sorted(rng.choice(d, size=2, replace=False))
-            img[i], img[j] = img[j], img[i]
-            perms.append(Permutation(tuple(img)))
-        for p in perms:
-            c = classify_cyclic(p)
-            assert (c.chirality, c.shift) == _old_classify(p)
 
 
 def test_permutation_stores_plain_ints():
@@ -377,10 +315,6 @@ def test_rotation_reflection_constructors():
     assert rotation(4, 1).image == (2, 3, 4, 1)
     assert reflection(4, 0).image == (4, 3, 2, 1)
     assert reflection(4, 3).image == (3, 2, 1, 4)
-    for d in range(3, 9):
-        for r in range(d):
-            assert classify_cyclic(rotation(d, r)).shift == r
-            assert classify_cyclic(reflection(d, r)).shift == r
 
 
 def test_enumerate_cyclic_structure():
@@ -392,12 +326,6 @@ def test_enumerate_cyclic_structure():
     assert len(fam4) == 8 and len({p.image for p in fam4}) == 8
     assert {p.image for p in fam4[:4]} == {(1, 2, 3, 4), (2, 3, 4, 1), (3, 4, 1, 2), (4, 1, 2, 3)}
     assert {p.image for p in fam4[4:]} == {(4, 3, 2, 1), (3, 2, 1, 4), (2, 1, 4, 3), (1, 4, 3, 2)}
-
-    for d in range(3, 13):
-        fam = enumerate_cyclic(d)
-        assert len(fam) == 2 * d and len({p.image for p in fam}) == 2 * d
-        assert all(classify_cyclic(p).chirality is Chirality.POSITIVE for p in fam[:d])
-        assert all(classify_cyclic(p).chirality is Chirality.NEGATIVE for p in fam[d:])
 
     with pytest.raises(ValueError):
         enumerate_cyclic(2)
@@ -471,42 +399,6 @@ def test_chirality_hashes_by_identity_and_every_copy_is_the_member(m):
     table = phase_table(5)  # keyed by (chirality, shift) for the two cyclic classes
     for back in backs:
         assert [(back, r) in table for r in range(5)] == [m is not Chirality.NOT_CYCLIC] * 5
-
-
-def test_oracle_matrix_examples():
-    assert np.array_equal(oracle_unitary(rotation(4, 0)), np.eye(4))
-    u2 = oracle_unitary(Permutation((2, 3, 4, 1)))
-    assert np.array_equal(
-        u2.real,
-        np.array([[0, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]], dtype=float),
-    )
-    u5 = oracle_unitary(Permutation((4, 3, 2, 1)))
-    assert np.array_equal(u5.real, np.fliplr(np.eye(4)))
-    assert np.all(u2.imag == 0)
-
-
-def test_oracle_moves_basis_states():
-    rng = np.random.default_rng(104)
-    for _ in range(200):
-        d = int(rng.integers(2, 9))
-        p = Permutation(random_permutation_image(rng, d))
-        u = oracle_unitary(p)
-        for x in range(1, d + 1):
-            e = np.zeros(d)
-            e[x - 1] = 1
-            out = u @ e
-            assert out[p.image[x - 1] - 1] == 1 and np.count_nonzero(out) == 1
-
-
-def test_oracle_homomorphism_sweep():
-    rng = np.random.default_rng(105)
-    for _ in range(500):
-        d = int(rng.integers(3, 9))
-        p = Permutation(random_permutation_image(rng, d))
-        q = Permutation(random_permutation_image(rng, d))
-        left = oracle_unitary(p.compose(q))
-        right = oracle_unitary(p) @ oracle_unitary(q)
-        assert np.array_equal(left, right)
 
 
 def _scatter_by_empty_like(p, a):

@@ -4,7 +4,7 @@ import logging
 
 import numpy as np
 import pytest
-from conftest import haar_unitary
+from conftest import GATES, TWO_PI, haar_unitary
 
 from quditcycle.algorithm import qft
 from quditcycle.cli import GATE_MAP
@@ -31,7 +31,6 @@ from quditcycle.smp import (
     smp_optimize,
 )
 
-TWO_PI = 2 * np.pi
 SPIN_HALF = SpinSystem(spin=0.5, larmor_freq=TWO_PI * 500e6, quad_freq=0.0)
 
 
@@ -550,8 +549,6 @@ def test_smp_optimize_calls_minimize_by_name_once_per_restart(monkeypatch):
         assert rec.fidelity == 1.0 - out.fun and rec.nfev == out.nfev <= cfg.max_iter
         assert rec.message == out.message
 
-
-GATES = ("qft", "pos", "neg", "fullpos", "fullneg")
 
 # Per optimizer seed at the default OptimizerConfig(): per gate, in GATES
 # order, each restart's (forward passes, accepted steps, stop reason).  Row 0
