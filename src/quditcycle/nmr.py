@@ -62,6 +62,9 @@ def spin_operators(s: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return ix, iy, iz
 
 
+_MAX_ENERGY = float(np.finfo(float).max) / 4  # the largest lab-frame energy a SpinSystem may hold, in rad/s
+
+
 @dataclass(frozen=True)
 class SpinSystem:
     """A nucleus in a strong field with a first-order quadrupolar splitting.
@@ -77,10 +80,18 @@ class SpinSystem:
     quad_freq: float = 2 * np.pi * 10e3
 
     def __post_init__(self):
-        _twice_spin(self.spin)
+        s = _twice_spin(self.spin) / 2
         # NaN passes the Zeeman-dominance test below and reaches the eigensolver
         check_finite(larmor_freq=self.larmor_freq, quad_freq=self.quad_freq)
-        if abs(self.larmor_freq) < 100 * abs(self.quad_freq):
+        # as Python floats, which overflow to inf without a numpy warning
+        larmor, quad = abs(float(self.larmor_freq)), abs(float(self.quad_freq))
+        # every lab-frame energy |(w_Q / 6)(3 m^2 - s(s+1)) - w_L m| is at most s (|w_L| + (s + 1) |w_Q|);
+        # a quarter of the float range leaves the level differences and the drift plus a drive finite
+        if not s * (larmor + (s + 1) * quad) <= _MAX_ENERGY:
+            raise ValueError(
+                f"larmor_freq and quad_freq too large: lab-frame energies of spin {s} must stay below {_MAX_ENERGY!r} rad/s"
+            )
+        if larmor < 100 * quad:
             raise ValueError(
                 "Zeeman term must dominate: need |larmor_freq| >= 100 |quad_freq|"
             )

@@ -125,7 +125,7 @@ def gate_fidelity(u: np.ndarray, v: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class RestartRecord:
-    """What one optimizer restart did: its final fidelity, cost and stop reason."""
+    """What one optimizer restart did: its final fidelity (at most 1), cost and stop reason."""
 
     fidelity: float
     nfev: int
@@ -136,7 +136,7 @@ class RestartRecord:
 
 @dataclass
 class SmpResult:
-    """Best pulse train found, with its fidelity, convergence status and one record per restart run."""
+    """Best pulse train found, with its fidelity (at most 1), convergence status and one record per restart run."""
 
     segments: list[PulseSegment]
     fidelity: float
@@ -346,7 +346,7 @@ def smp_optimize(
         y0 = np.concatenate([np.arccos(1 - 2 * amp), phase, np.arccos(1 - 2 * dur)])
         t0 = perf_counter()
         res = minimize(fun, y0, cfg.max_iter)  # looked up by name, so a replaced module attribute takes effect
-        fid = 1.0 - res.fun
+        fid = min(1.0 - res.fun, 1.0)  # rounding can leave the residual a few ulps below 0
         record = RestartRecord(fid, res.nfev, res.nit, res.message, perf_counter() - t0)
         history.append(record)
         log.debug(

@@ -28,6 +28,16 @@ def random_permutation_image(rng: np.random.Generator, dim: int) -> tuple:
     return tuple(int(v) + 1 for v in rng.permutation(dim))
 
 
+def rotation_image(d: int, r: int) -> tuple:
+    """The image of rotation(d, r) from its modulo formula, x -> x + r; any integer r."""
+    return tuple((x + r) % d + 1 for x in range(d))
+
+
+def reflection_image(d: int, r: int) -> tuple:
+    """The image of reflection(d, r) from its modulo formula, x -> r + 1 - x; any integer r."""
+    return tuple((r - x - 1) % d + 1 for x in range(d))
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

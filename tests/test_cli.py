@@ -1,7 +1,6 @@
 """End-to-end CLI behavior: exit codes, stdout JSON, exported artifacts."""
 
 import contextlib
-import csv
 import dataclasses
 import io
 import json
@@ -29,7 +28,6 @@ from quditcycle.cli import (
     build_parser,
     main,
 )
-from quditcycle.linalg import MAX_DIM
 from quditcycle.nmr import PulseSegment, SpinSystem, sequence_propagator
 from quditcycle.permutations import Chirality, reflection, rotation
 from quditcycle.protocol import theory_state
@@ -39,55 +37,6 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
-
-
-def read_csv_matrix(path):
-    m = np.zeros((4, 4))
-    with open(path) as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["i", "j", "value"]
-    for i, j, val in rows[1:]:
-        m[int(i) - 1, int(j) - 1] = float(val)
-    return m
-
-
-def test_run_quantum_json(capsys):
-    code, out, _ = run_cli(capsys, "run", "--perm", "2,3,4,1", "--json")
-    assert code == EXIT_OK
-    blob = json.loads(out)
-    assert blob["classification"] == "positive-cyclic"
-    assert blob["measured_index"] == 2
-    assert blob["oracle_queries"] == 1
-    assert blob["phase"]["im"] == pytest.approx(-1.0)
-
-
-def test_run_human_output_and_dim_check(capsys):
-    code, out, _ = run_cli(capsys, "run", "--perm", "3,2,1,4", "--dim", "4")
-    assert code == EXIT_OK
-    assert "negative-cyclic" in out
-    assert "measured |4>" in out
-
-
-def test_run_classical_mode(capsys):
-    code, out, _ = run_cli(capsys, "run", "--perm", "1,3,2,4", "--mode", "classical", "--json")
-    assert code == EXIT_OK
-    blob = json.loads(out)
-    assert blob["classification"] == "not-cyclic"
-    assert blob["oracle_queries"] == 2
-    assert blob["measured_index"] is None and blob["final_state"] is None
-
-
-def test_run_qutrit_variant(capsys):
-    code, out, _ = run_cli(capsys, "run", "--perm", "2,3,1", "--fourier", "qutrit", "--json")
-    assert code == EXIT_OK
-    assert json.loads(out)["measured_index"] == 1
-
-
-def test_run_relabeled(capsys):
-    code, out, _ = run_cli(capsys, "run", "--perm", "3,4,2,1", "--relabel", "1,3,2,4", "--json")
-    assert code == EXIT_OK
-    blob = json.loads(out)
-    assert blob["classification"] == "positive-cyclic"
 
 
 @pytest.mark.parametrize(
@@ -123,41 +72,23 @@ def test_run_empty_out_exits_two(tmp_path, capsys, monkeypatch):
     assert list(tmp_path.iterdir()) == []
 
 
-def test_run_not_cyclic_exit(capsys):
-    # 1,3,5,2,4 is x -> 2x - 1 mod 5: the circuit lands it on |4>, neither |2> nor |5>
-    for perm in ("1,3,2,4", "1,3,5,2,4"):
-        code, _, err = run_cli(capsys, "run", "--perm", perm)
-        assert code == EXIT_NOT_CYCLIC
-        assert err == f"error: permutation ({perm.replace(',', ', ')}) is not cyclic in the requested labeling\n"
-
-
-def test_run_malformed_exits_two(capsys):
-    for argv in (
-        ["run", "--perm", "1,2,2"],
-        ["run", "--perm", "banana"],
-        ["run", "--perm", "2,3,4,1", "--dim", "5"],
-        ["run", "--perm", "2,1", "--mode", "classical"],
-        ["run", "--perm", "2,3,1", "--relabel", "2,1"],
-    ):
-        code, _, err = run_cli(capsys, *argv)
-        assert code == EXIT_BAD_PERMUTATION
-        assert "error" in err
-
-
-def test_run_quantum_below_dim_three_exits_two(capsys):
+# run refusals the goldens do not record: they hold sizes 3..8 only, and no
+# affine map with a unit multiplier other than +-1
+_RUN_REFUSALS = {
     # (1,2) and (2,1) used to be answered "negative-cyclic" with exit 0
-    for perm in ("1,2", "2,1", "1"):
-        code, out, err = run_cli(capsys, "run", "--perm", perm)
-        assert code == EXIT_BAD_PERMUTATION
-        assert out == "" and err.startswith("error:") and "dim >= 3" in err
+    "1,2": (EXIT_BAD_PERMUTATION, "the cyclic promise needs dim >= 3, got 2"),
+    "2,1": (EXIT_BAD_PERMUTATION, "the cyclic promise needs dim >= 3, got 2"),
+    "1": (EXIT_BAD_PERMUTATION, "the cyclic promise needs dim >= 3, got 1"),
+    "2,1 --mode classical": (EXIT_BAD_PERMUTATION, "the cyclic promise needs dim >= 3, got 2"),
+    # x -> 2x - 1 mod 5: the circuit lands it on |4>, neither |2> nor |5>
+    "1,3,5,2,4": (EXIT_NOT_CYCLIC, "permutation (1, 3, 5, 2, 4) is not cyclic in the requested labeling"),
+}
 
 
-def test_run_writes_report_file(tmp_path, capsys):
-    path = tmp_path / "rep.json"
-    code, _, _ = run_cli(capsys, "run", "--perm", "4,1,2,3", "--out", str(path))
-    assert code == EXIT_OK
-    blob = json.loads(path.read_text())
-    assert blob["permutation"]["image"] == [4, 1, 2, 3]
+@pytest.mark.parametrize("args", _RUN_REFUSALS)
+def test_run_refusals_the_goldens_do_not_record(args, capsys):
+    code, err = _RUN_REFUSALS[args]
+    assert run_cli(capsys, "run", "--perm", *args.split()) == (code, "", f"error: {err}\n")
 
 
 @pytest.mark.parametrize("extra", [[], ["--json"]])
@@ -282,29 +213,6 @@ def test_run_out_into_the_stdout_pipe_exits_zero():
     assert json.loads(first + "}") == json.loads("{" + second)
 
 
-def test_verify_small_sweep(capsys):
-    code, out, _ = run_cli(capsys, "verify", "--dmax", "4", "--json")
-    assert code == EXIT_OK == EXIT_VERIFY_FAILED - 1
-    blob = json.loads(out)
-    assert blob["ok"] is True
-    assert blob["parity_is_chirality_at_dim3"] is True
-    dims = {row["dim"] for row in blob["rows"]}
-    assert dims == {3, 4}
-    for row in blob["rows"]:
-        assert row["classifications"] and row["phases"]
-        assert row["one_query_insufficient"] is True
-        assert row["classical_two_queries"] is True
-
-
-def test_verify_full_range(capsys):
-    # rows 9..12 used to hold null, and --dmax stopped at 12
-    code, out, _ = run_cli(capsys, "verify", "--dmax", str(MAX_DIM), "--json")
-    blob = json.loads(out)
-    assert code == EXIT_OK and blob["ok"] is True and blob["parity_is_chirality_at_dim3"] is True
-    assert [row["dim"] for row in blob["rows"]] == list(range(3, MAX_DIM + 1))
-    assert all(val is True for row in blob["rows"] for key, val in row.items() if key != "dim")
-
-
 @pytest.mark.parametrize(
     "value,message",
     [
@@ -346,7 +254,7 @@ def test_verify_labels_carry_weight(monkeypatch, capsys):
     monkeypatch.setattr(cli, "enumerate_cyclic", lambda d: enumerate_cyclic(d)[d:] + enumerate_cyclic(d)[:d])
     code, out, _ = run_cli(capsys, "verify", "--dmax", "4", "--json")
     blob = json.loads(out)
-    assert code == EXIT_VERIFY_FAILED and blob["ok"] is False
+    assert code == EXIT_VERIFY_FAILED == 1 and blob["ok"] is False
     assert [row["classifications"] for row in blob["rows"]] == [False, False]
     assert blob["rows"][0]["witnesses"]["classifications"] == {
         "dim": 3,
@@ -509,37 +417,16 @@ def test_verify_parity_column_fails_on_its_own(monkeypatch, capsys):
     assert lines[-1].startswith("FAILURES detected in ")
 
 
-def test_nmr_ideal_qft_artifacts(tmp_path, capsys):
-    code, out, _ = run_cli(
-        capsys, "nmr", "--gate", "qft", "--ideal", "--out", str(tmp_path), "--json"
-    )
-    assert code == EXIT_OK
-    report = json.loads(out)
-    assert report["gate_source"] == "ideal"
-    assert report["fidelity"] == pytest.approx(1.0, abs=1e-10)
-    assert report["pulses"] is None
-    assert not (tmp_path / "qft_pulses.json").exists()
-
-    disk = json.loads((tmp_path / "qft_report.json").read_text())
-    assert disk == report
-
-    dev_re = read_csv_matrix(tmp_path / "qft_dev_re.csv")
-    dev_im = read_csv_matrix(tmp_path / "qft_dev_im.csv")
-    # uniform superposition in the deviation block: every entry magnitude 1/4
-    assert np.max(np.abs(np.abs(dev_re + 1j * dev_im) - 0.25)) < 1e-12
-    rho_re = read_csv_matrix(tmp_path / "qft_rho_re.csv")
-    assert abs(np.trace(rho_re) - 1.0) < 1e-12
-
-
-def test_nmr_ideal_fullneg_dominant_level(tmp_path, capsys):
-    code, out, _ = run_cli(
-        capsys, "nmr", "--gate", "fullneg", "--ideal", "--out", str(tmp_path), "--json"
-    )
-    assert code == EXIT_OK
-    report = json.loads(out)
-    assert report["dominant_index"] == 4
-    dev_re = read_csv_matrix(tmp_path / "fullneg_dev_re.csv")
-    assert dev_re[3, 3] == pytest.approx(1.0, abs=1e-10)
+def test_a_reported_fidelity_is_accepted_back_as_min_fidelity(tmp_path, capsys):
+    # rounding put the synthesized fullneg fidelity at 1.0000000000000024, which
+    # --min-fidelity then refused with "must be in (0, 1]"; every golden report is at most 1
+    golden = {name: json.loads((Path(__file__).resolve().parent / "golden" / f"{name}.json").read_text()) for name in ("nmr", "synth")}
+    reports = [json.loads(case["stdout"]) for cases in golden.values() for case in cases.values() if case["stdout"].startswith("{")]
+    assert len(reports) == 18 and max(report["fidelity"] for report in reports) <= 1.0
+    fidelity = json.loads(golden["synth"]["fullneg"]["stdout"])["fidelity"]
+    argv = ["nmr", "--gate", "fullneg", "--ideal", "--min-fidelity", repr(fidelity), "--out", str(tmp_path), "--json"]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (EXIT_OK, "") and json.loads(out)["config"]["min_fidelity"] == fidelity
 
 
 def test_nmr_outdir_from_environment(tmp_path, capsys, monkeypatch):
@@ -839,20 +726,6 @@ def test_nmr_overflowing_noise_exits_two_without_artifacts(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
-def test_nmr_noise_flag(tmp_path, capsys):
-    code, out, _ = run_cli(
-        capsys,
-        "nmr", "--gate", "fullpos", "--ideal", "--noise-sigma", "0.02",
-        "--noise-seed", "4", "--out", str(tmp_path), "--json",
-    )
-    assert code == EXIT_OK
-    dev_re = read_csv_matrix(tmp_path / "fullpos_dev_re.csv")
-    assert abs(dev_re[1, 1] - 1.0) < 0.1           # still clearly the |2> level
-    assert np.max(np.abs(dev_re - np.diag(np.diag(dev_re)))) > 0  # noise is visible
-    rho_re = read_csv_matrix(tmp_path / "fullpos_rho_re.csv")
-    assert abs(np.trace(rho_re) - 1.0) < 1e-12
-
-
 @pytest.mark.parametrize("seed_flag, want", [([], 1), (["--seed", "3"], 3)], ids=["config", "flag"])
 def test_nmr_seed_flag_overrides_config_and_is_reported(seed_flag, want, tmp_path, capsys):
     # a config file's seed used to beat --seed, while the report quoted the flag
@@ -863,20 +736,6 @@ def test_nmr_seed_flag_overrides_config_and_is_reported(seed_flag, want, tmp_pat
     assert code == EXIT_OK
     report = json.loads(out)
     assert report["seed"] == report["config"]["seed"] == want
-
-
-def test_nmr_bad_config_rejected(tmp_path, capsys):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"segments": 2, "fidelity_target": 0.9}))
-    code, _, err = run_cli(capsys, "nmr", "--gate", "qft", "--config", str(cfg))
-    assert code == EXIT_BAD_PERMUTATION
-    assert "unknown config keys" in err
-    cfg.write_text(json.dumps({"segments": 1, "max_iter": 0}))
-    code, _, err = run_cli(capsys, "nmr", "--gate", "qft", "--config", str(cfg))
-    assert code == EXIT_BAD_PERMUTATION
-    assert "max_iter" in err
-    code, _, err = run_cli(capsys, "nmr", "--gate", "qft", "--config", str(tmp_path / "no.json"))
-    assert code == EXIT_BAD_PERMUTATION
 
 
 @pytest.mark.parametrize("text,kind", [('"abc"', "str"), ("[1, 2]", "list"), ("5", "int"), ("null", "NoneType")])
@@ -932,6 +791,7 @@ def test_nmr_deeply_nested_config_exits_two(tmp_path, capsys):
         ["--config", '{"restarts": 1.5}'],
         ["--config", '{"seed": 1.5}'],
         ["--config", '{"max_iter": 10.5}'],
+        ["--config", '{"segments": 1, "max_iter": 0}'],
         ["--config", '{"restarts": true}'],
         ["--config", '{"min_fidelity": true}'],
         ["--config="],  # was tested for truthiness and ran with the default settings
@@ -943,9 +803,11 @@ def test_nmr_deeply_nested_config_exits_two(tmp_path, capsys):
 def test_nmr_invalid_settings_exit_two_before_synthesis(flags, tmp_path, capsys):
     # without --ideal a bad setting would otherwise surface only after pulse
     # synthesis, as a traceback with the "verification failed" code 1
-    if flags[0] == "--config":  # the second item is the file's JSON text
+    named = None
+    if flags[0] == "--config":  # the second item is the file's JSON text, whose last key is the bad one
         path = tmp_path / "cfg.json"
         path.write_text(flags[1])
+        named = f"bad optimizer config: {list(json.loads(flags[1]))[-1]} "
         flags = ["--config", str(path)]
     argv = ["nmr", "--gate", "fullneg", "--out", str(tmp_path / "out"), *flags]
     try:
@@ -955,7 +817,8 @@ def test_nmr_invalid_settings_exit_two_before_synthesis(flags, tmp_path, capsys)
     captured = capsys.readouterr()
     assert code == EXIT_BAD_PERMUTATION
     assert captured.out == ""
-    assert len([line for line in captured.err.splitlines() if "error:" in line]) == 1
+    errors = [line for line in captured.err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and (named is None or errors[0].startswith(f"error: {named}"))
     assert not (tmp_path / "out").exists()
 
 

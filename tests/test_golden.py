@@ -26,7 +26,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import GATES
+from conftest import GATES, reflection_image, rotation_image
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -44,14 +44,6 @@ def _img(seq) -> str:
     return ",".join(map(str, seq))
 
 
-def _rotation(d, r):
-    return [(x - 1 + r) % d + 1 for x in range(1, d + 1)]
-
-
-def _reflection(d, r):
-    return [(r - x) % d + 1 for x in range(1, d + 1)]
-
-
 def _conjugate(q, sigma):
     """Image of sigma . q . sigma^-1, q written in sigma-relabeled values."""
     inv = [0] * len(sigma)
@@ -67,8 +59,8 @@ def _swap23(d):
 def run_cases() -> dict[str, list[str]]:
     cases = {}
     for d in range(3, 9):
-        cyclic = [("pos", r, _rotation(d, r)) for r in range(d)]
-        cyclic += [("neg", r, _reflection(d, r)) for r in range(d)]
+        cyclic = [("pos", r, rotation_image(d, r)) for r in range(d)]
+        cyclic += [("neg", r, reflection_image(d, r)) for r in range(d)]
         for chi, r, img in cyclic:
             cases[f"quantum-d{d}-{chi}{r}"] = ["run", "--perm", _img(img), "--json"]
             cases[f"classical-d{d}-{chi}{r}"] = [
@@ -89,10 +81,10 @@ def run_cases() -> dict[str, list[str]]:
             ]  # fmt: skip
             cases[f"error-not-cyclic-d{d}"] = ["run", "--perm", _img(swap)]
             cases[f"error-relabeled-not-cyclic-d{d}"] = [
-                "run", "--perm", _img(_rotation(d, 1)), "--relabel", _img(swap),
+                "run", "--perm", _img(rotation_image(d, 1)), "--relabel", _img(swap),
             ]  # fmt: skip
-    for chi, r, img in [("pos", r, _rotation(3, r)) for r in range(3)] + [
-        ("neg", r, _reflection(3, r)) for r in range(3)
+    for chi, r, img in [("pos", r, rotation_image(3, r)) for r in range(3)] + [
+        ("neg", r, reflection_image(3, r)) for r in range(3)
     ]:
         cases[f"qutrit-{chi}{r}"] = ["run", "--perm", _img(img), "--fourier", "qutrit", "--json"]
         cases[f"qutrit-relabeled-{chi}{r}"] = [

@@ -160,6 +160,31 @@ def test_spin_system_rejects_a_non_finite_or_boolean_field(name, value):
         SpinSystem(**{name: value})
 
 
+@pytest.mark.parametrize(
+    "spin,larmor,quad",
+    [(2.5, 1e308, 1.0), (31.5, 1e308, 1e306), (1.5, np.float64(-1.7e308), np.float64(1e306))],
+    ids=repr,
+)
+def test_spin_system_refuses_frequencies_whose_hamiltonian_overflows(spin, larmor, quad):
+    # the first was accepted, and transition_frequencies returned inf with a
+    # RuntimeWarning; at spin 31.5 the drive overflowed, and sequence_propagator
+    # then blamed the pulse train
+    with pytest.raises(ValueError, match="^larmor_freq and quad_freq too large: lab-frame energies of spin"):
+        SpinSystem(spin=spin, larmor_freq=larmor, quad_freq=quad)
+
+
+@pytest.mark.parametrize("spin", [0.5, 1.5, 31.5])
+def test_spin_system_at_the_energy_bound_stays_finite(spin):
+    # frequencies within a millionth of the largest accepted leave every level,
+    # level difference and propagator finite
+    larmor = 0.999999 * nmr._MAX_ENERGY / (spin * (1 + (spin + 1) / 100))
+    sys = SpinSystem(spin=spin, larmor_freq=larmor, quad_freq=larmor / 100)
+    for frame in ("lab", "rotating"):
+        assert np.isfinite(static_hamiltonian(sys, frame)).all()
+        assert np.isfinite(transition_frequencies(sys, frame)).all()
+    assert np.isfinite(sequence_propagator(sys, [PulseSegment(TWO_PI * 1e4, 0.3, 1e-5)])).all()
+
+
 def test_rotating_frame_hamiltonian_is_quadrupolar_only():
     sys = SpinSystem(spin=1.5, larmor_freq=TWO_PI * 105.8e6, quad_freq=TWO_PI * 10e3)
     h = static_hamiltonian(sys, frame="rotating")

@@ -29,7 +29,7 @@ from quditcycle.permutations import (
     rotation,
 )
 
-from conftest import outcome, random_permutation_image
+from conftest import outcome, random_permutation_image, reflection_image, rotation_image
 
 
 def inversion_parity(p: Permutation) -> int:
@@ -145,9 +145,7 @@ def test_classify_examples():
 @functools.cache
 def _formula_images(d: int) -> tuple[list, list]:
     """The images of the d rotations and of the d reflections of size d, by offset, each from its modulo formula."""
-    rotations = [tuple((x + r) % d + 1 for x in range(d)) for r in range(d)]
-    reflections = [tuple((r - x - 1) % d + 1 for x in range(d)) for r in range(d)]
-    return rotations, reflections
+    return [rotation_image(d, r) for r in range(d)], [reflection_image(d, r) for r in range(d)]
 
 
 def search_class(p: Permutation):
@@ -200,8 +198,8 @@ def test_window_built_permutations_equal_checked_ones():
         assert [(c.chirality, c.shift) for c in map(classify_cyclic, got)] == labels
     for d in range(1, MAX_DIM + 1):
         for r in range(-2 * d, 2 * d + 1):
-            _assert_same_as_checked(rotation(d, r), [(x + r) % d + 1 for x in range(d)])
-            _assert_same_as_checked(reflection(d, r), [(r - x - 1) % d + 1 for x in range(d)])
+            _assert_same_as_checked(rotation(d, r), rotation_image(d, r))
+            _assert_same_as_checked(reflection(d, r), reflection_image(d, r))
 
 
 def test_permutation_stores_plain_ints():
@@ -468,7 +466,9 @@ def test_relabel_identity_and_inverse():
         for _ in range(5):
             p = Permutation(random_permutation_image(rng, d))
             s = Permutation(random_permutation_image(rng, d))
-            assert relabel(p, s).image == _relabel_by_scatter(p, s).image
+            conj = relabel(p, s)
+            assert conj.image == _relabel_by_scatter(p, s).image
+            assert conj.compose(s) == s.compose(p)
     for p in (Permutation((2, 3, 1)), rotation(5, 1)):  # p smaller and larger than sigma
         with pytest.raises(ValueError, match=f"^size mismatch: 4 vs {p.dim}$"):
             relabel(p, sigma)

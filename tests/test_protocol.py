@@ -89,8 +89,8 @@ def test_smp_source_plumbs_through_and_flags_convergence():
 
 
 def _ideal_run_reference(oracle, stage):
-    """run_protocol with config None, with keyword construction, np.isfinite on the overlap
-    and np.argmax(np.diag(...)) for the dominant level: the reference."""
+    """run_protocol with config None, with keyword construction, np.isfinite on the overlap,
+    the fidelity clamped to 1, and np.argmax(np.diag(...)) for the dominant level: the reference."""
     target_u = stage_unitary(oracle, stage)
     start = basis_state(4, initial_index())
     pure = target_u @ outer(start) @ target_u.conj().T
@@ -98,7 +98,7 @@ def _ideal_run_reference(oracle, stage):
     with np.errstate(over="ignore", invalid="ignore"):
         val = np.vdot(t, a @ t).real
     assert np.isfinite(val)
-    return pure, float(val), int(np.argmax(np.diag(pure).real)) + 1
+    return pure, min(float(val), 1.0), int(np.argmax(np.diag(pure).real)) + 1
 
 
 @pytest.mark.parametrize("gate", sorted(GATE_MAP))

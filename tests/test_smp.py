@@ -546,8 +546,19 @@ def test_smp_optimize_calls_minimize_by_name_once_per_restart(monkeypatch):
     res = smp_optimize(SpinSystem(), qft(4), cfg)
     assert len(results) == len(res.history) == 3
     for out, rec in zip(results, res.history):
-        assert rec.fidelity == 1.0 - out.fun and rec.nfev == out.nfev <= cfg.max_iter
+        assert rec.fidelity == min(1.0 - out.fun, 1.0) and rec.nfev == out.nfev <= cfg.max_iter
         assert rec.message == out.message
+
+
+def test_a_reported_fidelity_is_at_most_one(monkeypatch):
+    # rounding can leave the residual a few ulps below 0: the restart's fidelity,
+    # and the result's, are then 1, and a min_fidelity of 1 is reached
+    def below_zero(*args, **kwargs):
+        return minimize(*args, **kwargs)._replace(fun=-2.4e-15)
+
+    monkeypatch.setattr(smp, "minimize", below_zero)
+    res = smp_optimize(SpinSystem(), qft(4), OptimizerConfig(segments=1, restarts=3, seed=0, min_fidelity=1.0, max_iter=2))
+    assert [rec.fidelity for rec in res.history] == [res.fidelity] == [1.0] and res.converged
 
 
 # Per optimizer seed at the default OptimizerConfig(): per gate, in GATES
