@@ -18,6 +18,7 @@ claims rather than assumed.
 from __future__ import annotations
 
 import cmath
+import itertools
 from dataclasses import dataclass
 from functools import cache
 
@@ -86,6 +87,9 @@ _DEFAULT_KIND = FourierKind()  # frozen, so one instance serves every call
 
 _ROWS = np.arange(MAX_DIM)  # the row indices 0..d-1 of every d, as the read-only window _ROWS[:d]
 _ROWS.flags.writeable = False
+
+# the refusal floor: a run is refused unless its measured level has at least this probability
+_MIN_PROBABILITY = 1.0 - 1e-9
 
 
 @cache
@@ -237,12 +241,56 @@ def run_quantum(p: Permutation, kind: FourierKind | None = None) -> RunReport:
     magnitudes = np.abs(psi)
     idx = int(magnitudes.argmax()) + 1
     top = magnitudes.item(idx - 1)
-    if top * top < 1.0 - 1e-9 or (idx != start and idx != d):
+    if top * top < _MIN_PROBABILITY or (idx != start and idx != d):
         raise NotCyclicError(p)
     amp = psi[idx - 1]
 
     chirality = Chirality.POSITIVE if idx == start else Chirality.NEGATIVE
     return RunReport(p, queries, chirality, idx, complex(amp / abs(amp)), psi)
+
+
+def _run_quantum_table(families) -> tuple[np.ndarray, np.ndarray]:
+    """run_quantum's measured level and phase for every member of every family, as one table.
+
+    families holds non-empty families of Permutations, each of one size
+    d >= 3, such as enumerate_cyclic(d) for several d, all run under the
+    default kind.  Returns (levels, phases), one entry per member in order,
+    with level 0, and a phase that means nothing, where run_quantum's
+    refusal rule refuses the member.  For a caller that holds whole
+    families, this replaces one run_quantum call per member: per size, one
+    scatter of every member's image and one product with the cached
+    conj(F), then one argmax, refusal test and phase over the rows of all
+    sizes.
+
+    A size's scatter buffer is d + 1 wide, so the labels 1..d of the images
+    index its columns as they are.  The table is as wide as the largest d
+    plus one, and F^dag U_p F|2> fills columns 1..d of p's row; the zeros in
+    column 0 and past d never win the argmax, whose column is the level.
+    The phases agree with run_quantum's to rounding: there the F^dag product
+    is one zgemv per member, here one zgemm per size.
+    """
+    start = _START["general"]
+    dims = [len(family[0].image) for family in families]
+    counts = [len(family) for family in families]
+    images = np.fromiter(itertools.chain.from_iterable(p.image for family in families for p in family), np.intp)
+    members = np.arange(max(counts))[:, None]
+    table = np.zeros((sum(counts), max(dims) + 1), complex)
+    at = read = 0
+    for d, n in zip(dims, counts):
+        f, f_conj = _fourier(d, "general")
+        psi = np.empty((n, d + 1), complex)
+        psi[members[:n], images[read : read + n * d].reshape(n, d)] = f[start - 1]  # U_p F|2> for every p
+        np.matmul(psi[:, 1:], f_conj, out=table[at : at + n, 1 : d + 1])  # F^dag psi, row by row: psi^T conj(F)
+        at, read = at + n, read + n * d
+
+    magnitudes = np.abs(table)
+    levels = magnitudes.argmax(axis=1)
+    rows = np.arange(len(levels))
+    top = magnitudes[rows, levels]
+    amp = table[rows, levels]
+    refused = (top * top < _MIN_PROBABILITY) | ((levels != start) & (levels != np.repeat(dims, counts)))
+    levels[refused] = 0
+    return levels, amp / top
 
 
 def run_classical(p: Permutation) -> RunReport:

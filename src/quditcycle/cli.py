@@ -34,6 +34,7 @@ from .algorithm import (
     FOURIER_VARIANTS,
     FourierKind,
     NotCyclicError,
+    _run_quantum_table,
     one_query_insufficient,
     phase_table,
     run_classical,
@@ -177,25 +178,46 @@ def cmd_verify(args) -> int:
     rows = []
     parity_matches = True
     t0 = time.perf_counter()
-    for d in range(3, args.dmax + 1):
+    dims = range(3, args.dmax + 1)
+    families = [enumerate_cyclic(d) for d in dims]
+    # the enumeration's order is its labels: rotation(d, i), then reflection(d, i - d)
+    labels = [
+        [(Chirality.POSITIVE, i) if i < d else (Chirality.NEGATIVE, i - d) for i in range(len(family))]
+        for d, family in zip(dims, families)
+    ]
+    want_levels, want_phases = [], []  # every member's, in the order of the one table
+    for d, keys in zip(dims, labels):
         table = phase_table(d)
+        want_levels += [2 if chirality is Chirality.POSITIVE else d for chirality, _ in keys]
+        want_phases += [table[key] for key in keys]
+    # every member's one-query run at once; a refused member, at level 0, has no phase to check
+    levels, phases = _run_quantum_table(families)
+    class_ok = (levels == want_levels).tolist()
+    phase_ok = ((levels == 0) | (abs(phases - want_phases) <= DEFAULT_TOL)).tolist()  # a NaN phase fails
+    levels, phases = levels.tolist(), phases.tolist()
+
+    at = 0
+    for d, family, keys in zip(dims, families, labels):
         witnesses = {}  # failing check -> its first witness; stays empty on a passing row
-        for i, p in enumerate(enumerate_cyclic(d)):
-            # the enumeration's order is its labels: rotation(d, i), then reflection(d, i - d)
-            chirality, shift = (Chirality.POSITIVE, i) if i < d else (Chirality.NEGATIVE, i - d)
-            quantum = run_quantum(p)
-            classical = run_classical(p)
-            phase = table[(chirality, shift)]
-            if quantum.classification is not chirality:
-                _witness(witnesses, "classifications", d, p, chirality.value, quantum.classification.value)
-            if not abs(quantum.phase - phase) <= DEFAULT_TOL:  # a NaN phase fails
-                _witness(witnesses, "phases", d, p, complex_to_json(phase), complex_to_json(quantum.phase))
-            if classical.classification is not chirality or classical.oracle_queries != 2:
-                want = {"classification": chirality.value, "oracle_queries": 2}
-                got = {"classification": classical.classification.value, "oracle_queries": classical.oracle_queries}
-                _witness(witnesses, "classical_two_queries", d, p, want, got)
-            if d == 3:
+        stop = at + len(family)
+        classical = [run_classical(p) for p in family]
+        two_ok = [c.classification is chirality and c.oracle_queries == 2 for c, (chirality, _) in zip(classical, keys)]
+        if not (all(class_ok[at:stop]) and all(phase_ok[at:stop]) and all(two_ok)):
+            # member by member, so each check keeps its first witness in the enumeration's order
+            for k, p, (chirality, _), c, two in zip(range(at, stop), family, keys, classical, two_ok):
+                if not class_ok[k]:
+                    seen = {0: Chirality.NOT_CYCLIC, 2: Chirality.POSITIVE}.get(levels[k], Chirality.NEGATIVE)
+                    _witness(witnesses, "classifications", d, p, chirality.value, seen.value)
+                if not phase_ok[k]:
+                    _witness(witnesses, "phases", d, p, complex_to_json(want_phases[k]), complex_to_json(phases[k]))
+                if not two:
+                    want = {"classification": chirality.value, "oracle_queries": 2}
+                    got = {"classification": c.classification.value, "oracle_queries": c.oracle_queries}
+                    _witness(witnesses, "classical_two_queries", d, p, want, got)
+        if d == 3:
+            for p, (chirality, _) in zip(family, keys):
                 parity_matches &= (chirality is Chirality.POSITIVE) == (parity(p) == 1)
+        at = stop
         if not one_query_insufficient(d):
             witnesses["one_query_insufficient"] = {"dim": d}
         row = {"dim": d, **{column: column not in witnesses for column in VERIFY_COLUMNS}}

@@ -171,6 +171,27 @@ def test_run_quantum_refuses_affine_maps_with_other_unit_multipliers(d):
     assert not bad and refused == len(perms) > 0
 
 
+@pytest.mark.parametrize("d", range(3, 8))
+def test_the_table_refuses_exactly_what_run_quantum_refuses(d):
+    # every permutation of size d through verify's one-table run, behind a wider
+    # family whose rows set the table's width: level 0 exactly where run_quantum
+    # refuses, by top probability or, for the affine maps of
+    # test_run_quantum_refuses_affine_maps_with_other_unit_multipliers, by level;
+    # elsewhere run_quantum's level and its phase to rounding
+    perms = [Permutation(img) for img in itertools.permutations(range(1, d + 1))]
+    levels, phases = algorithm._run_quantum_table([enumerate_cyclic(d + 1), perms])
+    assert levels[: 2 * d + 2].tolist() == [2] * (d + 1) + [d + 1] * (d + 1)
+    refused = 0
+    for p, level, phase in zip(perms, levels[2 * d + 2 :].tolist(), phases[2 * d + 2 :].tolist()):
+        rep = outcome(lambda: run_quantum(p))
+        if isinstance(rep, RunReport):
+            assert level == rep.measured_index and abs(phase - rep.phase) < 1e-14
+        else:
+            assert rep[0] is NotCyclicError and level == 0
+            refused += 1
+    assert refused == len(perms) - 2 * d
+
+
 def test_run_quantum_refuses_near_cyclic_inputs_at_max_dim():
     # a rotation or reflection with two entries swapped keeps the largest
     # probability within about 3e-4 of one, far outside the 1e-9 threshold
@@ -276,36 +297,6 @@ def test_run_report_is_slotted_and_keeps_every_field():
             rep.extra = 1
         for clone in (dataclasses.replace(rep), pickle.loads(pickle.dumps(rep)), copy.deepcopy(rep)):
             assert type(clone) is RunReport and _report_bits(clone) == _report_bits(rep)
-
-
-def test_run_quantum_rejects_dims_below_three():
-    # at d = 2 rotation and reflection coincide: both inputs used to come
-    # back "negative-cyclic"; the promise is degenerate, so refuse like
-    # run_classical does, and not as a non-cyclic input
-    cases = [((1,), None), ((1, 2), None), ((2, 1), None)]
-    cases += [((2, 1), FourierKind.standard(Permutation((2, 1)))), ((1, 2), FourierKind.qutrit_spin())]
-    for image, kind in cases:
-        with pytest.raises(ValueError, match="dim >= 3") as err:
-            run_quantum(Permutation(image), kind)
-        assert not isinstance(err.value, NotCyclicError)
-
-
-@pytest.mark.parametrize(
-    "image,kind,message",
-    [
-        ((1, 3, 2, 4), FourierKind("qutrit"), "qutrit spin variant is only defined for dim 3"),
-        ((1, 3, 2, 4), FourierKind("general", Permutation((2, 3, 1))), "size mismatch: 3 vs 4"),
-        ((1, 3, 2, 4, 5), FourierKind("general", Permutation((2, 1, 4, 3))), "size mismatch: 4 vs 5"),
-        ((2, 1), FourierKind("qutrit"), "dim >= 3"),
-        ((2, 1), FourierKind("general", Permutation((2, 3, 1))), "dim >= 3"),
-    ],
-)
-def test_run_quantum_checks_the_kind_before_the_promise(image, kind, message):
-    # a kind that does not fit the size is a bad argument (ValueError, exit 2
-    # in the CLI), whatever the permutation; only then is the promise checked
-    with pytest.raises(ValueError, match=message) as err:
-        run_quantum(Permutation(image), kind)
-    assert not isinstance(err.value, NotCyclicError)
 
 
 def test_run_quantum_reads_p_once_through_one_scatter(monkeypatch):
@@ -639,8 +630,9 @@ def _dense_circuit_run(p, kind=None):
 @pytest.mark.parametrize("d", range(1, MAX_DIM + 1))
 def test_runs_bitwise_match_the_reference_at_every_cyclic_input(d):
     # every cyclic input of size d, plain, relabeled by two seeded sigma and run
-    # under the first sigma unrelabeled; the adjacent swap, plain and relabeled; kinds
-    # that do not fit the size, kinds and inputs of the wrong type; and at d = 3
+    # under the first sigma unrelabeled; the adjacent swap, plain and relabeled; a
+    # rotation and the swap under kinds that do not fit the size, so the kind is
+    # checked before the promise; kinds and inputs of the wrong type; and at d = 3
     # the qutrit family under every relabeling of the spin labels.  Below d = 3
     # each input is refused.  A cyclic input's class, phase and final state are
     # also checked against phase_table and the basis state it lands on.
@@ -656,7 +648,7 @@ def test_runs_bitwise_match_the_reference_at_every_cyclic_input(d):
     swap = Permutation((2, 1, *range(3, d + 1))) if d >= 2 else rotation(1, 0)
     cases += [(swap, None, None)] + [(relabel(swap, kind.relabeling), kind, None) for kind in kinds]
     misfits = [FourierKind.qutrit_spin(), FourierKind.standard(rotation(d % MAX_DIM + 1, 1)), "general", ("general", None)]
-    cases += [(rotation(d, 1), kind, None) for kind in misfits] + [(rotation(d, 1).image, None, None)]
+    cases += [(p, kind, None) for kind in misfits for p in (rotation(d, 1), swap)] + [(rotation(d, 1).image, None, None)]
     fourier_kinds = [FourierKind(), *kinds] if d >= 2 else []  # qft is defined from d = 2
     if d == 3:
         for sigma in [None, *map(Permutation, QUTRIT_FAMILY)]:
@@ -674,5 +666,13 @@ def test_runs_bitwise_match_the_reference_at_every_cyclic_input(d):
             assert abs(rep.phase - table[truth]) < 1e-10
             # the distance to the basis state it lands on, times the phase that minimizes it
             assert np.linalg.norm(rep.final_state - rep.phase * basis_state(d, rep.measured_index)) <= 1e-9
+    if d >= 3:  # verify's one-table run of the plain inputs: run_quantum's level, 0 for a refusal, and its phase
+        plain = [p for p, kind, _ in cases if kind is None and isinstance(p, Permutation)]
+        levels, phases = algorithm._run_quantum_table([plain])
+        assert len(levels) == len(plain) and list(levels).count(0) == (d > 3)  # the swap is cyclic only at d = 3
+        for p, level, phase in zip(plain, levels.tolist(), phases.tolist()):
+            rep = outcome(lambda: run_quantum(p))
+            assert level == (rep.measured_index if isinstance(rep, RunReport) else 0)
+            assert level == 0 or abs(phase - rep.phase) < 1e-14
     for p in dict.fromkeys(p for p, _, _ in cases):  # the classical run takes no kind
         assert _report_bits(outcome(lambda: run_classical(p))) == _report_bits(outcome(lambda: _run_classical_reference(p)))

@@ -29,7 +29,7 @@ from quditcycle.cli import (
     main,
 )
 from quditcycle.nmr import PulseSegment, SpinSystem, sequence_propagator
-from quditcycle.permutations import Chirality, reflection, rotation
+from quditcycle.permutations import Chirality, Permutation, reflection, rotation
 from quditcycle.protocol import theory_state
 
 
@@ -264,6 +264,48 @@ def test_verify_labels_carry_weight(monkeypatch, capsys):
     }
 
 
+@pytest.mark.parametrize(
+    "dmax,d,at,image,classical",
+    [
+        # the swap: a superposition, refused by its top probability; d = 4's first member
+        (4, 4, 0, (2, 1, 3, 4), "negative-cyclic"),
+        # x -> 2x - 1 mod 5: lands on |4> alone, refused by its level; a middle row of a middle size
+        (6, 5, 7, (1, 3, 5, 2, 4), "not-cyclic"),
+    ],
+)
+def test_a_non_cyclic_family_member_is_a_witness(monkeypatch, capsys, dmax, d, at, image, classical):
+    # the one-query run refuses a member outside the promise; that raised
+    # NotCyclicError out of verify as a traceback, and is now a witness whose
+    # refused run has no phase to check, in its own row only
+    enumerate_cyclic = cli.enumerate_cyclic
+
+    def family(n):
+        members = enumerate_cyclic(n)
+        return [*members[:at], Permutation(image), *members[at + 1 :]] if n == d else members
+
+    monkeypatch.setattr(cli, "enumerate_cyclic", family)
+    code, out, err = run_cli(capsys, "verify", "--dmax", str(dmax), "--json")
+    blob = json.loads(out)
+    assert code == EXIT_VERIFY_FAILED and blob["ok"] is False and err == ""
+    expected = "positive-cyclic" if at < d else "negative-cyclic"
+    assert [row.get("witnesses") for row in blob["rows"]] == [None] * (d - 3) + [
+        {
+            "classifications": {
+                "dim": d,
+                "permutation": list(image),
+                "expected": expected,
+                "observed": "not-cyclic",
+            },
+            "classical_two_queries": {
+                "dim": d,
+                "permutation": list(image),
+                "expected": {"classification": expected, "oracle_queries": 2},
+                "observed": {"classification": classical, "oracle_queries": 2},
+            },
+        }
+    ] + [None] * (dmax - d)
+
+
 def test_verify_human_table(capsys):
     code, out, _ = run_cli(capsys, "verify", "--dmax", "3")
     assert code == EXIT_OK
@@ -290,7 +332,9 @@ def _wrong_phase(monkeypatch):
 
     monkeypatch.setattr(cli, "phase_table", mutant)
     expected = -table(4)[(Chirality.NEGATIVE, 2)]
-    observed = cli.run_quantum(reflection(4, 2)).phase
+    # the phase verify reports: reflection(4, 2)'s row of the one table, the 6 members of d = 3 and 4 + 2 before it
+    assert cli.enumerate_cyclic(4)[6] == reflection(4, 2)
+    observed = cli._run_quantum_table([cli.enumerate_cyclic(3), cli.enumerate_cyclic(4)])[1][12].item()
     return "phases", {
         "dim": 4,
         "permutation": [2, 1, 4, 3],
@@ -300,15 +344,16 @@ def _wrong_phase(monkeypatch):
 
 
 def _wrong_class(monkeypatch):
-    run = cli.run_quantum
+    # d = 4's negative rows of the one table come back at level 2
+    run = cli._run_quantum_table
 
-    def mutant(p):
-        report = run(p)
-        if p.dim == 4 and report.classification is Chirality.NEGATIVE:
-            return dataclasses.replace(report, classification=Chirality.POSITIVE)
-        return report
+    def mutant(families):
+        levels, phases = run(families)
+        dims = np.repeat([family[0].dim for family in families], [len(family) for family in families])
+        levels[(dims == 4) & (levels == 4)] = 2
+        return levels, phases
 
-    monkeypatch.setattr(cli, "run_quantum", mutant)
+    monkeypatch.setattr(cli, "_run_quantum_table", mutant)
     return "classifications", {
         "dim": 4,
         "permutation": list(reflection(4, 0).image),
