@@ -262,7 +262,7 @@ def _residual(y: np.ndarray, sys: SpinSystem, target_h: np.ndarray):
     tr = w.trace()
     value = 1.0 - float(np.abs(tr) / d)
     root = math.sqrt(d)
-    turn = np.exp(-1j * np.arctan2(tr.imag, tr.real)) / root  # arctan2 is np.angle without its wrapper
+    turn = np.exp(-1j * math.atan2(tr.imag, tr.real)) / root  # numpy's AVX-512 and AVX2 arctan2 differ in the last bit
     r = (turn * w).reshape(-1)
     r[:: d + 1] -= 1 / root  # the diagonal
 
@@ -340,10 +340,10 @@ def smp_optimize(
     for k in range(cfg.restarts):
         # Seeding each restart independently keeps restart k's trajectory
         # identical no matter how large the overall budget is.  Amplitude and
-        # duration start at a uniform 5 .. 95% of their window.
+        # duration start at a uniform 5 .. 95% of their window (math.acos: numpy's arccos differs by SIMD level).
         rng = np.random.default_rng([cfg.seed, k])
         amp, phase, dur = rng.uniform(0.05, 0.95, n), rng.uniform(0.0, 1.0, n), rng.uniform(0.05, 0.95, n)
-        y0 = np.concatenate([np.arccos(1 - 2 * amp), phase, np.arccos(1 - 2 * dur)])
+        y0 = np.concatenate([[*map(math.acos, 1 - 2 * amp)], phase, [*map(math.acos, 1 - 2 * dur)]])
         t0 = perf_counter()
         res = minimize(fun, y0, cfg.max_iter)  # looked up by name, so a replaced module attribute takes effect
         fid = min(1.0 - res.fun, 1.0)  # rounding can leave the residual a few ulps below 0

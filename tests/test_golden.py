@@ -21,6 +21,7 @@ import contextlib
 import io
 import json
 import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -201,6 +202,34 @@ def test_output_is_byte_identical(suite, case, tmp_path, monkeypatch):
     assert sorted(got["files"]) == sorted(want["files"])
     for name, text in want["files"].items():
         assert got["files"][name] == text, name
+
+
+# numpy's AVX-512 dispatch targets; without them numpy takes its AVX2 paths
+AVX512_TARGETS = "X86_V4 AVX512_ICL AVX512_SPR"
+
+
+def test_synth_pulses_do_not_depend_on_numpy_simd_level(tmp_path, monkeypatch):
+    # numpy's AVX-512 and AVX2 loops round some functions differently in the last bit;
+    # the synth golden's qft run must write the same pulses on either
+    monkeypatch.delenv("QUDITCYCLE_OUTDIR", raising=False)
+    argv = synth_cases()["qft"]
+    here, avx2 = tmp_path / "here", tmp_path / "avx2"
+    here.mkdir()
+    avx2.mkdir()
+    want = capture(argv, here)["files"]["qft_pulses.json"]
+    for name, text in SETUP_FILES.items():
+        (avx2 / name).write_text(text)
+    import quditcycle
+
+    env = {**os.environ, "PYTHONPATH": str(Path(quditcycle.__file__).parent.parent)}
+    env["NPY_DISABLE_CPU_FEATURES"] = AVX512_TARGETS
+    # numpy refuses to disable targets the CPU lacks with an ImportWarning, which -W always shows
+    cmd = [sys.executable, "-W", "always::ImportWarning", "-m", "quditcycle", *argv]
+    proc = subprocess.run(cmd, cwd=avx2, env=env, capture_output=True, text=True, timeout=120)
+    if "not supported by your machine" in proc.stderr:
+        pytest.skip(f"this CPU lacks numpy's AVX-512 targets: {proc.stderr.strip()}")
+    assert proc.returncode == 0, proc.stderr
+    assert (avx2 / "qft_pulses.json").read_text() == want
 
 
 def write_goldens() -> None:
