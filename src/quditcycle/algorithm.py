@@ -247,48 +247,41 @@ def run_quantum(p: Permutation, kind: FourierKind | None = None) -> RunReport:
     return RunReport(p, queries, chirality, idx, complex(amp / abs(amp)), psi)
 
 
-def _run_quantum_table(families) -> tuple[np.ndarray, np.ndarray]:
-    """run_quantum's measured level and phase for every member of every family, as one table.
+def _run_quantum_table(families, levels) -> tuple[np.ndarray, np.ndarray]:
+    """run_quantum under the default kind for every member of every family, read at one level each.
 
     families holds non-empty families of Permutations, each of one size
-    d >= 3, such as enumerate_cyclic(d) for several d, all run under the
-    default kind.  Returns (levels, phases), one entry per member in order,
-    with level 0, and a phase that means nothing, where run_quantum's
-    refusal rule refuses the member.  For a caller that holds whole
-    families, this replaces one run_quantum call per member: per size, one
-    scatter of every member's image and one product with the cached
-    conj(F), then one argmax, refusal test and phase over the rows of all
-    sizes.
+    d >= 3, such as enumerate_cyclic(d) for several d; levels holds, in the
+    same order, the level each member should land on, 2 or its d.  Returns
+    (landed, phases), one entry per member: landed is True exactly when
+    run_quantum(p).measured_index is that level, and the phase is then
+    run_quantum(p).phase bit for bit.  Where landed is False the phase
+    means nothing, and nothing is divided by a zero amplitude.
 
-    A size's scatter buffer is d + 1 wide, so the labels 1..d of the images
-    index its columns as they are.  The table is as wide as the largest d
-    plus one, and F^dag U_p F|2> fills columns 1..d of p's row; the zeros in
-    column 0 and past d never win the argmax, whose column is the level.
-    The phases agree with run_quantum's to rounding: there the F^dag product
-    is one zgemv per member, here one zgemm per size.
+    Per size, one scatter of every member's image builds the (n, 1, d)
+    stack of U_p F|2>, and np.matmul with the cached conj(F) makes, row by
+    row, the same zgemv that run_quantum makes once.  A level at or above
+    the refusal floor leaves less than 1e-9 to all the others, so it is the
+    argmax, and run_quantum measures it exactly when it reaches the floor.
+    The magnitude is np.hypot of the parts, bit for bit the scalar abs that
+    run_quantum divides by, which the array np.abs is not.
     """
-    start = _START["general"]
-    dims = [len(family[0].image) for family in families]
-    counts = [len(family) for family in families]
+    levels = np.asarray(levels) - 1  # the column each member's amplitude is read from
     images = np.fromiter(itertools.chain.from_iterable(p.image for family in families for p in family), np.intp)
-    members = np.arange(max(counts))[:, None]
-    table = np.zeros((sum(counts), max(dims) + 1), complex)
-    at = read = 0
-    for d, n in zip(dims, counts):
+    members = np.arange(max(map(len, families)))
+    amps, at, read = [], 0, 0
+    for family in families:
+        d, n = len(family[0].image), len(family)
         f, f_conj = _fourier(d, "general")
-        psi = np.empty((n, d + 1), complex)
-        psi[members[:n], images[read : read + n * d].reshape(n, d)] = f[start - 1]  # U_p F|2> for every p
-        np.matmul(psi[:, 1:], f_conj, out=table[at : at + n, 1 : d + 1])  # F^dag psi, row by row: psi^T conj(F)
+        psi = np.empty((n, 1, d + 1), complex)  # column 0 spare, so the labels 1..d index columns 1..d
+        psi[members[:n, None], 0, images[read : read + n * d].reshape(n, d)] = f[_START["general"] - 1]  # U_p F|2>
+        psi = np.matmul(psi[:, :, 1:], f_conj)  # F^dag U_p F|2>, as run_quantum's zgemv per p
+        amps.append(psi[members[:n], 0, levels[at : at + n]])
         at, read = at + n, read + n * d
-
-    magnitudes = np.abs(table)
-    levels = magnitudes.argmax(axis=1)
-    rows = np.arange(len(levels))
-    top = magnitudes[rows, levels]
-    amp = table[rows, levels]
-    refused = (top * top < _MIN_PROBABILITY) | ((levels != start) & (levels != np.repeat(dims, counts)))
-    levels[refused] = 0
-    return levels, amp / top
+    amp = np.concatenate(amps)
+    top = np.hypot(amp.real, amp.imag)
+    landed = top * top >= _MIN_PROBABILITY
+    return landed, amp / np.where(landed, top, 1.0)  # a level it misses may hold exactly 0
 
 
 def run_classical(p: Permutation) -> RunReport:

@@ -190,11 +190,11 @@ def cmd_verify(args) -> int:
         table = phase_table(d)
         want_levels += [2 if chirality is Chirality.POSITIVE else d for chirality, _ in keys]
         want_phases += [table[key] for key in keys]
-    # every member's one-query run at once; a refused member, at level 0, has no phase to check
-    levels, phases = _run_quantum_table(families)
-    class_ok = (levels == want_levels).tolist()
-    phase_ok = ((levels == 0) | (abs(phases - want_phases) <= DEFAULT_TOL)).tolist()  # a NaN phase fails
-    levels, phases = levels.tolist(), phases.tolist()
+    # every member's one-query run at once; a member that does not land has no phase to check
+    landed, phases = _run_quantum_table(families, want_levels)
+    class_ok = landed.tolist()
+    phase_ok = (~landed | (abs(phases - want_phases) <= DEFAULT_TOL)).tolist()  # a NaN phase fails
+    phases = phases.tolist()
 
     at = 0
     for d, family, keys in zip(dims, families, labels):
@@ -206,7 +206,10 @@ def cmd_verify(args) -> int:
             # member by member, so each check keeps its first witness in the enumeration's order
             for k, p, (chirality, _), c, two in zip(range(at, stop), family, keys, classical, two_ok):
                 if not class_ok[k]:
-                    seen = {0: Chirality.NOT_CYCLIC, 2: Chirality.POSITIVE}.get(levels[k], Chirality.NEGATIVE)
+                    try:  # the class run_quantum gives p, its refusal read as not-cyclic
+                        seen = run_quantum(p).classification
+                    except NotCyclicError:
+                        seen = Chirality.NOT_CYCLIC
                     _witness(witnesses, "classifications", d, p, chirality.value, seen.value)
                 if not phase_ok[k]:
                     _witness(witnesses, "phases", d, p, complex_to_json(want_phases[k]), complex_to_json(phases[k]))

@@ -171,25 +171,27 @@ def test_run_quantum_refuses_affine_maps_with_other_unit_multipliers(d):
     assert not bad and refused == len(perms) > 0
 
 
+def _assert_table_is_run_quantum(perms):
+    """verify's one-table run of perms, all of one size d, read at level 2 and at level d:
+    landed exactly where run_quantum measures that level, and then run_quantum's phase bit for bit."""
+    d = perms[0].dim
+    for level in (2, d):
+        landed, phases = algorithm._run_quantum_table([perms], [level] * len(perms))
+        assert len(landed) == len(phases) == len(perms)
+        for p, hit, phase in zip(perms, landed.tolist(), phases):
+            rep = outcome(lambda: run_quantum(p))
+            lands = isinstance(rep, RunReport) and rep.measured_index == level
+            assert hit is lands
+            assert not lands or phase.tobytes() == np.complex128(rep.phase).tobytes()
+
+
 @pytest.mark.parametrize("d", range(3, 8))
 def test_the_table_refuses_exactly_what_run_quantum_refuses(d):
-    # every permutation of size d through verify's one-table run, behind a wider
-    # family whose rows set the table's width: level 0 exactly where run_quantum
-    # refuses, by top probability or, for the affine maps of
-    # test_run_quantum_refuses_affine_maps_with_other_unit_multipliers, by level;
-    # elsewhere run_quantum's level and its phase to rounding
-    perms = [Permutation(img) for img in itertools.permutations(range(1, d + 1))]
-    levels, phases = algorithm._run_quantum_table([enumerate_cyclic(d + 1), perms])
-    assert levels[: 2 * d + 2].tolist() == [2] * (d + 1) + [d + 1] * (d + 1)
-    refused = 0
-    for p, level, phase in zip(perms, levels[2 * d + 2 :].tolist(), phases[2 * d + 2 :].tolist()):
-        rep = outcome(lambda: run_quantum(p))
-        if isinstance(rep, RunReport):
-            assert level == rep.measured_index and abs(phase - rep.phase) < 1e-14
-        else:
-            assert rep[0] is NotCyclicError and level == 0
-            refused += 1
-    assert refused == len(perms) - 2 * d
+    # every permutation of size d, among them the inputs refused by their top
+    # probability and the affine maps of
+    # test_run_quantum_refuses_affine_maps_with_other_unit_multipliers, which
+    # land on a level other than 2 and d
+    _assert_table_is_run_quantum([Permutation(img) for img in itertools.permutations(range(1, d + 1))])
 
 
 def test_run_quantum_refuses_near_cyclic_inputs_at_max_dim():
@@ -666,13 +668,7 @@ def test_runs_bitwise_match_the_reference_at_every_cyclic_input(d):
             assert abs(rep.phase - table[truth]) < 1e-10
             # the distance to the basis state it lands on, times the phase that minimizes it
             assert np.linalg.norm(rep.final_state - rep.phase * basis_state(d, rep.measured_index)) <= 1e-9
-    if d >= 3:  # verify's one-table run of the plain inputs: run_quantum's level, 0 for a refusal, and its phase
-        plain = [p for p, kind, _ in cases if kind is None and isinstance(p, Permutation)]
-        levels, phases = algorithm._run_quantum_table([plain])
-        assert len(levels) == len(plain) and list(levels).count(0) == (d > 3)  # the swap is cyclic only at d = 3
-        for p, level, phase in zip(plain, levels.tolist(), phases.tolist()):
-            rep = outcome(lambda: run_quantum(p))
-            assert level == (rep.measured_index if isinstance(rep, RunReport) else 0)
-            assert level == 0 or abs(phase - rep.phase) < 1e-14
+    if d >= 3:  # verify's one-table run of the plain inputs, the swap among them
+        _assert_table_is_run_quantum([p for p, kind, _ in cases if kind is None and isinstance(p, Permutation)])
     for p in dict.fromkeys(p for p, _, _ in cases):  # the classical run takes no kind
         assert _report_bits(outcome(lambda: run_classical(p))) == _report_bits(outcome(lambda: _run_classical_reference(p)))

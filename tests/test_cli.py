@@ -332,9 +332,7 @@ def _wrong_phase(monkeypatch):
 
     monkeypatch.setattr(cli, "phase_table", mutant)
     expected = -table(4)[(Chirality.NEGATIVE, 2)]
-    # the phase verify reports: reflection(4, 2)'s row of the one table, the 6 members of d = 3 and 4 + 2 before it
-    assert cli.enumerate_cyclic(4)[6] == reflection(4, 2)
-    observed = cli._run_quantum_table([cli.enumerate_cyclic(3), cli.enumerate_cyclic(4)])[1][12].item()
+    observed = cli.run_quantum(reflection(4, 2)).phase  # the phase verify reports, bit for bit
     return "phases", {
         "dim": 4,
         "permutation": [2, 1, 4, 3],
@@ -344,21 +342,20 @@ def _wrong_phase(monkeypatch):
 
 
 def _wrong_class(monkeypatch):
-    # d = 4's negative rows of the one table come back at level 2
-    run = cli._run_quantum_table
+    # d = 4's fifth member, reflection(4, 0) = 4,3,2,1, becomes 4,3,1,2: the
+    # one-query run refuses it, and its f(1) and f(2) still class it negative
+    enumerate_cyclic = cli.enumerate_cyclic
 
-    def mutant(families):
-        levels, phases = run(families)
-        dims = np.repeat([family[0].dim for family in families], [len(family) for family in families])
-        levels[(dims == 4) & (levels == 4)] = 2
-        return levels, phases
+    def mutant(d):
+        members = enumerate_cyclic(d)
+        return [*members[:4], Permutation((4, 3, 1, 2)), *members[5:]] if d == 4 else members
 
-    monkeypatch.setattr(cli, "_run_quantum_table", mutant)
+    monkeypatch.setattr(cli, "enumerate_cyclic", mutant)
     return "classifications", {
         "dim": 4,
-        "permutation": list(reflection(4, 0).image),
+        "permutation": [4, 3, 1, 2],
         "expected": "negative-cyclic",
-        "observed": "positive-cyclic",
+        "observed": "not-cyclic",
     }
 
 
@@ -411,7 +408,7 @@ def test_a_failing_verify_check_names_its_first_witness(mutate, monkeypatch, cap
 
 
 def test_two_checks_failing_in_one_row_name_their_own_first_witnesses(monkeypatch, capsys):
-    # rotation(4, 2) is the third permutation enumerated, reflection(4, 0) the fifth
+    # rotation(4, 2) is the third permutation enumerated, the refused 4,3,1,2 the fifth
     class_check, class_witness = _wrong_class(monkeypatch)
     two_check, two_witness = _three_queries(monkeypatch)
     code, out, _ = run_cli(capsys, "verify", "--dmax", "4", "--json")
