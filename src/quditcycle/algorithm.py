@@ -86,7 +86,7 @@ class FourierKind:
 _ROWS = np.arange(MAX_DIM)  # the row indices 0..d-1 of every d, as the read-only window _ROWS[:d]: 2% of classify-stream
 _ROWS.flags.writeable = False
 
-# the refusal floor: a run is refused unless its measured level has at least this probability
+# the refusal floor: a level is measured only when its probability reaches this, which at most one level can
 _MIN_PROBABILITY = 1.0 - 1e-9
 
 
@@ -217,10 +217,9 @@ def run_quantum(p: Permutation, kind: FourierKind | None = None) -> RunReport:
     row indices _ROWS[:d] into sigma^-1 - 1, whose entries pick the rows of
     P_sigma F out of F|start> and out of the cached conj(F), whose
     transpose is F^dag.  The only d x d work is the F^dag product.  The
-    outcome comes from one pass of magnitudes: their argmax is the measured
-    level, and only its magnitude is squared for the 1 - 1e-9 test: a level
-    above that bound leaves less than 1e-9 to all the others, so no tie can
-    move the argmax.
+    outcome reads the amplitude at start, then at d: the first whose
+    probability reaches the 1 - 1e-9 floor is the measured level, positive
+    at start and negative at d, and p is refused if neither does.
     """
     d = _cyclic_dim(p)
     kind = _check_kind(d, kind)
@@ -236,15 +235,12 @@ def run_quantum(p: Permutation, kind: FourierKind | None = None) -> RunReport:
     psi, queries = _scatter(p.image, ket), 1  # the one oracle query: U_p F|start>
     psi = f_conj.T.dot(psi)  # the same zgemv as @, with less dispatch
 
-    magnitudes = np.abs(psi)
-    idx = int(magnitudes.argmax()) + 1
-    top = magnitudes.item(idx - 1)
-    if top * top < _MIN_PROBABILITY or (idx != start and idx != d):
-        raise NotCyclicError(p)
-    amp = psi[idx - 1]
-
-    chirality = Chirality.POSITIVE if idx == start else Chirality.NEGATIVE
-    return RunReport(p, queries, chirality, idx, complex(amp / abs(amp)), psi)
+    for idx, chirality in ((start, Chirality.POSITIVE), (d, Chirality.NEGATIVE)):
+        amp = psi[idx - 1]  # a numpy scalar: Python complex division would drop the sign of some zero parts
+        top = abs(amp)
+        if top * top >= _MIN_PROBABILITY:
+            return RunReport(p, queries, chirality, idx, complex(amp / top), psi)
+    raise NotCyclicError(p)
 
 
 def _run_quantum_table(families, levels) -> tuple[np.ndarray, np.ndarray]:
@@ -260,11 +256,11 @@ def _run_quantum_table(families, levels) -> tuple[np.ndarray, np.ndarray]:
 
     Per size, one scatter of every member's image builds the (n, 1, d)
     stack of U_p F|2>, and np.matmul with the cached conj(F) makes, row by
-    row, the same zgemv that run_quantum makes once.  A level at or above
-    the refusal floor leaves less than 1e-9 to all the others, so it is the
-    argmax, and run_quantum measures it exactly when it reaches the floor.
-    The magnitude is np.hypot of the parts, bit for bit the scalar abs that
-    run_quantum divides by, which the array np.abs is not.
+    row, the same zgemv that run_quantum makes once.  The outcome rule is
+    run_quantum's: a level is measured when its probability reaches the
+    refusal floor.  The magnitude is np.hypot of the parts, bit for bit the
+    scalar abs that run_quantum squares and divides by, which the array
+    np.abs is not.
     """
     levels = np.asarray(levels) - 1  # the column each member's amplitude is read from
     images = np.fromiter(itertools.chain.from_iterable(p.image for family in families for p in family), np.intp)
