@@ -141,22 +141,22 @@ def _outcome_mismatches(perms, kind):
     return bad, refused
 
 
+@functools.cache
+def _every_permutation(d):
+    return tuple(Permutation(img) for img in itertools.permutations(range(1, d + 1)))
+
+
 @pytest.mark.parametrize("d", range(3, 8))
 def test_run_quantum_outcome_refuses_exactly_the_non_cyclic(d):
     # run_quantum reads p only through U_p: every permutation, plain and
-    # under one seeded relabeling, is refused exactly when it is not cyclic.
-    # verify's one-table run of the plain ones is run_quantum at levels 2 and
-    # d, among them the inputs refused by their top probability and the affine
-    # maps of test_run_quantum_refuses_affine_maps_with_other_unit_multipliers,
-    # which land on a level other than 2 and d
-    perms = [Permutation(img) for img in itertools.permutations(range(1, d + 1))]
+    # under one seeded relabeling, is refused exactly when it is not cyclic
+    perms = _every_permutation(d)
     order = list(range(1, d + 1))
     np.random.default_rng(d).shuffle(order)
     for kind in (FourierKind(), FourierKind.standard(Permutation(tuple(order)))):
         bad, refused = _outcome_mismatches(perms, kind)
         assert not bad
         assert refused == len(perms) - 2 * d
-    _assert_table_is_run_quantum(perms)
 
 
 def test_run_quantum_outcome_on_every_qutrit_case():
@@ -188,6 +188,15 @@ def _assert_table_is_run_quantum(perms):
             lands = isinstance(rep, RunReport) and rep.measured_index == level
             assert hit is lands
             assert not lands or phase.tobytes() == np.complex128(rep.phase).tobytes()
+
+
+@pytest.mark.parametrize("d", range(3, 8))
+def test_the_table_refuses_exactly_what_run_quantum_refuses(d):
+    # every permutation of size d, the list the outcome test builds, among them
+    # the inputs refused by their top probability and the affine maps of
+    # test_run_quantum_refuses_affine_maps_with_other_unit_multipliers, which
+    # land on a level other than 2 and d
+    _assert_table_is_run_quantum(list(_every_permutation(d)))
 
 
 def test_run_quantum_refuses_near_cyclic_inputs_at_max_dim():
