@@ -243,41 +243,45 @@ def run_quantum(p: Permutation, kind: FourierKind | None = None) -> RunReport:
     raise NotCyclicError(p)
 
 
-def _run_quantum_table(families, levels) -> tuple[np.ndarray, np.ndarray]:
-    """run_quantum under the default kind for every member of every family, read at one level each.
+def _run_quantum_table(families) -> tuple[list[Chirality], np.ndarray]:
+    """run_quantum under the default kind for every member of every family: its class and phase.
 
     families holds non-empty families of Permutations, each of one size
-    d >= 3, such as enumerate_cyclic(d) for several d; levels holds, in the
-    same order, the level each member should land on, 2 or its d.  Returns
-    (landed, phases), one entry per member: landed is True exactly when
-    run_quantum(p).measured_index is that level, and the phase is then
-    run_quantum(p).phase bit for bit.  Where landed is False the phase
-    means nothing, and nothing is divided by a zero amplitude.
+    d >= 3, such as enumerate_cyclic(d) for several d.  Returns (classes,
+    phases), one entry per member in the families' order: the class is
+    run_quantum(p).classification, or NOT_CYCLIC where run_quantum refuses
+    p, and where it measures a level the phase is run_quantum(p).phase bit
+    for bit.  A refused member's phase means nothing, and nothing is divided
+    by a zero amplitude.
 
     Per size, one scatter of every member's image builds the (n, 1, d)
     stack of U_p F|2>, and np.matmul with the cached conj(F) makes, row by
     row, the same zgemv that run_quantum makes once.  The outcome rule is
-    run_quantum's: a level is measured when its probability reaches the
-    refusal floor.  The magnitude is np.hypot of the parts, bit for bit the
-    scalar abs that run_quantum squares and divides by, which the array
-    np.abs is not.
+    run_quantum's: level 2, then level d, is measured when its probability
+    reaches the refusal floor.  The magnitude is np.hypot of the parts, bit
+    for bit the scalar abs that run_quantum squares and divides by, which
+    the array np.abs is not.
     """
-    levels = np.asarray(levels) - 1  # the column each member's amplitude is read from
     images = np.fromiter(itertools.chain.from_iterable(p.image for family in families for p in family), np.intp)
     members = np.arange(max(map(len, families)))
-    amps, at, read = [], 0, 0
+    amps, read = [], 0
     for family in families:
         d, n = len(family[0].image), len(family)
         f, f_conj = _fourier(d, "general")
         psi = np.empty((n, 1, d + 1), complex)  # column 0 spare, so the labels 1..d index columns 1..d
         psi[members[:n, None], 0, images[read : read + n * d].reshape(n, d)] = f[_START["general"] - 1]  # U_p F|2>
         psi = np.matmul(psi[:, :, 1:], f_conj)  # F^dag U_p F|2>, as run_quantum's zgemv per p
-        amps.append(psi[members[:n], 0, levels[at : at + n]])
-        at, read = at + n, read + n * d
+        amps.append(psi[:, 0, [1, d - 1]])  # the amplitudes at levels 2 and d
+        read += n * d
     amp = np.concatenate(amps)
     top = np.hypot(amp.real, amp.imag)
-    landed = top * top >= _MIN_PROBABILITY
-    return landed, amp / np.where(landed, top, 1.0)  # a level it misses may hold exactly 0
+    hit = top * top >= _MIN_PROBABILITY
+    col = np.where(hit[:, 0], 0, 1)  # level 2 if it is measured, else level d
+    each = np.arange(len(amp))
+    amp, top, landed = amp[each, col], top[each, col], hit[each, col]
+    outcomes = (Chirality.POSITIVE, Chirality.NEGATIVE, Chirality.NOT_CYCLIC)
+    classes = [outcomes[k] for k in np.where(landed, col, 2).tolist()]
+    return classes, amp / np.where(landed, top, 1.0)  # a refused member's amplitude may be exactly 0
 
 
 def run_classical(p: Permutation) -> RunReport:

@@ -180,47 +180,28 @@ def cmd_verify(args) -> int:
     t0 = time.perf_counter()
     dims = range(3, args.dmax + 1)
     families = [enumerate_cyclic(d) for d in dims]
-    # the enumeration's order is its labels: rotation(d, i), then reflection(d, i - d)
-    labels = [
-        [(Chirality.POSITIVE, i) if i < d else (Chirality.NEGATIVE, i - d) for i in range(len(family))]
-        for d, family in zip(dims, families)
-    ]
-    want_levels, want_phases = [], []  # every member's, in the order of the one table
-    for d, keys in zip(dims, labels):
+    # every member's one-query run at once: run_quantum's class, its refusal read as not-cyclic, and phase
+    classes, phases = _run_quantum_table(families)
+    outcomes = zip(classes, phases.tolist())
+    for d, family in zip(dims, families):
         table = phase_table(d)
-        want_levels += [2 if chirality is Chirality.POSITIVE else d for chirality, _ in keys]
-        want_phases += [table[key] for key in keys]
-    # every member's one-query run at once; a member that does not land has no phase to check
-    landed, phases = _run_quantum_table(families, want_levels)
-    class_ok = landed.tolist()
-    phase_ok = (~landed | (abs(phases - want_phases) <= DEFAULT_TOL)).tolist()  # a NaN phase fails
-    phases = phases.tolist()
-
-    at = 0
-    for d, family, keys in zip(dims, families, labels):
         witnesses = {}  # failing check -> its first witness; stays empty on a passing row
-        stop = at + len(family)
-        classical = [run_classical(p) for p in family]
-        two_ok = [c.classification is chirality and c.oracle_queries == 2 for c, (chirality, _) in zip(classical, keys)]
-        if not (all(class_ok[at:stop]) and all(phase_ok[at:stop]) and all(two_ok)):
-            # member by member, so each check keeps its first witness in the enumeration's order
-            for k, p, (chirality, _), c, two in zip(range(at, stop), family, keys, classical, two_ok):
-                if not class_ok[k]:
-                    try:  # the class run_quantum gives p, its refusal read as not-cyclic
-                        seen = run_quantum(p).classification
-                    except NotCyclicError:
-                        seen = Chirality.NOT_CYCLIC
-                    _witness(witnesses, "classifications", d, p, chirality.value, seen.value)
-                if not phase_ok[k]:
-                    _witness(witnesses, "phases", d, p, complex_to_json(want_phases[k]), complex_to_json(phases[k]))
-                if not two:
-                    want = {"classification": chirality.value, "oracle_queries": 2}
-                    got = {"classification": c.classification.value, "oracle_queries": c.oracle_queries}
-                    _witness(witnesses, "classical_two_queries", d, p, want, got)
-        if d == 3:
-            for p, (chirality, _) in zip(family, keys):
+        # family first, so zip takes no outcome past this family's last member
+        for i, (p, (seen, phase)) in enumerate(zip(family, outcomes)):
+            # the enumeration's order is its labels: rotation(d, i), then reflection(d, i - d)
+            chirality = Chirality.POSITIVE if i < d else Chirality.NEGATIVE
+            want = table[chirality, i % d]
+            if seen is not chirality:
+                _witness(witnesses, "classifications", d, p, chirality.value, seen.value)
+            elif not abs(phase - want) <= DEFAULT_TOL:  # a NaN phase fails
+                _witness(witnesses, "phases", d, p, complex_to_json(want), complex_to_json(phase))
+            c = run_classical(p)
+            if c.classification is not chirality or c.oracle_queries != 2:
+                expected = {"classification": chirality.value, "oracle_queries": 2}
+                observed = {"classification": c.classification.value, "oracle_queries": c.oracle_queries}
+                _witness(witnesses, "classical_two_queries", d, p, expected, observed)
+            if d == 3:
                 parity_matches &= (chirality is Chirality.POSITIVE) == (parity(p) == 1)
-        at = stop
         if not one_query_insufficient(d):
             witnesses["one_query_insufficient"] = {"dim": d}
         row = {"dim": d, **{column: column not in witnesses for column in VERIFY_COLUMNS}}

@@ -177,17 +177,17 @@ def test_run_quantum_refuses_affine_maps_with_other_unit_multipliers(d):
 
 
 def _assert_table_is_run_quantum(perms):
-    """verify's one-table run of perms, all of one size d, read at level 2 and at level d:
-    landed exactly where run_quantum measures that level, and then run_quantum's phase bit for bit."""
-    d = perms[0].dim
-    for level in (2, d):
-        landed, phases = algorithm._run_quantum_table([perms], [level] * len(perms))
-        assert len(landed) == len(phases) == len(perms)
-        for p, hit, phase in zip(perms, landed.tolist(), phases):
-            rep = outcome(lambda: run_quantum(p))
-            lands = isinstance(rep, RunReport) and rep.measured_index == level
-            assert hit is lands
-            assert not lands or phase.tobytes() == np.complex128(rep.phase).tobytes()
+    """verify's one-table run of perms, all of one size d: per member run_quantum's class, its
+    refusal read as not-cyclic, and wherever it measures a level, run_quantum's phase bit for bit."""
+    classes, phases = algorithm._run_quantum_table([perms])
+    assert len(classes) == len(phases) == len(perms)
+    for p, chirality, phase in zip(perms, classes, phases):
+        rep = outcome(lambda: run_quantum(p))
+        if isinstance(rep, RunReport):
+            assert chirality is rep.classification
+            assert phase.tobytes() == np.complex128(rep.phase).tobytes()
+        else:
+            assert chirality is Chirality.NOT_CYCLIC and rep[0] is NotCyclicError
 
 
 @pytest.mark.parametrize("d", range(3, 8))

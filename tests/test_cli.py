@@ -276,14 +276,19 @@ def test_verify_labels_carry_weight(monkeypatch, capsys):
 def test_a_non_cyclic_family_member_is_a_witness(monkeypatch, capsys, dmax, d, at, image, classical):
     # the one-query run refuses a member outside the promise; that raised
     # NotCyclicError out of verify as a traceback, and is now a witness whose
-    # refused run has no phase to check, in its own row only
+    # refused run has no phase to check, in its own row only.  The observed
+    # class is the table's own: verify does not run run_quantum again
     enumerate_cyclic = cli.enumerate_cyclic
 
     def family(n):
         members = enumerate_cyclic(n)
         return [*members[:at], Permutation(image), *members[at + 1 :]] if n == d else members
 
+    def refuse(p, kind=None):
+        raise AssertionError(f"run_quantum({p}) was called")
+
     monkeypatch.setattr(cli, "enumerate_cyclic", family)
+    monkeypatch.setattr(cli, "run_quantum", refuse)
     code, out, err = run_cli(capsys, "verify", "--dmax", str(dmax), "--json")
     blob = json.loads(out)
     assert code == EXIT_VERIFY_FAILED and blob["ok"] is False and err == ""
