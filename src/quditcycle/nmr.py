@@ -38,8 +38,8 @@ from .linalg import MAX_DIM, _as_array, check_choice, check_finite, check_int, c
 def _twice_spin(s: float) -> int:
     """2s for a positive half-integer spin s of at most MAX_DIM levels; anything else raises ValueError."""
     check_finite(spin=s)  # round() would raise TypeError on a string and take True as 1
-    twice = round(2 * s)
-    if abs(2 * s - twice) > 1e-9 or not 1 <= twice < MAX_DIM:
+    twice = round(2 * s) if 0 < s < MAX_DIM else 0  # the range first: 2 s overflows near the float maximum
+    if not 1 <= twice < MAX_DIM or abs(2 * s - twice) > 1e-9:
         raise ValueError(f"spin must be a positive half-integer up to {(MAX_DIM - 1) / 2}, got {shown(s)}")
     return twice
 
@@ -216,8 +216,8 @@ def _forward(sys: SpinSystem, amp: np.ndarray, phase: np.ndarray, dur: np.ndarra
     steps, *parts = _propagator(h0 + amp[:, None, None] * ops[0], dur, frame)
     prefix = np.empty((len(steps) + 1, len(m), len(m)), dtype=complex)
     prefix[0] = np.eye(len(m))
-    for k, step in enumerate(steps):  # ndarray.dot costs less per call than np.dot or np.matmul at these sizes
-        step.dot(prefix[k], out=prefix[k + 1])
+    for k, step in enumerate(steps):
+        prefix[k + 1] = step @ prefix[k]
     return prefix, *parts
 
 

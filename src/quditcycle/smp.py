@@ -192,12 +192,12 @@ def minimize(fun, x0, max_eval: int) -> MinimizeResult:
         scale = np.maximum(scale, a.diagonal())
         # a zero column of J leaves a zero row in a and g, so its step is 0 at any damping
         damping = np.where(scale > 0, scale, 1.0)
-        descent = -g
         while nfev < max_eval:
-            # a + lam diag(damping), bit for bit: lam D adds +0.0 off the diagonal
+            # a + lam diag(damping) without a p x p np.diag per trial (72 MB at MAX_SEGMENTS);
+            # bit for bit, since lam D adds +0.0 off the diagonal
             damped = a + 0.0
             damped.reshape(-1)[:: x.size + 1] += lam * damping
-            trial = x + np.linalg.solve(damped, descent)
+            trial = x + np.linalg.solve(damped, -g)
             f_new, r_new, jac_new = fun(trial)
             nfev += 1
             if f_new < f:
@@ -224,17 +224,13 @@ def minimize(fun, x0, max_eval: int) -> MinimizeResult:
 # _OFFSET + _SPAN (1 - cos u) / 2, and the phase row from turns to radians.
 _SPAN = np.array([[2 * np.pi * AMP_MAX_HZ], [2 * np.pi], [DUR_MAX_S - DUR_MIN_S]])
 _OFFSET = np.array([[0.0], [0.0], [DUR_MIN_S]])
+_PHASE = np.array([[False], [True], [False]])
 
 
 def _decode(y: np.ndarray) -> np.ndarray:
     """(3, n) rows of amplitudes (rad/s), phases (rad) and durations (s) from the search vector."""
     u = y.reshape(3, -1)
-    rows = np.sin(u / 2)
-    rows *= rows  # sin^2(u/2) = (1 - cos u) / 2
-    rows[1] = u[1]
-    rows *= _SPAN
-    rows += _OFFSET
-    return rows
+    return _OFFSET + _SPAN * np.where(_PHASE, u, np.sin(u / 2) ** 2)  # sin^2(u/2) = (1 - cos u) / 2
 
 
 def _residual(y: np.ndarray, sys: SpinSystem, target_h: np.ndarray):
@@ -283,24 +279,17 @@ def _residual(y: np.ndarray, sys: SpinSystem, target_h: np.ndarray):
         # dZ/dphase = -i I_z Z, the drift commutes with I_z and -i[I_z, I_x] = I_y;
         # and V^dag dH V = W^T (Z^dag dH Z) W.
         rotated = real_vecs.swapaxes(-1, -2) @ sys.drive[1][:, None] @ real_vecs  # W^T (I_x, -i I_y) W
-        xa = np.empty((3, len(amp), d, d), dtype=complex)
-        np.matmul(rotated * (np.sin(x) / x), a, out=xa[:2])
-        np.multiply(evals[:, :, None], a, out=xa[2])
+        xa = np.concatenate([rotated * (np.sin(x) / x) @ a, [evals[:, :, None] * a]])
         # -i t, -i t (i amp) and -i, times the chain rule through _decode:
         # d/du sin^2(u/2) = sin(u) / 2, and the phase row's span
-        chain = _SPAN * np.sin(y.reshape(3, -1))
-        chain /= 2
+        chain = _SPAN * np.sin(y.reshape(3, -1)) / 2
         chain[1] = _SPAN[1]
-        coef = np.empty(chain.shape, dtype=complex)
-        np.multiply(-1j, dur, out=coef[0])
-        np.multiply(dur, amp, out=coef[1])
-        coef[2] = -1j
-        coef *= chain
+        coef = chain * np.stack([-1j * dur, dur * amp, np.full(len(amp), -1j)])
         xa *= coef[:, :, None, None]
         # e^{-i phi} dW / sqrt(d), one row per entry of y, with the phase direction projected out
         j = (turn * (w @ a.conj().swapaxes(-1, -2) @ xa)).reshape(-1, d * d)
         diag = j[:, :: d + 1]
-        diag -= (1j / d) * np.add.reduce(diag, axis=1).imag[:, None]  # diag.sum(axis=1) without its wrapper
+        diag -= (1j / d) * diag.sum(axis=1).imag[:, None]
         return j.view(float).T
 
     return value, r.view(float), jac

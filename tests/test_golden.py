@@ -210,26 +210,33 @@ AVX512_TARGETS = "X86_V4 AVX512_ICL AVX512_SPR"
 
 def test_synth_pulses_do_not_depend_on_numpy_simd_level(tmp_path, monkeypatch):
     # numpy's AVX-512 and AVX2 loops round some functions differently in the last bit;
-    # the synth golden's qft run must write the same pulses on either
+    # every synth golden case must print and write the same on either.  The five
+    # run in-process here and in one child process with the AVX-512 targets off
     monkeypatch.delenv("QUDITCYCLE_OUTDIR", raising=False)
-    argv = synth_cases()["qft"]
+    argvs = list(synth_cases().values())
     here, avx2 = tmp_path / "here", tmp_path / "avx2"
     here.mkdir()
     avx2.mkdir()
-    want = capture(argv, here)["files"]["qft_pulses.json"]
+    stdout, files = "", {}
+    for argv in argvs:
+        got = capture(argv, here)
+        assert got["code"] == 0, got["stderr"]
+        stdout, files = stdout + got["stdout"], files | got["files"]
     for name, text in SETUP_FILES.items():
         (avx2 / name).write_text(text)
     import quditcycle
 
     env = {**os.environ, "PYTHONPATH": str(Path(quditcycle.__file__).parent.parent)}
     env["NPY_DISABLE_CPU_FEATURES"] = AVX512_TARGETS
+    script = "import json, sys\nfrom quditcycle.cli import main\nsys.exit(max(main(argv) for argv in json.loads(sys.argv[1])))"
     # numpy refuses to disable targets the CPU lacks with an ImportWarning, which -W always shows
-    cmd = [sys.executable, "-W", "always::ImportWarning", "-m", "quditcycle", *argv]
+    cmd = [sys.executable, "-W", "always::ImportWarning", "-c", script, json.dumps(argvs)]
     proc = subprocess.run(cmd, cwd=avx2, env=env, capture_output=True, text=True, timeout=120)
     if "not supported by your machine" in proc.stderr:
         pytest.skip(f"this CPU lacks numpy's AVX-512 targets: {proc.stderr.strip()}")
     assert proc.returncode == 0, proc.stderr
-    assert (avx2 / "qft_pulses.json").read_text() == want
+    assert proc.stdout == stdout
+    assert {path.name: path.read_text() for path in avx2.iterdir() if path.name not in SETUP_FILES} == files
 
 
 def write_goldens() -> None:

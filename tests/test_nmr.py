@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quditcycle.linalg import _as_array, basis_state, check_finite, check_int
+from quditcycle.linalg import basis_state
 from quditcycle.protocol import run_protocol
 from quditcycle.smp import (
     AMP_MAX_HZ,
@@ -104,10 +104,11 @@ def test_static_hamiltonian_is_the_operator_form_diagonal(s, freqs, frame):
     assert not h.imag.any() and not (h - np.diag(h.diagonal())).any()
 
 
-@pytest.mark.parametrize("s", ["a", None, True, np.inf, 1.2, 32, 10**6], ids=repr)
+@pytest.mark.parametrize("s", ["a", None, True, np.inf, 1.2, 32, 10**6, 1e308, -1e308, np.float64(1e308)], ids=repr)
 def test_spin_operators_refuse_what_is_not_a_half_integer(s):
-    # "a" and None used to raise TypeError from round(), True was spin 1, and
-    # spin 32 built 65 levels, past the 64 every other layer allows
+    # "a" and None used to raise TypeError from round(), True was spin 1,
+    # spin 32 built 65 levels, past the 64 every other layer allows, and
+    # +-1e308 overflowed in 2 s (OverflowError, or numpy's warning)
     with pytest.raises(ValueError, match="spin must be a"):
         spin_operators(s)
 
@@ -143,7 +144,7 @@ def test_spin_system_validation():
     assert SpinSystem(spin=31.5).dim == spin_operators(31.5)[2].shape[0] == 64
     with pytest.raises(ValueError):
         SpinSystem(spin=1.2)
-    for spin in (32, 10**6):  # 65 and 2,000,001 levels; no drive is built
+    for spin in (32, 10**6, 1e308, -1e308, np.float64(1e308)):  # 65 and 2,000,001 levels, and 2 s overflowing; no drive is built
         with pytest.raises(ValueError, match="spin must be a"):
             SpinSystem(spin=spin)
     with pytest.raises(ValueError):
@@ -430,27 +431,30 @@ def test_pseudo_pure_composition():
             pseudo_pure(ket_bra(4, 2), bad)
 
 
-@pytest.mark.parametrize(
-    "call",
-    [
-        lambda rho: pseudo_pure(rho, True),
-        lambda rho: pseudo_pure([1.0, 0.0], 0.5),
-        lambda rho: pseudo_pure([[1.0, 0.0]], 0.5),
-        lambda rho: inject_readout_noise(rho, sigma=True),
-        lambda rho: inject_readout_noise(rho, seed=1.5),
-        lambda rho: pseudo_pure(rho, 10**400),
-        lambda rho: inject_readout_noise(rho, sigma=10**400),
-    ],
-    ids=[
-        "epsilon-bool", "pure-1d-list", "pure-nonsquare-list", "sigma-bool", "seed-float",
-        "epsilon-10**400", "sigma-10**400",
-    ],  # fmt: skip
-)
-def test_mixture_and_noise_refuse_bad_arguments(call):
+_MIXTURE_AND_NOISE_REFUSALS = {
+    "epsilon-bool": (lambda rho: pseudo_pure(rho, True), "epsilon must be a finite number, got True"),
+    "pure-1d-list": (lambda rho: pseudo_pure([1.0, 0.0], 0.5), "expected a square matrix, got shape (2,)"),
+    "pure-nonsquare-list": (lambda rho: pseudo_pure([[1.0, 0.0]], 0.5), "expected a square matrix, got shape (1, 2)"),
+    "sigma-bool": (lambda rho: inject_readout_noise(rho, sigma=True), "sigma must be a finite number, got True"),
+    "seed-float": (lambda rho: inject_readout_noise(rho, seed=1.5), "seed must be an integer, got 1.5"),
+    "epsilon-10**400": (lambda rho: pseudo_pure(rho, 10**400), f"epsilon must be a finite number, got {10**400}"),
+    "sigma-10**400": (lambda rho: inject_readout_noise(rho, sigma=10**400), f"sigma must be a finite number, got {10**400}"),
+    "noise-overflow": (
+        lambda rho: inject_readout_noise(ket_bra(4, 4), 1e308, 0),
+        "readout noise with sigma 1e+308 overflows: the perturbed matrix is not finite",
+    ),
+    "sigma-negative": (lambda rho: inject_readout_noise(pseudo_pure(rho, 1e-5), -1.0, 0), "sigma must be >= 0, got -1.0"),
+    "rho-nan": (lambda rho: inject_readout_noise(np.full((2, 2), np.nan), 0.01, 0), "array contains NaN or Inf"),
+    "rho-nonsquare": (lambda rho: inject_readout_noise(np.ones((2, 3)), 0.01, 0), "expected a square matrix, got shape (2, 3)"),
+}  # fmt: skip
+
+
+@pytest.mark.parametrize("call, message", _MIXTURE_AND_NOISE_REFUSALS.values(), ids=_MIXTURE_AND_NOISE_REFUSALS.keys())
+def test_mixture_and_noise_refuse_bad_arguments(call, message):
     # True used to run as 1, a list as pure raised AttributeError, a
-    # fractional seed raised numpy's TypeError and 10**400 an OverflowError
-    with pytest.raises(ValueError):
-        call(ket_bra(4, 2))
+    # fractional seed raised numpy's TypeError and 10**400 an OverflowError;
+    # each refusal is pinned by its exact type and message
+    assert outcome(lambda: call(ket_bra(4, 2))) == (ValueError, message)
 
 
 def test_pseudo_pure_takes_any_square_array_like():
@@ -486,21 +490,41 @@ def test_readout_noise_properties():
             inject_readout_noise(bad, seed=0)
 
 
-@pytest.mark.parametrize("n", [1, 2, 4, 7])
-def test_readout_noise_is_the_stream_of_two_draws(n):
-    # the real and imaginary parts come from one draw of shape (2, n, n); a
-    # draw of the real parts, then one of the imaginary parts, is the reference
+def _hermitian(n):
+    """A seeded n x n Hermitian matrix with entries of order 1."""
     rng = np.random.default_rng(n)
     rho = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    rho += rho.conj().T
-    for seed in (0, 1, 7, 2**40):
-        for sigma in (0.0, 0.01, 3.5):
+    return rho + rho.conj().T
+
+
+_SIGNED_ZEROS = ket_bra(4, 2)
+_SIGNED_ZEROS[0, 1] = _SIGNED_ZEROS[3, 3] = complex(-0.0, -0.0)
+# rho, seeds, sigmas
+_NOISE_CASES = {str(n): (_hermitian(n), (0, 1, 7, 2**40), (0.0, 0.01, 3.5)) for n in (1, 2, 4, 7)}
+_NOISE_CASES |= {
+    name: (rho, range(200), (0.0, 1e-3, 0.01, 1.0))
+    for name, rho in {
+        "pseudo-pure-4": pseudo_pure(ket_bra(4, 2), 1e-5),
+        "pseudo-pure-3": pseudo_pure(ket_bra(3, 1), 0.3),
+        "signed-zeros": _SIGNED_ZEROS,
+        "negative-zeros": np.full((3, 3), -0.0j),
+    }.items()
+}
+
+
+@pytest.mark.parametrize("rho, seeds, sigmas", _NOISE_CASES.values(), ids=_NOISE_CASES.keys())
+def test_readout_noise_is_the_stream_of_two_draws(rho, seeds, sigmas):
+    # the real and imaginary parts come from one draw of shape (2, n, n); a
+    # draw of the real parts, then one of the imaginary parts, is the reference
+    n = len(rho)
+    for seed in seeds:
+        for sigma in sigmas:
             ref = np.random.default_rng(seed)
             scale = sigma * float(np.max(np.abs(rho)))
             g = ref.normal(0.0, scale, rho.shape) + 1j * ref.normal(0.0, scale, rho.shape)
             pert = (g + g.conj().T) / 2
             pert -= (np.trace(pert).real / n) * np.eye(n)
-            assert inject_readout_noise(rho, sigma, seed).tobytes() == (rho + pert).tobytes()
+            assert array_bits(inject_readout_noise(rho, sigma, seed)) == array_bits(rho + pert)
 
 
 def test_readout_noise_refuses_an_overflowing_perturbation():
@@ -512,38 +536,3 @@ def test_readout_noise_refuses_an_overflowing_perturbation():
             inject_readout_noise(ket_bra(4, 4), 1e308, 0)
         big = inject_readout_noise(ket_bra(4, 4), 1e300, 0)
     assert np.all(np.isfinite(big)) and np.max(np.abs(big)) > 1e299
-
-
-def _readout_noise_reference(rho, sigma=0.01, seed=None):
-    """inject_readout_noise through numpy's module-level np.max, np.trace and np.all: the reference."""
-    a = _as_array(rho, 2)
-    check_finite(sigma=sigma)
-    if sigma < 0:
-        raise ValueError(f"sigma must be >= 0, got {sigma}")
-    d = a.shape[0]
-    rng = np.random.default_rng(None if seed is None else check_int(seed, "seed"))
-    with np.errstate(over="ignore", invalid="ignore"):
-        scale = sigma * float(np.max(np.abs(a)))
-        real, imag = rng.normal(0.0, scale, (2, *a.shape))  # the stream of two calls, real part first
-        g = real + 1j * imag
-        pert = (g + g.conj().T) / 2
-        pert -= (np.trace(pert).real / d) * np.eye(d)
-        noisy = a + pert
-    if not np.all(np.isfinite(noisy)):
-        raise ValueError(f"readout noise with sigma {sigma!r} overflows: the perturbed matrix is not finite")
-    return noisy
-
-
-def test_readout_noise_bitwise_matches_the_reference():
-    signed_zeros = ket_bra(4, 2)
-    signed_zeros[0, 1] = signed_zeros[3, 3] = complex(-0.0, -0.0)
-    rhos = [pseudo_pure(ket_bra(4, 2), 1e-5), pseudo_pure(ket_bra(3, 1), 0.3), signed_zeros, np.full((3, 3), -0.0j)]
-    for rho in rhos:
-        for sigma in (0.0, 1e-3, 0.01, 1.0):
-            for seed in range(200):
-                want = _readout_noise_reference(rho, sigma, seed)
-                assert array_bits(inject_readout_noise(rho, sigma, seed)) == array_bits(want)
-    # the refusals: an overflow, a bad sigma, a non-finite or non-square rho
-    for args in ((ket_bra(4, 4), 1e308, 0), (rhos[0], -1.0, 0), (np.full((2, 2), np.nan), 0.01, 0), (np.ones((2, 3)), 0.01, 0)):
-        want = outcome(lambda: _readout_noise_reference(*args))
-        assert isinstance(want, tuple) and outcome(lambda: inject_readout_noise(*args)) == want

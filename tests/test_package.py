@@ -333,7 +333,7 @@ _VALID_CALLS = {
 }  # fmt: skip
 _SLOT_JUNK = [None, "x", 1.5, True, (1, 2), 10**400, [], np.zeros(3), np.zeros((2, 2)), float("nan"), float("inf"), 1j, {},
               object(), np.int64(2), -1, 0, Fraction(10**5000 + 1, 10**5000), -Fraction(10**5000 + 1, 10**5000),
-              Fraction(10**5000 + 1, 3 * 10**5000), np.complex128(3)]  # fmt: skip
+              Fraction(10**5000 + 1, 3 * 10**5000), np.complex128(3), 1e308, -1e308, np.float64(1e308)]  # fmt: skip
 
 
 def _parameter_count(f) -> int:
@@ -363,8 +363,9 @@ def test_every_argument_slot_returns_or_raises_the_packages_own_value_error(name
     # package, not from numpy or Python inside it.  On all-junk calls
     # minimize, segments_to_json and segments_from_json used to raise
     # TypeError or AttributeError, PulseSegment and spin_operators an
-    # OverflowError on 10**400, and stage_unitary and theory_state a
-    # TypeError on [], which they hashed
+    # OverflowError on 10**400, spin_operators and SpinSystem one on
+    # 1e308, and stage_unitary and theory_state a TypeError on [], which
+    # they hashed
     f, valid = PUBLIC[name], _VALID_CALLS[name]
     calls = [(slot, valid[:slot] + (junk,) + valid[slot + 1 :]) for slot in range(len(valid))]
     calls.append(("all", (junk,) * _required_positional(f)))

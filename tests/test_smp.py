@@ -4,6 +4,8 @@ import logging
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from conftest import GATES, TWO_PI, haar_unitary
 
 from quditcycle.algorithm import qft
@@ -13,6 +15,7 @@ from quditcycle.protocol import run_protocol, stage_unitary
 import quditcycle.nmr as nmr
 import quditcycle.smp as smp
 from quditcycle.smp import (
+    AMP_MAX_HZ,
     DUR_MAX_S,
     DUR_MIN_S,
     MAX_ITER,
@@ -278,6 +281,23 @@ def test_minimize_takes_integer_and_float32_starts():
 def test_target_shape_checked():
     with pytest.raises(ValueError):
         smp_optimize(SpinSystem(), np.eye(3))
+
+
+_ANGLES = st.one_of(st.sampled_from([0.0, -0.0, np.pi, 1e300, -1e300]), st.floats(allow_nan=False, allow_infinity=False))
+_TURNS = st.one_of(st.sampled_from([-0.0, 1e300, -1e300]), st.floats(-1e300, 1e300))
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(st.lists(st.tuples(_ANGLES, _TURNS, _ANGLES), min_size=1, max_size=6))
+def test_every_search_vector_decodes_inside_the_rf_window(train):
+    # the search has no box: any finite amplitude or duration angle, and any
+    # phase up to 1e300 turns, must decode to a segment the hardware can play
+    y = np.array(train).T.reshape(-1)
+    amp, _, dur = rows = _decode(y)
+    assert ((0 <= amp) & (amp <= TWO_PI * AMP_MAX_HZ)).all()
+    assert ((DUR_MIN_S <= dur) & (dur <= DUR_MAX_S)).all()
+    for row in rows.T.tolist():
+        PulseSegment(*row)
 
 
 def central_difference_gradient(f, x, h=1e-7):
