@@ -18,11 +18,13 @@ specified by regression tests in test_algorithm.py and test_cli.py instead.
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
 import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -154,6 +156,45 @@ def synth_cases() -> dict[str, list[str]]:
 SUITES = {"run": run_cases, "verify": verify_cases, "nmr": nmr_cases, "synth": synth_cases}
 
 
+def residual_hashes() -> dict[str, str]:
+    """One sha256 per spin 1/2 .. 63/2 over _decode's rows and _residual's value, r and Jacobian.
+
+    synth.json pins the pulses of six-segment trains at spin 3/2 only; this pins
+    the pass itself at every spin.  Each spin draws 16 trains of 1, 2, 3 or 6
+    segments up to d = 16, and 3 trains of 1 or 2 segments above, where a pass
+    costs about d^3.  Each train has rf off in its first segment, duration
+    ends (angle 0, pi, -0.0 or 2 pi), signed-zero phases and a seeded Haar target.
+    """
+    import numpy as np
+
+    from quditcycle.nmr import SpinSystem
+    from quditcycle.smp import _decode, _residual
+
+    hashes = {}
+    for twice in range(1, 64):
+        spin = SpinSystem(spin=twice / 2)
+        d = spin.dim
+        rng = np.random.default_rng([51, twice])
+        h = hashlib.sha256()
+        for k in range(16 if d <= 16 else 3):
+            n = (1, 2, 3, 6)[k % 4] if d <= 16 else (1, 2)[k % 2]
+            y = np.concatenate([rng.uniform(-4.0, 7.0, n), rng.uniform(-3.0, 3.0, n), rng.uniform(-4.0, 7.0, n)])
+            y[0] = 0.0  # rf off
+            y[2 * n] = (0.0, np.pi, -0.0, 2 * np.pi)[k % 4]  # a duration end
+            y[-1] = np.pi if k % 2 else 0.0
+            y[n] = -0.0 if k % 3 else 0.0  # a signed-zero phase
+            if n > 1:
+                y[n + 1] = 0.0 if k % 3 else -0.0
+            z = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+            q, rr = np.linalg.qr(z)
+            target = q * (rr.diagonal() / np.abs(rr.diagonal()))
+            value, r, jac = _residual(y, spin, target.conj().T)
+            for part in (_decode(y), np.float64(value), r, np.ascontiguousarray(jac())):
+                h.update(part.tobytes())
+        hashes[str(Fraction(twice, 2))] = h.hexdigest()
+    return hashes
+
+
 def capture(argv: list[str], workdir: Path) -> dict:
     """Run the CLI in workdir; return exit code, streams and written files."""
     from quditcycle.cli import main
@@ -204,6 +245,11 @@ def test_output_is_byte_identical(suite, case, tmp_path, monkeypatch):
         assert got["files"][name] == text, name
 
 
+def test_residual_bytes_are_pinned_at_every_spin():
+    # the hashes hold the SkylakeX core's bits, as the CLI goldens do
+    assert residual_hashes() == _load("residual")
+
+
 # numpy's AVX-512 dispatch targets; without them numpy takes its AVX2 paths
 AVX512_TARGETS = "X86_V4 AVX512_ICL AVX512_SPR"
 
@@ -211,9 +257,11 @@ AVX512_TARGETS = "X86_V4 AVX512_ICL AVX512_SPR"
 def test_synth_pulses_do_not_depend_on_numpy_simd_level(tmp_path, monkeypatch):
     # numpy's AVX-512 and AVX2 loops round some functions differently in the last bit;
     # every synth golden case must print and write the same on either.  The five
-    # run in-process here and in one child process with the AVX-512 targets off
+    # run in-process here and in one child process with the AVX-512 targets off.
+    # Seed 0's start points hold no value where numpy's AVX-512 arccos differs from
+    # math.acos; two of seed 2's first twelve do, so its run sees an arccos start
     monkeypatch.delenv("QUDITCYCLE_OUTDIR", raising=False)
-    argvs = list(synth_cases().values())
+    argvs = [*synth_cases().values(), ["nmr", "--gate", "qft", "--seed", "2", "--json", "--out", "seed2"]]
     here, avx2 = tmp_path / "here", tmp_path / "avx2"
     here.mkdir()
     avx2.mkdir()
@@ -236,7 +284,8 @@ def test_synth_pulses_do_not_depend_on_numpy_simd_level(tmp_path, monkeypatch):
         pytest.skip(f"this CPU lacks numpy's AVX-512 targets: {proc.stderr.strip()}")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == stdout
-    assert {path.name: path.read_text() for path in avx2.iterdir() if path.name not in SETUP_FILES} == files
+    written = {str(path.relative_to(avx2)): path for path in avx2.rglob("*") if path.is_file()}
+    assert {name: path.read_text() for name, path in written.items() if name not in SETUP_FILES} == files
 
 
 def write_goldens() -> None:
@@ -253,6 +302,9 @@ def write_goldens() -> None:
         text = json.dumps(recorded, indent=1, sort_keys=True) + "\n"
         (GOLDEN_DIR / f"{suite}.json").write_text(text)
         print(f"{suite}: {len(recorded)} cases", file=sys.stderr)
+    hashes = residual_hashes()
+    (GOLDEN_DIR / "residual.json").write_text(json.dumps(hashes, indent=1) + "\n")
+    print(f"residual: {len(hashes)} spins", file=sys.stderr)
 
 
 if __name__ == "__main__":
