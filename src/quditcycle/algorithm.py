@@ -24,7 +24,7 @@ from functools import cache
 
 import numpy as np
 
-from .linalg import MAX_DIM, check_choice, check_dim, check_type, complex_to_json, vector_to_json
+from .linalg import MAX_DIM, check_choice, check_dim, check_type
 from .permutations import (
     Chirality,
     Permutation,
@@ -168,23 +168,6 @@ class RunReport:
     measured_index: int | None = None
     phase: complex | None = None
     final_state: np.ndarray | None = None
-
-    @property
-    def dim(self) -> int:
-        return self.permutation.dim
-
-    def to_json(self) -> dict:
-        return {
-            "dim": self.dim,
-            "permutation": self.permutation.to_json(),
-            "oracle_queries": self.oracle_queries,
-            "classification": self.classification.value,
-            "measured_index": self.measured_index,
-            "phase": None if self.phase is None else complex_to_json(self.phase),
-            "final_state": None
-            if self.final_state is None
-            else vector_to_json(self.final_state),
-        }
 
 
 def run_quantum(p: Permutation, kind: FourierKind | None = None) -> RunReport:

@@ -34,13 +34,14 @@ from .algorithm import (
     FOURIER_VARIANTS,
     FourierKind,
     NotCyclicError,
+    RunReport,
     _run_quantum_table,
     one_query_insufficient,
     phase_table,
     run_classical,
     run_quantum,
 )
-from .linalg import DEFAULT_TOL, MAX_DIM, complex_to_json
+from .linalg import DEFAULT_TOL, MAX_DIM
 from .nmr import SpinSystem, inject_readout_noise, pseudo_pure
 from .permutations import Chirality, Permutation, enumerate_cyclic, parity
 
@@ -126,14 +127,46 @@ def _error(message, code: int = EXIT_BAD_PERMUTATION) -> int:
     return code
 
 
+def _permutation(text: str) -> Permutation:
+    """--perm and --relabel: comma-separated entries, each read by int(), so "2, 3 ,1" is 2,3,1."""
+    try:
+        img = tuple(int(s) for s in text.split(","))
+    except ValueError as exc:
+        raise ValueError(f"malformed permutation string {text!r}") from exc
+    return Permutation(img)
+
+
+# The report's complex numbers are {"re": x, "im": y} and its state vector
+# {"dim": d, "re": [...], "im": [...]}: split real and imaginary arrays keep
+# the files readable and language-neutral.
+def _complex_json(z: complex) -> dict:
+    return {"re": float(z.real), "im": float(z.imag)}
+
+
+def _report_json(report: RunReport) -> dict:
+    """The run report, the --json output and the --out file."""
+    p, state = report.permutation, report.final_state
+    return {
+        "dim": p.dim,
+        "permutation": {"dim": p.dim, "image": list(p.image)},
+        "oracle_queries": report.oracle_queries,
+        "classification": report.classification.value,
+        "measured_index": report.measured_index,
+        "phase": None if report.phase is None else _complex_json(report.phase),
+        "final_state": None
+        if state is None
+        else {"dim": len(state), "re": state.real.tolist(), "im": state.imag.tolist()},
+    }
+
+
 def cmd_run(args) -> int:
     if args.mode == "classical" and (args.relabel is not None or args.fourier != "general"):
         return _error("--relabel and --fourier qutrit apply to --mode quantum only")
     try:
-        p = Permutation.from_string(args.perm)
+        p = _permutation(args.perm)
         if args.dim is not None and args.dim != p.dim:
             raise ValueError(f"--dim {args.dim} does not match permutation of size {p.dim}")
-        sigma = None if args.relabel is None else Permutation.from_string(args.relabel)
+        sigma = None if args.relabel is None else _permutation(args.relabel)
         if args.mode == "classical":
             report = run_classical(p)
         else:
@@ -143,7 +176,7 @@ def cmd_run(args) -> int:
     except ValueError as exc:
         return _error(exc)
 
-    text = _dumps(report.to_json())
+    text = _dumps(_report_json(report))
     if args.out is not None:
         try:
             _write(args.out, text + "\n")
@@ -194,7 +227,7 @@ def cmd_verify(args) -> int:
             if seen is not chirality:
                 _witness(witnesses, "classifications", d, p, chirality.value, seen.value)
             elif not abs(phase - want) <= DEFAULT_TOL:  # a NaN phase fails
-                _witness(witnesses, "phases", d, p, complex_to_json(want), complex_to_json(phase))
+                _witness(witnesses, "phases", d, p, _complex_json(want), _complex_json(phase))
             c = run_classical(p)
             if c.classification is not chirality or c.oracle_queries != 2:
                 expected = {"classification": chirality.value, "oracle_queries": 2}

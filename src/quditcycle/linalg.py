@@ -175,17 +175,3 @@ def fidelity(rho, target) -> float:
         raise ValueError(f"fidelity of input this large is not finite: {val}")
     return float(val)
 
-
-# --- JSON codec -------------------------------------------------------------
-#
-# Vectors: {"dim": d, "re": [...], "im": [...]}; complex numbers: {"re": x, "im": y}
-# Split real/imag arrays keep the files readable and language-neutral.
-
-
-def complex_to_json(z: complex) -> dict:
-    return {"re": float(z.real), "im": float(z.imag)}
-
-
-def vector_to_json(psi) -> dict:
-    v = _as_array(psi, 1)
-    return {"dim": int(v.shape[0]), "re": v.real.tolist(), "im": v.imag.tolist()}

@@ -77,20 +77,6 @@ class Permutation:
         """self^-1: the labels 1..d scattered by self, so entry self.image[x - 1] holds x."""
         return Permutation(apply_oracle(self, np.arange(1, self.dim + 1)).tolist())
 
-    @staticmethod
-    def from_string(text: str) -> "Permutation":
-        """Parse "2,3,4,1" (whitespace tolerated)."""
-        if not isinstance(text, str):
-            raise ValueError(f"permutation string must be a str, got {shown(text)}")
-        try:
-            img = tuple(int(s) for s in text.split(","))
-        except ValueError as exc:
-            raise ValueError(f"malformed permutation string {text!r}") from exc
-        return Permutation(img)
-
-    def to_json(self) -> dict:
-        return {"dim": self.dim, "image": list(self.image)}
-
 
 def _window(image: tuple[int, ...]) -> Permutation:
     """Permutation(image) unchecked, for _family: traced bench passes would count a checked build in the first only."""

@@ -4,7 +4,6 @@ import copy
 import dataclasses
 import functools
 import itertools
-import json
 import pickle
 from collections import Counter
 
@@ -566,21 +565,6 @@ def test_qft_returns_arrays_the_caller_owns():
         after = run_quantum(probe, kind)
         assert after.final_state.tobytes() == before.final_state.tobytes()
         assert (after.measured_index, after.phase) == (before.measured_index, before.phase)
-
-
-def test_report_json_shape():
-    rep = run_quantum(Permutation((2, 3, 4, 1)))
-    blob = json.loads(json.dumps(rep.to_json()))
-    assert blob["dim"] == 4
-    assert blob["permutation"] == {"dim": 4, "image": [2, 3, 4, 1]}
-    assert blob["oracle_queries"] == 1
-    assert blob["classification"] == "positive-cyclic"
-    assert blob["measured_index"] == 2
-    assert abs(blob["phase"]["re"] - 0) < 1e-10 and abs(blob["phase"]["im"] + 1) < 1e-10
-    assert blob["final_state"]["dim"] == 4
-
-    cl = run_classical(Permutation((2, 3, 4, 1))).to_json()
-    assert cl["measured_index"] is None and cl["phase"] is None and cl["final_state"] is None
 
 
 def _run_classical_reference(p):

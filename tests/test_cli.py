@@ -91,6 +91,38 @@ def test_run_refusals_the_goldens_do_not_record(args, capsys):
     assert run_cli(capsys, "run", "--perm", *args.split()) == (code, "", f"error: {err}\n")
 
 
+# --perm entries are read by int(): surrounding whitespace, a sign, any Unicode
+# decimal digits and an underscore between digits all pass
+_INT_SPELLINGS = {
+    " 2, 3 ,4,1 ": (EXIT_OK, "2,3,4,1 -> positive-cyclic (1 oracle query, measured |2>)", ""),
+    "+2,+3,+1": (EXIT_OK, "2,3,1 -> positive-cyclic (1 oracle query, measured |2>)", ""),
+    "٢,٣,١": (EXIT_OK, "2,3,1 -> positive-cyclic (1 oracle query, measured |2>)", ""),  # Arabic-Indic digits
+    "２,３,１": (EXIT_OK, "2,3,1 -> positive-cyclic (1 oracle query, measured |2>)", ""),  # fullwidth digits
+    "2,3,1_0,4,5,6,7,8,9,1": (
+        EXIT_NOT_CYCLIC,
+        "",
+        "error: permutation (2, 3, 10, 4, 5, 6, 7, 8, 9, 1) is not cyclic in the requested labeling\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("text", _INT_SPELLINGS, ids=ascii)
+def test_run_perm_entries_are_read_by_int(text, capsys):
+    code, out, err = run_cli(capsys, "run", "--perm", text)
+    assert (code, out.split("\n", 1)[0], err) == _INT_SPELLINGS[text]
+    if code == EXIT_OK:  # the same report as the plain spelling's
+        plain = out.split(" ", 1)[0]
+        assert out == run_cli(capsys, "run", "--perm", plain)[1]
+
+
+@pytest.mark.parametrize("flag", ["--perm", "--relabel"])
+@pytest.mark.parametrize("text", ["", "2,,3,1", "2, ,3,1", "2,3,", "2,3,x"], ids=repr)
+def test_run_refuses_a_malformed_permutation_string(flag, text, capsys):
+    argv = ["--perm", text] if flag == "--perm" else ["--perm", "2,3,1", "--relabel", text]
+    want = (EXIT_BAD_PERMUTATION, "", f"error: malformed permutation string {text!r}\n")
+    assert run_cli(capsys, "run", *argv) == want
+
+
 @pytest.mark.parametrize("extra", [[], ["--json"]])
 def test_run_unwritable_out_exits_two(extra, tmp_path, capsys):
     # used to print the result line, then end in a FileNotFoundError
@@ -907,6 +939,7 @@ DOCUMENTED_EXITS = {
 }
 _PERMS = ["2,3,1", "2,3,4,1", "3,2,1,4", "1,3,2,4", "1,3,5,2,4", "2,1", "1", "", "1,1,2", "0,1,2", "2,3,1,", "a,b"]
 _PERMS += [" 2, 3 ,1", ",".join(map(str, range(65, 0, -1)))]
+_PERMS += ["+2,+3,+1", "٢,٣,١", "２,３,１", "2,3,1_0,4,5,6,7,8,9,1"]  # spellings int() reads
 _INTS = ["3", "4", "8", "2", "65", "-1", "0", "x", "", "1e3", "99999999999999999999"]
 _FLOATS = ["0", "1e-5", "0.01", "1", "-1", "nan", "inf", "1e308", "x", ""]
 _JUNK = [["--bogus"], ["--help"], ["--"], ["extra"]]

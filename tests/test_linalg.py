@@ -1,6 +1,5 @@
 """Vector/matrix helpers: frozen examples plus seeded property sweeps."""
 
-import json
 from decimal import Decimal
 from fractions import Fraction
 
@@ -17,7 +16,6 @@ from quditcycle.linalg import (
     fidelity,
     outer,
     validate_unitary,
-    vector_to_json,
 )
 from quditcycle.smp import gate_fidelity
 
@@ -286,13 +284,3 @@ def test_fidelity_pure_state_sweep():
         f = fidelity(outer(psi), psi)
         assert abs(f - 1.0) < 1e-10
         assert -1e-10 <= f <= 1 + 1e-10
-
-
-def test_vector_json_round_trip(rng):
-    for _ in range(20):
-        d = int(rng.integers(1, 9))
-        v = random_state(rng, d)
-        blob = json.loads(json.dumps(vector_to_json(v)))
-        assert blob["dim"] == d
-        back = np.array(blob["re"]) + 1j * np.array(blob["im"])
-        assert np.array_equal(back, v)  # exact: json round-trips float64

@@ -143,7 +143,6 @@ _LONG_INT_REFUSALS = {
         lambda: OptimizerConfig(seed=Fraction(10**5000, 3)),
         f"seed must be an integer, got <Fraction holding an {_LONG}>",
     ),
-    "from_string": (lambda: Permutation.from_string(10**5000), f"permutation string must be a str, got <{_LONG}>"),
     "FourierKind": (lambda: FourierKind(10**5000), f"Fourier variant must be one of ('general', 'qutrit'), got <{_LONG}>"),
     "minimize-max_eval": (lambda: minimize(lambda y: y, [1.0], -(10**5000)), f"max_eval must be >= 1, got <{_LONG}>"),
     "minimize-x0": (

@@ -3,7 +3,6 @@
 import copy
 import functools
 import itertools
-import json
 import operator
 import pickle
 import sys
@@ -67,13 +66,6 @@ def test_permutation_refuses_an_image_that_is_not_iterable(image):
     # tuple(image) used to raise TypeError
     with pytest.raises(ValueError, match="iterable of integers"):
         Permutation(image)
-
-
-@pytest.mark.parametrize("text", [None, 231, b"2,3,1", ["2", "3", "1"]], ids=repr)
-def test_from_string_refuses_what_is_not_a_str(text):
-    # text.split used to raise AttributeError
-    with pytest.raises(ValueError, match="must be a str"):
-        Permutation.from_string(text)
 
 
 BAD_DIMS = [3.5, True, np.True_, "3", None, float("nan"), float("inf")]
@@ -500,14 +492,3 @@ def test_relabel_tabulates_as_rotated_base_sequence():
     assert pos == [(1, 3, 2, 4), (3, 2, 4, 1), (2, 4, 1, 3), (4, 1, 3, 2)]
     neg = {tuple(relabel(reflection(4, r), sigma).compose(sigma).image) for r in range(4)}
     assert neg == {(4, 2, 3, 1), (2, 3, 1, 4), (3, 1, 4, 2), (1, 4, 2, 3)}
-
-
-def test_from_string_and_json():
-    p = Permutation.from_string(" 2, 3 ,4,1 ")
-    assert p.image == (2, 3, 4, 1)
-    with pytest.raises(ValueError):
-        Permutation.from_string("2,3,x")
-    for text in ("", "2,,3,1", "2, ,3,1", "2,3,"):
-        with pytest.raises(ValueError, match="malformed"):
-            Permutation.from_string(text)
-    assert json.loads(json.dumps(p.to_json())) == {"dim": 4, "image": [2, 3, 4, 1]}

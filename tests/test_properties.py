@@ -4,6 +4,8 @@ Hypothesis draws sizes and permutations; the settings are derandomized and
 keep no example database, so every run checks the same examples.
 """
 
+import contextlib
+import io
 import json
 
 import numpy as np
@@ -11,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quditcycle.algorithm import phase_table, run_quantum
+from quditcycle.cli import main
 from quditcycle.linalg import MAX_DIM
 from quditcycle.permutations import Permutation, classify_cyclic, reflection, rotation
 
@@ -43,7 +46,10 @@ def test_report_phase_survives_a_json_round_trip(p):
     truth = classify_cyclic(p)
     report = run_quantum(p)
     assert abs(report.phase - phase_table(p.dim)[(truth.chirality, truth.shift)]) <= 1e-10
-    blob = json.loads(json.dumps(report.to_json()))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["run", "--perm", ",".join(map(str, p.image)), "--json"]) == 0
+    blob = json.loads(out.getvalue())
     assert Permutation(tuple(blob["permutation"]["image"])) == p
     assert blob["classification"] == truth.chirality.value
     assert complex(blob["phase"]["re"], blob["phase"]["im"]) == report.phase
