@@ -36,22 +36,11 @@ def shown(value) -> str:
 
 
 def check_dim(dim: int) -> int:
-    """Validate a Hilbert-space dimension and return it as an int.
-
-    Integral values of any numeric type pass (3, numpy 3, 3.0); booleans,
-    boolean, complex and object arrays, complex values, non-integral values,
-    strings, None, NaN and Inf raise ValueError.
-    """
-    d = None
-    # int() takes a numpy bool or complex (the latter with a ComplexWarning),
-    # and an object array's bool as 1
-    if not isinstance(dim, bool) and getattr(getattr(dim, "dtype", None), "kind", None) not in ("b", "c", "O"):
-        try:
-            d = int(dim)
-        except (TypeError, ValueError, OverflowError):
-            pass
-    if d is None or d != dim or not 1 <= d <= MAX_DIM:
-        raise ValueError(f"dimension must be an integer in [1, {MAX_DIM}], got {shown(dim)}")
+    """Return a dimension as an int: a Python or numpy integer or a 0-d integer array, by
+    check_int's rule, in [1, MAX_DIM]; anything else raises ValueError."""
+    d = check_int(dim, "dimension")
+    if not 1 <= d <= MAX_DIM:
+        raise ValueError(f"dimension must be in [1, {MAX_DIM}], got {shown(d)}")
     return d
 
 

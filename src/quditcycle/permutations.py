@@ -44,19 +44,17 @@ class Permutation:
     image: tuple[int, ...]
 
     def __post_init__(self):
-        img = self.image
-        if type(img) is not tuple or set(map(type, img)) != {int}:  # a tuple of ints is stored as given
-            try:
-                img = tuple(img)
-            except TypeError:  # not iterable: None, a bare int
-                raise ValueError(f"permutation image must be an iterable of integers, got {shown(img)}") from None
-            try:
-                if bool in set(map(type, img)):  # numpy integers become ints; booleans are not labels
-                    raise TypeError
-                img = tuple(map(operator.index, img))
-            except TypeError:
-                raise ValueError(f"permutation entries must be integers, got {shown(img)}") from None
-            object.__setattr__(self, "image", img)
+        try:
+            img = tuple(self.image)
+        except TypeError:  # not iterable: None, a bare int
+            raise ValueError(f"permutation image must be an iterable of integers, got {shown(self.image)}") from None
+        try:
+            if bool in set(map(type, img)):  # numpy integers become ints; booleans are not labels
+                raise TypeError
+            img = tuple(map(operator.index, img))
+        except TypeError:
+            raise ValueError(f"permutation entries must be integers, got {shown(img)}") from None
+        object.__setattr__(self, "image", img)
         d = len(img)
         if d < 1 or d > MAX_DIM:
             raise ValueError(f"permutation size must be in [1, {MAX_DIM}], got {d}")
@@ -156,7 +154,7 @@ def check_cyclic_dim(dim: int) -> int:
     """Return dim as an int if 3 <= dim <= MAX_DIM; below 3 every rotation is also a reflection."""
     d = check_dim(dim)
     if d < 3:
-        raise ValueError(f"the cyclic promise needs dim >= 3, got {dim!r}")
+        raise ValueError(f"the cyclic promise needs dim >= 3, got {d}")
     return d
 
 

@@ -391,11 +391,15 @@ def segments_to_json(segments) -> list[dict]:
 
 def segments_from_json(items) -> list[PulseSegment]:
     """Pulse segments from segments_to_json's layout: anything but an iterable of
-    mappings with numeric amp_hz, phase_rad and dur_s raises ValueError."""
+    mappings with finite amp_hz, phase_rad and dur_s, and an amp_hz too large for
+    rad/s, raise ValueError."""
     segs = []
     for obj in items if np.iterable(items) else [None]:
         if not isinstance(obj, Mapping) or not {"amp_hz", "phase_rad", "dur_s"} <= obj.keys():
             raise ValueError(f"pulses must be mappings with amp_hz, phase_rad and dur_s, got {shown(items)}")
         check_finite(amp_hz=obj["amp_hz"], phase_rad=obj["phase_rad"], dur_s=obj["dur_s"])
-        segs.append(PulseSegment(2 * np.pi * float(obj["amp_hz"]), float(obj["phase_rad"]), float(obj["dur_s"])))
+        amplitude = 2 * np.pi * float(obj["amp_hz"])
+        if math.isinf(amplitude):  # a finite amp_hz past the float range once in rad/s
+            raise ValueError(f"amp_hz overflows when converted to rad/s, got {shown(obj['amp_hz'])}")
+        segs.append(PulseSegment(amplitude, float(obj["phase_rad"]), float(obj["dur_s"])))
     return segs

@@ -528,12 +528,14 @@ def test_one_query_scan_reads_both_families(monkeypatch):
         assert one_query_insufficient(d) is True
 
 
-def test_one_query_insufficient_takes_integral_dims_only():
-    assert one_query_insufficient(3.0) is True and one_query_insufficient(np.int64(8)) is True
-    assert one_query_insufficient(9.0) is True
-    for dim in (3.5, True, "3", None, float("nan"), 2, 2.0, MAX_DIM + 1, 65.0):
-        with pytest.raises(ValueError):
+def test_one_query_insufficient_refuses_dims_outside_the_promise_and_extra_arguments():
+    # a numpy dimension below 3 was quoted as it came, np.int64(2) or array(2), not as the int it reads as
+    refusals = [(dim, "the cyclic promise needs dim >= 3, got 2") for dim in (2, np.int64(2), np.array(2))]
+    refusals += [(dim, f"dimension must be in [1, {MAX_DIM}], got {MAX_DIM + 1}") for dim in (MAX_DIM + 1, np.array(MAX_DIM + 1))]
+    for dim, message in refusals:
+        with pytest.raises(ValueError) as err:
             one_query_insufficient(dim)
+        assert str(err.value) == message
     with pytest.raises(TypeError):  # the families are built, never handed in
         one_query_insufficient(3, [])
 

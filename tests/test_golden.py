@@ -14,9 +14,10 @@ Regenerate (only when an output change is intended, and say so in CHANGES.md):
 The goldens hold one platform's bits: the SkylakeX OpenBLAS core's (see
 README, Tests), and Python's argparse text.  run/error-bad-mode and
 nmr/error-gate record Python 3.11's "invalid choice: 'both' (choose from
-'quantum', 'classical')"; Python 3.13's argparse writes "(choose from
-quantum, classical)", so those two cases fail under 3.13.  Python 3.12.1
-writes the 3.11 form.
+'quantum', 'classical')"; Python 3.13.13's argparse writes "(choose from
+quantum, classical)", so those two cases fail under it.  Python 3.13.0 still
+writes the 3.11 form, so the new form came in a 3.13 patch release.  Python
+3.12.1 writes the 3.11 form.
 
 Sizes below 3 and invalid `nmr` settings are not recorded: their handling is
 specified by regression tests in test_algorithm.py and test_cli.py instead.

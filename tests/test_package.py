@@ -6,6 +6,7 @@ import inspect
 import os
 import subprocess
 import sys
+from decimal import Decimal
 from enum import Enum
 from fractions import Fraction
 from pathlib import Path
@@ -16,12 +17,12 @@ import pytest
 import quditcycle
 import quditcycle.protocol
 import quditcycle.smp
-from quditcycle.algorithm import FourierKind
-from quditcycle.linalg import basis_state, shown
+from quditcycle.algorithm import FourierKind, one_query_insufficient, phase_table, qft
+from quditcycle.linalg import MAX_DIM, basis_state, check_dim, check_int, shown
 from quditcycle.nmr import PulseSegment, SpinSystem, inject_readout_noise, sequence_propagator, static_hamiltonian, transition_frequencies
-from quditcycle.permutations import Chirality, Permutation, reflection, rotation
+from quditcycle.permutations import Chirality, Permutation, enumerate_cyclic, reflection, rotation
 from quditcycle.protocol import stage_unitary
-from quditcycle.smp import OptimizerConfig, minimize, segments_from_json
+from quditcycle.smp import MAX_ITER, MAX_RESTARTS, MAX_SEGMENTS, OptimizerConfig, minimize, segments_from_json
 
 from conftest import array_bits
 
@@ -139,6 +140,17 @@ PUBLIC = _public_callables()
 
 _LONG = f"int of more than {sys.get_int_max_str_digits()} digits"
 _LONG_INT_REFUSALS = {
+    "check_dim": (lambda: check_dim(10**5000), f"dimension must be in [1, {MAX_DIM}], got <{_LONG}>"),
+    "OptimizerConfig-segments": (
+        lambda: OptimizerConfig(segments=10**5000), f"segments must be at most {MAX_SEGMENTS}, got <{_LONG}>",
+    ),
+    "OptimizerConfig-restarts": (
+        lambda: OptimizerConfig(restarts=10**5000), f"restarts must be in 1..{MAX_RESTARTS}, got <{_LONG}>",
+    ),
+    "OptimizerConfig-negative-seed": (lambda: OptimizerConfig(seed=-(10**5000)), f"seed must be >= 0, got <{_LONG}>"),
+    "OptimizerConfig-max_iter": (
+        lambda: OptimizerConfig(max_iter=10**5000), f"max_iter must be in 1..{MAX_ITER}, got <{_LONG}>",
+    ),
     "OptimizerConfig-seed": (
         lambda: OptimizerConfig(seed=Fraction(10**5000, 3)),
         f"seed must be an integer, got <Fraction holding an {_LONG}>",
@@ -222,29 +234,62 @@ def test_a_string_choice_refuses_what_is_not_one_of_its_strs_by_its_own_message(
     assert str(err.value) == prefix + repr(value)
 
 
+# each integer argument: its call, its name in the refusal, and a value it takes
 _INT_SLOTS = {
-    "rotation-offset": (lambda v: rotation(5, v), "offset"),
-    "reflection-offset": (lambda v: reflection(5, v), "offset"),
-    "basis_state-index": (lambda v: basis_state(4, v), "basis index"),
-    "inject_readout_noise-seed": (lambda v: inject_readout_noise(np.eye(2) / 2, 0.01, v), "seed"),
-    **{f"OptimizerConfig-{name}": (lambda v, name=name: OptimizerConfig(**{name: v}), name)
+    "check_int": (lambda v: check_int(v, "label"), "label", 2),
+    "check_dim": (check_dim, "dimension", 3),
+    "basis_state-dimension": (lambda v: basis_state(v, 1), "dimension", 3),
+    "rotation-dimension": (lambda v: rotation(v, 1), "dimension", 4),
+    "reflection-dimension": (lambda v: reflection(v, 1), "dimension", 4),
+    **{f"{f.__name__}-dimension": (f, "dimension", 4) for f in (enumerate_cyclic, phase_table, one_query_insufficient, qft)},
+    "rotation-offset": (lambda v: rotation(5, v), "offset", 2),
+    "reflection-offset": (lambda v: reflection(5, v), "offset", 2),
+    "basis_state-index": (lambda v: basis_state(4, v), "basis index", 2),
+    "inject_readout_noise-seed": (lambda v: inject_readout_noise(np.eye(2) / 2, 0.01, v), "seed", 2),
+    **{f"OptimizerConfig-{name}": (lambda v, name=name: OptimizerConfig(**{name: v}), name, 2)
        for name in ("segments", "restarts", "seed", "max_iter")},
+    "minimize-max_eval": (lambda v: minimize(_residual, np.ones(2), v), "max_eval", 2),
 }  # fmt: skip
 
+# what no integer slot takes: booleans are not 1 and 0, 2.0 is not 2, and no
+# array but a 0-d integer one is an integer. A dimension took the integral
+# floats, Fraction and Decimal, a boolean array as 1, a numpy complex as its
+# real part with a ComplexWarning, and a bool in an object array as 1; an
+# offset took True as 1, and a count failed only inside the search
+_NOT_INTS = [
+    True, False, np.True_, 1.0, 2.0, 3.0, 65.0, 1.5, 2.5, 3.5, float("nan"), float("inf"), "1", "2", "3", None,
+    np.float32(3), np.array(3.0), Fraction(3), Decimal(3), np.complex128(3), np.complex64(4),
+    np.array(True), np.array(False), np.array(True, dtype=object), np.array(3, dtype=object),
+    np.zeros(3), np.zeros((2, 2)), np.array([1]),
+]  # fmt: skip
+_INT_REFUSALS = [
+    pytest.param(call, name, value, id=f"{slot}-{value!r}")
+    for slot, (call, name, _) in _INT_SLOTS.items()
+    for value in _NOT_INTS
+    if not (slot == "inject_readout_noise-seed" and value is None)  # None draws unseeded noise
+]
 
-@pytest.mark.parametrize("junk", [np.zeros(3), np.zeros((2, 2)), np.array([1])], ids=["zeros(3)", "zeros(2,2)", "[1]"])
-@pytest.mark.parametrize("call, name", _INT_SLOTS.values(), ids=_INT_SLOTS.keys())
-def test_an_int_slot_refuses_an_array_that_is_not_an_integer_scalar(call, name, junk):
-    # check_int raised numpy's TypeError "only integer scalar arrays can be
-    # converted to a scalar index"; a 0-d integer array is still an int
+
+@pytest.mark.parametrize("call, name, value", _INT_REFUSALS)
+def test_an_int_slot_refuses_what_is_not_an_integer_by_its_own_message(call, name, value):
+    # numpy's TypeErrors ("only integer scalar arrays can be converted to a
+    # scalar index"), range()'s and the search's used to name no argument
     with pytest.raises(ValueError) as err:
-        call(junk)
-    assert str(err.value) == f"{name} must be an integer, got {junk!r}"
-    got, want = call(np.array(2)), call(2)
-    if isinstance(want, np.ndarray):
-        assert array_bits(got) == array_bits(want)
-    else:
-        assert repr(got) == repr(want)
+        call(value)
+    assert str(err.value) == f"{name} must be an integer, got {value!r}"
+
+
+@pytest.mark.parametrize("call, name, valid", _INT_SLOTS.values(), ids=_INT_SLOTS.keys())
+def test_an_int_slot_takes_numpy_integers_and_0d_integer_arrays_as_ints(call, name, valid):
+    # numpy integers were refused as "seed must be an integer"; the reprs
+    # differ where a numpy integer is kept as it came
+    want = call(valid)
+    for value in (np.int64(valid), np.int32(valid), np.uint16(valid), np.array(valid)):
+        got = call(value)
+        if isinstance(want, np.ndarray):
+            assert array_bits(got) == array_bits(want)
+        else:
+            assert repr(got) == repr(want), value
 
 
 def test_a_negative_noise_seed_is_refused_by_its_own_message():

@@ -68,31 +68,6 @@ def test_permutation_refuses_an_image_that_is_not_iterable(image):
         Permutation(image)
 
 
-BAD_DIMS = [3.5, True, np.True_, "3", None, float("nan"), float("inf")]
-
-
-@pytest.mark.parametrize(
-    "build",
-    [enumerate_cyclic, lambda d: rotation(d, 1), lambda d: reflection(d, 1)],
-    ids=["enumerate_cyclic", "rotation", "reflection"],
-)
-def test_constructors_take_integral_dims_only(build):
-    # a float dim used to raise TypeError from range()
-    assert build(4.0) == build(np.int64(4)) == build(4)
-    for dim in BAD_DIMS:
-        with pytest.raises(ValueError, match="dimension"):
-            build(dim)
-
-
-@pytest.mark.parametrize("build", [rotation, reflection], ids=["rotation", "reflection"])
-def test_constructors_take_integer_offsets_only(build):
-    # True used to act as offset 1, and 1.0 failed with an error about the entries
-    assert build(4, np.int64(1)) == build(4, 1)
-    for r in (True, np.True_, 1.0, 1.5, "1", None):
-        with pytest.raises(ValueError, match="offset must be an integer"):
-            build(4, r)
-
-
 def test_compose_and_inverse():
     p = Permutation((2, 3, 4, 1))
     q = Permutation((1, 3, 2, 4))
@@ -238,14 +213,12 @@ def _labels_reference(image):
         img = tuple(image)
     except TypeError:
         raise ValueError(f"permutation image must be an iterable of integers, got {image!r}") from None
-    types = set(map(type, img))
-    if types != {int}:
-        try:
-            if bool in types:
-                raise TypeError
-            img = tuple(map(operator.index, img))
-        except TypeError:
-            raise ValueError(f"permutation entries must be integers, got {img!r}") from None
+    try:
+        if bool in set(map(type, img)):
+            raise TypeError
+        img = tuple(map(operator.index, img))
+    except TypeError:
+        raise ValueError(f"permutation entries must be integers, got {img!r}") from None
     d = len(img)
     if d < 1 or d > MAX_DIM:
         raise ValueError(f"permutation size must be in [1, {MAX_DIM}], got {d}")

@@ -79,18 +79,6 @@ def test_config_validation():
         OptimizerConfig(seed=-1)
     with pytest.raises(ValueError):
         OptimizerConfig(max_iter=0)
-    # a fractional or boolean count used to fail only inside the search, or
-    # for max_iter to be taken as it stood; a string or None raised TypeError
-    # from a range comparison
-    for name in ("segments", "restarts", "seed", "max_iter"):
-        for value in (2.5, 2.0, True, np.True_, "2", None):
-            with pytest.raises(ValueError, match=name):
-                OptimizerConfig(**{name: value})
-    # a count past Python's limit on int-to-str digits raised that limit's
-    # error, which names no argument
-    for name, value in (("segments", 10**5000), ("restarts", 10**5000), ("seed", -(10**5000)), ("max_iter", 10**5000)):
-        with pytest.raises(ValueError, match=f"^{name} must be .*, got <int of more than"):
-            OptimizerConfig(**{name: value})
     # True compared as 1.0 and was taken as a fidelity target, and 10**400
     # raised OverflowError
     for value in (True, 10**400):
@@ -115,13 +103,6 @@ def test_config_rejects_a_non_finite_window(name, value):
     # the fixed AMP_MAX_HZ, DUR_MIN_S and DUR_MAX_S, and no config can carry one
     with pytest.raises(TypeError, match=name):
         OptimizerConfig(**{name: value})
-
-
-def test_config_takes_numpy_integer_counts():
-    # numpy integers used to be refused as "seed must be an integer"
-    cfg = OptimizerConfig(segments=np.int64(4), restarts=np.int32(2), seed=np.int64(3), max_iter=np.uint16(50))
-    assert cfg == OptimizerConfig(segments=4, restarts=2, seed=3, max_iter=50)
-    assert all(type(getattr(cfg, k)) is int for k in ("segments", "restarts", "seed", "max_iter"))
 
 
 def test_identity_target_via_quadrupolar_refocusing():
@@ -215,30 +196,35 @@ def test_segments_to_json_refuses_what_is_not_pulse_segments(segments):
 
 
 _SEGMENT_JSON = {"amp_hz": 1e3, "phase_rad": 0.5, "dur_s": 1e-6}
+_NOT_MAPPINGS = "pulses must be mappings with amp_hz, phase_rad and dur_s, got "
 
 
 @pytest.mark.parametrize(
-    "items",
+    "items, message",
     [
-        None,
-        5,
-        (1, 2),
-        "x",
-        [None],
-        [{"amp_hz": 1e3, "phase_rad": 0.5}],
-        [{**_SEGMENT_JSON, "amp_hz": "1e3"}],
-        [{**_SEGMENT_JSON, "dur_s": None}],
-        [{**_SEGMENT_JSON, "phase_rad": True}],
-        [_SEGMENT_JSON, [1e3, 0.5, 1e-6]],
-        pytest.param([{**_SEGMENT_JSON, "dur_s": 10**400}], id="dur_s-10**400"),
+        (None, _NOT_MAPPINGS + "None"),
+        (5, _NOT_MAPPINGS + "5"),
+        ((1, 2), _NOT_MAPPINGS + "(1, 2)"),
+        ("x", _NOT_MAPPINGS + "'x'"),
+        ([None], _NOT_MAPPINGS + "[None]"),
+        ([{"amp_hz": 1e3, "phase_rad": 0.5}], _NOT_MAPPINGS + "[{'amp_hz': 1000.0, 'phase_rad': 0.5}]"),
+        ([{**_SEGMENT_JSON, "amp_hz": "1e3"}], "amp_hz must be a finite number, got '1e3'"),
+        ([{**_SEGMENT_JSON, "dur_s": None}], "dur_s must be a finite number, got None"),
+        ([{**_SEGMENT_JSON, "phase_rad": True}], "phase_rad must be a finite number, got True"),
+        ([_SEGMENT_JSON, [1e3, 0.5, 1e-6]], _NOT_MAPPINGS + repr([_SEGMENT_JSON, [1e3, 0.5, 1e-6]])),
+        pytest.param([{**_SEGMENT_JSON, "dur_s": 10**400}], f"dur_s must be a finite number, got {10**400}", id="dur_s-10**400"),
+        ([{**_SEGMENT_JSON, "amp_hz": 1e308}], "amp_hz overflows when converted to rad/s, got 1e+308"),
     ],
     ids=repr,
 )
-def test_segments_from_json_refuses_what_is_not_numeric_segment_mappings(items):
+def test_segments_from_json_refuses_what_is_not_numeric_segment_mappings(items, message):
     # None, 5 and (1, 2) raised TypeError, a missing key KeyError, a string
-    # amplitude was read through float(), and 10**400 raised OverflowError
-    with pytest.raises(ValueError):
+    # amplitude was read through float(), 10**400 raised OverflowError, and
+    # 1e308 was refused as "amplitude must be a finite number, got inf",
+    # a value the caller never passed
+    with pytest.raises(ValueError) as err:
         segments_from_json(items)
+    assert str(err.value) == message
 
 
 def _bowl(x):
