@@ -41,7 +41,7 @@ from .algorithm import (
     run_classical,
     run_quantum,
 )
-from .linalg import DEFAULT_TOL, MAX_DIM
+from .linalg import DEFAULT_TOL, MAX_DIM, check_range
 from .nmr import SpinSystem, inject_readout_noise, pseudo_pure
 from .permutations import Chirality, Permutation, enumerate_cyclic, parity
 
@@ -277,8 +277,10 @@ def cmd_nmr(args) -> int:
     from .smp import OptimizerConfig, segments_to_json
 
     oracle, stage = GATE_MAP[args.gate]
-    if args.noise_seed < 0:
-        return _error(f"--noise-seed must be >= 0, got {args.noise_seed}")
+    try:
+        check_range(args.noise_seed, "--noise-seed", 0)
+    except ValueError as exc:
+        return _error(exc)
 
     # OptimizerConfig fields a --config file may set and a flag of the same
     # name overrides (max_iter has no flag); the report echoes them.

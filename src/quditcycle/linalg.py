@@ -10,7 +10,8 @@ Conventions used across the package:
   the default tol of equal_up_to_global_phase, symmetric in its arguments).
 - NaN and Inf are rejected at every constructor or decoder boundary.
 - Refusals live here: check_type, check_choice, _as_array, check_dim,
-  check_int and check_finite raise ValueError, quoting the value via shown.
+  check_int, check_finite and check_range raise ValueError, quoting the
+  value via shown; check_range words every out-of-range ValueError.
 """
 
 from __future__ import annotations
@@ -38,10 +39,7 @@ def shown(value) -> str:
 def check_dim(dim: int) -> int:
     """Return a dimension as an int: a Python or numpy integer or a 0-d integer array, by
     check_int's rule, in [1, MAX_DIM]; anything else raises ValueError."""
-    d = check_int(dim, "dimension")
-    if not 1 <= d <= MAX_DIM:
-        raise ValueError(f"dimension must be in [1, {MAX_DIM}], got {shown(d)}")
-    return d
+    return check_range(check_int(dim, "dimension"), "dimension", 1, MAX_DIM)
 
 
 def check_int(value, name: str) -> int:
@@ -65,6 +63,15 @@ def check_finite(**values) -> None:
             finite = False
         if not finite:
             raise ValueError(f"{name} must be a finite number, got {shown(value)}")
+
+
+def check_range(value, name: str, lo, hi=None, *, open_lo: bool = False):
+    """value if lo <= value <= hi (lo < value when open_lo; no upper bound when hi is None); anything
+    else raises ValueError "<name> must be in [lo, hi], got <value>", or "must be >= lo" without hi."""
+    if (lo < value if open_lo else lo <= value) and (hi is None or value <= hi):
+        return value
+    bound = f">{'' if open_lo else '='} {lo}" if hi is None else f"in {'(' if open_lo else '['}{lo}, {hi}]"
+    raise ValueError(f"{name} must be {bound}, got {shown(value)}")
 
 
 def check_type(value, cls: type):
@@ -98,9 +105,7 @@ def _as_array(x, ndim: int) -> np.ndarray:
 def basis_state(dim: int, index: int) -> np.ndarray:
     """Computational basis state |index> with a 1-based index."""
     d = check_dim(dim)
-    index = check_int(index, "basis index")
-    if not 1 <= index <= d:
-        raise ValueError(f"basis index must be in 1..{d}, got {shown(index)}")
+    index = check_range(check_int(index, "basis index"), "basis index", 1, d)
     v = np.zeros(d, dtype=complex)
     v[index - 1] = 1.0
     return v
@@ -124,8 +129,7 @@ def equal_up_to_global_phase(a, b, tol: float = DEFAULT_TOL) -> bool:
     not a finite number >= 0 and a distance that overflows raise ValueError.
     """
     check_finite(tol=tol)
-    if tol < 0:
-        raise ValueError(f"tol must be >= 0, got {shown(tol)}")
+    check_range(tol, "tol", 0)
     va = _as_array(a, 1)
     vb = _as_array(b, 1)
     if va.shape != vb.shape:

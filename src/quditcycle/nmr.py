@@ -32,7 +32,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import MAX_DIM, _as_array, check_choice, check_finite, check_int, check_type, shown
+from .linalg import MAX_DIM, _as_array, check_choice, check_finite, check_int, check_range, check_type, shown
 
 
 def _twice_spin(s: float) -> int:
@@ -138,10 +138,8 @@ class PulseSegment:
 
     def __post_init__(self):
         check_finite(amplitude=self.amplitude, phase=self.phase, duration=self.duration)
-        if self.amplitude < 0:
-            raise ValueError(f"amplitude must be >= 0, got {shown(self.amplitude)}")
-        if self.duration <= 0:
-            raise ValueError(f"duration must be > 0, got {shown(self.duration)}")
+        check_range(self.amplitude, "amplitude", 0)
+        check_range(self.duration, "duration", 0, open_lo=True)
 
 
 def _propagator(h: np.ndarray, t: np.ndarray, frame: np.ndarray):
@@ -231,8 +229,7 @@ def pseudo_pure(pure: np.ndarray, epsilon: float) -> np.ndarray:
     """
     pure = _as_array(pure, 2)
     check_finite(epsilon=epsilon)
-    if not 0.0 <= epsilon <= 1.0:
-        raise ValueError(f"epsilon must be in [0, 1], got {shown(epsilon)}")
+    check_range(epsilon, "epsilon", 0, 1)
     d = pure.shape[0]
     return (1.0 - epsilon) / d * np.eye(d, dtype=complex) + epsilon * pure
 
@@ -263,12 +260,10 @@ def inject_readout_noise(rho: np.ndarray, sigma: float = 0.01, seed: int | None 
     """
     a = _as_array(rho, 2)
     check_finite(sigma=sigma)
-    if sigma < 0:
-        raise ValueError(f"sigma must be >= 0, got {shown(sigma)}")
+    check_range(sigma, "sigma", 0)
     d = a.shape[0]
-    seed = None if seed is None else check_int(seed, "seed")
-    if seed is not None and seed < 0:  # numpy's own refusal names no argument
-        raise ValueError(f"seed must be >= 0, got {shown(seed)}")
+    # numpy's own refusal of a negative seed names no argument
+    seed = None if seed is None else check_range(check_int(seed, "seed"), "seed", 0)
     rng = np.random.default_rng(seed)
     with np.errstate(over="ignore", invalid="ignore"):
         scale = sigma * float(np.abs(a).max())

@@ -16,7 +16,7 @@ from functools import cache
 
 import numpy as np
 
-from .linalg import MAX_DIM, check_choice, check_dim, check_int, check_type, shown
+from .linalg import MAX_DIM, check_choice, check_dim, check_int, check_range, check_type, shown
 
 
 class _ByValue(EnumMeta):
@@ -55,9 +55,7 @@ class Permutation:
         except TypeError:
             raise ValueError(f"permutation entries must be integers, got {shown(img)}") from None
         object.__setattr__(self, "image", img)
-        d = len(img)
-        if d < 1 or d > MAX_DIM:
-            raise ValueError(f"permutation size must be in [1, {MAX_DIM}], got {d}")
+        d = check_range(len(img), "permutation size", 1, MAX_DIM)
         if sorted(img) != list(range(1, d + 1)):
             raise ValueError(f"image {shown(img)} is not a bijection of 1..{d}")
 

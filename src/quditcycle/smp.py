@@ -34,7 +34,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import _as_array, check_finite, check_int, check_type, shown, validate_unitary
+from .linalg import _as_array, check_finite, check_int, check_range, check_type, shown, validate_unitary
 from .nmr import PulseSegment, SpinSystem, _as_segments, _forward
 
 log = logging.getLogger("quditcycle")
@@ -97,18 +97,11 @@ class OptimizerConfig:
             object.__setattr__(self, name, check_int(getattr(self, name), name))
         # True would compare as 1 and be taken as a fidelity target
         check_finite(min_fidelity=self.min_fidelity)
-        if self.segments < 1:
-            raise ValueError("need at least one segment")
-        if self.segments > MAX_SEGMENTS:
-            raise ValueError(f"segments must be at most {MAX_SEGMENTS}, got {shown(self.segments)}")
-        if not 1 <= self.restarts <= MAX_RESTARTS:
-            raise ValueError(f"restarts must be in 1..{MAX_RESTARTS}, got {shown(self.restarts)}")
-        if not 0 < self.min_fidelity <= 1:
-            raise ValueError("min_fidelity must be in (0, 1]")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {shown(self.seed)}")
-        if not 1 <= self.max_iter <= MAX_ITER:
-            raise ValueError(f"max_iter must be in 1..{MAX_ITER}, got {shown(self.max_iter)}")
+        check_range(self.segments, "segments", 1, MAX_SEGMENTS)
+        check_range(self.restarts, "restarts", 1, MAX_RESTARTS)
+        check_range(self.min_fidelity, "min_fidelity", 0, 1, open_lo=True)
+        check_range(self.seed, "seed", 0)
+        check_range(self.max_iter, "max_iter", 1, MAX_ITER)
 
 
 def gate_fidelity(u: np.ndarray, v: np.ndarray) -> float:
@@ -171,9 +164,7 @@ def minimize(fun, x0, max_eval: int) -> MinimizeResult:
     """
     if not callable(fun):
         raise ValueError(f"fun must be callable, got {type(fun).__name__}")
-    max_eval = check_int(max_eval, "max_eval")
-    if max_eval < 1:
-        raise ValueError(f"max_eval must be >= 1, got {shown(max_eval)}")
+    max_eval = check_range(check_int(max_eval, "max_eval"), "max_eval", 1)
     x = np.asarray(x0)
     if x.dtype.kind not in "iuf" or x.ndim != 1 or not x.size or not np.isfinite(x).all():
         raise ValueError(f"x0 must be a finite, non-empty real vector, got {shown(x0)}")

@@ -922,7 +922,7 @@ def test_nmr_too_many_segments_exit_two_before_synthesis(flags, tmp_path, capsys
         flags = ["--config", str(path)]
     code, out, err = run_cli(capsys, "nmr", "--gate", "qft", "--out", str(tmp_path / "out"), *flags)
     assert code == EXIT_BAD_PERMUTATION
-    assert out == "" and err.startswith("error: bad optimizer config: segments must be at most 1000")
+    assert out == "" and err.startswith("error: bad optimizer config: segments must be in [1, 1000], got ")
     assert len(err.splitlines()) == 1
     assert not (tmp_path / "out").exists()
 

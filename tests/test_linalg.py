@@ -31,7 +31,7 @@ def test_basis_state_labels_are_one_based():
     with pytest.raises(ValueError):
         basis_state(2, 3)
     # an index past Python's limit on int-to-str digits raised that limit's error, which names no argument
-    with pytest.raises(ValueError, match="basis index must be in 1..2, got <int of more than"):
+    with pytest.raises(ValueError, match=r"basis index must be in \[1, 2\], got <int of more than"):
         basis_state(2, 10**5000)
 
 

@@ -2,8 +2,11 @@
 every public callable refuses junk arguments."""
 
 import ast
+import contextlib
 import inspect
+import io
 import os
+import re
 import subprocess
 import sys
 from decimal import Decimal
@@ -15,11 +18,12 @@ import numpy as np
 import pytest
 
 import quditcycle
+import quditcycle.cli as cli
 import quditcycle.protocol
 import quditcycle.smp
 from quditcycle.algorithm import FourierKind, one_query_insufficient, phase_table, qft
-from quditcycle.linalg import MAX_DIM, basis_state, check_dim, check_int, shown
-from quditcycle.nmr import PulseSegment, SpinSystem, inject_readout_noise, sequence_propagator, static_hamiltonian, transition_frequencies
+from quditcycle.linalg import MAX_DIM, basis_state, check_dim, check_int, equal_up_to_global_phase, shown
+from quditcycle.nmr import PulseSegment, SpinSystem, inject_readout_noise, pseudo_pure, sequence_propagator, static_hamiltonian, transition_frequencies
 from quditcycle.permutations import Chirality, Permutation, enumerate_cyclic, reflection, rotation
 from quditcycle.protocol import stage_unitary
 from quditcycle.smp import MAX_ITER, MAX_RESTARTS, MAX_SEGMENTS, OptimizerConfig, minimize, segments_from_json
@@ -142,14 +146,14 @@ _LONG = f"int of more than {sys.get_int_max_str_digits()} digits"
 _LONG_INT_REFUSALS = {
     "check_dim": (lambda: check_dim(10**5000), f"dimension must be in [1, {MAX_DIM}], got <{_LONG}>"),
     "OptimizerConfig-segments": (
-        lambda: OptimizerConfig(segments=10**5000), f"segments must be at most {MAX_SEGMENTS}, got <{_LONG}>",
+        lambda: OptimizerConfig(segments=10**5000), f"segments must be in [1, {MAX_SEGMENTS}], got <{_LONG}>",
     ),
     "OptimizerConfig-restarts": (
-        lambda: OptimizerConfig(restarts=10**5000), f"restarts must be in 1..{MAX_RESTARTS}, got <{_LONG}>",
+        lambda: OptimizerConfig(restarts=10**5000), f"restarts must be in [1, {MAX_RESTARTS}], got <{_LONG}>",
     ),
     "OptimizerConfig-negative-seed": (lambda: OptimizerConfig(seed=-(10**5000)), f"seed must be >= 0, got <{_LONG}>"),
     "OptimizerConfig-max_iter": (
-        lambda: OptimizerConfig(max_iter=10**5000), f"max_iter must be in 1..{MAX_ITER}, got <{_LONG}>",
+        lambda: OptimizerConfig(max_iter=10**5000), f"max_iter must be in [1, {MAX_ITER}], got <{_LONG}>",
     ),
     "OptimizerConfig-seed": (
         lambda: OptimizerConfig(seed=Fraction(10**5000, 3)),
@@ -191,6 +195,89 @@ def test_a_refusal_quotes_an_int_too_long_to_print_by_its_type(call, message):
     with pytest.raises(ValueError) as err:
         call()
     assert str(err.value) == message
+
+
+def _cli_refusal(*argv):
+    """Run the CLI, which must exit 2 with one "error: " line on stderr, and raise that line's text as a ValueError."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = cli.main(list(argv))
+    assert code == 2 and err.getvalue().count("\n") == 1, (code, err.getvalue())
+    raise ValueError(err.getvalue().removeprefix("error: ").rstrip("\n"))
+
+
+_RHO = np.eye(2) / 2
+# every range refusal in the package, worded by linalg.check_range: its call and its exact message
+_RANGE_REFUSALS = {
+    "check_dim-0": (lambda: check_dim(0), f"dimension must be in [1, {MAX_DIM}], got 0"),
+    "check_dim-above": (lambda: check_dim(MAX_DIM + 1), f"dimension must be in [1, {MAX_DIM}], got {MAX_DIM + 1}"),
+    "basis_state-0": (lambda: basis_state(2, 0), "basis index must be in [1, 2], got 0"),
+    "basis_state-above": (lambda: basis_state(2, 3), "basis index must be in [1, 2], got 3"),
+    "equal_up_to_global_phase-tol": (lambda: equal_up_to_global_phase([1], [1], -1e-12), "tol must be >= 0, got -1e-12"),
+    "PulseSegment-amplitude": (lambda: PulseSegment(-1.0, 0.0, 1e-5), "amplitude must be >= 0, got -1.0"),
+    "PulseSegment-duration": (lambda: PulseSegment(1.0, 0.0, 0.0), "duration must be > 0, got 0.0"),
+    "pseudo_pure-epsilon-below": (lambda: pseudo_pure(_RHO, -0.5), "epsilon must be in [0, 1], got -0.5"),
+    "pseudo_pure-epsilon-above": (lambda: pseudo_pure(_RHO, 2), "epsilon must be in [0, 1], got 2"),
+    "inject_readout_noise-sigma": (lambda: inject_readout_noise(_RHO, -1.0, 0), "sigma must be >= 0, got -1.0"),
+    # default_rng refused a negative seed with "expected non-negative integer"
+    "inject_readout_noise-seed": (lambda: inject_readout_noise(_RHO, 0.01, -1), "seed must be >= 0, got -1"),
+    "Permutation-empty": (lambda: Permutation(()), f"permutation size must be in [1, {MAX_DIM}], got 0"),
+    "Permutation-above": (
+        lambda: Permutation(range(1, MAX_DIM + 2)), f"permutation size must be in [1, {MAX_DIM}], got {MAX_DIM + 1}",
+    ),
+    # segments=0 read "need at least one segment", and min_fidelity=1.5 quoted no value
+    "OptimizerConfig-segments-0": (lambda: OptimizerConfig(segments=0), f"segments must be in [1, {MAX_SEGMENTS}], got 0"),
+    "OptimizerConfig-segments-above": (
+        lambda: OptimizerConfig(segments=MAX_SEGMENTS + 1), f"segments must be in [1, {MAX_SEGMENTS}], got {MAX_SEGMENTS + 1}",
+    ),
+    "OptimizerConfig-restarts": (lambda: OptimizerConfig(restarts=0), f"restarts must be in [1, {MAX_RESTARTS}], got 0"),
+    "OptimizerConfig-min_fidelity-0": (lambda: OptimizerConfig(min_fidelity=0), "min_fidelity must be in (0, 1], got 0"),
+    "OptimizerConfig-min_fidelity-above": (
+        lambda: OptimizerConfig(min_fidelity=1.5), "min_fidelity must be in (0, 1], got 1.5",
+    ),
+    "OptimizerConfig-seed": (lambda: OptimizerConfig(seed=-1), "seed must be >= 0, got -1"),
+    "OptimizerConfig-max_iter": (lambda: OptimizerConfig(max_iter=0), f"max_iter must be in [1, {MAX_ITER}], got 0"),
+    "minimize-max_eval": (lambda: minimize(_residual, [1.0], 0), "max_eval must be >= 1, got 0"),
+    "nmr-noise-seed": (
+        lambda: _cli_refusal("nmr", "--gate", "qft", "--ideal", "--noise-seed", "-1"), "--noise-seed must be >= 0, got -1",
+    ),
+    "nmr-segments": (
+        lambda: _cli_refusal("nmr", "--gate", "qft", "--segments", "0"),
+        f"bad optimizer config: segments must be in [1, {MAX_SEGMENTS}], got 0",
+    ),
+}  # fmt: skip
+
+
+@pytest.mark.parametrize("call, message", _RANGE_REFUSALS.values(), ids=_RANGE_REFUSALS.keys())
+def test_a_range_refusal_names_the_argument_its_bounds_and_the_value(call, message):
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == message
+
+
+# a message that states a bound itself words a range refusal outside check_range;
+# "must be integers" is no bound
+_BOUND_PHRASE = re.compile(r"must be (in\b|>)|\bat most\b|\bneed at least\b")
+
+
+def _bound_stating_raises(path: Path) -> list:
+    """file:line of each `raise ValueError(...)` outside linalg.check_range whose message text states a bound."""
+    tree = ast.parse(path.read_text())
+    inside = {id(n) for f in ast.walk(tree) if getattr(f, "name", None) == "check_range" for n in ast.walk(f)}
+    raises = [n for n in ast.walk(tree) if isinstance(n, ast.Raise) and id(n) not in inside and isinstance(n.exc, ast.Call)]
+    return [
+        f"{path.name}:{n.lineno}"
+        for n in raises
+        if getattr(n.exc.func, "id", None) == "ValueError"
+        and any(isinstance(c, ast.Constant) and _BOUND_PHRASE.search(str(c.value)) for a in n.exc.args for c in ast.walk(a))
+    ]
+
+
+def test_every_range_refusal_is_raised_by_check_range():
+    # the range refusals were worded five ways across linalg, nmr,
+    # permutations, smp and cli ("need at least one segment", "must be in
+    # 1..100", "must be at most 1000"); check_range now words them all
+    assert [line for path in sorted(_PACKAGE_DIR.glob("*.py")) for line in _bound_stating_raises(path)] == []
 
 
 # each string choice, the strs it refuses, and the start of its refusal
@@ -290,13 +377,6 @@ def test_an_int_slot_takes_numpy_integers_and_0d_integer_arrays_as_ints(call, na
             assert array_bits(got) == array_bits(want)
         else:
             assert repr(got) == repr(want), value
-
-
-def test_a_negative_noise_seed_is_refused_by_its_own_message():
-    # default_rng refused a negative seed with "expected non-negative integer"
-    with pytest.raises(ValueError) as err:
-        inject_readout_noise(np.eye(2) / 2, 0.01, -1)
-    assert str(err.value) == "seed must be >= 0, got -1"
 
 
 def _raise_lines(path: Path) -> frozenset:

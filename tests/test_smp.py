@@ -676,8 +676,9 @@ def test_segments_are_capped_before_the_dense_normal_matrix_grows():
     # at the cap, and 29 GB at 20,000 segments
     assert OptimizerConfig(segments=MAX_SEGMENTS).segments == 1000
     for segments in (MAX_SEGMENTS + 1, 20_000):
-        with pytest.raises(ValueError, match="segments must be at most 1000"):
+        with pytest.raises(ValueError) as err:
             OptimizerConfig(segments=segments)
+        assert str(err.value) == f"segments must be in [1, 1000], got {segments}"
 
 
 @pytest.mark.parametrize("name, cap", [("restarts", MAX_RESTARTS), ("max_iter", MAX_ITER)])
@@ -686,5 +687,6 @@ def test_restarts_and_max_iter_are_capped(name, cap):
     # could not finish, so gave no answer at all
     assert getattr(OptimizerConfig(**{name: cap}), name) == cap
     for value in (cap + 1, 10**12):
-        with pytest.raises(ValueError, match=f"{name} must be in 1..{cap}, got {value}"):
+        with pytest.raises(ValueError) as err:
             OptimizerConfig(**{name: value})
+        assert str(err.value) == f"{name} must be in [1, {cap}], got {value}"
