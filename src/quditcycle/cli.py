@@ -41,7 +41,7 @@ from .algorithm import (
     run_classical,
     run_quantum,
 )
-from .linalg import DEFAULT_TOL, MAX_DIM, check_range
+from .linalg import DEFAULT_TOL, MAX_DIM, check_choice, check_finite, check_range
 from .nmr import SpinSystem, inject_readout_noise, pseudo_pure
 from .permutations import Chirality, Permutation, enumerate_cyclic, parity
 
@@ -358,19 +358,39 @@ def cmd_nmr(args) -> int:
     return EXIT_OK if result.converged else EXIT_UNCONVERGED
 
 
-def _ranged(cast, lower, upper, what: str):
-    """argparse type: cast(text) if it lands in [lower, upper] and is finite; NaN and Inf are refused."""
+def _checked(cast, check):
+    """argparse type: cast(text), refused by check(value) with check's ValueError as the option's error line.
+
+    Text that cast refuses raises ValueError out of here, which argparse words
+    as "invalid <cast> value: 'x'"; every other refusal is worded by linalg.
+    """
 
     def parse(text: str):
+        value = cast(text)
         try:
-            value = cast(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"invalid {cast.__name__} value: {text!r}") from None
-        if not (lower <= value <= upper and math.isfinite(value)):
-            raise argparse.ArgumentTypeError(f"must be {what} in [{lower}, {upper}], got {text!r}")
+            check(value)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
         return value
 
+    parse.__name__ = cast.__name__
     return parse
+
+
+def _choice(choices, name: str) -> dict:
+    """add_argument's type and metavar for a string choice: check_choice's refusal, and choices='s {a,b} usage text."""
+    return {"type": _checked(str, lambda v: check_choice(v, choices, name)), "metavar": "{" + ",".join(choices) + "}"}
+
+
+def _finite(name: str, lo, hi=None):
+    """argparse type: a float, refused as check_finite and then check_range refuse it under name."""
+
+    def check(value):
+        if not math.isfinite(value):  # a float passes check_finite otherwise; calling it costs 1.4 us a parse
+            check_finite(**{name: value})
+        check_range(value, name, lo, hi)
+
+    return _checked(float, check)
 
 
 @functools.cache
@@ -385,10 +405,10 @@ def build_parser() -> argparse.ArgumentParser:
     run_p = sub.add_parser("run", help="classify one permutation")
     run_p.add_argument("--perm", required=True, help='image list, e.g. "2,3,4,1"')
     run_p.add_argument("--dim", type=int, default=None, help="optional size cross-check")
-    run_p.add_argument("--mode", choices=("quantum", "classical"), default="quantum")
+    run_p.add_argument("--mode", **_choice(("quantum", "classical"), "mode"), default="quantum")
     run_p.add_argument(
         "--fourier",
-        choices=FOURIER_VARIANTS,
+        **_choice(FOURIER_VARIANTS, "Fourier variant"),  # FourierKind's own refusal
         default="general",
         help="Fourier convention: general labels 1..d, or the 3-level spin basis",
     )
@@ -397,21 +417,22 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--out", default=None, help="write the report JSON to this file")
 
     ver_p = sub.add_parser("verify", help="check the simulator's promises over a range of dims")
-    ver_p.add_argument("--dmax", type=_ranged(int, 3, MAX_DIM, "an integer"), default=8, metavar=f"3..{MAX_DIM}")
+    dmax = _checked(int, lambda v: check_range(v, "dmax", 3, MAX_DIM))
+    ver_p.add_argument("--dmax", type=dmax, default=8, metavar=f"3..{MAX_DIM}")
     ver_p.add_argument("--json", action="store_true")
 
     nmr_p = sub.add_parser("nmr", help="run the spin-3/2 pulse protocol")
-    nmr_p.add_argument("--gate", required=True, choices=sorted(GATE_MAP))
+    nmr_p.add_argument("--gate", required=True, **_choice(tuple(sorted(GATE_MAP)), "gate"))
     nmr_p.add_argument("--seed", type=int, default=None, help="optimizer seed (default 0); overrides --config")
     nmr_p.add_argument("--ideal", action="store_true", help="use exact gates instead of pulses")
-    nmr_p.add_argument("--epsilon", type=_ranged(float, 0, 1.0, "a finite number"), default=1e-5)
+    nmr_p.add_argument("--epsilon", type=_finite("epsilon", 0, 1), default=1e-5)  # pseudo_pure's names
     nmr_p.add_argument("--config", default=None, help="JSON file with optimizer settings")
     nmr_p.add_argument("--segments", type=int, default=None)
     nmr_p.add_argument("--restarts", type=int, default=None)
     nmr_p.add_argument("--min-fidelity", type=float, default=None)
     nmr_p.add_argument(
         "--noise-sigma",
-        type=_ranged(float, 0, math.inf, "a finite number"),
+        type=_finite("sigma", 0),  # inject_readout_noise's name
         default=None,
         help="simulated readout noise",
     )

@@ -266,7 +266,8 @@ def inject_readout_noise(rho: np.ndarray, sigma: float = 0.01, seed: int | None 
     seed = None if seed is None else check_range(check_int(seed, "seed"), "seed", 0)
     rng = np.random.default_rng(seed)
     with np.errstate(over="ignore", invalid="ignore"):
-        scale = sigma * float(np.abs(a).max())
+        # abs turns a sigma of -0.0, which check_range takes, into 0.0, which normal takes as a scale
+        scale = abs(sigma) * float(np.abs(a).max())
         real, imag = rng.normal(0.0, scale, (2, *a.shape))  # the stream of two calls, real part first
         g = real + 1j * imag
         pert = (g + g.conj().T) / 2

@@ -44,6 +44,8 @@ class Permutation:
     image: tuple[int, ...]
 
     def __post_init__(self):
+        if isinstance(self.image, (set, frozenset)):  # its hash order would become the image
+            raise ValueError(f"permutation image must be ordered, got a {type(self.image).__name__} {shown(self.image)}")
         try:
             img = tuple(self.image)
         except TypeError:  # not iterable: None, a bare int

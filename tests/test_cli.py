@@ -160,12 +160,12 @@ def test_one_parser_serves_repeated_calls(tmp_path, capsys):
 
     argvs = [
         ("run", "--perm", "3,4,2,1", "--relabel", "1,3,2,4", "--json"),
-        ("run", "--perm", "2,3,1", "--mode", "sideways"),
+        ("run", "--perm", "2,3,1", "--mode", "both"),
         ("nmr", "--gate", "fullneg", "--ideal", "--noise-sigma", "0.01", "--out", str(tmp_path), "--json"),
     ]
     first = [call(*argv) for argv in argvs]
     assert [r[0] for r in first] == [EXIT_OK, ("SystemExit", 2), EXIT_OK]
-    assert "invalid choice" in first[1][2]
+    assert first[1][2].endswith(_CLI_REFUSALS["run --perm 2,3,1 --mode both"] + "\n")
     for argv, want in [*zip(argvs, first), *zip(reversed(argvs), reversed(first))]:
         assert call(*argv)[:2] == want[:2]
 
@@ -245,23 +245,49 @@ def test_run_out_into_the_stdout_pipe_exits_zero():
     assert json.loads(first + "}") == json.loads("{" + second)
 
 
-@pytest.mark.parametrize(
-    "value,message",
-    [
-        ("2", "must be an integer in [3, 64], got '2'"),
-        ("65", "must be an integer in [3, 64], got '65'"),
-        ("x", "invalid int value: 'x'"),
-    ],
-)
-def test_verify_dmax_out_of_range_is_one_line(value, message, capsys):
-    # choices=range(3, 65) used to list all 62 accepted values in the error
-    with pytest.raises(SystemExit) as exc:
-        main(["verify", "--dmax", value])
-    err = capsys.readouterr().err
-    assert exc.value.code == EXIT_BAD_PERMUTATION == 2
-    errors = [line for line in err.splitlines() if "error:" in line]
-    assert errors == [f"quditcycle verify: error: argument --dmax: {message}"]
-    assert len(err.splitlines()) == 2  # the usage line, then the error
+_NMR = "nmr --gate qft --ideal"
+# every choice and range refusal of a CLI value, and the error line it ends stderr with; the
+# refusal is worded by linalg's check_choice, check_finite or check_range, under the library's
+# own name where it has one (FourierKind's "Fourier variant", pseudo_pure's epsilon,
+# inject_readout_noise's sigma). argparse adds its usage and "argument --x:" to each but
+# --noise-seed's, and words text that is no number itself, the same on Python 3.10 to 3.13
+_CLI_REFUSALS = {
+    "run --perm 2,3,1 --mode both":
+        "quditcycle run: error: argument --mode: mode must be one of ('quantum', 'classical'), got 'both'",
+    "run --perm 2,3,1 --fourier spin":
+        "quditcycle run: error: argument --fourier: Fourier variant must be one of ('general', 'qutrit'), got 'spin'",
+    "nmr --gate swap":
+        "quditcycle nmr: error: argument --gate: gate must be one of ('fullneg', 'fullpos', 'neg', 'pos', 'qft'), got 'swap'",
+    # choices=range(3, 65) used to list all 62 accepted values
+    "verify --dmax 2": "quditcycle verify: error: argument --dmax: dmax must be in [3, 64], got 2",
+    "verify --dmax 65": "quditcycle verify: error: argument --dmax: dmax must be in [3, 64], got 65",
+    "verify --dmax x": "quditcycle verify: error: argument --dmax: invalid int value: 'x'",
+    # these read "must be a finite number in [0, 1.0], got '-1'", and [0, inf] for --noise-sigma
+    f"{_NMR} --epsilon -1": "quditcycle nmr: error: argument --epsilon: epsilon must be in [0, 1], got -1.0",
+    f"{_NMR} --epsilon 2": "quditcycle nmr: error: argument --epsilon: epsilon must be in [0, 1], got 2.0",
+    f"{_NMR} --epsilon nan": "quditcycle nmr: error: argument --epsilon: epsilon must be a finite number, got nan",
+    f"{_NMR} --epsilon inf": "quditcycle nmr: error: argument --epsilon: epsilon must be a finite number, got inf",
+    f"{_NMR} --epsilon x": "quditcycle nmr: error: argument --epsilon: invalid float value: 'x'",
+    f"{_NMR} --noise-sigma -1": "quditcycle nmr: error: argument --noise-sigma: sigma must be >= 0, got -1.0",
+    f"{_NMR} --noise-sigma nan": "quditcycle nmr: error: argument --noise-sigma: sigma must be a finite number, got nan",
+    f"{_NMR} --noise-sigma inf": "quditcycle nmr: error: argument --noise-sigma: sigma must be a finite number, got inf",
+    f"{_NMR} --noise-seed -1": "error: --noise-seed must be >= 0, got -1",
+}  # fmt: skip
+
+
+@pytest.mark.parametrize("argv, line", _CLI_REFUSALS.items(), ids=_CLI_REFUSALS.keys())
+def test_every_cli_value_refusal_is_worded_by_linalg(argv, line, tmp_path, capsys):
+    argv = argv.split()
+    if argv[0] == "nmr":
+        argv += ["--out", str(tmp_path)]
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # refused while parsing
+        code = exc.code
+    out, err = capsys.readouterr()
+    usage = build_parser().commands[argv[0]].format_usage() if line.startswith("quditcycle") else ""
+    assert (code, out, err) == (EXIT_BAD_PERMUTATION, "", usage + line + "\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_verify_classes_each_dim_once(monkeypatch, capsys):
@@ -788,6 +814,17 @@ def test_nmr_unconverged_human_output(tmp_path, capsys):
     assert lines[1] == f"artifacts written under {tmp_path}/"
     names = ["rho_re.csv", "rho_im.csv", "dev_re.csv", "dev_im.csv", "report.json", "pulses.json"]
     assert all((tmp_path / f"fullneg_{name}").exists() for name in names)
+
+
+def test_nmr_noise_sigma_negative_zero_writes_the_artifacts_of_zero(tmp_path, capsys):
+    # -0.0 passed the range check, then numpy's normal refused it: exit 2 with "bad --noise-sigma: scale < 0"
+    csvs = {}
+    for sigma in ("-0.0", "0"):
+        out = tmp_path / sigma
+        argv = ["nmr", "--gate", "fullneg", "--ideal", "--noise-sigma", sigma, "--noise-seed", "1", "--out", str(out)]
+        assert run_cli(capsys, *argv)[0] == EXIT_OK
+        csvs[sigma] = {path.name: path.read_bytes() for path in sorted(out.glob("*.csv"))}
+    assert len(csvs["0"]) == 4 and csvs["-0.0"] == csvs["0"]
 
 
 def test_nmr_overflowing_noise_exits_two_without_artifacts(tmp_path, capsys):

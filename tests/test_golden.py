@@ -12,12 +12,13 @@ Regenerate (only when an output change is intended, and say so in CHANGES.md):
     PYTHONPATH=src python tests/test_golden.py --write
 
 The goldens hold one platform's bits: the SkylakeX OpenBLAS core's (see
-README, Tests), and Python's argparse text.  run/error-bad-mode and
-nmr/error-gate record Python 3.11's "invalid choice: 'both' (choose from
-'quantum', 'classical')"; Python 3.13.13's argparse writes "(choose from
-quantum, classical)", so those two cases fail under it.  Python 3.13.0 still
-writes the 3.11 form, so the new form came in a 3.13 patch release.  Python
-3.12.1 writes the 3.11 form.
+README, Tests).  They hold no text that depends on the Python version: every
+refusal of a CLI value (run/error-bad-mode, nmr/error-gate, verify/error-dmax)
+is worded by linalg's check_choice, check_finite or check_range, and argparse
+words only the usage lines, unknown and missing arguments, and text that does
+not parse as a number ("invalid int value: 'x'").  Those are the same under
+Python 3.10.13, 3.11.7, 3.12.1, 3.13.0 and 3.13.13; argparse's own "invalid
+choice" text, which dropped its quotes in a 3.13 patch release, is not printed.
 
 Sizes below 3 and invalid `nmr` settings are not recorded: their handling is
 specified by regression tests in test_algorithm.py and test_cli.py instead.

@@ -455,7 +455,9 @@ def test_pseudo_pure_takes_any_square_array_like():
 
 def test_readout_noise_properties():
     rho = pseudo_pure(ket_bra(4, 2), 1e-5)
-    assert np.max(np.abs(inject_readout_noise(rho, sigma=0.0, seed=1) - rho)) == 0
+    # a sigma of -0.0 passed the range check, then numpy's normal refused it: "scale < 0"
+    for zero in (0.0, -0.0, np.float64(-0.0)):
+        assert np.max(np.abs(inject_readout_noise(rho, sigma=zero, seed=1) - rho)) == 0
 
     noisy = inject_readout_noise(rho, sigma=0.02, seed=7)
     assert np.max(np.abs(noisy - noisy.conj().T)) < 1e-12

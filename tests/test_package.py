@@ -260,24 +260,31 @@ def test_a_range_refusal_names_the_argument_its_bounds_and_the_value(call, messa
 _BOUND_PHRASE = re.compile(r"must be (in\b|>)|\bat most\b|\bneed at least\b")
 
 
-def _bound_stating_raises(path: Path) -> list:
-    """file:line of each `raise ValueError(...)` outside linalg.check_range whose message text states a bound."""
+def _refusals_worded_outside_linalg(path: Path) -> list:
+    """file:line of each raise that words a refusal itself: a `raise ValueError(...)` outside
+    linalg.check_range whose message text states a bound, or a `raise argparse.ArgumentTypeError(...)`
+    with any text of its own, where an argparse type should pass on a linalg check's message."""
     tree = ast.parse(path.read_text())
     inside = {id(n) for f in ast.walk(tree) if getattr(f, "name", None) == "check_range" for n in ast.walk(f)}
     raises = [n for n in ast.walk(tree) if isinstance(n, ast.Raise) and id(n) not in inside and isinstance(n.exc, ast.Call)]
-    return [
-        f"{path.name}:{n.lineno}"
-        for n in raises
-        if getattr(n.exc.func, "id", None) == "ValueError"
-        and any(isinstance(c, ast.Constant) and _BOUND_PHRASE.search(str(c.value)) for a in n.exc.args for c in ast.walk(a))
-    ]
+    found = []
+    for n in raises:
+        texts = [str(c.value) for a in n.exc.args for c in ast.walk(a) if isinstance(c, ast.Constant)]
+        func = n.exc.func
+        if (getattr(func, "id", None) == "ValueError" and any(map(_BOUND_PHRASE.search, texts))) or (
+            "ArgumentTypeError" in (getattr(func, "id", None), getattr(func, "attr", None)) and texts
+        ):
+            found.append(f"{path.name}:{n.lineno}")
+    return found
 
 
 def test_every_range_refusal_is_raised_by_check_range():
     # the range refusals were worded five ways across linalg, nmr,
     # permutations, smp and cli ("need at least one segment", "must be in
-    # 1..100", "must be at most 1000"); check_range now words them all
-    assert [line for path in sorted(_PACKAGE_DIR.glob("*.py")) for line in _bound_stating_raises(path)] == []
+    # 1..100", "must be at most 1000"), and the CLI's _ranged type worded
+    # --dmax, --epsilon and --noise-sigma a sixth ("in [0, 1.0]", "in [0,
+    # inf]"); check_range now words them all, and an argparse type passes its text on
+    assert [line for path in sorted(_PACKAGE_DIR.glob("*.py")) for line in _refusals_worded_outside_linalg(path)] == []
 
 
 # each string choice, the strs it refuses, and the start of its refusal

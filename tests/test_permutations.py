@@ -186,6 +186,9 @@ def test_permutation_stores_plain_ints():
         ((1, 2, 4), "image (1, 2, 4) is not a bijection of 1..3"),
         ((np.int64(1), 3), "image (1, 3) is not a bijection of 1..2"),
         ((), "permutation size must be in [1, 64], got 0"),
+        # a set's hash order became the image: {2, 1} built the identity, and {3, 1, 2} a positive cycle
+        ({2, 1}, "permutation image must be ordered, got a set {1, 2}"),
+        (frozenset({3, 1, 2}), "permutation image must be ordered, got a frozenset frozenset({1, 2, 3})"),
         (tuple(range(1, 66)), "permutation size must be in [1, 64], got 65"),
         # printing these images raised the error of Python's limit on int-to-str digits
         pytest.param(
@@ -209,6 +212,8 @@ def test_permutation_refusal_messages(image, message):
 
 def _labels_reference(image):
     """The image Permutation stores, or its refusal, with every image copied through tuple(): the reference."""
+    if isinstance(image, (set, frozenset)):
+        raise ValueError(f"permutation image must be ordered, got a {type(image).__name__} {image!r}")
     try:
         img = tuple(image)
     except TypeError:
@@ -230,7 +235,7 @@ def _labels_reference(image):
 _REFUSED_IMAGES = [
     (2.7, 1.2), (2.0, 1.0), (True, 2), (np.True_, 2), (np.float64(1), 2), ("1", "2"), 5, None, 2.5,
     (2, np.True_), (2.0, 1), (1, 1, 2), (0, 1, 2), (1, 2, 4), (np.int64(1), 3), (), tuple(range(1, 66)),
-    "231", [1, 1],
+    "231", [1, 1], {2, 1}, frozenset({3, 1, 2}),
 ]  # fmt: skip
 _TAKEN_IMAGES = [
     (2, 3, 1), [2, 3, 1], np.array([2, 3, 1]), (np.int64(2), np.int32(3), np.uint8(1)), [2, np.int16(3), 1],
