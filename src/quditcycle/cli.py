@@ -41,8 +41,8 @@ from .algorithm import (
     run_classical,
     run_quantum,
 )
-from .linalg import DEFAULT_TOL, MAX_DIM, check_choice, check_finite, check_range
-from .nmr import SpinSystem, inject_readout_noise, pseudo_pure
+from .linalg import DEFAULT_TOL, MAX_DIM, check_choice, check_range
+from .nmr import SpinSystem, check_epsilon, check_sigma, inject_readout_noise, pseudo_pure
 from .permutations import Chirality, Permutation, enumerate_cyclic, parity
 
 EXIT_OK = 0
@@ -378,19 +378,8 @@ def _checked(cast, check):
 
 
 def _choice(choices, name: str) -> dict:
-    """add_argument's type and metavar for a string choice: check_choice's refusal, and choices='s {a,b} usage text."""
+    """add_argument's type and metavar for a string choice: check_choice's refusal, argparse's {a,b} usage text."""
     return {"type": _checked(str, lambda v: check_choice(v, choices, name)), "metavar": "{" + ",".join(choices) + "}"}
-
-
-def _finite(name: str, lo, hi=None):
-    """argparse type: a float, refused as check_finite and then check_range refuse it under name."""
-
-    def check(value):
-        if not math.isfinite(value):  # a float passes check_finite otherwise; calling it costs 1.4 us a parse
-            check_finite(**{name: value})
-        check_range(value, name, lo, hi)
-
-    return _checked(float, check)
 
 
 @functools.cache
@@ -425,14 +414,14 @@ def build_parser() -> argparse.ArgumentParser:
     nmr_p.add_argument("--gate", required=True, **_choice(tuple(sorted(GATE_MAP)), "gate"))
     nmr_p.add_argument("--seed", type=int, default=None, help="optimizer seed (default 0); overrides --config")
     nmr_p.add_argument("--ideal", action="store_true", help="use exact gates instead of pulses")
-    nmr_p.add_argument("--epsilon", type=_finite("epsilon", 0, 1), default=1e-5)  # pseudo_pure's names
+    nmr_p.add_argument("--epsilon", type=_checked(float, check_epsilon), default=1e-5)
     nmr_p.add_argument("--config", default=None, help="JSON file with optimizer settings")
     nmr_p.add_argument("--segments", type=int, default=None)
     nmr_p.add_argument("--restarts", type=int, default=None)
     nmr_p.add_argument("--min-fidelity", type=float, default=None)
     nmr_p.add_argument(
         "--noise-sigma",
-        type=_finite("sigma", 0),  # inject_readout_noise's name
+        type=_checked(float, check_sigma),
         default=None,
         help="simulated readout noise",
     )

@@ -220,6 +220,18 @@ def _forward(sys: SpinSystem, amp: np.ndarray, phase: np.ndarray, dur: np.ndarra
     return prefix, *parts
 
 
+def check_epsilon(epsilon):
+    """epsilon if it is a finite number in [0, 1]; pseudo_pure's refusal otherwise, also the CLI's."""
+    check_finite(epsilon=epsilon)
+    return check_range(epsilon, "epsilon", 0, 1)
+
+
+def check_sigma(sigma):
+    """sigma if it is a finite number >= 0; inject_readout_noise's refusal otherwise, also the CLI's."""
+    check_finite(sigma=sigma)
+    return check_range(sigma, "sigma", 0)
+
+
 def pseudo_pure(pure: np.ndarray, epsilon: float) -> np.ndarray:
     """Pseudo-pure density matrix rho = (1 - eps)/d * 1 + eps * pure.
 
@@ -228,8 +240,7 @@ def pseudo_pure(pure: np.ndarray, epsilon: float) -> np.ndarray:
     unitary evolution and deviation-matrix readout.
     """
     pure = _as_array(pure, 2)
-    check_finite(epsilon=epsilon)
-    check_range(epsilon, "epsilon", 0, 1)
+    check_epsilon(epsilon)
     d = pure.shape[0]
     return (1.0 - epsilon) / d * np.eye(d, dtype=complex) + epsilon * pure
 
@@ -259,8 +270,7 @@ def inject_readout_noise(rho: np.ndarray, sigma: float = 0.01, seed: int | None 
     large that the perturbation or the noisy matrix overflows.
     """
     a = _as_array(rho, 2)
-    check_finite(sigma=sigma)
-    check_range(sigma, "sigma", 0)
+    check_sigma(sigma)
     d = a.shape[0]
     # numpy's own refusal of a negative seed names no argument
     seed = None if seed is None else check_range(check_int(seed, "seed"), "seed", 0)
