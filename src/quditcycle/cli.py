@@ -42,7 +42,7 @@ from .algorithm import (
     run_quantum,
 )
 from .linalg import DEFAULT_TOL, MAX_DIM, check_choice, check_range
-from .nmr import SpinSystem, check_epsilon, check_sigma, inject_readout_noise, pseudo_pure
+from .nmr import SpinSystem, check_epsilon, check_seed, check_sigma, inject_readout_noise, pseudo_pure
 from .permutations import Chirality, Permutation, enumerate_cyclic, parity
 
 EXIT_OK = 0
@@ -277,10 +277,6 @@ def cmd_nmr(args) -> int:
     from .smp import OptimizerConfig, segments_to_json
 
     oracle, stage = GATE_MAP[args.gate]
-    try:
-        check_range(args.noise_seed, "--noise-seed", 0)
-    except ValueError as exc:
-        return _error(exc)
 
     # OptimizerConfig fields a --config file may set and a flag of the same
     # name overrides (max_iter has no flag); the report echoes them.
@@ -297,7 +293,7 @@ def cmd_nmr(args) -> int:
             if bad:
                 raise ValueError(f"unknown config keys {sorted(bad)}")
         cfg = OptimizerConfig(**{**loaded, **overrides})
-    except (OSError, ValueError, TypeError, RecursionError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         return _error(f"bad optimizer config: {exc}")
 
     outdir = args.out if args.out is not None else os.environ.get("QUDITCYCLE_OUTDIR") or "."
@@ -397,7 +393,8 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--mode", **_choice(("quantum", "classical"), "mode"), default="quantum")
     run_p.add_argument(
         "--fourier",
-        **_choice(FOURIER_VARIANTS, "Fourier variant"),  # FourierKind's own refusal
+        type=_checked(str, FourierKind),
+        metavar="{" + ",".join(FOURIER_VARIANTS) + "}",
         default="general",
         help="Fourier convention: general labels 1..d, or the 3-level spin basis",
     )
@@ -425,7 +422,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="simulated readout noise",
     )
-    nmr_p.add_argument("--noise-seed", type=int, default=0)
+    nmr_p.add_argument("--noise-seed", type=_checked(int, check_seed), default=0)
     nmr_p.add_argument("--out", default=None, help="output directory (default $QUDITCYCLE_OUTDIR)")
     nmr_p.add_argument("--json", action="store_true")
 

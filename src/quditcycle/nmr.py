@@ -232,6 +232,11 @@ def check_sigma(sigma):
     return check_range(sigma, "sigma", 0)
 
 
+def check_seed(seed):
+    """seed if it is an integer >= 0; inject_readout_noise's refusal otherwise, also the CLI's."""
+    return check_range(check_int(seed, "seed"), "seed", 0)
+
+
 def pseudo_pure(pure: np.ndarray, epsilon: float) -> np.ndarray:
     """Pseudo-pure density matrix rho = (1 - eps)/d * 1 + eps * pure.
 
@@ -272,8 +277,8 @@ def inject_readout_noise(rho: np.ndarray, sigma: float = 0.01, seed: int | None 
     a = _as_array(rho, 2)
     check_sigma(sigma)
     d = a.shape[0]
-    # numpy's own refusal of a negative seed names no argument
-    seed = None if seed is None else check_range(check_int(seed, "seed"), "seed", 0)
+    # numpy's own refusal of a negative seed names no argument; nmr --noise-seed's type makes this check too
+    seed = None if seed is None else check_seed(seed)
     rng = np.random.default_rng(seed)
     with np.errstate(over="ignore", invalid="ignore"):
         # abs turns a sigma of -0.0, which check_range takes, into 0.0, which normal takes as a scale

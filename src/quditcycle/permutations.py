@@ -39,7 +39,10 @@ class Chirality(Enum, metaclass=_ByValue):
 
 @dataclass(frozen=True)
 class Permutation:
-    """Bijection of {1..d}, stored as the image tuple (p(1), ..., p(d))."""
+    """Bijection of {1..d}, stored as the image tuple (p(1), ..., p(d)).
+
+    An iterator's items are taken in the order it yields them: Permutation(iter({2, 1})) takes the set's hash order.
+    """
 
     image: tuple[int, ...]
 

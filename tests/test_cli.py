@@ -160,12 +160,12 @@ def test_one_parser_serves_repeated_calls(tmp_path, capsys):
 
     argvs = [
         ("run", "--perm", "3,4,2,1", "--relabel", "1,3,2,4", "--json"),
-        ("run", "--perm", "2,3,1", "--mode", "both"),
+        ("run", "--perm", "2,3,1", "--fourier", "spin"),
         ("nmr", "--gate", "fullneg", "--ideal", "--noise-sigma", "0.01", "--out", str(tmp_path), "--json"),
     ]
     first = [call(*argv) for argv in argvs]
     assert [r[0] for r in first] == [EXIT_OK, ("SystemExit", 2), EXIT_OK]
-    assert first[1][2].endswith(_CLI_REFUSALS["run --perm 2,3,1 --mode both"] + "\n")
+    assert first[1][2].endswith(_CLI_REFUSALS["run --perm 2,3,1 --fourier spin"] + "\n")
     for argv, want in [*zip(argvs, first), *zip(reversed(argvs), reversed(first))]:
         assert call(*argv)[:2] == want[:2]
 
@@ -246,21 +246,17 @@ def test_run_out_into_the_stdout_pipe_exits_zero():
 
 
 _NMR = "nmr --gate qft --ideal"
-# every choice and range refusal of a CLI value, and the error line it ends stderr with; the
-# refusal is worded by linalg's check_choice, check_finite or check_range, under the library's
-# own name where it has one (FourierKind's "Fourier variant", pseudo_pure's epsilon,
-# inject_readout_noise's sigma). argparse adds its usage and "argument --x:" to each but
-# --noise-seed's, and words text that is no number itself, the same on Python 3.10 to 3.13
+# every choice and range refusal of a CLI value that no golden records, and the error line it
+# ends stderr with; the refusal is worded by linalg's check_choice, check_finite or check_range,
+# under the library's own name where it has one (FourierKind's "Fourier variant", pseudo_pure's
+# epsilon, inject_readout_noise's sigma and seed). argparse adds its usage and "argument --x:"
+# to each but the optimizer settings', which OptimizerConfig refuses after parsing, and words
+# text that is no number itself, the same on Python 3.10 to 3.13
 _CLI_REFUSALS = {
-    "run --perm 2,3,1 --mode both":
-        "quditcycle run: error: argument --mode: mode must be one of ('quantum', 'classical'), got 'both'",
     "run --perm 2,3,1 --fourier spin":
         "quditcycle run: error: argument --fourier: Fourier variant must be one of ('general', 'qutrit'), got 'spin'",
-    "nmr --gate swap":
-        "quditcycle nmr: error: argument --gate: gate must be one of ('fullneg', 'fullpos', 'neg', 'pos', 'qft'), got 'swap'",
     # choices=range(3, 65) used to list all 62 accepted values
     "verify --dmax 2": "quditcycle verify: error: argument --dmax: dmax must be in [3, 64], got 2",
-    "verify --dmax 65": "quditcycle verify: error: argument --dmax: dmax must be in [3, 64], got 65",
     "verify --dmax x": "quditcycle verify: error: argument --dmax: invalid int value: 'x'",
     # these read "must be a finite number in [0, 1.0], got '-1'", and [0, inf] for --noise-sigma
     f"{_NMR} --epsilon -1": "quditcycle nmr: error: argument --epsilon: epsilon must be in [0, 1], got -1.0",
@@ -271,7 +267,9 @@ _CLI_REFUSALS = {
     f"{_NMR} --noise-sigma -1": "quditcycle nmr: error: argument --noise-sigma: sigma must be >= 0, got -1.0",
     f"{_NMR} --noise-sigma nan": "quditcycle nmr: error: argument --noise-sigma: sigma must be a finite number, got nan",
     f"{_NMR} --noise-sigma inf": "quditcycle nmr: error: argument --noise-sigma: sigma must be a finite number, got inf",
-    f"{_NMR} --noise-seed -1": "error: --noise-seed must be >= 0, got -1",
+    f"{_NMR} --noise-seed -1": "quditcycle nmr: error: argument --noise-seed: seed must be >= 0, got -1",
+    f"{_NMR} --noise-seed x": "quditcycle nmr: error: argument --noise-seed: invalid int value: 'x'",
+    "nmr --gate qft --segments 0": "error: bad optimizer config: segments must be in [1, 1000], got 0",
 }  # fmt: skip
 
 
@@ -910,6 +908,11 @@ def test_nmr_deeply_nested_config_exits_two(tmp_path, capsys):
         ["--config", '{"segments": 1, "max_iter": 0}'],
         ["--config", '{"restarts": true}'],
         ["--config", '{"min_fidelity": true}'],
+        ["--config", '{"segments": null}'],
+        ["--config", '{"restarts": "x"}'],
+        ["--config", '{"seed": []}'],
+        ["--config", '{"max_iter": {}}'],
+        ["--config", '{"min_fidelity": 1e400}'],
         ["--config="],  # was tested for truthiness and ran with the default settings
         # an OverflowError traceback with exit 1 from the float conversion of a 401-digit int
         pytest.param(["--config", '{"min_fidelity": 1%s}' % ("0" * 400)], id="--config=min_fidelity-10**400"),

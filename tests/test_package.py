@@ -2,9 +2,7 @@
 every public callable refuses junk arguments."""
 
 import ast
-import contextlib
 import inspect
-import io
 import os
 import re
 import subprocess
@@ -18,7 +16,6 @@ import numpy as np
 import pytest
 
 import quditcycle
-import quditcycle.cli as cli
 import quditcycle.protocol
 import quditcycle.smp
 from quditcycle.algorithm import FourierKind, one_query_insufficient, phase_table, qft
@@ -197,17 +194,8 @@ def test_a_refusal_quotes_an_int_too_long_to_print_by_its_type(call, message):
     assert str(err.value) == message
 
 
-def _cli_refusal(*argv):
-    """Run the CLI, which must exit 2 with one "error: " line on stderr, and raise that line's text as a ValueError."""
-    err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-        code = cli.main(list(argv))
-    assert code == 2 and err.getvalue().count("\n") == 1, (code, err.getvalue())
-    raise ValueError(err.getvalue().removeprefix("error: ").rstrip("\n"))
-
-
 _RHO = np.eye(2) / 2
-# every range refusal in the package, worded by linalg.check_range: its call and its exact message
+# every range refusal in the package, worded by linalg.check_range: its library call and its exact message
 _RANGE_REFUSALS = {
     "check_dim-0": (lambda: check_dim(0), f"dimension must be in [1, {MAX_DIM}], got 0"),
     "check_dim-above": (lambda: check_dim(MAX_DIM + 1), f"dimension must be in [1, {MAX_DIM}], got {MAX_DIM + 1}"),
@@ -238,13 +226,6 @@ _RANGE_REFUSALS = {
     "OptimizerConfig-seed": (lambda: OptimizerConfig(seed=-1), "seed must be >= 0, got -1"),
     "OptimizerConfig-max_iter": (lambda: OptimizerConfig(max_iter=0), f"max_iter must be in [1, {MAX_ITER}], got 0"),
     "minimize-max_eval": (lambda: minimize(_residual, [1.0], 0), "max_eval must be >= 1, got 0"),
-    "nmr-noise-seed": (
-        lambda: _cli_refusal("nmr", "--gate", "qft", "--ideal", "--noise-seed", "-1"), "--noise-seed must be >= 0, got -1",
-    ),
-    "nmr-segments": (
-        lambda: _cli_refusal("nmr", "--gate", "qft", "--segments", "0"),
-        f"bad optimizer config: segments must be in [1, {MAX_SEGMENTS}], got 0",
-    ),
 }  # fmt: skip
 
 
