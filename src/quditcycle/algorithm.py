@@ -92,12 +92,16 @@ _MIN_PROBABILITY = 1.0 - 1e-9
 
 @cache
 def _fourier(d: int, variant: str) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only unrelabeled F and conj(F), whose transpose is F^dag; one entry per (d, variant)."""
+    """Read-only F|start> and conj(F), whose transpose is F^dag, unrelabeled; one entry per (d, variant).
+
+    F itself is not kept: conj is exact, so conj(F) holds F's bits, and F|start> is taken from it
+    once, as the start row, which is the start column of F (F equals its transpose bit for bit).
+    """
     labels = np.array([1, 0, -1]) if variant == "qutrit" else np.arange(d)
-    f = np.exp(2j * np.pi * np.outer(labels, labels) / d) / np.sqrt(d)
-    f_conj = f.conj()
-    f.flags.writeable = f_conj.flags.writeable = False
-    return f, f_conj
+    f_conj = (np.exp(2j * np.pi * np.outer(labels, labels) / d) / np.sqrt(d)).conj()
+    ket = f_conj[_START[variant] - 1].conj()
+    ket.flags.writeable = f_conj.flags.writeable = False
+    return ket, f_conj
 
 
 def _as_kind(kind) -> FourierKind:
@@ -135,16 +139,17 @@ def qft(dim: int, kind: FourierKind | None = None) -> np.ndarray:
     scatter apply_oracle(sigma, F): row x of F moves to row sigma(x), so
     the same algorithm runs on sigma-relabeled basis states.
 
-    The matrix is built once per (dim, variant) per process; the returned
-    array is a fresh one that belongs to the caller.
+    Only conj(F) is cached, once per (dim, variant) per process; the returned
+    array is conj(conj(F)), F bit for bit, and a fresh one that belongs to
+    the caller.
     """
     d = check_dim(dim)
     if d < 2:
         raise ValueError(f"Fourier transform needs dim >= 2, got {d}")
     kind = _check_kind(d, kind)
-    f, _ = _fourier(d, kind.variant)
+    f = _fourier(d, kind.variant)[1].conj()
     sigma = kind.relabeling
-    return f.copy() if sigma is None else apply_oracle(sigma, f)
+    return f if sigma is None else apply_oracle(sigma, f)
 
 
 def initial_index(kind: FourierKind | None = None) -> int:
@@ -193,22 +198,21 @@ def run_quantum(p: Permutation, kind: FourierKind | None = None) -> RunReport:
     called straight once p and the kind have passed the checks above, so
     apply_oracle's checks are not made twice; the query count is the 1
     written beside the scatter of p.  The query is U_p applied to F|start>,
-    read as the start row of the cached F: both conventions build F from an
-    outer product of the labels with themselves, so F equals its transpose
-    bit for bit and the row is the start column in contiguous memory.  The
-    sigma scatter is not a query of p: it scatters the shared read-only
-    row indices _ROWS[:d] into sigma^-1 - 1, whose entries pick the rows of
-    P_sigma F out of F|start> and out of the cached conj(F), whose
-    transpose is F^dag.  The only d x d work is the F^dag product.  The
-    outcome reads the amplitude at start, then at d: the first whose
-    probability reaches the 1 - 1e-9 floor is the measured level, positive
-    at start and negative at d, and p is refused if neither does.
+    which the cache entry holds: the start row of F, taken once when the
+    entry is built.  Both conventions build F from an outer product of the
+    labels with themselves, so F equals its transpose bit for bit and the
+    row is the start column.  The sigma scatter is not a query of p: it
+    scatters the shared read-only row indices _ROWS[:d] into sigma^-1 - 1,
+    whose entries pick the rows of P_sigma F out of F|start> and out of the
+    cached conj(F), whose transpose is F^dag.  The only d x d work is the
+    F^dag product.  The outcome reads the amplitude at start, then at d: the
+    first whose probability reaches the 1 - 1e-9 floor is the measured level,
+    positive at start and negative at d, and p is refused if neither does.
     """
     d = _cyclic_dim(p)
     kind = _check_kind(d, kind)
     start = _START[kind.variant]
-    f, f_conj = _fourier(d, kind.variant)
-    ket = f[start - 1]  # F|start>, as a row of the symmetric F
+    ket, f_conj = _fourier(d, kind.variant)  # F|start> and conj(F)
     sigma = kind.relabeling
     if sigma is not None:
         rows = _scatter(sigma.image, _ROWS[:d])  # sigma^-1 - 1: the rows of P_sigma F
@@ -250,9 +254,9 @@ def _run_quantum_table(families) -> tuple[list[Chirality], np.ndarray]:
     amps, read = [], 0
     for family in families:
         d, n = len(family[0].image), len(family)
-        f, f_conj = _fourier(d, "general")
+        ket, f_conj = _fourier(d, "general")
         psi = np.empty((n, 1, d + 1), complex)  # column 0 spare, so the labels 1..d index columns 1..d
-        psi[members[:n, None], 0, images[read : read + n * d].reshape(n, d)] = f[_START["general"] - 1]  # U_p F|2>
+        psi[members[:n, None], 0, images[read : read + n * d].reshape(n, d)] = ket  # U_p F|2>
         psi = np.matmul(psi[:, :, 1:], f_conj)  # F^dag U_p F|2>, as run_quantum's zgemv per p
         amps.append(psi[:, 0, [1, d - 1]])  # the amplitudes at levels 2 and d
         read += n * d

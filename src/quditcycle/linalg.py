@@ -58,7 +58,10 @@ def check_finite(**values) -> None:
     and so is an int or Fraction too large for a float."""
     for name, value in values.items():
         try:
-            finite = not isinstance(value, bool) and isinstance(value, Real) and math.isfinite(value)
+            # a float first, so a plain float skips the slow Real ABC check
+            finite = (
+                isinstance(value, float) or not isinstance(value, bool) and isinstance(value, Real)
+            ) and math.isfinite(value)
         except OverflowError:  # math.isfinite converts to float first
             finite = False
         if not finite:

@@ -75,10 +75,22 @@ def test_qutrit_spin_matrix_frozen():
     "dim,kind", [(d, FourierKind()) for d in range(2, MAX_DIM + 1)] + [(3, FourierKind.qutrit_spin())], ids=repr
 )
 def test_qft_equals_its_transpose_byte_for_byte(dim, kind):
-    # run_quantum reads F|start> as the contiguous row F[start - 1]; that is
-    # the start column only while F is symmetric bit for bit
+    # the Fourier cache takes F|start> as the row conj(F)[start - 1], conjugated;
+    # that is the start column only while F is symmetric bit for bit
     f = qft(dim, kind)
     assert f.tobytes() == f.T.tobytes()
+
+
+@pytest.mark.parametrize(
+    "dim,kind", [(d, FourierKind()) for d in range(3, MAX_DIM + 1)] + [(3, FourierKind.qutrit_spin())], ids=repr
+)
+def test_fourier_cache_holds_only_the_start_column_and_conj_f(dim, kind):
+    # each entry is F|start> and conj(F), read-only and owning their memory: no d x d F stays reachable
+    ket, f_conj = algorithm._fourier(dim, kind.variant)
+    assert (ket.shape, f_conj.shape) == ((dim,), (dim, dim))
+    for a in (ket, f_conj):
+        assert not a.flags.writeable and a.base is None
+    assert ket.tobytes() == qft(dim, kind)[:, initial_index(kind) - 1].tobytes()
 
 
 def test_qft_unitarity():

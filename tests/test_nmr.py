@@ -428,6 +428,7 @@ _MIXTURE_AND_NOISE_REFUSALS = {
     "seed-float": (lambda rho: inject_readout_noise(rho, seed=1.5), "seed must be an integer, got 1.5"),
     "epsilon-10**400": (lambda rho: pseudo_pure(rho, 10**400), f"epsilon must be a finite number, got {10**400}"),
     "sigma-10**400": (lambda rho: inject_readout_noise(rho, sigma=10**400), f"sigma must be a finite number, got {10**400}"),
+    "sigma-float64-nan": (lambda rho: inject_readout_noise(rho, sigma=np.float64("nan")), f"sigma must be a finite number, got {np.float64('nan')!r}"),
     "noise-overflow": (
         lambda rho: inject_readout_noise(ket_bra(4, 4), 1e308, 0),
         "readout noise with sigma 1e+308 overflows: the perturbed matrix is not finite",
